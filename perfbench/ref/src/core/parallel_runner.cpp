@@ -1,0 +1,150 @@
+#include "core/parallel_runner.hpp"
+
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <thread>
+
+namespace xmp::core {
+
+ParallelRunner::ParallelRunner(unsigned workers) : workers_{workers} {
+  if (workers_ == 0) {
+    workers_ = std::thread::hardware_concurrency();
+    if (workers_ == 0) workers_ = 1;
+  }
+}
+
+void ParallelRunner::for_each(std::size_t total, const Task& task,
+                              const Progress& progress) const {
+  if (total == 0) return;
+
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> done{0};
+  std::mutex mu;  // guards progress invocation and first_error
+  std::exception_ptr first_error;
+
+  auto worker = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= total) return;
+      try {
+        task(i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock{mu};
+        if (!first_error) first_error = std::current_exception();
+        continue;
+      }
+      const std::size_t n = done.fetch_add(1, std::memory_order_relaxed) + 1;
+      if (progress) {
+        const std::lock_guard<std::mutex> lock{mu};
+        progress(i, n, total);
+      }
+    }
+  };
+
+  const unsigned n_threads =
+      workers_ < total ? workers_ : static_cast<unsigned>(total);
+  if (n_threads <= 1) {
+    worker();  // serial fallback: no thread-spawn overhead for one task
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(n_threads);
+    for (unsigned w = 0; w < n_threads; ++w) pool.emplace_back(worker);
+    for (auto& th : pool) th.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
+}
+
+std::vector<ExperimentResults> ParallelRunner::run(const std::vector<ExperimentConfig>& configs,
+                                                   const Progress& progress) const {
+  std::vector<ExperimentResults> results(configs.size());
+  for_each(
+      configs.size(), [&](std::size_t i) { results[i] = run_experiment(configs[i]); }, progress);
+  return results;
+}
+
+WorkerPool::WorkerPool(unsigned width) : width_{width} {
+  if (width_ == 0) {
+    width_ = std::thread::hardware_concurrency();
+    if (width_ == 0) width_ = 1;
+  }
+  threads_.reserve(width_ - 1);
+  for (unsigned i = 1; i < width_; ++i) {
+    threads_.emplace_back([this, i] { worker_loop(i); });
+  }
+}
+
+WorkerPool::~WorkerPool() {
+  {
+    const std::lock_guard<std::mutex> lock{mu_};
+    stop_ = true;
+  }
+  cv_start_.notify_all();
+  for (auto& th : threads_) th.join();
+}
+
+void WorkerPool::run(int n_shards, const ShardTask& task) {
+  if (n_shards <= 0) return;
+  if (width_ == 1) {
+    for (int s = 0; s < n_shards; ++s) task(s);
+    return;
+  }
+  {
+    const std::lock_guard<std::mutex> lock{mu_};
+    task_ = &task;
+    n_shards_ = n_shards;
+    running_ = width_ - 1;
+    ++generation_;
+  }
+  cv_start_.notify_all();
+  run_share(0);  // the caller is worker 0
+  std::unique_lock<std::mutex> lock{mu_};
+  cv_done_.wait(lock, [this] { return running_ == 0; });
+  task_ = nullptr;
+  if (first_error_) {
+    std::exception_ptr e = first_error_;
+    first_error_ = nullptr;
+    std::rethrow_exception(e);
+  }
+}
+
+void WorkerPool::run_share(unsigned index) {
+  for (int s = static_cast<int>(index); s < n_shards_; s += static_cast<int>(width_)) {
+    try {
+      (*task_)(s);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock{mu_};
+      if (!first_error_) first_error_ = std::current_exception();
+    }
+  }
+}
+
+void WorkerPool::worker_loop(unsigned index) {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock{mu_};
+      cv_start_.wait(lock, [this, seen] { return stop_ || generation_ != seen; });
+      if (stop_) return;
+      seen = generation_;
+    }
+    run_share(index);
+    {
+      const std::lock_guard<std::mutex> lock{mu_};
+      if (--running_ == 0) cv_done_.notify_one();
+    }
+  }
+}
+
+std::vector<ExperimentConfig> seed_sweep(const ExperimentConfig& base,
+                                         const std::vector<std::uint64_t>& seeds) {
+  std::vector<ExperimentConfig> out;
+  out.reserve(seeds.size());
+  for (const std::uint64_t s : seeds) {
+    out.push_back(base);
+    out.back().seed = s;
+  }
+  return out;
+}
+
+}  // namespace xmp::core

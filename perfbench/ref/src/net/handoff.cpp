@@ -1,0 +1,59 @@
+#include "net/handoff.hpp"
+
+#include <cstdio>
+#include <cstdlib>
+
+#include "net/link.hpp"
+
+namespace xmp::net {
+
+ShardFabric::ShardFabric(int n_shards) : n_{n_shards} {
+  scheds_.reserve(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) scheds_.push_back(std::make_unique<sim::Scheduler>());
+  channels_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+}
+
+void ShardFabric::note_cross_link(int src_shard, int dst_shard, sim::Time prop_delay,
+                                  LinkId id) {
+  if (prop_delay <= sim::Time::zero()) {
+    std::fprintf(stderr,
+                 "fatal: cross-shard link %llu (shard %d -> shard %d) has zero propagation "
+                 "delay; conservative sync requires lookahead > 0\n",
+                 static_cast<unsigned long long>(id), src_shard, dst_shard);
+    std::exit(2);
+  }
+  HandoffChannel& ch = channel(src_shard, dst_shard);
+  if (prop_delay.ns() < ch.min_delay_ns_) ch.min_delay_ns_ = prop_delay.ns();
+  if (prop_delay.ns() < min_cross_delay_ns_) min_cross_delay_ns_ = prop_delay.ns();
+}
+
+std::uint64_t ShardFabric::drain_all() {
+  std::uint64_t handed_off = 0;
+  for (int dst = 0; dst < n_; ++dst) {
+    sim::Scheduler& ds = sched(dst);
+    for (int src = 0; src < n_; ++src) {
+      if (src == dst) continue;
+      auto& items = channel(src, dst).items_;
+      for (RemotePacket& rp : items) {
+        Link* link = rp.link;
+        link->accept_remote_arrival(std::move(rp.pkt), rp.link_epoch);
+        // Captures a single pointer, so the callback stays inline (no
+        // allocation on the handoff path). The id is tracked on the link so
+        // a barrier checkpoint can save the pending delivery's key.
+        link->track_remote_delivery(ds.schedule_at(
+            sim::Time::nanoseconds(rp.deliver_t_ns), [link] { link->remote_deliver_head(); }));
+        ++handed_off;
+      }
+      items.clear();
+    }
+  }
+  return handed_off;
+}
+
+std::uint64_t ShardFabric::total_dispatched() const {
+  std::uint64_t sum = 0;
+  for (const auto& s : scheds_) sum += s->dispatched();
+  return sum;
+}
+
+}  // namespace xmp::net

@@ -1,0 +1,311 @@
+#pragma once
+
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <vector>
+
+#include "net/packet.hpp"
+#include "net/queue.hpp"
+#include "sim/scheduler.hpp"
+#include "sim/time.hpp"
+
+namespace xmp::net {
+
+class HandoffChannel;
+
+/// Anything that can accept a packet (the receiving end of a link).
+class PacketSink {
+ public:
+  virtual ~PacketSink() = default;
+  virtual void receive(Packet p) = 0;
+};
+
+/// Per-cause drop accounting of one link. Every packet offered to the link
+/// ends up in exactly one of {delivered, one of these counters, still
+/// queued/in flight}, which the InvariantChecker verifies as a conservation
+/// law.
+struct LinkDropCounters {
+  std::uint64_t queue = 0;       ///< egress queue rejected the packet
+  std::uint64_t admin_down = 0;  ///< link administratively closed (incl. flushes)
+  std::uint64_t fault = 0;       ///< injected loss process dropped it at entry
+  std::uint64_t corrupt = 0;     ///< corrupted in flight, discarded at the sink end
+
+  [[nodiscard]] std::uint64_t total() const { return queue + admin_down + fault + corrupt; }
+};
+
+/// Unidirectional point-to-point link: an egress queue, a serializing
+/// transmitter of fixed rate, and a propagation delay to the peer sink.
+///
+/// Store-and-forward: a packet is handed to the sink `serialization +
+/// propagation` after transmission starts. The link keeps utilization
+/// statistics (busy time, bytes) used for the paper's Figure 11.
+class Link final {
+ public:
+  /// Verdict of a fault hook on one packet offered to the link. The action
+  /// is exclusive; the gray-failure effects compose with it (and with each
+  /// other) on any packet that is not dropped outright.
+  struct FaultVerdict {
+    enum class Action : std::uint8_t {
+      Pass,     ///< forward normally
+      Drop,     ///< lose the packet at link entry (counted as drops().fault)
+      Corrupt,  ///< transmit, but discard at the sink end (drops().corrupt)
+    };
+
+    Action action = Action::Pass;
+    bool duplicate = false;  ///< enqueue a clone right behind the original
+    bool overmark = false;   ///< force CE if the packet is ECN-capable
+    bool reorder = false;    ///< the delay came from a reorder hold, not inflation
+    sim::Time delay = sim::Time::zero();  ///< hold at entry before enqueueing
+
+    constexpr FaultVerdict() = default;
+    // NOLINTNEXTLINE(google-explicit-constructor): a bare action is a verdict
+    constexpr FaultVerdict(Action a) : action{a} {}
+    friend bool operator==(const FaultVerdict&, const FaultVerdict&) = default;
+  };
+  /// Historical name for the exclusive part of the verdict.
+  using FaultAction = FaultVerdict::Action;
+
+  /// Injected per-link loss/corruption/gray-failure process (see
+  /// faults::FaultController). A null hook — the default — costs one
+  /// predictable branch per send.
+  class FaultHook {
+   public:
+    virtual ~FaultHook() = default;
+    [[nodiscard]] virtual FaultVerdict on_send(const Packet& p) = 0;
+  };
+
+  /// Notified on every administrative state transition (after the link has
+  /// already changed state). route::RouteManager uses this to start its
+  /// convergence clock. Listeners must not destroy the link.
+  class StateListener {
+   public:
+    virtual ~StateListener() = default;
+    virtual void on_link_state(Link& link, bool down) = 0;
+  };
+
+  Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time prop_delay,
+       std::unique_ptr<Queue> queue, PacketSink& sink);
+
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
+
+  /// Enqueue a packet for transmission (dropped if the queue rejects it,
+  /// if the link is administratively down, or if the fault hook says so).
+  void send(Packet p);
+
+  /// Administratively close / reopen the link (paper Fig.7: "L3 is closed").
+  /// Closing flushes the queue; packets already propagating are lost too.
+  void set_down(bool down);
+  [[nodiscard]] bool is_down() const { return down_; }
+
+  /// Install / remove (nullptr) the fault-injection hook. Not owned.
+  void set_fault_hook(FaultHook* hook) { fault_hook_ = hook; }
+  [[nodiscard]] FaultHook* fault_hook() const { return fault_hook_; }
+
+  /// Subscribe to administrative state transitions. Not owned; listeners
+  /// are expected to live as long as the link (setup-time wiring only).
+  void add_state_listener(StateListener* l) { state_listeners_.push_back(l); }
+
+  [[nodiscard]] LinkId id() const { return id_; }
+  [[nodiscard]] std::int64_t rate_bps() const { return rate_bps_; }
+
+  /// Hybrid-engine coupling: fraction of the transmitter's capacity consumed
+  /// by fluid-modelled background traffic. Packet serialization slows down by
+  /// 1/(1-share), so packet-accurate flows experience the reduced residual
+  /// bandwidth without any fluid packet existing. Clamped to [0, 0.95] by the
+  /// caller; not checkpointed — the hybrid engine re-applies it after a
+  /// restore, exactly as it re-derives it every fluid tick.
+  void set_fluid_share(double share) {
+    fluid_share_ = share;
+    recompute_effective_rate();
+  }
+  [[nodiscard]] double fluid_share() const { return fluid_share_; }
+
+  /// Gray failure: slow drain. Serialization runs at `factor` x the nominal
+  /// rate (factor in (0, 1]; 1.0 restores full capacity). Composes with the
+  /// hybrid fluid share; packets already serializing keep their old timing.
+  /// Checkpointed — unlike the fluid share, nothing re-derives it on restore.
+  void set_degrade(double factor) {
+    degrade_ = factor;
+    recompute_effective_rate();
+  }
+  [[nodiscard]] double degrade() const { return degrade_; }
+  [[nodiscard]] sim::Time prop_delay() const { return prop_delay_; }
+  [[nodiscard]] const Queue& queue() const { return *queue_; }
+  [[nodiscard]] Queue& queue() { return *queue_; }
+  [[nodiscard]] PacketSink& sink() { return sink_; }
+  [[nodiscard]] const PacketSink& sink() const { return sink_; }
+
+  /// Total bytes fully transmitted onto the wire.
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  /// Cumulative time the transmitter was busy.
+  [[nodiscard]] sim::Time busy_time() const { return busy_; }
+
+  // --- conservation accounting (stats::probes, faults::InvariantChecker) ---
+  /// Packets ever offered via send().
+  [[nodiscard]] std::uint64_t offered() const { return offered_; }
+  /// Packets handed to the sink (excludes corrupt discards).
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  [[nodiscard]] const LinkDropCounters& drops() const { return drops_; }
+  /// In-flight packets that will still reach the sink (stale-epoch entries
+  /// were already counted as a drop when the link went down).
+  [[nodiscard]] std::size_t live_in_flight() const;
+  /// Packets parked in the gray-failure hold buffer, awaiting release.
+  [[nodiscard]] std::size_t held() const { return held_.size(); }
+
+  // --- gray-failure impairment accounting ---
+  /// Clones materialized by a Duplicate verdict. The conservation law is
+  /// offered + duplicated == delivered + drops + queued + in_flight + held.
+  [[nodiscard]] std::uint64_t duplicated() const { return duplicated_; }
+  /// Packets held at entry by a Delay or Reorder verdict.
+  [[nodiscard]] std::uint64_t delayed() const { return delayed_; }
+  /// ECT packets force-marked CE by an EcnOvermark verdict.
+  [[nodiscard]] std::uint64_t overmarked() const { return overmarked_; }
+
+  // --- sharded (conservative-sync) boundary mode ---
+  /// Make this a shard-boundary link: transmitted packets go to `ch`
+  /// instead of the local in-flight FIFO and are delivered on the
+  /// destination shard's scheduler after the barrier drain. Wired once at
+  /// topology construction (net::Network); never in serial runs.
+  void set_remote_handoff(HandoffChannel* ch) { remote_ = ch; }
+  [[nodiscard]] bool is_boundary() const { return remote_ != nullptr; }
+
+  /// Park one drained packet for delivery (ShardFabric::drain_all, shards
+  /// quiesced).
+  void accept_remote_arrival(Packet&& pkt, std::uint64_t epoch) {
+    remote_arrivals_.push_back(RemoteArrival{std::move(pkt), epoch});
+  }
+
+  /// Deliver the oldest parked arrival; runs on the *destination* shard's
+  /// scheduler, so timestamps come from sim::current_scheduler().
+  void remote_deliver_head();
+
+  /// Sharded engine: record the id of a remote_deliver_head() event just
+  /// scheduled against this link (kept 1:1 FIFO with the parked arrivals
+  /// for checkpointing).
+  void track_remote_delivery(sim::EventId id) { remote_delivery_events_.push_back(id); }
+
+  /// Checkpoint the link: queue contents, counters, in-flight packets and
+  /// the (time, sequence) keys of the pending delivery / transmit-complete
+  /// events. On restore the events are re-armed under their original keys,
+  /// so dispatch order is unchanged. `remote_sched` is the destination
+  /// shard's engine for boundary links (their parked deliveries live
+  /// there); null for serial links.
+  void save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched = nullptr) const;
+  void restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched = nullptr);
+
+ private:
+  void start_transmission();
+  void on_transmit_complete();
+  void complete_tx(std::uint64_t epoch);
+  void deliver_head();
+  /// Enqueue for transmission after the verdict's entry effects; `dup`
+  /// materializes the clone right behind the original.
+  void enqueue_for_tx(Packet&& p, bool dup);
+  void release_held(std::uint64_t id);
+  void recompute_effective_rate() {
+    const double residual =
+        static_cast<double>(rate_bps_) * (1.0 - fluid_share_) * degrade_;
+    effective_rate_bps_ = residual >= 1.0 ? static_cast<std::int64_t>(residual) : 1;
+  }
+
+  sim::Scheduler& sched_;
+  LinkId id_;
+  std::int64_t rate_bps_;
+  /// rate_bps_ scaled down by the fluid share and the degrade factor;
+  /// equals rate_bps_ outside hybrid/faulted runs so serialization times
+  /// are bit-identical to the seed.
+  std::int64_t effective_rate_bps_;
+  double fluid_share_ = 0.0;
+  double degrade_ = 1.0;  ///< slow-drain capacity multiplier (1 = healthy)
+  sim::Time prop_delay_;
+  std::unique_ptr<Queue> queue_;
+  PacketSink& sink_;
+  FaultHook* fault_hook_ = nullptr;
+  std::vector<StateListener*> state_listeners_;
+
+  /// Packets serialized onto the wire, awaiting delivery at the sink.
+  /// Propagation delay is constant, so deliveries are FIFO; each scheduled
+  /// delivery event pops exactly one entry, and entries stamped with a
+  /// stale epoch (the link went down underneath them) are discarded. This
+  /// keeps the per-packet event captures pointer-sized (no heap
+  /// allocation in std::function).
+  struct InFlight {
+    Packet pkt;
+    std::uint64_t epoch;
+  };
+  std::deque<InFlight> in_flight_;
+
+  /// Gray-failure hold buffer: packets parked at link *entry* (before the
+  /// egress queue) by a Delay/Reorder verdict. Entries are id-keyed so the
+  /// release event captures 16 bytes; release re-enters the normal enqueue
+  /// path, which is why held packets never perturb the in-flight FIFO or
+  /// the boundary-mode mirrors. set_down() cancels the release events and
+  /// accounts the contents, so the deque only ever holds live packets.
+  struct Held {
+    std::uint64_t id;
+    bool duplicate;  ///< clone on release (deferred with the original)
+    Packet pkt;
+    sim::EventId ev;
+  };
+  std::deque<Held> held_;
+  std::uint64_t next_held_id_ = 0;
+
+  // --- boundary-mode state. Thread ownership is partitioned: the source
+  // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault}
+  // and the two deques below marked "src"; the destination shard writes
+  // delivered_ and drops_.corrupt; epoch_/down_/drops_.admin_down change
+  // only at barriers with every shard quiesced. Distinct members, so no
+  // two threads ever touch the same word. ---
+  HandoffChannel* remote_ = nullptr;
+
+  /// src-owned conservation mirror of packets handed to the channel; lets
+  /// set_down() count still-propagating cross-shard packets as admin_down
+  /// exactly like the serial in_flight_ FIFO. Pruned lazily: an entry is
+  /// certainly delivered once deliver_t + pair_min_delay < now, because
+  /// the destination clock can lag the source clock by at most one epoch
+  /// (= at most the pair's min propagation delay).
+  struct RemoteInFlight {
+    std::int64_t deliver_t_ns;
+    std::uint64_t epoch;
+    bool corrupt;  ///< attribution on set_down: corrupt, not admin_down
+  };
+  std::deque<RemoteInFlight> remote_in_flight_;
+
+  /// dst-consumed FIFO of packets scheduled for delivery at the barrier.
+  struct RemoteArrival {
+    Packet pkt;
+    std::uint64_t epoch;
+  };
+  std::deque<RemoteArrival> remote_arrivals_;
+
+  // --- checkpoint bookkeeping (never read by the simulation itself) ---
+  /// Pending deliver_head events, 1:1 FIFO with in_flight_ (stale-epoch
+  /// entries included: their events are still pending and pop both deques).
+  std::deque<sim::EventId> delivery_events_;
+  /// Pending transmit-complete events by epoch. At most one per epoch, but
+  /// stale-epoch events linger until they fire, so this is a (tiny) vector.
+  struct TxDone {
+    sim::EventId id;
+    std::uint64_t epoch;
+  };
+  std::vector<TxDone> tx_events_;
+  /// Pending remote_deliver_head events, 1:1 FIFO with remote_arrivals_
+  /// (boundary links; populated via track_remote_delivery).
+  std::deque<sim::EventId> remote_delivery_events_;
+
+  bool transmitting_ = false;
+  bool down_ = false;
+  std::uint64_t bytes_sent_ = 0;
+  sim::Time busy_ = sim::Time::zero();
+  std::uint64_t epoch_ = 0;  ///< invalidates in-flight deliveries on set_down
+  std::uint64_t offered_ = 0;
+  std::uint64_t delivered_ = 0;
+  LinkDropCounters drops_;
+  std::uint64_t duplicated_ = 0;  ///< clones materialized (extra sends)
+  std::uint64_t delayed_ = 0;     ///< packets parked in the hold buffer
+  std::uint64_t overmarked_ = 0;  ///< forced CE marks applied at entry
+};
+
+}  // namespace xmp::net

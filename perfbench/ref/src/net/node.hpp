@@ -1,0 +1,148 @@
+#pragma once
+
+#include <cstdint>
+#include <memory>
+#include <unordered_map>
+#include <vector>
+
+#include "net/link.hpp"
+#include "net/packet.hpp"
+#include "net/types.hpp"
+
+namespace xmp::net {
+
+/// Base class for hosts and switches.
+class Node : public PacketSink {
+ public:
+  explicit Node(NodeId id) : id_{id} {}
+  [[nodiscard]] NodeId id() const { return id_; }
+
+ private:
+  NodeId id_;
+};
+
+/// Output-queued switch with exact downward host routes and deterministic
+/// hashed spreading over equal-cost upward ports.
+///
+/// This models the paper's Two-Level Routing Lookup (§5.2.1): the downward
+/// path to a host is unique; the upward path is a pure function of
+/// (destination, path_tag, switch id), so a subflow with a distinct
+/// `path_tag` deterministically takes a distinct path — the simulator
+/// equivalent of the paper's "multiple addresses per host" trick.
+class Switch final : public Node {
+ public:
+  explicit Switch(NodeId id) : Node{id} {}
+
+  /// Pluggable upward forwarding decision (src/route/). When installed, it
+  /// replaces the built-in up-port hash for packets without an exact host
+  /// route; returning kNoPort means "no usable port" and the packet is
+  /// counted as unroutable.
+  class PortSelector {
+   public:
+    static constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
+    virtual ~PortSelector() = default;
+    [[nodiscard]] virtual std::size_t select_up_port(const Packet& p) = 0;
+  };
+
+  /// Register an output port; returns its index.
+  std::size_t add_port(Link& out);
+
+  /// Install the exact downward route for `host` via `port`.
+  void set_host_route(NodeId host, std::size_t port);
+
+  /// Declare `port` as an upward (multipath) port.
+  void add_up_port(std::size_t port);
+
+  /// How packets are spread over the upward ports.
+  enum class UpPortPolicy {
+    Hashed,     ///< hash(dst, path_tag, switch id) — fat-tree style ECMP
+    TagModulo,  ///< path_tag % n_up — explicit path pinning for testbeds
+  };
+  void set_up_port_policy(UpPortPolicy p) { up_policy_ = p; }
+  [[nodiscard]] UpPortPolicy up_port_policy() const { return up_policy_; }
+
+  /// Install / remove (nullptr) the forwarding-table selector. Not owned.
+  void set_port_selector(PortSelector* s) { selector_ = s; }
+  [[nodiscard]] PortSelector* port_selector() const { return selector_; }
+
+  void receive(Packet p) override;
+
+  [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
+  [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
+
+  void save_state(core::ckpt::Saver& s) const {
+    s.u64(forwarded_);
+    s.u64(unroutable_);
+  }
+  void restore_state(core::ckpt::Loader& l) {
+    forwarded_ = l.u64();
+    unroutable_ = l.u64();
+  }
+
+  [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
+  [[nodiscard]] Link& port(std::size_t i) { return *ports_.at(i); }
+  [[nodiscard]] const std::vector<std::size_t>& up_ports() const { return up_ports_; }
+
+ private:
+  std::vector<Link*> ports_;
+  std::unordered_map<NodeId, std::size_t> host_route_;
+  std::vector<std::size_t> up_ports_;
+  UpPortPolicy up_policy_ = UpPortPolicy::Hashed;
+  PortSelector* selector_ = nullptr;
+  std::uint64_t forwarded_ = 0;
+  std::uint64_t unroutable_ = 0;
+};
+
+/// End host: one uplink, and a demultiplexer that delivers Data packets to
+/// the registered receiver endpoint and Ack packets to the sender endpoint
+/// of the (flow, subflow) pair.
+class Host final : public Node {
+ public:
+  /// Endpoint interface implemented by transport senders/receivers.
+  class Endpoint {
+   public:
+    virtual ~Endpoint() = default;
+    virtual void handle(Packet p) = 0;
+  };
+
+  explicit Host(NodeId id) : Node{id} {}
+
+  void attach_uplink(Link& l) { uplink_ = &l; }
+  [[nodiscard]] Link* uplink() { return uplink_; }
+
+  /// Hand a packet to the network.
+  void send(Packet p);
+
+  void receive(Packet p) override;
+
+  /// Register the endpoint that consumes packets of `type` for
+  /// (flow, subflow). Data packets go to the receive side, Ack packets to
+  /// the send side.
+  void register_endpoint(FlowId flow, std::uint16_t subflow, PacketType type, Endpoint& ep);
+  void unregister_endpoint(FlowId flow, std::uint16_t subflow, PacketType type);
+
+  [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
+  [[nodiscard]] std::uint64_t undeliverable() const { return undeliverable_; }
+
+  void save_state(core::ckpt::Saver& s) const {
+    s.u64(delivered_);
+    s.u64(undeliverable_);
+  }
+  void restore_state(core::ckpt::Loader& l) {
+    delivered_ = l.u64();
+    undeliverable_ = l.u64();
+  }
+
+ private:
+  static std::uint64_t key(FlowId flow, std::uint16_t subflow, PacketType type) {
+    return (static_cast<std::uint64_t>(flow) << 17) | (static_cast<std::uint64_t>(subflow) << 1) |
+           static_cast<std::uint64_t>(type == PacketType::Ack);
+  }
+
+  Link* uplink_ = nullptr;
+  std::unordered_map<std::uint64_t, Endpoint*> endpoints_;
+  std::uint64_t delivered_ = 0;
+  std::uint64_t undeliverable_ = 0;
+};
+
+}  // namespace xmp::net

@@ -1,0 +1,125 @@
+#include "route/route_manager.hpp"
+
+#include <cassert>
+
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
+
+namespace xmp::route {
+
+RouteManager::RouteManager(sim::Scheduler& sched, net::Network& netw, const RouteConfig& cfg)
+    : sched_{sched}, netw_{netw}, cfg_{cfg} {}
+
+void RouteManager::install_all() {
+  for (net::Switch* sw : netw_.switches()) {
+    if (!sw->up_ports().empty()) install(*sw);
+  }
+}
+
+void RouteManager::install(net::Switch& sw) {
+  auto table = std::make_unique<SwitchTable>(sched_, sw, cfg_);
+  SwitchTable* t = table.get();
+  tables_.push_back(std::move(table));
+  by_switch_[&sw] = t;
+  sw.set_port_selector(t);
+  const auto& members = t->members();
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    net::Link* link = members[i].link;
+    member_of_[link] = {t, i};
+    link->add_state_listener(this);
+    // A link that failed before the table was installed converges
+    // immediately: there was never a fresher entry to age out.
+    if (link->is_down()) t->set_member_alive(i, false);
+  }
+}
+
+SwitchTable* RouteManager::table_for(const net::Switch& sw) {
+  const auto it = by_switch_.find(&sw);
+  return it == by_switch_.end() ? nullptr : it->second;
+}
+
+void RouteManager::on_link_state(net::Link& link, bool /*down*/) {
+  if (member_of_.find(&link) == member_of_.end()) return;
+  // The timer applies whatever state the link holds when it fires, so a
+  // repair during the window simply converges back to "alive" — flapping
+  // never leaves a table permanently stale.
+  track_converge(&link, sched_.now() + cfg_.reroute_delay, 0, /*restore=*/false);
+}
+
+void RouteManager::track_converge(net::Link* link, sim::Time at, std::uint64_t seq,
+                                  bool restore) {
+  auto cb = [this, link] {
+    // Same-delay timers for one link fire in scheduling order, so the
+    // oldest tracked entry is the one firing now.
+    for (auto it = converge_timers_.begin(); it != converge_timers_.end(); ++it) {
+      if (it->first == link) {
+        converge_timers_.erase(it);
+        break;
+      }
+    }
+    converge(link);
+  };
+  const sim::EventId id =
+      restore ? sched_.restore_at(at, seq, std::move(cb)) : sched_.schedule_at(at, std::move(cb));
+  converge_timers_.emplace_back(link, id);
+}
+
+void RouteManager::converge(net::Link* link) {
+  const auto it = member_of_.find(link);
+  if (it == member_of_.end()) return;
+  auto [table, member] = it->second;
+  const bool down = link->is_down();
+  if (!table->set_member_alive(member, !down)) return;  // already converged
+  ++reroutes_;
+  if (auto* mt = obs::metrics(); mt != nullptr) [[unlikely]] mt->route_reroutes.inc();
+  if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
+    tr->reroute(sched_.now(), static_cast<std::uint32_t>(link->id()),
+                static_cast<std::uint32_t>(table->owner().id()), table->alive_members(), down);
+  }
+}
+
+void RouteManager::save_state(core::ckpt::Saver& s) const {
+  s.u64(reroutes_);
+  s.u64(converge_timers_.size());
+  for (const auto& [link, id] : converge_timers_) {
+    s.u32(static_cast<std::uint32_t>(link->id()));
+    sim::Scheduler::PendingKey k;
+    [[maybe_unused]] const bool live = sched_.key_of(id, k);
+    assert(live && "converge timer id stale");
+    s.i64(k.t_ns);
+    s.u64(k.seq);
+  }
+  s.u64(tables_.size());
+  for (const auto& t : tables_) t->save_state(s);
+}
+
+void RouteManager::restore_state(core::ckpt::Loader& l) {
+  reroutes_ = l.u64();
+  const std::uint64_t nt = l.u64();
+  for (std::uint64_t i = 0; i < nt && l.ok(); ++i) {
+    const net::LinkId link = l.u32();
+    const std::int64_t t_ns = l.i64();
+    const std::uint64_t seq = l.u64();
+    track_converge(&netw_.link(link), sim::Time::nanoseconds(t_ns), seq, /*restore=*/true);
+  }
+  const std::uint64_t n = l.u64();
+  assert(!l.ok() || n == tables_.size());
+  for (std::uint64_t i = 0; i < n && i < tables_.size() && l.ok(); ++i) {
+    tables_[i]->restore_state(l);
+  }
+}
+
+std::uint64_t RouteManager::collisions() const {
+  std::uint64_t n = 0;
+  for (const auto& t : tables_) n += t->collisions();
+  return n;
+}
+
+std::uint64_t RouteManager::repaths() const {
+  std::uint64_t n = 0;
+  for (const auto& t : tables_) n += t->repaths();
+  return n;
+}
+
+}  // namespace xmp::route
