@@ -549,6 +549,11 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
     std::fprintf(stderr, "xmpsim: bad --checkpoint-dir= (expected a directory path)\n");
     ok = false;
     cfg.checkpoint.dir = ".";
+  } else if (std::error_code ec; !std::filesystem::is_directory(cfg.checkpoint.dir, ec)) {
+    // Caught here, not as one failed write per snapshot in a run that exits 0.
+    std::fprintf(stderr, "xmpsim: bad --checkpoint-dir=%s (expected an existing directory)\n",
+                 cfg.checkpoint.dir.c_str());
+    ok = false;
   }
   cfg.checkpoint.restore_path = args.get("restore", "");
   if (cfg.checkpoint.every > sim::Time::zero() || !cfg.checkpoint.restore_path.empty()) {

@@ -103,6 +103,71 @@ void BM_EndToEndTransfer(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndTransfer)->Unit(benchmark::kMillisecond);
 
+/// Terminal sink for BM_LinkForwarding: counts, never replies.
+class CountingSink final : public net::PacketSink {
+ public:
+  void receive(net::Packet /*p*/) override { ++received; }
+  std::uint64_t received = 0;
+};
+
+/// Self-rescheduling source: one burst of `burst` packets per `gap`.
+struct BurstInjector {
+  sim::Scheduler* sched;
+  net::Link* first;
+  int* left;
+  int burst;
+  sim::Time gap;
+  void operator()() const {
+    for (int i = 0; i < burst && *left > 0; ++i, --*left) {
+      net::Packet p;
+      p.dst = 100;
+      p.size_bytes = net::kDataPacketBytes;
+      p.ecn = net::Ecn::Ect;
+      first->send(p);
+    }
+    if (*left > 0) sched->schedule_in(gap, *this);
+  }
+};
+
+void BM_LinkForwarding(benchmark::State& state) {
+  // The link + switch layer alone: packets cross three 1 Gbps links and two
+  // switches (source -> s1 -> s2 -> sink) at a fixed offered load (percent
+  // of line rate, arg 0), injected in bursts of four so that queues build
+  // and drain. No transport: every event is a link delivery, a transmit
+  // completion, or the injector.
+  constexpr int kPackets = 20000;
+  constexpr int kBurst = 4;
+  constexpr int kHops = 3;
+  const double load = static_cast<double>(state.range(0)) / 100.0;
+  const sim::Time tx = sim::transmission_time(net::kDataPacketBytes, 1'000'000'000);
+  const sim::Time gap = sim::Time::nanoseconds(static_cast<std::int64_t>(
+      static_cast<double>(tx.ns()) * kBurst / load));
+  double events_per_hop = 0.0;
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    CountingSink sink;
+    net::Switch s1{1};
+    net::Switch s2{2};
+    const net::QueueConfig q;  // ECN threshold, 100 packets, K = 10
+    const sim::Time prop = sim::Time::microseconds(1);
+    net::Link out{sched, 2, 1'000'000'000, prop, net::make_queue(q), sink};
+    net::Link mid{sched, 1, 1'000'000'000, prop, net::make_queue(q), s2};
+    net::Link in{sched, 0, 1'000'000'000, prop, net::make_queue(q), s1};
+    s1.set_host_route(100, s1.add_port(mid));
+    s2.set_host_route(100, s2.add_port(out));
+    int left = kPackets;
+    sched.schedule_at(sim::Time::zero(), BurstInjector{&sched, &in, &left, kBurst, gap});
+    sched.run();
+    benchmark::DoNotOptimize(sink.received);
+    const std::uint64_t injections = (kPackets + kBurst - 1) / kBurst;
+    events_per_hop = static_cast<double>(sched.dispatched() - injections) /
+                     (static_cast<double>(sink.received) * kHops);
+  }
+  state.SetItemsProcessed(state.iterations() * kPackets * kHops);  // packet-hops
+  state.counters["events/hop"] = events_per_hop;
+}
+BENCHMARK(BM_LinkForwarding)->Arg(90);
+
 void BM_FatTreeConstruction(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -77,6 +77,11 @@ class Loader {
   explicit Loader(const std::string& s) : Loader(s.data(), s.size()) {}
 
   [[nodiscard]] bool ok() const { return ok_; }
+  /// Reject the payload: values that parsed fine failed a semantic check.
+  /// Sticky, exactly like a short read.
+  void fail() { ok_ = false; }
+  /// Bytes consumed so far.
+  [[nodiscard]] std::size_t offset() const { return off_; }
   /// Fully consumed and error-free (trailing bytes mean a version skew).
   [[nodiscard]] bool done() const { return ok_ && off_ == n_; }
 

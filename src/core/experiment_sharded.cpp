@@ -294,9 +294,7 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     }
     s.tag("LNKS");
     s.u64(netw.links().size());
-    for (const auto& l : netw.links()) {
-      l->save_state(s, l->is_boundary() ? &fabric.sched(netw.link_dst_shard(l->id())) : nullptr);
-    }
+    for (const auto& l : netw.links()) l->save_state(s);
     s.tag("SWCH");
     s.u64(netw.switches().size());
     for (const net::Switch* sw : netw.switches()) sw->save_state(s);
@@ -359,11 +357,7 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     l.tag("LNKS");
     const std::uint64_t nl = l.u64();
     if (l.ok() && nl != netw.links().size()) return false;
-    for (std::uint64_t i = 0; i < nl && l.ok(); ++i) {
-      net::Link* link = netw.links()[i].get();
-      link->restore_state(
-          l, link->is_boundary() ? &fabric.sched(netw.link_dst_shard(link->id())) : nullptr);
-    }
+    for (std::uint64_t i = 0; i < nl && l.ok(); ++i) netw.links()[i]->restore_state(l);
     l.tag("SWCH");
     const std::uint64_t nsw = l.u64();
     if (l.ok() && nsw != netw.switches().size()) return false;
@@ -489,6 +483,10 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
       if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
         tr->shard_epoch(start, epoch_idx, serial_until.us(), /*serial=*/true);
       }
+      // Every step re-aligns all clocks, so which events exist — not just
+      // what they do — shapes the segment: links arm even completions with
+      // nothing queued (no-ops) while it runs, as eager scheduling would.
+      for (const auto& l : netw.links()) l->set_eager_completions(true);
       sim::Time seg_t = start;
       for (;;) {
         sim::Time t;
@@ -510,6 +508,7 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
         // stop can cut the segment short and still checkpoint safely below.
         if (stop_flag != nullptr && stop_flag->load()) break;
       }
+      for (const auto& l : netw.links()) l->set_eager_completions(false);
       ++stats.barriers;
       if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
         tr->shard_barrier(seg_t, epoch_idx, 0);
@@ -625,6 +624,9 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     row.offered = l->offered();
     row.delivered = l->delivered();
     row.drops = l->drops();
+    row.duplicated = l->duplicated();
+    row.delayed = l->delayed();
+    row.overmarked = l->overmarked();
     res.link_drops.push_back(row);
   }
   res.aborted_flows = flows_a.aborted_large_flows();

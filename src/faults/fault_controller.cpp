@@ -330,7 +330,7 @@ void FaultController::restore_state(core::ckpt::Loader& l) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
     const std::size_t idx = static_cast<std::size_t>(i);
-    event_ids_[idx] = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
+    event_ids_[idx] = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
       event_ids_[idx] = sim::kInvalidEventId;
       apply(plan_.events[idx]);
     });

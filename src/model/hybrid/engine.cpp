@@ -355,7 +355,7 @@ void Engine::restore_state(core::ckpt::Loader& l) {
   if (l.b()) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
-    timer_ = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] { tick(); });
+    timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] { tick(); });
   }
   // Coupling values are not serialized in the queue/link objects; re-derive
   // them now that stats_.ticks (the duty-cycle phase) is restored.

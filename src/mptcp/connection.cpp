@@ -352,7 +352,7 @@ void MptcpConnection::restore_state(core::ckpt::Loader& l) {
       const std::int64_t t_ns = l.i64();
       const std::uint64_t seq = l.u64();
       const int idx = static_cast<int>(i);
-      start_timers_[i] = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
+      start_timers_[i] = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
         start_timers_[static_cast<std::size_t>(idx)] = sim::kInvalidEventId;
         start_subflow(idx);
       });

@@ -30,18 +30,13 @@ void ShardFabric::note_cross_link(int src_shard, int dst_shard, sim::Time prop_d
 std::uint64_t ShardFabric::drain_all() {
   std::uint64_t handed_off = 0;
   for (int dst = 0; dst < n_; ++dst) {
-    sim::Scheduler& ds = sched(dst);
     for (int src = 0; src < n_; ++src) {
       if (src == dst) continue;
       auto& items = channel(src, dst).items_;
       for (RemotePacket& rp : items) {
-        Link* link = rp.link;
-        link->accept_remote_arrival(std::move(rp.pkt), rp.link_epoch);
-        // Captures a single pointer, so the callback stays inline (no
-        // allocation on the handoff path). The id is tracked on the link so
-        // a barrier checkpoint can save the pending delivery's key.
-        link->track_remote_delivery(ds.schedule_at(
-            sim::Time::nanoseconds(rp.deliver_t_ns), [link] { link->remote_deliver_head(); }));
+        // The link reserves the delivery's key on the destination shard now
+        // and arms it once the packet reaches the head of its arrivals.
+        rp.link->accept_remote_arrival(std::move(rp.pkt), rp.deliver_t_ns, rp.link_epoch);
         ++handed_off;
       }
       items.clear();

@@ -23,6 +23,12 @@ void note_impair(sim::Time t, LinkId link, obs::ImpairKind kind) {
   if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_impaired.inc();
 }
 
+// A checkpointed event key can be re-armed only if it lies ahead of the
+// restored clock and was handed out before the snapshot.
+bool restorable(const sim::Scheduler& s, std::int64_t t_ns, std::uint64_t seq) {
+  return !s.passed(sim::Time::nanoseconds(t_ns), seq) && seq < s.next_seq();
+}
+
 }  // namespace
 
 Link::Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time prop_delay,
@@ -100,7 +106,11 @@ void Link::enqueue_for_tx(Packet&& p, bool dup) {
       note_drop(sched_.now(), id_, obs::DropCause::Queue);
     }
   }
-  if (!transmitting_) start_transmission();
+  if (!transmitting()) {
+    start_transmission();
+  } else if (tx_ev_ == sim::kInvalidEventId && queue_->len_packets() > 0) {
+    arm_tx();  // a packet now waits for the transmitter
+  }
 }
 
 void Link::release_held(std::uint64_t id) {
@@ -118,18 +128,17 @@ void Link::release_held(std::uint64_t id) {
 void Link::start_transmission() {
   Packet p;
   if (!queue_->dequeue(p, sched_.now())) return;
-  transmitting_ = true;
 
   const sim::Time tx = sim::transmission_time(p.size_bytes, effective_rate_bps_);
   busy_ += tx;
   bytes_sent_ += p.size_bytes;
+  const std::int64_t deliver_t_ns = (sched_.now() + tx + prop_delay_).ns();
 
   if (remote_ != nullptr) {
     // Shard-boundary link: hand the packet to the cross-shard channel; the
     // barrier drain schedules its delivery on the destination shard. The
     // src-owned mirror keeps conservation accounting (set_down,
     // live_in_flight) working without touching destination-shard state.
-    const std::int64_t deliver_t_ns = (sched_.now() + tx + prop_delay_).ns();
     while (!remote_in_flight_.empty() &&
            remote_in_flight_.front().deliver_t_ns + remote_->min_delay_ns() <
                sched_.now().ns()) {
@@ -137,72 +146,87 @@ void Link::start_transmission() {
     }
     remote_in_flight_.push_back(RemoteInFlight{deliver_t_ns, epoch_, p.corrupt});
     remote_->push(RemotePacket{this, std::move(p), deliver_t_ns, epoch_});
-    tx_events_.push_back(
-        TxDone{sched_.schedule_in(tx, [this, e = epoch_] { complete_tx(e); }), epoch_});
-    return;
+  } else {
+    // Deliver to the sink after serialization + propagation. The packet
+    // rides in the in-flight FIFO, so the event captures only `this`.
+    in_flight_.push_back(InFlight{std::move(p), deliver_t_ns, sched_.reserve_seq()});
+    if (in_flight_.size() == 1) arm_head();
   }
-
-  // Deliver to the sink after serialization + propagation. The packet rides
-  // in the in-flight FIFO, so the event captures only `this`.
-  in_flight_.push_back(InFlight{std::move(p), epoch_});
-  delivery_events_.push_back(sched_.schedule_in(tx + prop_delay_, [this] { deliver_head(); }));
-  // Transmitter frees up after serialization only; a stale completion from
-  // before a set_down() must not restart the (possibly reopened) link.
-  tx_events_.push_back(
-      TxDone{sched_.schedule_in(tx, [this, e = epoch_] { complete_tx(e); }), epoch_});
+  // Transmitter frees up after serialization only. The completion needs an
+  // event only if a packet is waiting by then (enqueue_for_tx arms it late).
+  tx_end_ = sched_.now() + tx;
+  tx_seq_ = sched_.reserve_seq();
+  if (eager_completions_ || queue_->len_packets() > 0) arm_tx();
 }
 
-void Link::complete_tx(std::uint64_t epoch) {
-  // Retire the checkpoint-tracking entry for this event (unique per epoch:
-  // within one epoch at most one transmit-complete is ever pending).
-  for (auto it = tx_events_.begin(); it != tx_events_.end(); ++it) {
-    if (it->epoch == epoch) {
-      tx_events_.erase(it);
-      break;
-    }
+void Link::arm_tx() {
+  tx_ev_ = sched_.arm_at(tx_end_, tx_seq_, [this] { complete_tx(); });
+}
+
+void Link::set_eager_completions(bool on) {
+  eager_completions_ = on;
+  if (!transmitting()) return;
+  if (on && tx_ev_ == sim::kInvalidEventId) {
+    arm_tx();
+  } else if (!on && tx_ev_ != sim::kInvalidEventId && queue_->len_packets() == 0) {
+    sched_.cancel(tx_ev_);
+    tx_ev_ = sim::kInvalidEventId;
   }
-  if (epoch == epoch_) on_transmit_complete();
+}
+
+void Link::complete_tx() {
+  tx_ev_ = sim::kInvalidEventId;
+  start_transmission();
+}
+
+void Link::arm_head() {
+  const InFlight& h = in_flight_.front();
+  head_ev_ = sched_.arm_at(sim::Time::nanoseconds(h.t_ns), h.seq, [this] { deliver_head(); });
+}
+
+void Link::arm_remote_head() {
+  const InFlight& h = remote_arrivals_.front();
+  remote_head_ev_ = remote_sched_->arm_at(sim::Time::nanoseconds(h.t_ns), h.seq,
+                                          [this] { remote_deliver_head(); });
+}
+
+void Link::accept_remote_arrival(Packet&& pkt, std::int64_t deliver_t_ns, std::uint64_t epoch) {
+  // Reserved even for a discarded packet, so sequence numbers stay exactly
+  // those of eagerly scheduled deliveries.
+  const std::uint64_t seq = remote_sched_->reserve_seq();
+  if (epoch != epoch_) return;  // lost to set_down; counted there
+  remote_arrivals_.push_back(InFlight{std::move(pkt), deliver_t_ns, seq});
+  if (remote_arrivals_.size() == 1) arm_remote_head();
 }
 
 void Link::remote_deliver_head() {
-  assert(!remote_arrivals_.empty());
-  if (!remote_delivery_events_.empty()) remote_delivery_events_.pop_front();
-  RemoteArrival head = std::move(remote_arrivals_.front());
+  Packet pkt = std::move(remote_arrivals_.front().pkt);
   remote_arrivals_.pop_front();
-  if (head.epoch != epoch_) return;  // lost to set_down; counted there
+  if (!remote_arrivals_.empty()) arm_remote_head();
   // Running on the destination shard's engine: its clock, not sched_'s
   // (the source shard's), is the delivery time.
-  const sim::Time now = sim::current_scheduler()->now();
-  if (head.pkt.corrupt) {
+  if (pkt.corrupt) {
     ++drops_.corrupt;  // failed checksum at the receiving end
-    note_drop(now, id_, obs::DropCause::Corrupt);
+    note_drop(remote_sched_->now(), id_, obs::DropCause::Corrupt);
     return;
   }
   ++delivered_;
   if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_delivered.inc();
-  sink_.receive(std::move(head.pkt));
+  sink_.receive(std::move(pkt));
 }
 
 void Link::deliver_head() {
-  assert(!in_flight_.empty());
-  assert(!delivery_events_.empty());
-  delivery_events_.pop_front();  // this event; stale-epoch entries pop too
-  InFlight head = std::move(in_flight_.front());
+  Packet pkt = std::move(in_flight_.front().pkt);
   in_flight_.pop_front();
-  if (head.epoch != epoch_) return;  // lost to set_down; counted there
-  if (head.pkt.corrupt) {
+  if (!in_flight_.empty()) arm_head();
+  if (pkt.corrupt) {
     ++drops_.corrupt;  // failed checksum at the receiving end
     note_drop(sched_.now(), id_, obs::DropCause::Corrupt);
     return;
   }
   ++delivered_;
   if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_delivered.inc();
-  sink_.receive(std::move(head.pkt));
-}
-
-void Link::on_transmit_complete() {
-  transmitting_ = false;
-  if (queue_->len_packets() > 0) start_transmission();
+  sink_.receive(std::move(pkt));
 }
 
 void Link::set_down(bool down) {
@@ -212,26 +236,32 @@ void Link::set_down(bool down) {
     tr->link_state(sched_.now(), id_, down_);
   }
   if (down_) {
-    // Everything currently propagating with the live epoch is lost; count
-    // it now so conservation holds at any probe instant (the stale pops in
-    // deliver_head must not count again). Attribution is deterministic: a
-    // packet already corrupted by a fault dies as `corrupt` wherever it is
-    // when the link closes; only clean packets become admin_down.
-    for (const InFlight& f : in_flight_) {
-      if (f.epoch == epoch_) ++(f.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
-    }
+    // Everything currently propagating is lost. Attribution is
+    // deterministic: a packet already corrupted by a fault dies as
+    // `corrupt` wherever it is when the link closes; only clean packets
+    // become admin_down.
+    for (const InFlight& f : in_flight_) ++(f.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
+    in_flight_.clear();
+    sched_.cancel(head_ev_);
     // Boundary mode: faults apply at barriers, where every event with
     // t < now has run, so mirror entries with deliver_t < now were
-    // delivered and the rest are lost in flight. Their parked/scheduled
-    // deliveries discard on the stale epoch without double counting.
+    // delivered and the rest are lost in flight. Their parked deliveries
+    // are dropped here and still-channelled ones at the drain (stale
+    // epoch), without double counting.
     while (!remote_in_flight_.empty() && remote_in_flight_.front().deliver_t_ns < sched_.now().ns()) {
       remote_in_flight_.pop_front();
     }
     for (const RemoteInFlight& f : remote_in_flight_) {
       if (f.epoch == epoch_) ++(f.corrupt ? drops_.corrupt : drops_.admin_down);
     }
-    ++epoch_;  // cancels in-flight deliveries and the pending tx-complete
-    transmitting_ = false;
+    remote_arrivals_.clear();
+    if (remote_sched_ != nullptr) remote_sched_->cancel(remote_head_ev_);
+    ++epoch_;  // invalidates cross-shard packets still in the channel
+    // The transmitter is idle at once (a reopened link restarts now).
+    sched_.cancel(tx_ev_);
+    tx_ev_ = sim::kInvalidEventId;
+    tx_end_ = sim::Time::zero();
+    tx_seq_ = 0;
     Packet discard;
     while (queue_->dequeue(discard, sched_.now())) {
       ++(discard.corrupt ? drops_.corrupt : drops_.admin_down);  // flushed on closure
@@ -247,8 +277,9 @@ void Link::set_down(bool down) {
   for (StateListener* l : state_listeners_) l->on_link_state(*this, down_);
 }
 
-void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const {
-  s.b(transmitting_);
+void Link::save_state(core::ckpt::Saver& s) const {
+  const bool busy = transmitting();
+  s.b(busy);
   s.b(down_);
   s.u64(bytes_sent_);
   s.time(busy_);
@@ -277,26 +308,24 @@ void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const 
     save_packet(s, h.pkt);
   }
 
-  assert(in_flight_.size() == delivery_events_.size());
-  s.u64(in_flight_.size());
-  for (std::size_t i = 0; i < in_flight_.size(); ++i) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(delivery_events_[i], k);
-    assert(live && "delivery event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(in_flight_[i].epoch);
-    save_packet(s, in_flight_[i].pkt);
-  }
+  auto save_fifo = [&](const std::deque<InFlight>& q) {
+    s.u64(q.size());
+    for (const InFlight& f : q) {
+      s.i64(f.t_ns);
+      s.u64(f.seq);
+      s.u64(epoch_);
+      save_packet(s, f.pkt);
+    }
+  };
+  save_fifo(in_flight_);
 
-  s.u64(tx_events_.size());
-  for (const TxDone& e : tx_events_) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(e.id, k);
-    assert(live && "tx-complete event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(e.epoch);
+  // Only a completion that has not passed is state; an armed one is
+  // re-armed on restore iff a packet is still waiting.
+  s.u64(busy ? 1 : 0);
+  if (busy) {
+    s.time(tx_end_);
+    s.u64(tx_seq_);
+    s.u64(epoch_);
   }
 
   s.u64(remote_in_flight_.size());
@@ -306,22 +335,11 @@ void Link::save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched) const 
     s.b(f.corrupt);
   }
 
-  assert(remote_arrivals_.size() == remote_delivery_events_.size());
-  s.u64(remote_arrivals_.size());
-  for (std::size_t i = 0; i < remote_arrivals_.size(); ++i) {
-    assert(remote_sched != nullptr && "boundary link needs its destination scheduler");
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = remote_sched->key_of(remote_delivery_events_[i], k);
-    assert(live && "remote delivery event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-    s.u64(remote_arrivals_[i].epoch);
-    save_packet(s, remote_arrivals_[i].pkt);
-  }
+  save_fifo(remote_arrivals_);
 }
 
-void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
-  transmitting_ = l.b();
+void Link::restore_state(core::ckpt::Loader& l) {
+  const bool busy = l.b();
   down_ = l.b();  // listeners are NOT notified: their state restores separately
   bytes_sent_ = l.u64();
   busy_ = l.time();
@@ -344,31 +362,49 @@ void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
     const bool dup = l.b();
+    Packet pkt = load_packet(l);
+    if (!restorable(sched_, t_ns, seq)) return l.fail();
     const std::uint64_t id = next_held_id_++;
     const sim::EventId ev =
-        sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, id] { release_held(id); });
-    held_.push_back(Held{id, dup, load_packet(l), ev});
+        sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, id] { release_held(id); });
+    held_.push_back(Held{id, dup, std::move(pkt), ev});
   }
 
-  const std::uint64_t n_flight = l.u64();
-  for (std::uint64_t i = 0; i < n_flight && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    const std::uint64_t epoch = l.u64();
-    in_flight_.push_back(InFlight{load_packet(l), epoch});
-    delivery_events_.push_back(
-        sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] { deliver_head(); }));
-  }
+  // In-flight FIFOs: keys must be re-armable and deliveries in time order.
+  // Entries from before the link last went down (older snapshots kept
+  // them) were already counted as lost and are dropped.
+  auto load_fifo = [&](std::deque<InFlight>& q, const sim::Scheduler* on) {
+    const std::uint64_t n = l.u64();
+    for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
+      const std::int64_t t_ns = l.i64();
+      const std::uint64_t seq = l.u64();
+      const std::uint64_t epoch = l.u64();
+      Packet pkt = load_packet(l);
+      if (on == nullptr || !restorable(*on, t_ns, seq)) return l.fail();
+      if (epoch != epoch_) continue;
+      if (!q.empty() && t_ns < q.back().t_ns) return l.fail();
+      q.push_back(InFlight{std::move(pkt), t_ns, seq});
+    }
+  };
+  // Boundary links never use the local FIFO; remote arrivals need the
+  // destination shard's engine.
+  load_fifo(in_flight_, remote_ == nullptr ? &sched_ : nullptr);
+  if (!l.ok()) return;
 
   const std::uint64_t n_tx = l.u64();
+  bool live_tx = false;
   for (std::uint64_t i = 0; i < n_tx && l.ok(); ++i) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
     const std::uint64_t epoch = l.u64();
-    tx_events_.push_back(TxDone{
-        sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this, epoch] { complete_tx(epoch); }),
-        epoch});
+    if (!restorable(sched_, t_ns, seq)) return l.fail();
+    if (epoch != epoch_) continue;  // stale completion (older snapshots)
+    if (live_tx) return l.fail();
+    live_tx = true;
+    tx_end_ = sim::Time::nanoseconds(t_ns);
+    tx_seq_ = seq;
   }
+  if (busy != live_tx) return l.fail();
 
   const std::uint64_t n_remote = l.u64();
   for (std::uint64_t i = 0; i < n_remote && l.ok(); ++i) {
@@ -378,23 +414,16 @@ void Link::restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched) {
     remote_in_flight_.push_back(RemoteInFlight{t_ns, epoch, corrupt});
   }
 
-  const std::uint64_t n_arrivals = l.u64();
-  for (std::uint64_t i = 0; i < n_arrivals && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    const std::uint64_t epoch = l.u64();
-    remote_arrivals_.push_back(RemoteArrival{load_packet(l), epoch});
-    assert(remote_sched != nullptr && "boundary link needs its destination scheduler");
-    remote_delivery_events_.push_back(remote_sched->restore_at(
-        sim::Time::nanoseconds(t_ns), seq, [this] { remote_deliver_head(); }));
-  }
+  load_fifo(remote_arrivals_, remote_sched_);
+  if (!l.ok()) return;
+
+  if (!in_flight_.empty()) arm_head();
+  if (!remote_arrivals_.empty()) arm_remote_head();
+  if (live_tx && queue_->len_packets() > 0) arm_tx();
 }
 
 std::size_t Link::live_in_flight() const {
-  std::size_t n = 0;
-  for (const InFlight& f : in_flight_) {
-    if (f.epoch == epoch_) ++n;
-  }
+  std::size_t n = in_flight_.size();
   // Boundary mode (probed only at quiesced instants, where everything with
   // t <= now has been dispatched): mirror entries still ahead of the clock
   // are on the wire.

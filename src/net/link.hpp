@@ -40,6 +40,14 @@ struct LinkDropCounters {
 /// Store-and-forward: a packet is handed to the sink `serialization +
 /// propagation` after transmission starts. The link keeps utilization
 /// statistics (busy time, bytes) used for the paper's Figure 11.
+///
+/// Event economy: deliveries leave in FIFO order, so only the in-flight
+/// head has a delivery event armed (the next one is armed when it fires).
+/// A transmission's completion event is armed only once a packet is queued
+/// behind it; otherwise the transmitter is simply idle from the moment the
+/// completion's key has passed. Both reserve their scheduler sequence
+/// numbers when the transmission starts, so dispatch order is that of
+/// eagerly scheduled events (DESIGN.md §6).
 class Link final {
  public:
   /// Verdict of a fault hook on one packet offered to the link. The action
@@ -166,40 +174,46 @@ class Link final {
   // --- sharded (conservative-sync) boundary mode ---
   /// Make this a shard-boundary link: transmitted packets go to `ch`
   /// instead of the local in-flight FIFO and are delivered on the
-  /// destination shard's scheduler after the barrier drain. Wired once at
-  /// topology construction (net::Network); never in serial runs.
-  void set_remote_handoff(HandoffChannel* ch) { remote_ = ch; }
+  /// destination shard's scheduler `dst` after the barrier drain. Wired
+  /// once at topology construction (net::Network); never in serial runs.
+  void set_remote_handoff(HandoffChannel* ch, sim::Scheduler* dst) {
+    remote_ = ch;
+    remote_sched_ = dst;
+  }
   [[nodiscard]] bool is_boundary() const { return remote_ != nullptr; }
 
-  /// Park one drained packet for delivery (ShardFabric::drain_all, shards
-  /// quiesced).
-  void accept_remote_arrival(Packet&& pkt, std::uint64_t epoch) {
-    remote_arrivals_.push_back(RemoteArrival{std::move(pkt), epoch});
-  }
+  /// Sharded engine, serial segments only (shards quiesced): while on, the
+  /// link arms every transmit completion, as eager scheduling would — one
+  /// with nothing queued runs as a no-op. Turning it off withdraws an
+  /// armed completion with nothing queued (its key stays reserved).
+  void set_eager_completions(bool on);
 
-  /// Deliver the oldest parked arrival; runs on the *destination* shard's
-  /// scheduler, so timestamps come from sim::current_scheduler().
-  void remote_deliver_head();
+  /// Park one drained packet for delivery at `deliver_t_ns` on the
+  /// destination scheduler (ShardFabric::drain_all, shards quiesced). A
+  /// packet sent before the link last went down is discarded here; it was
+  /// counted by set_down().
+  void accept_remote_arrival(Packet&& pkt, std::int64_t deliver_t_ns, std::uint64_t epoch);
 
-  /// Sharded engine: record the id of a remote_deliver_head() event just
-  /// scheduled against this link (kept 1:1 FIFO with the parked arrivals
-  /// for checkpointing).
-  void track_remote_delivery(sim::EventId id) { remote_delivery_events_.push_back(id); }
-
-  /// Checkpoint the link: queue contents, counters, in-flight packets and
-  /// the (time, sequence) keys of the pending delivery / transmit-complete
-  /// events. On restore the events are re-armed under their original keys,
-  /// so dispatch order is unchanged. `remote_sched` is the destination
-  /// shard's engine for boundary links (their parked deliveries live
-  /// there); null for serial links.
-  void save_state(core::ckpt::Saver& s, sim::Scheduler* remote_sched = nullptr) const;
-  void restore_state(core::ckpt::Loader& l, sim::Scheduler* remote_sched = nullptr);
+  /// Checkpoint the link: queue contents, counters, in-flight packets with
+  /// their delivery keys, and the key of a transmit completion that has
+  /// not passed yet. On restore the in-flight heads are re-armed under
+  /// their original keys, so dispatch order is unchanged. Restore rejects
+  /// (Loader::fail) keys behind the restored clock or never handed out,
+  /// out-of-order deliveries, and arrivals on a link without a destination
+  /// scheduler.
+  void save_state(core::ckpt::Saver& s) const;
+  void restore_state(core::ckpt::Loader& l);
 
  private:
   void start_transmission();
-  void on_transmit_complete();
-  void complete_tx(std::uint64_t epoch);
+  void complete_tx();
   void deliver_head();
+  void remote_deliver_head();
+  void arm_head();
+  void arm_remote_head();
+  void arm_tx();
+  /// A transmission is on the wire until its completion key has passed.
+  [[nodiscard]] bool transmitting() const { return !sched_.passed(tx_end_, tx_seq_); }
   /// Enqueue for transmission after the verdict's entry effects; `dup`
   /// materializes the clone right behind the original.
   void enqueue_for_tx(Packet&& p, bool dup);
@@ -225,17 +239,24 @@ class Link final {
   FaultHook* fault_hook_ = nullptr;
   std::vector<StateListener*> state_listeners_;
 
-  /// Packets serialized onto the wire, awaiting delivery at the sink.
-  /// Propagation delay is constant, so deliveries are FIFO; each scheduled
-  /// delivery event pops exactly one entry, and entries stamped with a
-  /// stale epoch (the link went down underneath them) are discarded. This
-  /// keeps the per-packet event captures pointer-sized (no heap
-  /// allocation in std::function).
+  /// Packets serialized onto the wire, awaiting delivery at the sink, each
+  /// with the (time, sequence) key its delivery reserved. Propagation delay
+  /// is constant, so deliveries are FIFO and only the head's event is armed
+  /// (head_ev_); set_down() empties the FIFO, so every entry is live.
   struct InFlight {
     Packet pkt;
-    std::uint64_t epoch;
+    std::int64_t t_ns;
+    std::uint64_t seq;
   };
   std::deque<InFlight> in_flight_;
+  sim::EventId head_ev_ = sim::kInvalidEventId;
+
+  /// Completion key of the latest transmission; (0, 0) — always passed —
+  /// when idle. tx_ev_ is its armed event, only while a packet waits.
+  sim::Time tx_end_ = sim::Time::zero();
+  std::uint64_t tx_seq_ = 0;
+  sim::EventId tx_ev_ = sim::kInvalidEventId;
+  bool eager_completions_ = false;  ///< see set_eager_completions()
 
   /// Gray-failure hold buffer: packets parked at link *entry* (before the
   /// egress queue) by a Delay/Reorder verdict. Entries are id-keyed so the
@@ -253,12 +274,14 @@ class Link final {
   std::uint64_t next_held_id_ = 0;
 
   // --- boundary-mode state. Thread ownership is partitioned: the source
-  // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault}
-  // and the two deques below marked "src"; the destination shard writes
-  // delivered_ and drops_.corrupt; epoch_/down_/drops_.admin_down change
-  // only at barriers with every shard quiesced. Distinct members, so no
-  // two threads ever touch the same word. ---
+  // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault},
+  // the transmit-completion key and remote_in_flight_; the destination
+  // shard writes delivered_, drops_.corrupt, remote_arrivals_ and
+  // remote_head_ev_ (also filled at barriers); epoch_/down_/
+  // drops_.admin_down change only at barriers with every shard quiesced.
+  // Distinct members, so no two threads ever touch the same word. ---
   HandoffChannel* remote_ = nullptr;
+  sim::Scheduler* remote_sched_ = nullptr;  ///< destination shard's engine
 
   /// src-owned conservation mirror of packets handed to the channel; lets
   /// set_down() count still-propagating cross-shard packets as admin_down
@@ -273,29 +296,11 @@ class Link final {
   };
   std::deque<RemoteInFlight> remote_in_flight_;
 
-  /// dst-consumed FIFO of packets scheduled for delivery at the barrier.
-  struct RemoteArrival {
-    Packet pkt;
-    std::uint64_t epoch;
-  };
-  std::deque<RemoteArrival> remote_arrivals_;
+  /// dst-consumed FIFO of drained packets awaiting delivery, keyed like
+  /// in_flight_; only the head's event is armed, on remote_sched_.
+  std::deque<InFlight> remote_arrivals_;
+  sim::EventId remote_head_ev_ = sim::kInvalidEventId;
 
-  // --- checkpoint bookkeeping (never read by the simulation itself) ---
-  /// Pending deliver_head events, 1:1 FIFO with in_flight_ (stale-epoch
-  /// entries included: their events are still pending and pop both deques).
-  std::deque<sim::EventId> delivery_events_;
-  /// Pending transmit-complete events by epoch. At most one per epoch, but
-  /// stale-epoch events linger until they fire, so this is a (tiny) vector.
-  struct TxDone {
-    sim::EventId id;
-    std::uint64_t epoch;
-  };
-  std::vector<TxDone> tx_events_;
-  /// Pending remote_deliver_head events, 1:1 FIFO with remote_arrivals_
-  /// (boundary links; populated via track_remote_delivery).
-  std::deque<sim::EventId> remote_delivery_events_;
-
-  bool transmitting_ = false;
   bool down_ = false;
   std::uint64_t bytes_sent_ = 0;
   sim::Time busy_ = sim::Time::zero();

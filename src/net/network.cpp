@@ -27,11 +27,10 @@ Link& Network::make_link(int src_shard, int dst_shard, PacketSink& to, std::int6
   Link& ref = *l;
   links_.push_back(std::move(l));
   link_shard_.push_back(src_shard);
-  link_dst_shard_.push_back(dst_shard);
   ingress_[&to].push_back(&ref);
   if (fabric_ != nullptr && src_shard != dst_shard) {
     fabric_->note_cross_link(src_shard, dst_shard, prop_delay, ref.id());
-    ref.set_remote_handoff(&fabric_->channel(src_shard, dst_shard));
+    ref.set_remote_handoff(&fabric_->channel(src_shard, dst_shard), &fabric_->sched(dst_shard));
   }
   return ref;
 }

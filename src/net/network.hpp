@@ -44,12 +44,6 @@ class Network {
   [[nodiscard]] int link_shard(LinkId id) const {
     return link_shard_.at(static_cast<std::size_t>(id));
   }
-  /// Logical shard of a link's receiving end (== link_shard for non-boundary
-  /// links). Checkpointing uses it to find the scheduler holding a boundary
-  /// link's pending remote deliveries.
-  [[nodiscard]] int link_dst_shard(LinkId id) const {
-    return link_dst_shard_.at(static_cast<std::size_t>(id));
-  }
 
   Host& add_host();
   Switch& add_switch();
@@ -105,8 +99,7 @@ class Network {
   ShardFabric* fabric_ = nullptr;
   int current_shard_ = 0;
   std::vector<int> node_shard_;  ///< by NodeId
-  std::vector<int> link_shard_;      ///< by LinkId (sender's shard)
-  std::vector<int> link_dst_shard_;  ///< by LinkId (receiver's shard)
+  std::vector<int> link_shard_;  ///< by LinkId (sender's shard)
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<Host*> hosts_;

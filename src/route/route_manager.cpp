@@ -61,7 +61,7 @@ void RouteManager::track_converge(net::Link* link, sim::Time at, std::uint64_t s
     converge(link);
   };
   const sim::EventId id =
-      restore ? sched_.restore_at(at, seq, std::move(cb)) : sched_.schedule_at(at, std::move(cb));
+      restore ? sched_.arm_at(at, seq, std::move(cb)) : sched_.schedule_at(at, std::move(cb));
   converge_timers_.emplace_back(link, id);
 }
 

@@ -151,9 +151,9 @@ bool Scheduler::key_of(EventId id, PendingKey& out) const {
   return true;
 }
 
-EventId Scheduler::restore_at(Time t, std::uint64_t seq, Callback cb) {
-  assert(t >= now_ && "cannot restore into the past");
-  assert(seq < next_seq_ && "restore_clock must run before restore_at");
+EventId Scheduler::arm_at(Time t, std::uint64_t seq, Callback cb) {
+  assert(!passed(t, seq) && "cannot arm a key that already passed");
+  assert(seq < next_seq_ && "sequence was never reserved (or restore_clock has not run)");
   assert(cb && "null event callback");
   const std::uint32_t idx = acquire_slot();
   Slot& s = slots_[idx];
@@ -166,6 +166,7 @@ void Scheduler::restore_clock(Time now, std::uint64_t next_seq, std::uint64_t di
   assert(now_ == Time::zero() && dispatched_ == 0 && pending() == 0 &&
          "restore_clock needs a virgin scheduler");
   now_ = now;
+  last_seq_ = 0;
   next_seq_ = next_seq;
   dispatched_ = dispatched;
 }
@@ -215,6 +216,7 @@ bool Scheduler::pop_next(std::int64_t bound_ns, Time& t, EventCallback& cb) {
     if (top.t_ns > bound_ns) return false;
     idx = top.slot();
     t = Time::nanoseconds(top.t_ns);
+    last_seq_ = top.key >> kSlotBits;
     cb = std::move(slots_[idx].cb);
     // Refill the root from the heap's own tail and sink it (no parent
     // check needed at the root).
@@ -229,6 +231,7 @@ bool Scheduler::pop_next(std::int64_t bound_ns, Time& t, EventCallback& cb) {
     if (e.t_ns > bound_ns) return false;
     idx = e.slot();
     t = Time::nanoseconds(e.t_ns);
+    last_seq_ = e.key >> kSlotBits;
     cb = std::move(slots_[idx].cb);
     ++tail_head_;
     if (tail_head_ == tail_.size()) {
@@ -277,7 +280,12 @@ void Scheduler::run_until(Time t) {
   // (or an external stop request) freezes time at the last dispatched event
   // (so measurement windows stay tight, and an emergency checkpoint lands
   // at a well-defined quiescent point).
-  if (!stopped_ && !external_stop() && now_ < t) now_ = t;
+  if (!stopped_ && !external_stop() && now_ <= t) {
+    now_ = t;
+    // Everything up to and including `t` has run: every key at `t` handed
+    // out so far has passed.
+    last_seq_ = next_seq_ - 1;
+  }
 }
 
 void Scheduler::run_before(Time bound) {

@@ -131,7 +131,7 @@ void TcpReceiver::restore_state(core::ckpt::Loader& l) {
   if (l.b()) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
-    delack_timer_ = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] {
+    delack_timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] {
       delack_timer_ = sim::kInvalidEventId;
       if (pending_acks_ > 0) flush_pending(pending_ts_);
     });

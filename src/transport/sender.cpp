@@ -357,7 +357,7 @@ void TcpSender::restore_state(core::ckpt::Loader& l) {
   if (l.b()) {
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
-    rto_timer_ = sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, [this] { on_rto(); });
+    rto_timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] { on_rto(); });
   }
   cc_->restore_state(l);
 }

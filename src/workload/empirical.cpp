@@ -269,7 +269,7 @@ void EmpiricalTraffic::restore_state(core::ckpt::Loader& l) {
     if (!l.b()) return sim::kInvalidEventId;
     const std::int64_t t_ns = l.i64();
     const std::uint64_t seq = l.u64();
-    return sched_.restore_at(sim::Time::nanoseconds(t_ns), seq, cb);
+    return sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, cb);
   };
   arrival_timer_ = restore_timer([this] { on_arrival(); });
   trace_timer_ = restore_timer([this] { on_trace_due(); });

@@ -12,12 +12,16 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "net/link.hpp"
+#include "net/packet.hpp"
+#include "net/queue.hpp"
 #include "sim/scheduler.hpp"
 
 namespace xmp::core {
@@ -234,12 +238,176 @@ TEST(Checkpoint, SchedulerPendingKeyRoundTrip) {
   sim::Scheduler b;
   b.restore_clock(a.now(), a.next_seq(), a.dispatched());
   std::vector<int> replay;
-  b.restore_at(Time::nanoseconds(k3.t_ns), k3.seq, [&] { replay.push_back(3); });
-  b.restore_at(Time::nanoseconds(k2.t_ns), k2.seq, [&] { replay.push_back(2); });
+  b.arm_at(Time::nanoseconds(k3.t_ns), k3.seq, [&] { replay.push_back(3); });
+  b.arm_at(Time::nanoseconds(k2.t_ns), k2.seq, [&] { replay.push_back(2); });
   b.run_until(Time::microseconds(50));
   EXPECT_EQ(replay, (std::vector<int>{2, 3}));
   EXPECT_EQ(b.now().ns(), Time::microseconds(50).ns());
   EXPECT_EQ(b.dispatched(), a.dispatched() + 2);
+}
+
+// ---------------------------------------------------------------------------
+// Validated restore of link state: a snapshot whose CRC is valid but whose
+// LNKS content is impossible must end in the one-line "malformed payload"
+// exit 2 (release builds included), never in a corrupted event queue.
+// ---------------------------------------------------------------------------
+
+class NullSink final : public net::PacketSink {
+ public:
+  void receive(net::Packet /*p*/) override {}
+};
+
+/// Where the event keys of one serial link's LNKS entry live. The entry
+/// ends with: in-flight (count + t, seq, epoch, packet each), transmit
+/// completion (count + t, seq, epoch), remote mirror (count), remote
+/// arrivals (count); serial links have empty remote sections.
+struct LinkEntry {
+  static constexpr std::size_t kPacketBytes = 59;  // save_packet()
+  static constexpr std::size_t kFlightBytes = 24 + kPacketBytes;
+  std::size_t end = 0;
+  std::size_t n_flight = 0;
+  bool busy = false;
+
+  [[nodiscard]] std::size_t arrivals_count() const { return end - 8; }
+  [[nodiscard]] std::size_t tx_count() const { return end - 16 - 8 - (busy ? 24 : 0); }
+  [[nodiscard]] std::size_t flight(std::size_t k) const {
+    return tx_count() - kFlightBytes * n_flight + kFlightBytes * k;
+  }
+};
+
+struct SnapshotLinks {
+  sim::Time now;
+  std::uint64_t next_seq = 0;
+  std::vector<LinkEntry> links;
+};
+
+/// Walk a serial snapshot's LNKS section by restoring each entry into a
+/// throwaway link (the queue kind does not matter: none of the experiment's
+/// queues carries extra state).
+SnapshotLinks walk_links(const std::string& payload) {
+  SnapshotLinks out;
+  ckpt::Loader l{payload};
+  l.tag("SCHD");
+  out.now = l.time();
+  out.next_seq = l.u64();
+  const std::uint64_t disp = l.u64();
+  l.tag("LNKS");
+  const std::uint64_t n = l.u64();
+  for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
+    sim::Scheduler sched;
+    sched.restore_clock(out.now, out.next_seq, disp);
+    NullSink sink;
+    net::QueueConfig q;
+    q.kind = net::QueueConfig::Kind::DropTail;
+    q.capacity_packets = 1000;
+    net::Link link{sched, static_cast<net::LinkId>(i), 1'000'000'000, sim::Time::zero(),
+                   net::make_queue(q), sink};
+    LinkEntry e;
+    e.busy = payload[l.offset()] != 0;  // the entry's first field
+    link.restore_state(l);
+    e.end = l.offset();
+    e.n_flight = link.live_in_flight();
+    out.links.push_back(e);
+  }
+  l.tag("SWCH");
+  EXPECT_TRUE(l.ok()) << "LNKS walk lost sync";
+  return out;
+}
+
+void put_i64(std::string& p, std::size_t at, std::int64_t v) { std::memcpy(&p[at], &v, 8); }
+void put_u64(std::string& p, std::size_t at, std::uint64_t v) { std::memcpy(&p[at], &v, 8); }
+std::int64_t get_i64(const std::string& p, std::size_t at) {
+  std::int64_t v;
+  std::memcpy(&v, &p[at], 8);
+  return v;
+}
+
+class LinkRestoreValidation : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = fresh_dir("lnks_" + std::string{
+                         ::testing::UnitTest::GetInstance()->current_test_info()->name()});
+    auto cfg = small_cfg();
+    cfg.checkpoint.every = sim::Time::seconds(0.002);
+    cfg.checkpoint.dir = dir_;
+    const auto full = run_experiment(cfg);
+    ASSERT_GE(full.ckpt.written, 1u);
+    std::string err;
+    ASSERT_TRUE(ckpt::read_file(dir_ + "/" + ckpt::file_name(1), ckpt::config_fingerprint(cfg),
+                                header_, payload_, &err))
+        << err;
+    snap_ = walk_links(payload_);
+    for (std::size_t i = 0; i < snap_.links.size(); ++i) {
+      if (snap_.links[i].busy && busy_ < 0) busy_ = static_cast<int>(i);
+      if (snap_.links[i].n_flight >= 2 && flying_ < 0) flying_ = static_cast<int>(i);
+    }
+    ASSERT_GE(busy_, 0) << "snapshot has no transmitting link";
+    ASSERT_GE(flying_, 0) << "snapshot has no link with two packets in flight";
+  }
+
+  /// Publish `payload` (fresh CRC) and restore from it.
+  void restore(const std::string& payload) {
+    const std::string path = dir_ + "/mutated.bin";
+    ASSERT_TRUE(ckpt::write_file(path, header_, payload));
+    auto cfg = small_cfg();
+    cfg.checkpoint.restore_path = path;
+    const auto r = run_experiment(cfg);
+    EXPECT_TRUE(r.ckpt.restored);
+  }
+
+  void expect_rejected(const std::string& payload) {
+    EXPECT_EXIT(restore(payload), ::testing::ExitedWithCode(2),
+                "restore failed: .*malformed payload");
+  }
+
+  std::string dir_;
+  ckpt::Header header_;
+  std::string payload_;
+  SnapshotLinks snap_;
+  int busy_ = -1;
+  int flying_ = -1;
+};
+
+TEST_F(LinkRestoreValidation, PristineRewriteRestores) { restore(payload_); }
+
+TEST_F(LinkRestoreValidation, RejectsDeliveryBeforeRestoredClock) {
+  std::string bad = payload_;
+  put_i64(bad, snap_.links[flying_].flight(0), snap_.now.ns() - 1);
+  expect_rejected(bad);
+}
+
+TEST_F(LinkRestoreValidation, RejectsCompletionBeforeRestoredClock) {
+  const LinkEntry& e = snap_.links[busy_];
+  std::string bad = payload_;
+  ASSERT_EQ(get_i64(bad, e.tx_count()), 1);
+  put_i64(bad, e.tx_count() + 8, snap_.now.ns() - 1);
+  expect_rejected(bad);
+}
+
+TEST_F(LinkRestoreValidation, RejectsSequenceNeverHandedOut) {
+  std::string bad = payload_;
+  put_u64(bad, snap_.links[flying_].flight(0) + 8, snap_.next_seq);
+  expect_rejected(bad);
+}
+
+TEST_F(LinkRestoreValidation, RejectsDeliveriesOutOfTimeOrder) {
+  const LinkEntry& e = snap_.links[flying_];
+  const std::int64_t first = get_i64(payload_, e.flight(0));
+  ASSERT_GT(first - 1, snap_.now.ns());  // still a valid key on its own
+  std::string bad = payload_;
+  put_i64(bad, e.flight(1), first - 1);
+  expect_rejected(bad);
+}
+
+TEST_F(LinkRestoreValidation, RejectsRemoteArrivalOnSerialLink) {
+  const LinkEntry& e = snap_.links[flying_];
+  std::string bad = payload_;
+  put_u64(bad, e.arrivals_count(), 1);
+  std::string entry(LinkEntry::kFlightBytes, '\0');
+  put_i64(entry, 0, snap_.now.ns() + 1000);
+  put_u64(entry, 8, 1);
+  bad.insert(e.end, entry);
+  expect_rejected(bad);
 }
 
 }  // namespace

@@ -54,7 +54,9 @@ TEST(Determinism, SameSeedSameTrajectory) {
 
 TEST(Determinism, GoldenPermutationFingerprint) {
   const auto r = run_experiment(golden_cfg(Pattern::Permutation, false));
-  EXPECT_EQ(r.events_dispatched, 63883u);
+  // Counts only events that do work: a link arms one delivery (its FIFO
+  // head) and a transmit completion only when a packet waits (DESIGN.md §6).
+  EXPECT_EQ(r.events_dispatched, 51869u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 470.51053371378657);
@@ -71,7 +73,7 @@ TEST(Determinism, GoldenPermutationFingerprint) {
 
 TEST(Determinism, GoldenRandomCoexistFingerprint) {
   const auto r = run_experiment(golden_cfg(Pattern::Random, true));
-  EXPECT_EQ(r.events_dispatched, 613185u);
+  EXPECT_EQ(r.events_dispatched, 494790u);
   EXPECT_EQ(r.flows.size(), 146u);
   EXPECT_EQ(r.goodput.count(), 72u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 415.91802734746858);

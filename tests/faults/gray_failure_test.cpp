@@ -510,5 +510,63 @@ TEST(GrayFleet, GrayFaultedExperimentReplaysBitIdentically) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Per-link impairment columns (--drops-csv) in both engines: the gray plan
+// of scripts/gray_diff.sh must show up in every column, and each column
+// must sum over links to the fleet-wide total.
+// ---------------------------------------------------------------------------
+
+core::ExperimentResults gray_diff_run(int shards) {
+  core::ExperimentConfig cfg;
+  cfg.scheme.kind = workload::SchemeSpec::Kind::Xmp;
+  cfg.scheme.subflows = 2;
+  cfg.scheme.dead_after_rtos = 3;
+  cfg.pattern = core::Pattern::Permutation;
+  cfg.fat_tree_k = 4;
+  cfg.duration = sim::Time::milliseconds(50);
+  cfg.permutation_rounds = 1;
+  cfg.seed = 11;
+  cfg.fault_seed = 1;
+  cfg.shards = shards;
+  std::string err;
+  EXPECT_TRUE(FaultPlan::parse("degrade,link=2,at=0.01,factor=0.4,until=0.03;"
+                               "delay,link=5,at=0.005,dt=1e-4,jitter=5e-5,until=0.04;"
+                               "reorder,link=7,at=0.01,p=0.05,dt=2e-4;"
+                               "duplicate,link=9,at=0,p=0.02;"
+                               "overmark,link=11,at=0.02,p=0.3",
+                               cfg.fault_plan, &err))
+      << err;
+  return core::run_experiment(cfg);
+}
+
+void expect_impairment_columns_add_up(const core::ExperimentResults& r) {
+  std::uint64_t duplicated = 0;
+  std::uint64_t delayed = 0;
+  std::uint64_t overmarked = 0;
+  for (const auto& row : r.link_drops) {
+    duplicated += row.duplicated;
+    delayed += row.delayed;
+    overmarked += row.overmarked;
+  }
+  EXPECT_EQ(duplicated, r.drops.duplicated);
+  EXPECT_EQ(delayed, r.drops.delayed);
+  EXPECT_EQ(overmarked, r.drops.overmarked);
+  EXPECT_GT(duplicated, 0u);
+  EXPECT_GT(delayed, 0u);
+  EXPECT_GT(overmarked, 0u);
+}
+
+TEST(GrayFleet, PerLinkImpairmentColumnsMatchTotalsSerial) {
+  const auto r = gray_diff_run(0);
+  EXPECT_FALSE(r.sharded);
+  expect_impairment_columns_add_up(r);
+}
+
+TEST(GrayFleet, PerLinkImpairmentColumnsMatchTotalsSharded) {
+  const auto r = gray_diff_run(2);
+  EXPECT_TRUE(r.sharded);
+  expect_impairment_columns_add_up(r);
+}
+
 }  // namespace
 }  // namespace xmp::faults

@@ -137,5 +137,75 @@ TEST(Link, ReopeningRestoresService) {
   EXPECT_EQ(sink.arrivals[0].second.uid, 2u);
 }
 
+// --- event economy: one armed delivery, completions only when a packet waits
+
+TEST(Link, PendingEventsStayBoundedWithManyPacketsInFlight) {
+  sim::Scheduler sched;
+  CaptureSink sink{sched};
+  // 1 ms of propagation holds ~83 full packets at 1 Gbps: all 40 below
+  // end up on the wire at once.
+  Link link{sched, 0, 1'000'000'000, sim::Time::milliseconds(1), make_queue(droptail(100)),
+            sink};
+  constexpr std::size_t kPackets = 40;
+  for (std::uint64_t i = 0; i < kPackets; ++i) link.send(data_packet(i));
+  std::size_t max_in_flight = 0;
+  do {
+    EXPECT_LE(sched.pending(), 2u);  // head delivery + transmit completion
+    if (link.live_in_flight() > max_in_flight) max_in_flight = link.live_in_flight();
+  } while (sched.step_one());
+  EXPECT_EQ(max_in_flight, kPackets);
+  ASSERT_EQ(sink.arrivals.size(), kPackets);
+  for (std::size_t i = 0; i < kPackets; ++i) EXPECT_EQ(sink.arrivals[i].second.uid, i);
+}
+
+TEST(Link, IdleCompletionIsNeverDispatched) {
+  sim::Scheduler sched;
+  CaptureSink sink{sched};
+  Link link{sched, 0, 1'000'000'000, sim::Time::microseconds(100), make_queue(droptail(10)),
+            sink};
+  link.send(data_packet(1));
+  sched.run();
+  EXPECT_EQ(sched.dispatched(), 1u);  // the delivery only
+  // Three back to back: three deliveries plus the two completions that had
+  // a packet waiting behind them.
+  for (std::uint64_t i = 2; i <= 4; ++i) link.send(data_packet(i));
+  sched.run();
+  EXPECT_EQ(sched.dispatched(), 1u + 3u + 2u);
+  EXPECT_EQ(sink.arrivals.size(), 4u);
+  EXPECT_EQ(sink.arrivals.back().first.us(), 112 + 112 + 24);
+}
+
+TEST(Link, SetDownCancelsArmedCompletionAndConserves) {
+  sim::Scheduler sched;
+  CaptureSink sink{sched};
+  Link link{sched, 0, 1'000'000'000, sim::Time::microseconds(100), make_queue(droptail(10)),
+            sink};
+  for (std::uint64_t i = 0; i < 4; ++i) link.send(data_packet(i));
+  EXPECT_EQ(sched.pending(), 2u);  // delivery of #0 + completion (3 waiting)
+  auto conserved = [&] {
+    return link.offered() + link.duplicated() ==
+           link.delivered() + link.drops().total() + link.queue().len_packets() +
+               link.live_in_flight() + link.held();
+  };
+  sched.schedule_at(sim::Time::microseconds(6), [&] {
+    link.set_down(true);
+    EXPECT_EQ(sched.pending(), 0u);  // both link events cancelled
+    EXPECT_TRUE(conserved());
+  });
+  sched.run();
+  EXPECT_EQ(sched.dispatched(), 1u);  // only the set_down event itself
+  EXPECT_TRUE(sink.arrivals.empty());
+  EXPECT_EQ(link.drops().admin_down, 4u);
+  EXPECT_TRUE(conserved());
+
+  // The transmitter is idle at once after reopening.
+  link.set_down(false);
+  link.send(data_packet(9));
+  sched.run();
+  ASSERT_EQ(sink.arrivals.size(), 1u);
+  EXPECT_EQ(sink.arrivals[0].second.uid, 9u);
+  EXPECT_TRUE(conserved());
+}
+
 }  // namespace
 }  // namespace xmp::net

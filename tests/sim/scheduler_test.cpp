@@ -201,5 +201,91 @@ TEST(Scheduler, CancelledHeadDoesNotBlockRunUntil) {
   EXPECT_TRUE(ran);
 }
 
+// --- deferred arming: reserve_seq / arm_at / passed ------------------------
+
+TEST(Scheduler, ReservedSeqArmedLaterKeepsItsPlace) {
+  Scheduler s;
+  std::vector<int> order;
+  const std::uint64_t seq = s.reserve_seq();  // reserved before B exists
+  s.schedule_at(Time::microseconds(10), [&] { order.push_back(2); });
+  // Armed only at t=5, i.e. after B was scheduled, but under the earlier
+  // reservation: it still wins the t=10 tie.
+  s.schedule_at(Time::microseconds(5), [&] {
+    s.arm_at(Time::microseconds(10), seq, [&] { order.push_back(1); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Scheduler, UnarmedReservationNeverRuns) {
+  Scheduler s;
+  (void)s.reserve_seq();
+  s.schedule_at(Time::microseconds(3), [] {});
+  s.run();
+  EXPECT_EQ(s.dispatched(), 1u);
+  EXPECT_EQ(s.pending(), 0u);
+}
+
+TEST(Scheduler, PassedAfterQuietRunUntil) {
+  Scheduler s;
+  const std::uint64_t early = s.reserve_seq();
+  s.schedule_at(Time::microseconds(4), [] {});
+  s.run_until(Time::microseconds(10));
+  // Every key handed out so far, at or before the horizon, has passed...
+  EXPECT_TRUE(s.passed(Time::microseconds(10), early));
+  EXPECT_TRUE(s.passed(Time::microseconds(10), s.next_seq() - 1));
+  // ...while keys handed out from now on, or later in time, have not.
+  EXPECT_FALSE(s.passed(Time::microseconds(10), s.next_seq()));
+  EXPECT_FALSE(s.passed(Time::microseconds(11), 0));
+}
+
+TEST(Scheduler, PassedAfterStoppedRunUntilIsTheLastEvent) {
+  Scheduler s;
+  const std::uint64_t later = s.reserve_seq();
+  s.schedule_at(Time::microseconds(4), [&] { s.stop(); });
+  s.run_until(Time::microseconds(10));
+  EXPECT_EQ(s.now(), Time::microseconds(4));
+  EXPECT_FALSE(s.passed(Time::microseconds(5), later));
+  EXPECT_TRUE(s.passed(Time::microseconds(3), later));
+}
+
+TEST(Scheduler, PassedAcrossRunBeforeAdvanceAndStepOne) {
+  Scheduler s;
+  s.schedule_at(Time::microseconds(10), [] {});
+  const std::uint64_t mid = s.reserve_seq();  // would-be event at t=15
+  s.schedule_at(Time::microseconds(20), [] {});
+  const std::uint64_t at20 = s.next_seq() - 1;
+  const std::uint64_t after20 = s.reserve_seq();  // would-be event at t=20
+
+  s.run_before(Time::microseconds(20));
+  EXPECT_EQ(s.now(), Time::microseconds(10));
+  EXPECT_FALSE(s.passed(Time::microseconds(15), mid));
+
+  s.advance_clock_to(Time::microseconds(20));
+  EXPECT_TRUE(s.passed(Time::microseconds(15), mid));  // strictly before the clock
+  EXPECT_FALSE(s.passed(Time::microseconds(20), at20));  // nothing at t=20 ran yet
+
+  ASSERT_TRUE(s.step_one());
+  EXPECT_TRUE(s.passed(Time::microseconds(20), at20));
+  EXPECT_FALSE(s.passed(Time::microseconds(20), after20));
+  // Aligning on the current instant must not forget what already ran.
+  s.advance_clock_to(Time::microseconds(20));
+  EXPECT_TRUE(s.passed(Time::microseconds(20), at20));
+}
+
+TEST(Scheduler, PassedAfterRestoreClock) {
+  Scheduler s;
+  s.restore_clock(Time::microseconds(50), 100, 7);
+  EXPECT_TRUE(s.passed(Time::microseconds(49), 99));
+  EXPECT_TRUE(s.passed(Time::microseconds(50), 0));
+  EXPECT_FALSE(s.passed(Time::microseconds(50), 1));
+  // A checkpointed key at the restored instant re-arms and runs.
+  bool ran = false;
+  s.arm_at(Time::microseconds(50), 42, [&] { ran = true; });
+  s.run();
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(s.passed(Time::microseconds(50), 42));
+}
+
 }  // namespace
 }  // namespace xmp::sim
