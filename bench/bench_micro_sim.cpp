@@ -210,8 +210,9 @@ void BM_ShardedEpoch(benchmark::State& state) {
   // no replays) — the steady-state regime that dominates 1000-host runs.
   // range(0) = fat_tree_k, range(1) = worker threads (--shards). Results
   // are bit-identical across the worker axis; only events/s may move.
-  // On a single-core host the threads time-slice and the worker axis is
-  // flat — the scaling claim needs cores >= workers.
+  // Three workers split the k pods unevenly (3/3/2 at k=8), as perm_k8 in
+  // perfbench does. On a host with fewer cores than workers the threads
+  // time-slice and the worker axis is flat.
   const int k = static_cast<int>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
   std::uint64_t events = 0;
@@ -238,9 +239,11 @@ void BM_ShardedEpoch(benchmark::State& state) {
 BENCHMARK(BM_ShardedEpoch)
     ->Args({8, 1})
     ->Args({8, 2})
+    ->Args({8, 3})
     ->Args({8, 4})
     ->Args({16, 1})
     ->Args({16, 2})
+    ->Args({16, 3})
     ->Args({16, 4})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

@@ -18,7 +18,7 @@
 #
 # The tsan mode also runs the "shard" ctest label (the sharded engine's
 # worker pool) under ThreadSanitizer; the default mode finishes with the
-# shard CLI smoke (scripts/shard_smoke.sh: --shards=1/2/4 byte-compare).
+# shard CLI smoke (scripts/shard_smoke.sh: --shards=1/2/3/4 byte-compare).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

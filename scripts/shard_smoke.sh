@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Sharded-engine smoke: the same experiment through the CLI at --shards=1,
-# 2 and 4, asserting the summary JSON, timeline CSV and metrics dump are
+# 2, 3 and 4 (k=4 has four logical shards, so 3 workers split them 2/1/1),
+# asserting the summary JSON, timeline CSV and metrics dump are
 # all byte-for-byte identical across N (worker-count invariance is the
 # engine's core guarantee — logical shards are fixed by the topology, so N
 # only changes wall-clock, never results).
@@ -21,7 +22,7 @@ trap 'rm -rf "$tmp"' EXIT
 base=(run --pattern=permutation --scheme=xmp --subflows=2 --k=4
       --rounds=1 --duration=0.05 --seed=11)
 
-for n in 1 2 4; do
+for n in 1 2 3 4; do
   echo "== shard smoke: --shards=$n =="
   "$bin" "${base[@]}" "--shards=$n" "--json=$tmp/summary-$n.json" \
     "--trace-csv=$tmp/trace-$n.csv" "--metrics=$tmp/metrics-$n.json" \
@@ -32,7 +33,7 @@ for n in 1 2 4; do
   }
 done
 
-for n in 2 4; do
+for n in 2 3 4; do
   for f in summary-X.json trace-X.csv metrics-X.json; do
     cmp "$tmp/${f/X/1}" "$tmp/${f/X/$n}" || {
       echo "FAIL: --shards=$n ${f%%-*} differs from --shards=1 (determinism broken)" >&2
@@ -40,7 +41,7 @@ for n in 2 4; do
     }
   done
 done
-echo "shards=1/2/4 summary/trace/metrics byte-identical"
+echo "shards=1/2/3/4 summary/trace/metrics byte-identical"
 
 # Unsupported combinations must be rejected up front with exit 2.
 expect_exit2() {

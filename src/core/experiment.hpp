@@ -336,4 +336,9 @@ struct ExperimentResults {
 /// checking, no subflow re-homing.
 [[nodiscard]] ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg);
 
+/// Worker threads run_experiment_sharded uses: cfg.shards clamped to the
+/// logical shard count (one per pod), since a worker beyond it owns no
+/// shard.
+[[nodiscard]] int sharded_pool_width(const ExperimentConfig& cfg);
+
 }  // namespace xmp::core

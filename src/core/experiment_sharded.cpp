@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -34,10 +35,10 @@
 // executing events strictly before the epoch boundary in parallel: a packet
 // another shard sends during the same epoch cannot arrive earlier than
 // epoch_start + L, so nothing a shard runs inside the window can be
-// invalidated. At the barrier, parked cross-shard packets are drained in a
-// fixed (dst, src, FIFO) merge order, every clock advances to the boundary,
-// and the control strand (RTT probe, fault plan, route manager) runs with
-// the whole fabric quiesced.
+// invalidated. At the barrier each worker drains the packets parked for its
+// own shards in a fixed (src, FIFO) order per destination and advances
+// their clocks to the boundary; then the control strand (RTT probe, fault
+// plan, route manager) runs with the whole fabric quiesced.
 //
 // Global transitions — a Permutation round flip fans flow construction out
 // to every shard — must not run mid-epoch on a worker thread. The workload
@@ -202,6 +203,8 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
                                   ? fabric.lookahead()
                                   : horizon + sim::Time::nanoseconds(1);
   EpochStats stats;
+  // Per-destination handoff counts of one barrier, summed in shard order.
+  std::vector<std::uint64_t> drained_into(static_cast<std::size_t>(n_shards));
 
   auto all_clocks_to = [&](sim::Time t) {
     for (int s = 0; s < n_shards; ++s) fabric.sched(s).advance_clock_to(t);
@@ -542,10 +545,16 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
         return out;
       }
 
-      // ---- barrier: drain handoffs, align clocks, run the control strand ----
-      const std::uint64_t drained = fabric.drain_all();
+      // ---- barrier: each worker drains its shards' inbound handoffs and
+      // aligns their clocks; then the control strand runs on this thread ----
+      pool.run(n_shards, [&fabric, &drained_into, b](int s) {
+        drained_into[static_cast<std::size_t>(s)] = fabric.drain_into(s);
+        fabric.sched(s).advance_clock_to(b);
+      });
+      std::uint64_t drained = 0;
+      for (const std::uint64_t d : drained_into) drained += d;
       stats.handoff_packets += drained;
-      all_clocks_to(b);
+      control.advance_clock_to(b);
       control.run_until(b);
       ++stats.epochs;
       ++stats.barriers;
@@ -685,6 +694,12 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
 
 }  // namespace
 
+int sharded_pool_width(const ExperimentConfig& cfg) {
+  // One logical shard per pod: a wider pool only adds idle helpers that
+  // every barrier must still wake.
+  return std::min(cfg.shards, cfg.fat_tree_k);
+}
+
 ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg) {
   assert(cfg.shards >= 1);
   assert(cfg.pattern == Pattern::Permutation &&
@@ -708,7 +723,7 @@ ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg) {
     }
   }
 
-  WorkerPool pool{static_cast<unsigned>(cfg.shards)};
+  WorkerPool pool{static_cast<unsigned>(sharded_pool_width(cfg))};
   std::set<std::int64_t> forced;  // epoch starts pinned serial by failed attempts
   for (;;) {
     AttemptOutcome out = attempt(cfg, forced, pool, forced.size(), restore.get());

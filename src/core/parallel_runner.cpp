@@ -1,5 +1,6 @@
 #include "core/parallel_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -63,11 +64,22 @@ std::vector<ExperimentResults> ParallelRunner::run(const std::vector<ExperimentC
   return results;
 }
 
-WorkerPool::WorkerPool(unsigned width) : width_{width} {
-  if (width_ == 0) {
-    width_ = std::thread::hardware_concurrency();
-    if (width_ == 0) width_ = 1;
-  }
+namespace {
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+}  // namespace
+
+WorkerPool::WorkerPool(unsigned width)
+    : width_{width != 0 ? width : std::max(1u, std::thread::hardware_concurrency())},
+      // An unknown hardware_concurrency() (0) disables spinning.
+      spin_{width_ <= std::thread::hardware_concurrency()} {
   threads_.reserve(width_ - 1);
   for (unsigned i = 1; i < width_; ++i) {
     threads_.emplace_back([this, i] { worker_loop(i); });
@@ -75,12 +87,24 @@ WorkerPool::WorkerPool(unsigned width) : width_{width} {
 }
 
 WorkerPool::~WorkerPool() {
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    stop_ = true;
-  }
-  cv_start_.notify_all();
+  stop_ = true;
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   for (auto& th : threads_) th.join();
+}
+
+void WorkerPool::wait_while(const std::atomic<std::uint32_t>& a, std::uint32_t old) const {
+  if (spin_) {
+    const auto deadline = std::chrono::steady_clock::now() + kSpinBudget;
+    do {
+      // Poll a batch between clock reads; a pause is tens of cycles.
+      for (int i = 0; i < 64; ++i) {
+        if (a.load(std::memory_order_acquire) != old) return;
+        cpu_relax();
+      }
+    } while (std::chrono::steady_clock::now() < deadline);
+  }
+  while (a.load(std::memory_order_acquire) == old) a.wait(old, std::memory_order_acquire);
 }
 
 void WorkerPool::run(int n_shards, const ShardTask& task) {
@@ -89,17 +113,16 @@ void WorkerPool::run(int n_shards, const ShardTask& task) {
     for (int s = 0; s < n_shards; ++s) task(s);
     return;
   }
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    task_ = &task;
-    n_shards_ = n_shards;
-    running_ = width_ - 1;
-    ++generation_;
-  }
-  cv_start_.notify_all();
+  task_ = &task;
+  n_shards_ = n_shards;
+  running_.store(width_ - 1, std::memory_order_relaxed);
+  generation_.fetch_add(1, std::memory_order_release);
+  generation_.notify_all();
   run_share(0);  // the caller is worker 0
-  std::unique_lock<std::mutex> lock{mu_};
-  cv_done_.wait(lock, [this] { return running_ == 0; });
+  for (std::uint32_t left = running_.load(std::memory_order_acquire); left != 0;
+       left = running_.load(std::memory_order_acquire)) {
+    wait_while(running_, left);
+  }
   task_ = nullptr;
   if (first_error_) {
     std::exception_ptr e = first_error_;
@@ -120,19 +143,14 @@ void WorkerPool::run_share(unsigned index) {
 }
 
 void WorkerPool::worker_loop(unsigned index) {
-  std::uint64_t seen = 0;
+  std::uint32_t seen = 0;
   for (;;) {
-    {
-      std::unique_lock<std::mutex> lock{mu_};
-      cv_start_.wait(lock, [this, seen] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-    }
+    wait_while(generation_, seen);
+    seen = generation_.load(std::memory_order_acquire);
+    if (stop_) return;
     run_share(index);
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      if (--running_ == 0) cv_done_.notify_one();
-    }
+    // The last helper out wakes run(), which may have parked.
+    if (running_.fetch_sub(1, std::memory_order_acq_rel) == 1) running_.notify_one();
   }
 }
 

@@ -1,7 +1,9 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -69,6 +71,14 @@ class ParallelRunner {
 /// The calling thread participates as worker 0, so width == 1 degrades to
 /// a plain inline loop with no synchronisation at all. The first exception
 /// thrown by any task is rethrown from run() after the barrier.
+///
+/// The barrier is two atomics: run() bumps a generation counter to release
+/// the helpers, and each helper counts down `running_` when its share is
+/// done. A waiter on either side spins for kSpinBudget before it parks in
+/// std::atomic::wait, so back-to-back runs (one epoch's work is ~100 us)
+/// hand over without a futex round trip. A pool wider than the hardware
+/// has threads never spins: a spinning waiter would steal the core a
+/// runnable worker needs.
 class WorkerPool {
  public:
   /// `width == 0` picks std::thread::hardware_concurrency() (at least 1).
@@ -80,6 +90,9 @@ class WorkerPool {
 
   [[nodiscard]] unsigned width() const { return width_; }
 
+  /// How long a waiter polls before it parks.
+  static constexpr std::chrono::microseconds kSpinBudget{30};
+
   using ShardTask = std::function<void(int shard)>;
   /// Execute task(s) for every s in [0, n_shards), shard s on worker
   /// (s % width). Blocks until all complete.
@@ -88,19 +101,28 @@ class WorkerPool {
  private:
   void worker_loop(unsigned index);
   void run_share(unsigned index);
+  /// Block until `a` no longer holds `old`: spin first (if spinning is on),
+  /// then park.
+  void wait_while(const std::atomic<std::uint32_t>& a, std::uint32_t old) const;
 
   unsigned width_;
-  std::vector<std::thread> threads_;
+  bool spin_;  ///< width_ <= hardware threads
 
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
-  std::uint64_t generation_ = 0;  ///< bumped per run(); wakes the workers
+  // Written by run() (and the destructor) before the generation bump that
+  // publishes them; read by the helpers after they observe it.
   const ShardTask* task_ = nullptr;
   int n_shards_ = 0;
-  unsigned running_ = 0;  ///< helper workers still inside the current run
   bool stop_ = false;
+
+  // Own cache lines: spinning helpers poll generation_ while finished ones
+  // decrement running_.
+  alignas(64) std::atomic<std::uint32_t> generation_{0};  ///< bumped per run(); releases the helpers
+  alignas(64) std::atomic<std::uint32_t> running_{0};  ///< helpers still inside the current run
+
+  std::mutex mu_;  ///< guards first_error_
   std::exception_ptr first_error_;
+
+  std::vector<std::thread> threads_;  ///< last: the helpers use every member above
 };
 
 /// Expand `base` into one config per seed (convenience for seed sweeps).

@@ -27,21 +27,25 @@ void ShardFabric::note_cross_link(int src_shard, int dst_shard, sim::Time prop_d
   if (prop_delay.ns() < min_cross_delay_ns_) min_cross_delay_ns_ = prop_delay.ns();
 }
 
+std::uint64_t ShardFabric::drain_into(int dst) {
+  std::uint64_t handed_off = 0;
+  for (int src = 0; src < n_; ++src) {
+    if (src == dst) continue;
+    auto& items = channel(src, dst).items_;
+    for (RemotePacket& rp : items) {
+      // The link reserves the delivery's key on the destination shard now
+      // and arms it once the packet reaches the head of its arrivals.
+      rp.link->accept_remote_arrival(std::move(rp.pkt), rp.deliver_t_ns, rp.link_epoch);
+    }
+    handed_off += items.size();
+    items.clear();
+  }
+  return handed_off;
+}
+
 std::uint64_t ShardFabric::drain_all() {
   std::uint64_t handed_off = 0;
-  for (int dst = 0; dst < n_; ++dst) {
-    for (int src = 0; src < n_; ++src) {
-      if (src == dst) continue;
-      auto& items = channel(src, dst).items_;
-      for (RemotePacket& rp : items) {
-        // The link reserves the delivery's key on the destination shard now
-        // and arms it once the packet reaches the head of its arrivals.
-        rp.link->accept_remote_arrival(std::move(rp.pkt), rp.deliver_t_ns, rp.link_epoch);
-        ++handed_off;
-      }
-      items.clear();
-    }
-  }
+  for (int dst = 0; dst < n_; ++dst) handed_off += drain_into(dst);
   return handed_off;
 }
 

@@ -25,9 +25,10 @@ struct RemotePacket {
 };
 
 /// Handoff buffer for one ordered (src_shard, dst_shard) pair. Strictly
-/// single-producer: only the source shard's thread pushes, and only the
-/// barrier (all shards quiesced) consumes, so no locks or atomics are
-/// needed — the epoch barrier itself is the synchronization point.
+/// single-producer, single-consumer: only the source shard's thread pushes
+/// during an epoch, and only the destination shard's drain (all shards
+/// quiesced) consumes, so no locks or atomics are needed — the epoch
+/// barrier itself is the synchronization point.
 class HandoffChannel {
  public:
   void push(RemotePacket&& rp) { items_.push_back(std::move(rp)); }
@@ -77,10 +78,18 @@ class ShardFabric {
     return min_cross_delay_ns_ != std::numeric_limits<std::int64_t>::max();
   }
 
-  /// Barrier-time drain: schedule every parked packet's delivery on its
-  /// destination shard, in fixed (dst_shard, src_shard, post-order) merge
-  /// order. Must only run while all shards are quiesced. Returns the
-  /// number of packets handed off.
+  /// Barrier-time drain of one destination: schedule every packet parked
+  /// for shard `dst` on its scheduler, walking channels (src, dst) in
+  /// ascending src order and each channel FIFO. It touches only dst's
+  /// scheduler and the receive side of the links feeding dst, so distinct
+  /// destinations may drain concurrently, each on the thread that owns
+  /// `dst`, provided every source shard is quiesced. Returns the number of
+  /// packets handed off.
+  std::uint64_t drain_into(int dst);
+
+  /// drain_into() for every destination in ascending order: the fixed
+  /// (dst_shard, src_shard, post-order) merge order. Must only run while
+  /// all shards are quiesced.
   std::uint64_t drain_all();
 
   /// Sum of events dispatched across all shard schedulers.

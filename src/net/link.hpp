@@ -189,7 +189,7 @@ class Link final {
   void set_eager_completions(bool on);
 
   /// Park one drained packet for delivery at `deliver_t_ns` on the
-  /// destination scheduler (ShardFabric::drain_all, shards quiesced). A
+  /// destination scheduler (ShardFabric::drain_into, shards quiesced). A
   /// packet sent before the link last went down is discarded here; it was
   /// counted by set_down().
   void accept_remote_arrival(Packet&& pkt, std::int64_t deliver_t_ns, std::uint64_t epoch);
@@ -277,7 +277,7 @@ class Link final {
   // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault},
   // the transmit-completion key and remote_in_flight_; the destination
   // shard writes delivered_, drops_.corrupt, remote_arrivals_ and
-  // remote_head_ev_ (also filled at barriers); epoch_/down_/
+  // remote_head_ev_ (also in its barrier drain, on its own thread); epoch_/down_/
   // drops_.admin_down change only at barriers with every shard quiesced.
   // Distinct members, so no two threads ever touch the same word. ---
   HandoffChannel* remote_ = nullptr;

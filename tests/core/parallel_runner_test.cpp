@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace xmp::core {
@@ -149,6 +151,134 @@ TEST(ParallelRunnerForEach, ProgressCountsReachTotal) {
         if (done > max_done.load()) max_done.store(done);
       });
   EXPECT_EQ(max_done.load(), 10u);
+}
+
+TEST(WorkerPool, ShardAlwaysRunsOnTheSameThread) {
+  WorkerPool pool{3};
+  ASSERT_EQ(pool.width(), 3u);
+  constexpr int kShards = 8;  // an uneven 3/3/2 split
+  std::vector<std::thread::id> owner(kShards);
+  pool.run(kShards, [&](int s) { owner[static_cast<std::size_t>(s)] = std::this_thread::get_id(); });
+  // Shard s belongs to worker s % width, and worker 0 is the caller.
+  EXPECT_EQ(owner[0], std::this_thread::get_id());
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(owner[static_cast<std::size_t>(s)], owner[static_cast<std::size_t>(s % 3)]);
+  }
+  EXPECT_NE(owner[1], owner[0]);
+  EXPECT_NE(owner[2], owner[1]);
+  std::vector<int> moved(kShards, 0);  // each slot written by its owner only
+  for (int run = 0; run < 1000; ++run) {
+    pool.run(kShards, [&](int s) {
+      const auto i = static_cast<std::size_t>(s);
+      if (owner[i] != std::this_thread::get_id()) ++moved[i];
+    });
+  }
+  for (int s = 0; s < kShards; ++s) EXPECT_EQ(moved[static_cast<std::size_t>(s)], 0) << "shard " << s;
+}
+
+TEST(WorkerPool, FewerShardsThanWorkers) {
+  WorkerPool pool{4};
+  std::vector<int> hits(2, 0);
+  pool.run(2, [&](int s) { ++hits[static_cast<std::size_t>(s)]; });
+  EXPECT_EQ(hits, (std::vector<int>{1, 1}));
+  pool.run(0, [&](int) { ADD_FAILURE() << "no shard to run"; });
+  pool.run(1, [&](int s) { ++hits[static_cast<std::size_t>(s)]; });
+  EXPECT_EQ(hits, (std::vector<int>{2, 1}));
+}
+
+TEST(WorkerPool, ThrowIsRethrownAfterEveryShardRanAndPoolStaysUsable) {
+  WorkerPool pool{3};
+  constexpr int kShards = 6;
+  // Shard 0 runs on the caller (worker 0); shard 1 on a helper.
+  for (const int thrower : {0, 1}) {
+    std::vector<int> ran(kShards, 0);
+    try {
+      pool.run(kShards, [&](int s) {
+        if (s == thrower) throw std::runtime_error("shard " + std::to_string(s));
+        ++ran[static_cast<std::size_t>(s)];
+      });
+      FAIL() << "expected run() to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string{e.what()}, "shard " + std::to_string(thrower));
+    }
+    for (int s = 0; s < kShards; ++s) {
+      EXPECT_EQ(ran[static_cast<std::size_t>(s)], s == thrower ? 0 : 1) << "shard " << s;
+    }
+    std::vector<int> again(kShards, 0);
+    pool.run(kShards, [&](int s) { ++again[static_cast<std::size_t>(s)]; });
+    EXPECT_EQ(again, std::vector<int>(kShards, 1));
+  }
+}
+
+TEST(WorkerPool, BackToBackRunsStress) {
+  // Per-shard counters are plain ints: every write happens on the shard's
+  // worker and every read on the caller after the barrier, so a barrier
+  // that let a run overlap the next (or the caller's check) shows up as a
+  // wrong count here, and as a data race under ThreadSanitizer.
+  WorkerPool pool{4};
+  constexpr int kShards = 4;
+  constexpr int kRuns = 100'000;
+  std::vector<int> count(kShards, 0);
+  int bad = 0;
+  for (int run = 1; run <= kRuns; ++run) {
+    pool.run(kShards, [&](int s) { ++count[static_cast<std::size_t>(s)]; });
+    for (const int c : count) bad += c == run ? 0 : 1;
+  }
+  EXPECT_EQ(bad, 0);
+}
+
+TEST(WorkerPool, ParkedWaitersWakeUp) {
+  // Work and gaps far longer than the spin budget: helpers park between
+  // runs, and the caller parks while a helper is still busy.
+  WorkerPool pool{3};
+  const auto pause = WorkerPool::kSpinBudget * 20;
+  std::vector<int> count(3, 0);
+  for (int run = 1; run <= 5; ++run) {
+    std::this_thread::sleep_for(pause);
+    pool.run(3, [&](int s) {
+      if (s == 2) std::this_thread::sleep_for(pause);
+      ++count[static_cast<std::size_t>(s)];
+    });
+    EXPECT_EQ(count, std::vector<int>(3, run));
+  }
+}
+
+TEST(WorkerPool, DestroysWithParkedWorkers) {
+  { WorkerPool never_ran{4}; }
+  WorkerPool pool{4};
+  int total = 0;
+  pool.run(4, [&](int s) {
+    if (s == 0) total = 1;
+  });
+  EXPECT_EQ(total, 1);
+  std::this_thread::sleep_for(WorkerPool::kSpinBudget * 50);  // let every helper park
+  // The destructor at scope exit must wake and join them.
+}
+
+TEST(WorkerPool, WidthOneRunsInline) {
+  WorkerPool pool{1};
+  const auto caller = std::this_thread::get_id();
+  std::vector<int> order;
+  pool.run(3, [&](int s) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(s);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(WorkerPool, PoolWiderThanHardwareStaysInStep) {
+  // Wider than the hardware: waiters skip the spin and park at once, so
+  // every barrier goes through std::atomic::wait/notify.
+  const unsigned hw = std::thread::hardware_concurrency();
+  WorkerPool pool{(hw == 0 ? 1 : hw) + 2};
+  const int shards = static_cast<int>(pool.width());
+  std::vector<int> count(static_cast<std::size_t>(shards), 0);
+  int bad = 0;
+  for (int run = 1; run <= 2'000; ++run) {
+    pool.run(shards, [&](int s) { ++count[static_cast<std::size_t>(s)]; });
+    for (const int c : count) bad += c == run ? 0 : 1;
+  }
+  EXPECT_EQ(bad, 0);
 }
 
 }  // namespace

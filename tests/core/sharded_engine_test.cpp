@@ -17,9 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
+#include "core/parallel_runner.hpp"
 #include "net/handoff.hpp"
+#include "net/link.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
 
@@ -69,9 +76,23 @@ void expect_identical(const ExperimentResults& a, const ExperimentResults& b) {
 TEST(ShardedEngine, WorkerCountInvariance) {
   const auto r1 = run_experiment(sharded_cfg(1));
   const auto r2 = run_experiment(sharded_cfg(2));
+  const auto r3 = run_experiment(sharded_cfg(3));  // uneven 2/1/1 split of 4 shards
   const auto r4 = run_experiment(sharded_cfg(4));
   expect_identical(r1, r2);
+  expect_identical(r1, r3);
   expect_identical(r1, r4);
+}
+
+// --shards beyond the logical shard count (4 pods at k=4) would only add
+// helpers that own no shard; the pool is clamped to the shard count.
+TEST(ShardedEngine, PoolWidthClampedToLogicalShards) {
+  EXPECT_EQ(sharded_pool_width(sharded_cfg(1)), 1);
+  EXPECT_EQ(sharded_pool_width(sharded_cfg(3)), 3);
+  EXPECT_EQ(sharded_pool_width(sharded_cfg(4)), 4);
+  EXPECT_EQ(sharded_pool_width(sharded_cfg(512)), 4);
+  const auto r1 = run_experiment(sharded_cfg(1));
+  const auto r512 = run_experiment(sharded_cfg(512));
+  expect_identical(r1, r512);
 }
 
 // A round flip runs as a serial segment of global micro-steps, and every
@@ -204,6 +225,110 @@ TEST(ShardedEngine, BoundaryLinkKillMidEpoch) {
   expect_identical(r1, r4);
   // The outage must actually have bitten: packets died on the wire.
   EXPECT_GT(r1.drops.fault + r1.drops.admin_down, 0u);
+}
+
+// A hand-wired fabric: two boundary links per ordered shard pair, all with
+// the same rate and delay, each carrying a three-packet burst sent at t=0.
+// Deliveries on one destination therefore share timestamps, and only the
+// sequence numbers reserved at the drain order them.
+class HandoffWorld {
+ public:
+  static constexpr int kShards = 3;
+  using Arrivals = std::vector<std::pair<std::int64_t, std::uint64_t>>;  // (t_ns, uid)
+
+  HandoffWorld() {
+    const sim::Time delay = sim::Time::microseconds(100);
+    net::QueueConfig q;
+    q.kind = net::QueueConfig::Kind::DropTail;
+    q.capacity_packets = 16;
+    std::uint64_t uid = 0;
+    net::LinkId id = 0;
+    for (int src = 0; src < kShards; ++src) {
+      for (int dst = 0; dst < kShards; ++dst) {
+        if (src == dst) continue;
+        for (int l = 0; l < 2; ++l, ++id) {
+          sinks_.push_back(std::make_unique<Sink>(fabric.sched(dst), arrivals_[dst]));
+          links_.push_back(std::make_unique<net::Link>(fabric.sched(src), id, 1'000'000'000,
+                                                       delay, net::make_queue(q), *sinks_.back()));
+          net::Link& link = *links_.back();
+          fabric.note_cross_link(src, dst, delay, id);
+          link.set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst));
+          for (int i = 0; i < 3; ++i) {
+            net::Packet p;
+            p.uid = ++uid;
+            p.size_bytes = net::kDataPacketBytes;
+            link.send(std::move(p));
+          }
+        }
+      }
+    }
+    // One epoch: every burst is on the wire, nothing has arrived yet.
+    for (int s = 0; s < kShards; ++s) fabric.sched(s).run_before(delay);
+  }
+
+  /// Run every destination to completion; returns its arrivals.
+  std::array<Arrivals, kShards> deliver() {
+    for (int s = 0; s < kShards; ++s) fabric.sched(s).run();
+    return arrivals_;
+  }
+
+  std::array<std::uint64_t, kShards> next_seqs() {
+    std::array<std::uint64_t, kShards> out{};
+    for (int s = 0; s < kShards; ++s) out[s] = fabric.sched(s).next_seq();
+    return out;
+  }
+
+  net::ShardFabric fabric{kShards};
+
+ private:
+  class Sink final : public net::PacketSink {
+   public:
+    Sink(sim::Scheduler& sched, Arrivals& log) : sched_{sched}, log_{log} {}
+    void receive(net::Packet p) override { log_.emplace_back(sched_.now().ns(), p.uid); }
+
+   private:
+    sim::Scheduler& sched_;
+    Arrivals& log_;
+  };
+  std::array<Arrivals, kShards> arrivals_;
+  std::vector<std::unique_ptr<Sink>> sinks_;
+  std::vector<std::unique_ptr<net::Link>> links_;
+};
+
+// Destinations drain independently: any order of drain_into calls (here
+// reversed, and concurrently on a worker pool) reserves the same
+// per-destination (t, seq) keys as drain_all, so deliveries come out in
+// the same order.
+TEST(ShardFabric, DrainIntoMatchesDrainAllInAnyDestinationOrder) {
+  HandoffWorld ref;
+  EXPECT_EQ(ref.fabric.drain_all(), 36u);  // 6 pairs x 2 links x 3 packets
+  const auto ref_seqs = ref.next_seqs();
+  const auto ref_arrivals = ref.deliver();
+
+  HandoffWorld reversed;
+  std::uint64_t n = 0;
+  for (int dst = HandoffWorld::kShards - 1; dst >= 0; --dst) n += reversed.fabric.drain_into(dst);
+  EXPECT_EQ(n, 36u);
+  EXPECT_EQ(reversed.next_seqs(), ref_seqs);
+  EXPECT_EQ(reversed.deliver(), ref_arrivals);
+
+  HandoffWorld parallel;
+  std::array<std::uint64_t, HandoffWorld::kShards> per_dst{};
+  WorkerPool pool{HandoffWorld::kShards};
+  pool.run(HandoffWorld::kShards, [&](int dst) {
+    per_dst[static_cast<std::size_t>(dst)] = parallel.fabric.drain_into(dst);
+  });
+  EXPECT_EQ(per_dst, (std::array<std::uint64_t, HandoffWorld::kShards>{12, 12, 12}));
+  EXPECT_EQ(parallel.next_seqs(), ref_seqs);
+  EXPECT_EQ(parallel.deliver(), ref_arrivals);
+
+  // The merge order itself: at each destination, equal-time arrivals come
+  // out by ascending source, then link, then FIFO — which is uid order.
+  for (const auto& a : ref_arrivals) {
+    ASSERT_EQ(a.size(), 12u);
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+    EXPECT_EQ(a[0].first, a[1].first);  // ties do occur
+  }
 }
 
 // Construction-time rejection: a zero-delay cross-shard link would make the
