@@ -31,6 +31,9 @@
 //       otherwise); --invariants runs the runtime invariant probe.
 //       --trace writes a Chrome trace-event JSON (open it in Perfetto or
 //       chrome://tracing); --metrics dumps the run's counters/histograms.
+//       --trace-capacity sizes each tracer ring (events; the oldest are
+//       dropped first): one ring serially, k+1 with --shards (one per pod
+//       plus the control strand), merged at export.
 //       Observation never perturbs the simulation: a traced run produces
 //       the same summary, byte for byte, as an untraced one.
 //       --shards=N runs the sharded conservative-sync engine on N worker

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/checkpoint.hpp"
+#include "core/world.hpp"
 #include "core/xmp.hpp"
 
 using namespace xmp;
@@ -180,6 +181,28 @@ void BM_FatTreeConstruction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FatTreeConstruction)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+void BM_WorldBuild(benchmark::State& state) {
+  // The world a sharded run builds before its first event (perfbench's
+  // setup_s minus process start and collection): the k-pod Fat-Tree on a
+  // shard fabric, routing tables, the permutation workload and probes,
+  // then the fresh start that schedules the first round. range(0) =
+  // fat_tree_k; the teardown is timed too.
+  core::ExperimentConfig cfg;
+  cfg.fat_tree_k = static_cast<int>(state.range(0));
+  cfg.scheme.kind = workload::SchemeSpec::Kind::Xmp;
+  cfg.scheme.subflows = 2;
+  cfg.pattern = core::Pattern::Permutation;
+  cfg.seed = 42;
+  for (auto _ : state) {
+    sim::Scheduler control;
+    net::ShardFabric fabric{cfg.fat_tree_k};
+    core::World world{cfg, control, &fabric};
+    world.start();
+    benchmark::DoNotOptimize(world.all_links.size());
+  }
+}
+BENCHMARK(BM_WorldBuild)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_FatTreePermutationRound(benchmark::State& state) {
   // One permutation round of small XMP-2 flows on a k=4 tree: the

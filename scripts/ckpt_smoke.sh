@@ -3,9 +3,11 @@
 # resume it from the newest on-disk snapshot, and require the summary JSON,
 # timeline CSV, metrics dump AND stdout summary to be byte-for-byte identical
 # to an uninterrupted reference run — in the serial engine and at --shards=2.
-# Then damage the newest snapshot and require a clean one-line exit-2
-# rejection, and exercise the SIGTERM path (final checkpoint + exit 143) and
-# `xmpsim replay` on the snapshot it leaves behind.
+# Both engines must write the same number of snapshots on a horizon that is
+# a multiple of the cadence. Then damage the newest snapshot and require a
+# clean one-line exit-2 rejection, and exercise the SIGTERM path (final
+# checkpoint + exit 143) and `xmpsim replay` on the snapshot it leaves
+# behind.
 #
 #   scripts/ckpt_smoke.sh [build-dir]   # default: build
 set -euo pipefail
@@ -71,6 +73,24 @@ for shards in 0 2; do
   done
   echo "$tag: kill+resume summary/trace/metrics byte-identical"
 done
+
+echo "== ckpt smoke: same checkpoint cadence in both engines =="
+# A horizon that is a multiple of the cadence: boundaries lie strictly
+# before the horizon, so both engines write at 1, 2 and 3 ms and neither
+# writes a snapshot at the horizon itself.
+cadence=(run --pattern=permutation --scheme=xmp --k=4 --rounds=1 --duration=0.004
+         --checkpoint-every=0.001)
+for shards in 0 2; do
+  d="$tmp/cadence-$shards"; mkdir -p "$d"
+  "$bin" "${cadence[@]}" "--shards=$shards" "--checkpoint-dir=$d" \
+    | grep -o 'checkpoints: [0-9]* written' > "$d/count.txt"
+done
+cmp -s "$tmp/cadence-0/count.txt" "$tmp/cadence-2/count.txt" || {
+  echo "FAIL: serial and --shards=2 disagree on the checkpoint count:" \
+    "$(cat "$tmp/cadence-0/count.txt") vs $(cat "$tmp/cadence-2/count.txt")" >&2
+  exit 1
+}
+echo "cadence: $(cat "$tmp/cadence-0/count.txt") in both engines"
 
 echo "== ckpt smoke: corrupted snapshot rejected =="
 ref="$tmp/ref-0"

@@ -39,7 +39,9 @@ struct ObsConfig {
   /// CSV, atomic-writer published. Workload runs only; per-job in sweeps.
   std::string fct_csv;
   std::uint32_t categories = obs::cat::kAll;  ///< --trace-filter mask
-  std::size_t capacity = 1u << 18;            ///< tracer ring, events
+  /// Events per tracer ring. A sharded run keeps k+1 rings (one per pod
+  /// plus the control strand), merged at export.
+  std::size_t capacity = 1u << 18;
 
   [[nodiscard]] bool tracing() const { return !trace_json.empty() || !trace_csv.empty(); }
   [[nodiscard]] bool enabled() const { return tracing() || !metrics_json.empty(); }
@@ -141,7 +143,7 @@ struct ExperimentConfig {
   bool check_invariants = false;
 
   /// Worker threads for the sharded conservative-sync engine; 0 runs the
-  /// serial engine (the default, byte-for-byte the legacy behavior). Any
+  /// serial event loop (the default, byte-for-byte the legacy behavior). Any
   /// value >= 1 selects the sharded engine: the fabric is partitioned into
   /// one *logical* shard per pod (fixed by the topology, never by this
   /// knob), so results are bit-identical across every `shards` value.
@@ -326,11 +328,15 @@ struct ExperimentResults {
 
 /// One self-contained Fat-Tree evaluation run. Builds the topology, the
 /// workload and the scheme from the config, runs to completion, and
-/// collects the paper's metrics.
+/// collects the paper's metrics. cfg.shards == 0 runs the serial event
+/// loop; >= 1 dispatches to run_experiment_sharded. Both engines build,
+/// checkpoint, collect and export the same world (src/core/world.hpp); only
+/// their run loops differ.
 [[nodiscard]] ExperimentResults run_experiment(const ExperimentConfig& cfg);
 
 /// The sharded conservative-sync engine behind run_experiment when
-/// cfg.shards >= 1 (exposed for tests; run_experiment dispatches here).
+/// cfg.shards >= 1 (exposed for tests; run_experiment dispatches here): the
+/// epoch loop over the shared world, with its epoch accounting.
 /// Preconditions (asserted; the CLI rejects them with a diagnostic):
 /// Permutation pattern, no scheme_b, no flowlet routing, no invariant
 /// checking, no subflow re-homing.

@@ -1,0 +1,148 @@
+#pragma once
+
+// The world of one experiment run, shared by the serial and the sharded
+// engine (DESIGN.md §11, §12): observers, fabric, routing, workload and
+// probes, plus what both engines do around their run loops — fresh start,
+// checkpoint save/restore, result collection and export. Nothing here
+// branches on which engine built it: a component the run does not use (the
+// generators of other patterns, the hybrid engine, the invariant checker,
+// the shard fabric of a serial run) is null. Internal to xmp_core.
+
+#include <array>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/checkpoint.hpp"
+#include "core/experiment.hpp"
+#include "faults/fault_controller.hpp"
+#include "faults/invariant_checker.hpp"
+#include "model/hybrid/engine.hpp"
+#include "net/handoff.hpp"
+#include "net/network.hpp"
+#include "obs/hooks.hpp"
+#include "obs/metrics.hpp"
+#include "obs/timeline.hpp"
+#include "route/route_manager.hpp"
+#include "sim/random.hpp"
+#include "sim/scheduler.hpp"
+#include "stats/probes.hpp"
+#include "topo/fattree.hpp"
+#include "workload/empirical.hpp"
+#include "workload/flow_manager.hpp"
+#include "workload/incast.hpp"
+#include "workload/permutation.hpp"
+#include "workload/random_traffic.hpp"
+
+namespace xmp::core {
+
+/// A verified checkpoint file held in memory. A sharded run reads it once
+/// and restores every attempt (round-flip replays included) from it.
+struct RestoreImage {
+  ckpt::Header h;
+  std::string payload;
+};
+
+/// Read and verify cfg.checkpoint.restore_path; nullopt when none is set.
+/// A file that fails verification ends the process with a one-line
+/// "restore failed" diagnostic and exit 2.
+[[nodiscard]] std::optional<RestoreImage> read_restore_image(const ExperimentConfig& cfg);
+
+class World {
+ public:
+  /// Build the world on `control` (the only scheduler of a serial run).
+  /// With a fabric, the topology is partitioned into its shards and every
+  /// flow endpoint lands on its host's shard scheduler.
+  World(const ExperimentConfig& cfg, sim::Scheduler& control, net::ShardFabric* fabric);
+  ~World();
+
+  World(const World&) = delete;
+  World& operator=(const World&) = delete;
+
+  /// Fresh start, in the legacy scheduling order: faults, invariant
+  /// checker, workload, hybrid foreground and fluid tick, probes.
+  void start();
+
+  /// The checkpoint payload, one layout for both engines (DESIGN.md §12).
+  /// restore() fails the Loader on clocks that differ from `at` (the
+  /// header time) or from each other, or lie outside [0, horizon].
+  void save(ckpt::Saver& s) const;
+  [[nodiscard]] bool restore(ckpt::Loader& l, sim::Time at);
+
+  /// Publish the next ckpt_<seq>.bin now (a quiescent point). A failed
+  /// write is reported on stderr and the run continues.
+  void write_checkpoint();
+  /// Restore from a verified image instead of start(); a malformed payload
+  /// ends the process with "restore failed: ...: malformed payload", exit 2.
+  void apply_restore(const ckpt::Header& h, const std::string& payload);
+
+  /// The checkpoint cadence: the next absolute multiple of
+  /// cfg.checkpoint.every after `now` that lies strictly before the
+  /// horizon, or infinity when there is none (or no cadence is set).
+  [[nodiscard]] sim::Time next_checkpoint(sim::Time now) const;
+
+  /// Fill `res`; the run ended at `end_time` after `events` dispatches.
+  void collect(sim::Time end_time, std::uint64_t events);
+  /// The trace, metrics and FCT exports (after collect(): they must not
+  /// observe the run).
+  void export_obs() const;
+
+  const ExperimentConfig& cfg;
+  sim::Scheduler& sched;          ///< the control strand (serial: the only one)
+  net::ShardFabric* const fabric;  ///< null in serial runs
+
+  // --- observers, declared before the network so its construction is
+  // observed: the control tracer plus one per shard, merged at export, and
+  // one registry shared by every thread ---
+  std::unique_ptr<obs::TimelineTracer> tracer;
+  std::vector<std::unique_ptr<obs::TimelineTracer>> shard_tracers;
+  std::unique_ptr<obs::MetricsRegistry> registry;
+  std::unique_ptr<obs::SimMetrics> sim_metrics;
+  obs::ObservationScope scope;
+
+  // --- world state, in construction order ---
+  net::Network netw;
+  topo::FatTree tree;
+  route::RouteManager routes;
+  sim::Rng rng;
+  workload::FlowManager flows_a;
+  std::unique_ptr<workload::FlowManager> flows_b;
+  std::unique_ptr<faults::FaultController> fault_ctl;
+  std::unique_ptr<faults::InvariantChecker> inv;
+  std::unique_ptr<workload::PermutationTraffic> perm;
+  std::unique_ptr<workload::RandomTraffic> rand_a;
+  std::unique_ptr<workload::RandomTraffic> rand_b;
+  std::unique_ptr<workload::IncastTraffic> incast;
+  std::unique_ptr<workload::RandomTraffic> incast_bg;
+  std::unique_ptr<workload::EmpiricalTraffic> emp;
+  std::unique_ptr<model::hybrid::Engine> hybrid;
+  std::function<void(int)> start_hybrid_fg;
+  ExperimentResults res;
+  stats::GaugeProbe rtt_tick;
+  stats::UtilizationWindow util;
+  std::vector<net::Link*> all_links;  ///< every link, grouped by layer
+  std::array<std::pair<std::size_t, std::size_t>, 3> layer_ranges;
+  /// The sharded engine's epoch accounting (res.shard's counters and the
+  /// next epoch's trace id) is checkpointed as SHST, so a resumed run's
+  /// summary matches an uninterrupted one. All zero in serial runs.
+  std::uint32_t next_epoch = 0;
+
+ private:
+  void build_workload();
+  void build_hybrid();
+  double sample_rtts();
+  /// A saved flow-completion callback, resolved against this world.
+  [[nodiscard]] std::function<void()> bind(const workload::CallbackTag& tag);
+  void publish_ckpt_totals();
+
+  std::uint64_t fingerprint_ = 0;
+  std::uint64_t ckpt_seq_ = 0;      ///< last sequence number used
+  std::uint64_t ckpt_written_ = 0;  ///< lineage-cumulative snapshot count
+  std::uint64_t ckpt_bytes_ = 0;    ///< lineage-cumulative snapshot bytes
+};
+
+}  // namespace xmp::core

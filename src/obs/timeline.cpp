@@ -536,8 +536,11 @@ void TimelineTracer::export_chrome_json(const std::string& path) const {
 std::unique_ptr<TimelineTracer> TimelineTracer::merged(
     const std::vector<const TimelineTracer*>& streams) {
   std::size_t total = 0;
+  std::uint64_t dropped = 0;
   for (const TimelineTracer* s : streams) {
-    if (s != nullptr) total += s->size();
+    if (s == nullptr) continue;
+    total += s->size();
+    dropped += s->dropped();
   }
   Config mc;
   mc.capacity = total > 0 ? total : 1;
@@ -549,32 +552,31 @@ std::unique_ptr<TimelineTracer> TimelineTracer::merged(
   // timestamps resolve by stream order (caller puts the control strand
   // first), then by position within the stream.
   struct Cursor {
-    std::vector<TimelineEvent> events;
-    std::size_t next = 0;
+    const TimelineTracer* stream;
+    std::size_t next;
+    [[nodiscard]] bool more() const { return stream != nullptr && next < stream->size(); }
+    [[nodiscard]] const TimelineEvent& head() const { return stream->at(next); }
   };
-  std::vector<Cursor> cursors(streams.size());
-  for (std::size_t i = 0; i < streams.size(); ++i) {
-    if (streams[i] == nullptr) continue;
-    cursors[i].events.reserve(streams[i]->size());
-    streams[i]->for_each([&](const TimelineEvent& e) { cursors[i].events.push_back(e); });
-    for (const auto& [id, name] : streams[i]->flow_names_) out->flow_names_[id] = name;
-    for (const auto& [id, name] : streams[i]->link_names_) out->link_names_[id] = name;
+  std::vector<Cursor> cursors;
+  cursors.reserve(streams.size());
+  for (const TimelineTracer* s : streams) {
+    cursors.push_back({s, 0});
+    if (s == nullptr) continue;
+    for (const auto& [id, name] : s->flow_names_) out->flow_names_[id] = name;
+    for (const auto& [id, name] : s->link_names_) out->link_names_[id] = name;
   }
   for (;;) {
-    std::size_t best = streams.size();
-    for (std::size_t i = 0; i < cursors.size(); ++i) {
-      const Cursor& c = cursors[i];
-      if (c.next >= c.events.size()) continue;
-      if (best == streams.size() ||
-          c.events[c.next].t_ns < cursors[best].events[cursors[best].next].t_ns) {
-        best = i;
-      }
+    Cursor* best = nullptr;
+    for (Cursor& c : cursors) {
+      if (c.more() && (best == nullptr || c.head().t_ns < best->head().t_ns)) best = &c;
     }
-    if (best == streams.size()) break;
-    const TimelineEvent& e = cursors[best].events[cursors[best].next++];
+    if (best == nullptr) break;
+    const TimelineEvent& e = best->head();
+    ++best->next;
     out->record(e.kind, category_of(e.kind), sim::Time::nanoseconds(e.t_ns), e.id, e.subflow,
                 e.aux, e.a, e.b);
   }
+  out->dropped_ = dropped;
   return out;
 }
 

@@ -279,7 +279,8 @@ class TimelineTracer {
   /// the result depends only on stream contents and order — never on how
   /// many threads produced them. Track-name maps are unioned (later
   /// streams win on collision). The result has capacity == total events
-  /// and category mask kAll, so nothing is re-filtered or overwritten.
+  /// and category mask kAll, so nothing is re-filtered or overwritten, and
+  /// its dropped() is the sum of the streams' drop counts.
   [[nodiscard]] static std::unique_ptr<TimelineTracer> merged(
       const std::vector<const TimelineTracer*>& streams);
 
@@ -310,6 +311,11 @@ class TimelineTracer {
     } else {
       ++dropped_;  // overwrote the oldest event
     }
+  }
+
+  /// The i-th retained event, oldest first (i < size()).
+  [[nodiscard]] const TimelineEvent& at(std::size_t i) const {
+    return ring_[(head_ + cfg_.capacity - count_ + i) % cfg_.capacity];
   }
 
   Config cfg_;

@@ -205,6 +205,17 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
   EXPECT_FALSE(ckpt::probe_file(newest, fp, h, &err));
   EXPECT_NE(err.find("version"), std::string::npos) << err;
 
+  // The previous format (v2 kept separate serial and sharded layouts):
+  // rejected the same way.
+  {
+    std::string bad = pristine;
+    bad[4] = static_cast<char>(ckpt::kFormatVersion - 1);
+    std::ofstream{newest, std::ios::binary} << bad;
+  }
+  err.clear();
+  EXPECT_FALSE(ckpt::probe_file(newest, fp, h, &err));
+  EXPECT_NE(err.find("version"), std::string::npos) << err;
+
   // Config-fingerprint mismatch (e.g. a different seed): rejected.
   std::ofstream{newest, std::ios::binary} << pristine;
   EXPECT_FALSE(ckpt::probe_file(newest, fp + 1, h, &err));
@@ -216,6 +227,25 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
     std::ofstream{dir + "/" + ckpt::file_name(s), std::ios::binary} << std::string{"x"};
   }
   EXPECT_EQ(ckpt::newest_valid(dir, fp), "");
+}
+
+TEST(Checkpoint, CadenceSameInBothEngines) {
+  // A horizon that is a multiple of the cadence: both engines write at 1,
+  // 2 and 3 ms, and neither at the horizon itself (boundaries lie strictly
+  // before it). Flows of 2 MB and more cannot finish in 4 ms, so neither
+  // run ends early.
+  std::uint64_t written[2] = {};
+  for (const int shards : {0, 2}) {
+    auto cfg = small_cfg(shards);
+    cfg.perm_min_bytes = 2'000'000;
+    cfg.perm_max_bytes = 16'000'000;
+    cfg.duration = sim::Time::seconds(0.004);
+    cfg.checkpoint.every = sim::Time::seconds(0.001);
+    cfg.checkpoint.dir = fresh_dir("cadence_" + std::to_string(shards));
+    written[shards == 0 ? 0 : 1] = run_experiment(cfg).ckpt.written;
+  }
+  EXPECT_EQ(written[0], 3u);
+  EXPECT_EQ(written[1], written[0]);
 }
 
 TEST(Checkpoint, SchedulerPendingKeyRoundTrip) {
@@ -291,6 +321,8 @@ SnapshotLinks walk_links(const std::string& payload) {
   out.now = l.time();
   out.next_seq = l.u64();
   const std::uint64_t disp = l.u64();
+  l.tag("SHRD");
+  EXPECT_EQ(l.u64(), 0u) << "a serial snapshot has no shard clocks";
   l.tag("LNKS");
   const std::uint64_t n = l.u64();
   for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
@@ -408,6 +440,88 @@ TEST_F(LinkRestoreValidation, RejectsRemoteArrivalOnSerialLink) {
   put_u64(entry, 8, 1);
   bad.insert(e.end, entry);
   expect_rejected(bad);
+}
+
+// ---------------------------------------------------------------------------
+// Validated clocks: snapshots are only taken with every clock aligned at the
+// header's time, inside the horizon. A sharded snapshot that breaks any of
+// that must end in "malformed payload", exit 2, in release builds too.
+// ---------------------------------------------------------------------------
+
+class ClockRestoreValidation : public ::testing::Test {
+ protected:
+  // Payload offsets: "SCHD", control clock (t, seq, dispatched), "SHRD",
+  // shard count, then one 24-byte clock per shard.
+  static constexpr std::size_t kControlTime = 4;
+  static constexpr std::size_t kShardCount = 32;
+  static constexpr std::size_t kShardTime0 = 40;
+  static constexpr std::size_t kClockBytes = 24;
+
+  void SetUp() override {
+    dir_ = fresh_dir("clock_" + std::string{
+                         ::testing::UnitTest::GetInstance()->current_test_info()->name()});
+    auto cfg = small_cfg(/*shards=*/2);
+    cfg.checkpoint.every = sim::Time::seconds(0.002);
+    cfg.checkpoint.dir = dir_;
+    const auto full = run_experiment(cfg);
+    ASSERT_GE(full.ckpt.written, 1u);
+    std::string err;
+    ASSERT_TRUE(ckpt::read_file(dir_ + "/" + ckpt::file_name(1), ckpt::config_fingerprint(cfg),
+                                header_, payload_, &err))
+        << err;
+    std::uint64_t shards = 0;
+    std::memcpy(&shards, &payload_[kShardCount], 8);
+    ASSERT_EQ(shards, 4u);  // one logical shard per pod at k=4
+    ASSERT_EQ(get_i64(payload_, kControlTime), header_.t_ns);
+  }
+
+  [[nodiscard]] std::size_t shard_time(std::size_t shard) const {
+    return kShardTime0 + kClockBytes * shard;
+  }
+
+  /// Publish `payload` under `h` (fresh CRC) and restore it into `cfg`.
+  void restore(const ckpt::Header& h, const std::string& payload,
+               ExperimentConfig cfg = small_cfg(/*shards=*/2)) {
+    const std::string path = dir_ + "/mutated.bin";
+    ASSERT_TRUE(ckpt::write_file(path, h, payload));
+    cfg.checkpoint.restore_path = path;
+    const auto r = run_experiment(cfg);
+    EXPECT_TRUE(r.ckpt.restored);
+  }
+
+  void expect_rejected(const ckpt::Header& h, const std::string& payload,
+                       const ExperimentConfig& cfg = small_cfg(/*shards=*/2)) {
+    EXPECT_EXIT(restore(h, payload, cfg), ::testing::ExitedWithCode(2),
+                "restore failed: .*malformed payload");
+  }
+
+  std::string dir_;
+  ckpt::Header header_;
+  std::string payload_;
+};
+
+TEST_F(ClockRestoreValidation, PristineRewriteRestores) { restore(header_, payload_); }
+
+TEST_F(ClockRestoreValidation, RejectsShardClockOffControlClock) {
+  std::string bad = payload_;
+  put_i64(bad, shard_time(1), header_.t_ns - 1);
+  expect_rejected(header_, bad);
+}
+
+TEST_F(ClockRestoreValidation, RejectsControlClockOffHeaderTime) {
+  ckpt::Header h = header_;
+  h.t_ns += 1;
+  expect_rejected(h, payload_);
+}
+
+TEST_F(ClockRestoreValidation, RejectsClocksPastHorizon) {
+  // The untouched snapshot restored into a run whose horizon ends before
+  // it, under that run's fingerprint: only the clock range is wrong.
+  auto cfg = small_cfg(/*shards=*/2);
+  cfg.duration = sim::Time::nanoseconds(header_.t_ns - 1);
+  ckpt::Header h = header_;
+  h.fingerprint = ckpt::config_fingerprint(cfg);
+  expect_rejected(h, payload_, cfg);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "util/mini_json.hpp"
@@ -194,6 +195,35 @@ TEST(TimelineTracer, FlowAndLinkPidsNeverCollide) {
   EXPECT_GE(cwnd_pid, 0.0);
   EXPECT_GE(qlen_pid, 0.0);
   EXPECT_NE(cwnd_pid, qlen_pid);
+}
+
+TEST(TimelineTracer, MergedOrdersByTimeThenStreamAndSumsDrops) {
+  TimelineTracer::Config cfg;
+  cfg.capacity = 4;
+  TimelineTracer a{cfg};
+  TimelineTracer b{cfg};
+  for (int i = 0; i < 6; ++i) a.cwnd(us(i), /*flow=*/1, 0, static_cast<double>(i));
+  for (int i = 0; i < 9; ++i) b.cwnd(us(i), /*flow=*/2, 0, static_cast<double>(i));
+  ASSERT_EQ(a.dropped(), 2u);
+  ASSERT_EQ(b.dropped(), 5u);
+
+  const auto m = TimelineTracer::merged({&a, &b});
+  EXPECT_EQ(m->size(), 8u);
+  // The rings kept a's t = 2..5 us and b's t = 5..8 us; the drops of every
+  // stream carry over, so the export still says the trace is a tail.
+  EXPECT_EQ(m->dropped(), 7u);
+  std::vector<std::pair<std::int64_t, std::uint32_t>> seen;
+  m->for_each([&](const TimelineEvent& e) { seen.emplace_back(e.t_ns, e.id); });
+  const std::vector<std::pair<std::int64_t, std::uint32_t>> want = {
+      {us(2).ns(), 1}, {us(3).ns(), 1}, {us(4).ns(), 1}, {us(5).ns(), 1},
+      {us(5).ns(), 2}, {us(6).ns(), 2}, {us(7).ns(), 2}, {us(8).ns(), 2}};
+  EXPECT_EQ(seen, want);  // the tie at 5 us goes to the earlier stream
+
+  TempFile f{"merged.json"};
+  m->export_chrome_json(f.path);
+  const auto root = test::MiniJsonParser::parse(slurp(f.path));
+  EXPECT_EQ(root.at("otherData").at("events").number, 8.0);
+  EXPECT_EQ(root.at("otherData").at("dropped_oldest").number, 7.0);
 }
 
 TEST(TimelineTracer, SchedSampleMaskMatchesStride) {
