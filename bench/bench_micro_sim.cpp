@@ -7,7 +7,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/world.hpp"
@@ -169,6 +171,54 @@ void BM_LinkForwarding(benchmark::State& state) {
 }
 BENCHMARK(BM_LinkForwarding)->Arg(90);
 
+void BM_SwitchReceive(benchmark::State& state) {
+  // One forwarding decision, laid out like a k=32 Fat-Tree (8192 hosts
+  // with ids from 1280, 32 ports). up=0: a core switch's downward route
+  // hit, every host routed 256 to a port. up=1: an aggregation switch
+  // that routes its own pod (256 hosts) down ports 0-15 and hashes every
+  // other destination over up ports 16-31. The out links are down, so
+  // send() only counts an admin-down drop and the lookup dominates.
+  const bool up = state.range(0) == 1;
+  constexpr net::NodeId kFirstHost = 1280;
+  constexpr net::NodeId kHosts = 8192;
+  constexpr net::NodeId kPodHosts = 256;
+  sim::Scheduler sched;
+  CountingSink sink;
+  net::Switch sw{0};
+  const net::QueueConfig q;
+  std::vector<std::unique_ptr<net::Link>> links;
+  for (net::LinkId i = 0; i < 32; ++i) {
+    links.push_back(std::make_unique<net::Link>(sched, i, 1'000'000'000,
+                                                sim::Time::microseconds(1), net::make_queue(q),
+                                                sink));
+    links.back()->set_down(true);
+    sw.add_port(*links.back());
+  }
+  const net::NodeId routed = up ? kPodHosts : kHosts;
+  for (net::NodeId h = 0; h < routed; ++h) {
+    sw.set_host_route(kFirstHost + h, up ? h / 16 : h / kPodHosts);  // per edge / per pod
+  }
+  if (up) {
+    for (std::size_t port = 16; port < 32; ++port) sw.add_up_port(port);
+  }
+  // Walk the destinations with a stride so consecutive lookups do not
+  // share a cache line; up=1 draws only destinations outside the pod.
+  const net::NodeId first = kFirstHost + (up ? kPodHosts : 0);
+  const net::NodeId span = kHosts - (up ? kPodHosts : 0);
+  net::NodeId i = 0;
+  for (auto _ : state) {
+    net::Packet p;
+    p.dst = first + i;
+    p.path_tag = static_cast<std::uint16_t>(i & 3);
+    sw.receive(std::move(p));
+    i += 97;
+    if (i >= span) i -= span;
+  }
+  benchmark::DoNotOptimize(sw.forwarded());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SwitchReceive)->ArgName("up")->Arg(0)->Arg(1);
+
 void BM_FatTreeConstruction(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -202,7 +252,7 @@ void BM_WorldBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(world.all_links.size());
   }
 }
-BENCHMARK(BM_WorldBuild)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WorldBuild)->Arg(8)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 
 void BM_FatTreePermutationRound(benchmark::State& state) {
   // One permutation round of small XMP-2 flows on a k=4 tree: the

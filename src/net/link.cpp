@@ -308,7 +308,7 @@ void Link::save_state(core::ckpt::Saver& s) const {
     save_packet(s, h.pkt);
   }
 
-  auto save_fifo = [&](const std::deque<InFlight>& q) {
+  auto save_fifo = [&](const Ring<InFlight>& q) {
     s.u64(q.size());
     for (const InFlight& f : q) {
       s.i64(f.t_ns);
@@ -373,7 +373,7 @@ void Link::restore_state(core::ckpt::Loader& l) {
   // In-flight FIFOs: keys must be re-armable and deliveries in time order.
   // Entries from before the link last went down (older snapshots kept
   // them) were already counted as lost and are dropped.
-  auto load_fifo = [&](std::deque<InFlight>& q, const sim::Scheduler* on) {
+  auto load_fifo = [&](Ring<InFlight>& q, const sim::Scheduler* on) {
     const std::uint64_t n = l.u64();
     for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
       const std::int64_t t_ns = l.i64();

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -242,13 +241,14 @@ class Link final {
   /// Packets serialized onto the wire, awaiting delivery at the sink, each
   /// with the (time, sequence) key its delivery reserved. Propagation delay
   /// is constant, so deliveries are FIFO and only the head's event is armed
-  /// (head_ev_); set_down() empties the FIFO, so every entry is live.
+  /// (head_ev_); set_down() empties the FIFO, so every entry is live. Like
+  /// every link FIFO, it allocates nothing until a packet uses it.
   struct InFlight {
     Packet pkt;
     std::int64_t t_ns;
     std::uint64_t seq;
   };
-  std::deque<InFlight> in_flight_;
+  Ring<InFlight> in_flight_;
   sim::EventId head_ev_ = sim::kInvalidEventId;
 
   /// Completion key of the latest transmission; (0, 0) — always passed —
@@ -263,14 +263,14 @@ class Link final {
   /// release event captures 16 bytes; release re-enters the normal enqueue
   /// path, which is why held packets never perturb the in-flight FIFO or
   /// the boundary-mode mirrors. set_down() cancels the release events and
-  /// accounts the contents, so the deque only ever holds live packets.
+  /// accounts the contents, so the buffer only ever holds live packets.
   struct Held {
     std::uint64_t id;
     bool duplicate;  ///< clone on release (deferred with the original)
     Packet pkt;
     sim::EventId ev;
   };
-  std::deque<Held> held_;
+  std::vector<Held> held_;
   std::uint64_t next_held_id_ = 0;
 
   // --- boundary-mode state. Thread ownership is partitioned: the source
@@ -294,11 +294,12 @@ class Link final {
     std::uint64_t epoch;
     bool corrupt;  ///< attribution on set_down: corrupt, not admin_down
   };
-  std::deque<RemoteInFlight> remote_in_flight_;
+  Ring<RemoteInFlight> remote_in_flight_;
 
   /// dst-consumed FIFO of drained packets awaiting delivery, keyed like
-  /// in_flight_; only the head's event is armed, on remote_sched_.
-  std::deque<InFlight> remote_arrivals_;
+  /// in_flight_; only the head's event is armed, on remote_sched_. Grows
+  /// in the destination's barrier drain, i.e. on its worker thread.
+  Ring<InFlight> remote_arrivals_;
   sim::EventId remote_head_ev_ = sim::kInvalidEventId;
 
   bool down_ = false;

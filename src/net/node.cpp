@@ -10,8 +10,16 @@ std::size_t Switch::add_port(Link& out) {
 }
 
 void Switch::set_host_route(NodeId host, std::size_t port) {
-  assert(port < ports_.size());
-  host_route_[host] = port;
+  assert(port < ports_.size() && port < kNoRoute);
+  if (down_port_.empty()) {
+    route_base_ = host;
+  } else if (host < route_base_) {  // extend the table downward
+    down_port_.insert(down_port_.begin(), route_base_ - host, kNoRoute);
+    route_base_ = host;
+  }
+  const std::size_t i = host - route_base_;
+  if (i >= down_port_.size()) down_port_.resize(i + 1, kNoRoute);
+  down_port_[i] = static_cast<std::uint16_t>(port);
 }
 
 void Switch::add_up_port(std::size_t port) {
@@ -20,31 +28,24 @@ void Switch::add_up_port(std::size_t port) {
 }
 
 void Switch::receive(Packet p) {
-  const auto it = host_route_.find(p.dst);
-  std::size_t out;
-  if (it != host_route_.end()) {
-    out = it->second;
-  } else if (selector_ != nullptr) {
-    out = selector_->select_up_port(p);
-    if (out == PortSelector::kNoPort) {
-      ++unroutable_;
-      return;
-    }
-  } else if (!up_ports_.empty()) {
-    if (up_policy_ == UpPortPolicy::TagModulo) {
-      out = up_ports_[p.path_tag % up_ports_.size()];
-    } else {
-      // Deterministic spread: a pure function of (dst, path_tag, switch id).
-      const std::uint64_t h = mix64((static_cast<std::uint64_t>(p.dst) << 32) ^
-                                    (static_cast<std::uint64_t>(p.path_tag) << 8) ^ id());
-      out = up_ports_[h % up_ports_.size()];
-    }
-  } else {
+  std::size_t out = host_route(p.dst);
+  if (out == PortSelector::kNoPort) out = up_port(p);
+  if (out == PortSelector::kNoPort) {
     ++unroutable_;
     return;
   }
   ++forwarded_;
   ports_[out]->send(std::move(p));
+}
+
+std::size_t Switch::up_port(const Packet& p) {
+  if (selector_ != nullptr) return selector_->select_up_port(p);
+  if (up_ports_.empty()) return PortSelector::kNoPort;
+  if (up_policy_ == UpPortPolicy::TagModulo) return up_ports_[p.path_tag % up_ports_.size()];
+  // Deterministic spread: a pure function of (dst, path_tag, switch id).
+  const std::uint64_t h = mix64((static_cast<std::uint64_t>(p.dst) << 32) ^
+                                (static_cast<std::uint64_t>(p.path_tag) << 8) ^ id());
+  return up_ports_[h % up_ports_.size()];
 }
 
 void Host::send(Packet p) {

@@ -47,8 +47,15 @@ class Switch final : public Node {
   /// Register an output port; returns its index.
   std::size_t add_port(Link& out);
 
-  /// Install the exact downward route for `host` via `port`.
+  /// Install (or overwrite) the exact downward route for `host` via `port`.
   void set_host_route(NodeId host, std::size_t port);
+
+  /// The exact downward port for `host`, or PortSelector::kNoPort.
+  [[nodiscard]] std::size_t host_route(NodeId host) const {
+    const std::uint32_t i = host - route_base_;  // wraps below the base
+    return i < down_port_.size() && down_port_[i] != kNoRoute ? down_port_[i]
+                                                              : PortSelector::kNoPort;
+  }
 
   /// Declare `port` as an upward (multipath) port.
   void add_up_port(std::size_t port);
@@ -84,8 +91,19 @@ class Switch final : public Node {
   [[nodiscard]] const std::vector<std::size_t>& up_ports() const { return up_ports_; }
 
  private:
+  static constexpr std::uint16_t kNoRoute = 0xffff;
+
+  /// Upward choice for a packet without a downward route; kNoPort if none.
+  [[nodiscard]] std::size_t up_port(const Packet& p);
+
   std::vector<Link*> ports_;
-  std::unordered_map<NodeId, std::size_t> host_route_;
+  /// Downward routes as a dense table over the routed host-id range:
+  /// down_port_[dst - route_base_] is dst's port, or kNoRoute. Topology
+  /// builders create a subtree's hosts consecutively, so the range is
+  /// tight: k/2 entries on an edge switch, k^2/4 on an aggregation switch
+  /// and every host (2 bytes each) on a core switch.
+  std::vector<std::uint16_t> down_port_;
+  NodeId route_base_ = 0;
   std::vector<std::size_t> up_ports_;
   UpPortPolicy up_policy_ = UpPortPolicy::Hashed;
   PortSelector* selector_ = nullptr;

@@ -1,8 +1,9 @@
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
@@ -10,59 +11,112 @@
 
 namespace xmp::net {
 
-/// Fixed-capacity packet FIFO backed by a flat ring buffer.
+/// Growable FIFO ring buffer.
 ///
-/// Queues are bounded by construction (capacity in packets), so the ring
-/// is sized once on first use and enqueue/dequeue never allocate — unlike
-/// std::deque, which allocates a block every few packets on the busiest
-/// links of a run.
-class PacketRing {
+/// Allocates nothing until its first push, then starts at kInitialSlots
+/// and doubles whenever it is full, but never beyond `max_slots`. Most
+/// FIFOs in a run stay empty or short — XMP's marking rule keeps queues
+/// near K=10 (paper §2.1), and a link's in-flight FIFO holds only what one
+/// propagation delay covers — so memory follows occupancy, not capacity.
+/// Growth moves the contents to the front of the new buffer; the physical
+/// layout is invisible to FIFO behavior.
+template <class T>
+class Ring {
  public:
-  explicit PacketRing(std::size_t capacity) : capacity_{capacity} {}
+  static constexpr std::size_t kInitialSlots = 8;
+  static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
+
+  explicit Ring(std::size_t max_slots = kUnbounded) : max_{max_slots} {}
 
   [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] bool empty() const { return count_ == 0; }
+  /// Slots allocated (0 until the first push; at most max_slots()).
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
+  [[nodiscard]] std::size_t max_slots() const { return max_; }
 
-  [[nodiscard]] Packet& front() { return buf_[head_]; }
+  /// The i-th element from the front.
+  [[nodiscard]] T& operator[](std::size_t i) { return buf_[slot(i)]; }
+  [[nodiscard]] const T& operator[](std::size_t i) const { return buf_[slot(i)]; }
+  [[nodiscard]] T& front() { return buf_[head_]; }
+  [[nodiscard]] const T& back() const { return (*this)[count_ - 1]; }
 
-  void push_back(Packet&& p) {
-    if (buf_.empty()) buf_.resize(capacity_);  // deferred: idle queues stay small
-    std::size_t tail = head_ + count_;
-    if (tail >= capacity_) tail -= capacity_;
-    buf_[tail] = std::move(p);
+  /// Front-to-back iteration (read-only).
+  class const_iterator {
+   public:
+    const_iterator(const Ring* r, std::size_t i) : r_{r}, i_{i} {}
+    const T& operator*() const { return (*r_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const Ring* r_;
+    std::size_t i_;
+  };
+  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
+  [[nodiscard]] const_iterator end() const { return {this, count_}; }
+
+  void push_back(T&& v) {
+    if (count_ == cap_) grow();
+    buf_[slot(count_)] = std::move(v);
     ++count_;
   }
 
   void pop_front() {
-    ++head_;
-    if (head_ == capacity_) head_ = 0;
+    assert(count_ > 0);
+    if (++head_ == cap_) head_ = 0;
     --count_;
   }
 
-  void save_state(core::ckpt::Saver& s) const {
-    s.u64(count_);
-    for (std::size_t i = 0; i < count_; ++i) {
-      std::size_t at = head_ + i;
-      if (at >= capacity_) at -= capacity_;
-      save_packet(s, buf_[at]);
-    }
-  }
-
-  /// Refill from a checkpoint; physical head position is canonicalized to 0
-  /// (the ring's layout is invisible to FIFO behavior).
-  void restore_state(core::ckpt::Loader& l) {
-    buf_.clear();
+  /// Empty the ring; the allocated slots are kept for reuse.
+  void clear() {
     head_ = 0;
     count_ = 0;
-    const std::uint64_t n = l.u64();
-    for (std::uint64_t i = 0; i < n && l.ok(); ++i) push_back(load_packet(l));
   }
 
  private:
-  std::size_t capacity_;
+  [[nodiscard]] std::size_t slot(std::size_t i) const {
+    const std::size_t at = head_ + i;
+    return at >= cap_ ? at - cap_ : at;
+  }
+
+  void grow() {
+    assert(cap_ < max_ && "push into a ring that is full at its cap");
+    const std::size_t n = std::min(cap_ == 0 ? kInitialSlots : 2 * cap_, max_);
+    auto next = std::make_unique<T[]>(n);
+    for (std::size_t i = 0; i < count_; ++i) next[i] = std::move((*this)[i]);
+    buf_ = std::move(next);
+    cap_ = n;
+    head_ = 0;
+  }
+
+  std::unique_ptr<T[]> buf_;
+  std::size_t cap_ = 0;
+  std::size_t max_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
-  std::vector<Packet> buf_;
+};
+
+/// A queue's packet FIFO: a Ring capped at the queue's capacity, plus its
+/// checkpoint encoding (the packets in FIFO order).
+class PacketRing : public Ring<Packet> {
+ public:
+  using Ring::Ring;
+
+  void save_state(core::ckpt::Saver& s) const {
+    s.u64(size());
+    for (const Packet& p : *this) save_packet(s, p);
+  }
+
+  /// Refill from a checkpoint; rejects more packets than the cap allows.
+  void restore_state(core::ckpt::Loader& l) {
+    clear();
+    const std::uint64_t n = l.u64();
+    if (n > max_slots()) return l.fail();
+    for (std::uint64_t i = 0; i < n && l.ok(); ++i) push_back(load_packet(l));
+  }
 };
 
 /// Counters shared by every queue discipline.
@@ -95,6 +149,8 @@ class Queue {
   [[nodiscard]] std::size_t len_packets() const { return fifo_.size(); }
   [[nodiscard]] std::size_t len_bytes() const { return bytes_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  /// Packet slots the FIFO has allocated so far (never above capacity()).
+  [[nodiscard]] std::size_t ring_slots() const { return fifo_.capacity(); }
   [[nodiscard]] const QueueCounters& counters() const { return counters_; }
 
   /// Time-weighted average occupancy (packets) over [0, now] — the paper's

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <utility>
+
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "topo/fattree.hpp"
 
 namespace xmp::net {
 namespace {
@@ -179,6 +185,144 @@ TEST_F(SwitchFixture, UnregisterStopsDelivery) {
   EXPECT_EQ(ep.count, 0);
   EXPECT_EQ(h.undeliverable(), 1u);
 }
+
+/// Terminal sink for the dense-route tests.
+class NullSink final : public PacketSink {
+ public:
+  void receive(Packet /*p*/) override {}
+};
+
+/// Switch with four down ports and one up port; routes for ids 10..40.
+struct DenseRouteFixture : public SwitchFixture {
+  DenseRouteFixture() {
+    for (std::size_t i = 0; i < 4; ++i) {
+      down[i] = &net.add_link(sink, 1'000'000'000, sim::Time::zero(), droptail());
+      port[i] = sw.add_port(*down[i]);
+    }
+    up = &net.add_link(sink, 1'000'000'000, sim::Time::zero(), droptail());
+    up_port = sw.add_port(*up);
+    // Descending id order, as PinnedPaths can install them.
+    for (std::size_t i = 4; i-- > 0;) sw.set_host_route(kIds[i], port[i]);
+  }
+
+  void send(NodeId dst) {
+    Packet p;
+    p.dst = dst;
+    sw.receive(std::move(p));
+  }
+
+  static constexpr NodeId kIds[4] = {10, 20, 30, 40};
+  NullSink sink;
+  Switch& sw = net.add_switch();
+  Link* down[4] = {};
+  std::size_t port[4] = {};
+  Link* up = nullptr;
+  std::size_t up_port = 0;
+};
+
+TEST_F(DenseRouteFixture, DescendingInstallFindsEveryRoute) {
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(sw.host_route(kIds[i]), port[i]);
+  for (std::size_t i = 0; i < 4; ++i) send(kIds[i]);
+  for (Link* l : down) EXPECT_EQ(l->offered(), 1u);
+  EXPECT_EQ(sw.forwarded(), 4u);
+}
+
+TEST_F(DenseRouteFixture, OverwrittenRouteWins) {
+  sw.set_host_route(30, port[0]);
+  EXPECT_EQ(sw.host_route(30), port[0]);
+  send(30);
+  EXPECT_EQ(down[0]->offered(), 1u);
+  EXPECT_EQ(down[2]->offered(), 0u);
+}
+
+TEST_F(DenseRouteFixture, MissesBelowAboveAndInGapsAreUnroutableWithoutUpPorts) {
+  for (NodeId dst : {NodeId{0}, NodeId{9}, NodeId{15}, NodeId{41}, NodeId{1000}, kInvalidNode}) {
+    EXPECT_EQ(sw.host_route(dst), Switch::PortSelector::kNoPort) << dst;
+    send(dst);
+  }
+  EXPECT_EQ(sw.unroutable(), 6u);
+  EXPECT_EQ(sw.forwarded(), 0u);
+}
+
+TEST_F(DenseRouteFixture, MissesFallThroughToTheUpPortHash) {
+  sw.add_up_port(up_port);
+  for (NodeId dst : {NodeId{9}, NodeId{15}, NodeId{41}}) send(dst);
+  EXPECT_EQ(up->offered(), 3u);
+  EXPECT_EQ(sw.unroutable(), 0u);
+}
+
+TEST_F(DenseRouteFixture, MissesFallThroughToTheSelector) {
+  struct Recorder final : Switch::PortSelector {
+    std::size_t select_up_port(const Packet& p) override {
+      seen.insert(p.dst);
+      return p.dst == 15 ? kNoPort : answer;
+    }
+    std::set<NodeId> seen;
+    std::size_t answer = 0;
+  } selector;
+  selector.answer = up_port;
+  sw.set_port_selector(&selector);
+  for (NodeId dst : {NodeId{9}, NodeId{15}, NodeId{20}, NodeId{41}}) send(dst);
+  EXPECT_EQ(selector.seen, (std::set<NodeId>{9, 15, 41}));  // 20 has a route
+  EXPECT_EQ(up->offered(), 2u);
+  EXPECT_EQ(down[1]->offered(), 1u);
+  EXPECT_EQ(sw.unroutable(), 1u);  // the selector had no port for 15
+}
+
+/// For every (switch, host) pair of a Fat-Tree, the switch's downward route
+/// is exactly the link FatTree::path_links() takes out of that switch, and
+/// a switch without a route for the host only ever forwards it upward.
+void check_fattree_down_ports(int k) {
+  sim::Scheduler sched;
+  Network net{sched};
+  topo::FatTree::Config cfg;
+  cfg.k = k;
+  topo::FatTree tree{net, cfg};
+  const int half = k / 2;
+
+  std::map<const Link*, std::pair<const Switch*, std::size_t>> owner;
+  for (Switch* sw : net.switches()) {
+    for (std::size_t i = 0; i < sw->port_count(); ++i) owner[&sw->port(i)] = {sw, i};
+  }
+  std::set<std::pair<const Switch*, NodeId>> routed_on_a_path;
+  for (int dst = 0; dst < tree.n_hosts(); ++dst) {
+    const NodeId dst_id = tree.host(dst).id();
+    for (int src = 0; src < tree.n_hosts(); ++src) {
+      if (src == dst) continue;
+      for (int a = 0; a < half; ++a) {
+        for (int c = 0; c < half; ++c) {
+          const std::vector<Link*> path = tree.path_links(src, dst, a, c);
+          for (std::size_t hop = 1; hop < path.size(); ++hop) {  // hop 0 leaves the host
+            const auto [sw, port] = owner.at(path[hop]);
+            const std::size_t route = sw->host_route(dst_id);
+            if (route == Switch::PortSelector::kNoPort) {
+              const auto& ups = sw->up_ports();
+              ASSERT_NE(std::find(ups.begin(), ups.end(), port), ups.end());
+            } else {
+              ASSERT_EQ(route, port) << "switch " << sw->id() << " host " << dst;
+              routed_on_a_path.insert({sw, dst_id});
+            }
+          }
+        }
+      }
+    }
+  }
+  // Every installed route lies on some path; none is left unchecked.
+  std::size_t installed = 0;
+  for (Switch* sw : net.switches()) {
+    for (int h = 0; h < tree.n_hosts(); ++h) {
+      installed += sw->host_route(tree.host(h).id()) != Switch::PortSelector::kNoPort;
+    }
+  }
+  EXPECT_EQ(routed_on_a_path.size(), installed);
+  // Edge: its k/2 hosts; agg: its pod's k^2/4; core: all k^3/4.
+  const std::size_t n = static_cast<std::size_t>(k);
+  EXPECT_EQ(installed, n * (n / 2) * (n / 2) + n * (n / 2) * (n * n / 4) +
+                           (n * n / 4) * (n * n * n / 4));
+}
+
+TEST(FatTreeDownPorts, MatchPathLinksK4) { check_fattree_down_ports(4); }
+TEST(FatTreeDownPorts, MatchPathLinksK8) { check_fattree_down_ports(8); }
 
 TEST_F(SwitchFixture, NetworkAssignsDenseNodeIds) {
   Host& h0 = net.add_host();
