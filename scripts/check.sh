@@ -50,65 +50,25 @@ run_chaos() {
   CHAOS_RUNS="$runs" "$build_dir/tests/test_chaos"
 }
 
-run_routing() {
-  echo "== routing smoke =="
+# One CLI smoke script on the default build: configure, build xmpsim, run
+# scripts/NAME.sh against it. The scripts:
+#   route_smoke         routing-policy smoke matrix
+#   sweep_resume_smoke  sweep kill/resume
+#   shard_smoke         --shards=1/2/3/4 byte-compare, incl. a round flip
+#   ckpt_smoke          SIGKILL + --restore byte-identity, corrupt-snapshot
+#                       rejection, SIGTERM exit-143 and replay
+#   fct_smoke           FCT campaign: schema, seeded and SIGKILL + --resume
+#                       byte-identity
+#   hybrid_smoke        hybrid fluid/packet determinism, tolerance band,
+#                       SIGKILL + --restore, strict flag rejection
+#   gray_diff           `xmpsim verify` over every gray fault kind, plus the
+#                       fault-layer CLI rejects
+run_smoke() {
+  local name="$1"
+  echo "== smoke: $name =="
   cmake --preset default
   cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/route_smoke.sh build
-}
-
-run_sweep() {
-  echo "== sweep resume smoke =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/sweep_resume_smoke.sh build
-}
-
-run_shard_smoke() {
-  echo "== shard smoke =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/shard_smoke.sh build
-}
-
-# SIGKILL + --restore byte-identity, corrupt-snapshot rejection, SIGTERM
-# exit-143 and replay (scripts/ckpt_smoke.sh), serial and sharded.
-run_ckpt_smoke() {
-  echo "== ckpt smoke =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/ckpt_smoke.sh build
-}
-
-# Empirical-workload FCT campaign: schema-valid fct_summary.json, byte-
-# identical across seeded runs and across SIGKILL + --resume
-# (scripts/fct_smoke.sh).
-run_fct_smoke() {
-  echo "== fct smoke =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/fct_smoke.sh build
-}
-
-# Hybrid fluid/packet engine: fixed-seed determinism, physical tolerance
-# band, SIGKILL + --restore byte-identity and strict flag rejection
-# (scripts/hybrid_smoke.sh), on top of the `hybrid` ctest label.
-run_hybrid_smoke() {
-  echo "== hybrid smoke =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/hybrid_smoke.sh build
-}
-
-# Gray-failure differential validation: `xmpsim verify` (serial vs
-# --shards=2 vs checkpointed vs SIGKILL+--restore, byte-compared) over a
-# plan crossing every gray fault kind, plus the fault-layer CLI rejects
-# (scripts/gray_diff.sh), on top of the `gray` ctest label.
-run_gray_diff() {
-  echo "== gray diff =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target xmpsim
-  scripts/gray_diff.sh build
+  "scripts/$name.sh" build
 }
 
 # The sharded engine's worker pool under ThreadSanitizer: exactly the tests
@@ -120,27 +80,26 @@ run_shard_tsan() {
 }
 
 case "${1:-default}" in
-  default) run_preset default; run_chaos build 210; run_shard_smoke; run_ckpt_smoke; run_fct_smoke; run_hybrid_smoke; run_gray_diff ;;
+  default)
+    run_preset default; run_chaos build 210
+    for name in shard_smoke ckpt_smoke fct_smoke hybrid_smoke gray_diff; do run_smoke "$name"; done
+    ;;
   asan)    run_preset asan-ubsan; run_chaos build-asan 42 ;;
   tsan)    run_preset tsan; run_shard_tsan; run_chaos build-tsan 14 ;;
-  routing) run_routing ;;
-  sweep)   run_sweep ;;
-  shard)   run_shard_smoke ;;
-  ckpt)    run_ckpt_smoke ;;
-  fct)     run_fct_smoke ;;
-  hybrid)  run_hybrid_smoke ;;
-  gray)    run_gray_diff ;;
+  routing) run_smoke route_smoke ;;
+  sweep)   run_smoke sweep_resume_smoke ;;
+  shard)   run_smoke shard_smoke ;;
+  ckpt)    run_smoke ckpt_smoke ;;
+  fct)     run_smoke fct_smoke ;;
+  hybrid)  run_smoke hybrid_smoke ;;
+  gray)    run_smoke gray_diff ;;
   all)
     run_preset default; run_chaos build 210
     run_preset asan-ubsan; run_chaos build-asan 42
     run_preset tsan; run_shard_tsan; run_chaos build-tsan 14
-    run_routing
-    run_sweep
-    run_shard_smoke
-    run_ckpt_smoke
-    run_fct_smoke
-    run_hybrid_smoke
-    run_gray_diff
+    for name in route_smoke sweep_resume_smoke shard_smoke ckpt_smoke fct_smoke hybrid_smoke gray_diff; do
+      run_smoke "$name"
+    done
     ;;
   *) echo "usage: $0 [default|asan|tsan|all|routing|sweep|shard|ckpt|fct|hybrid|gray]" >&2; exit 2 ;;
 esac

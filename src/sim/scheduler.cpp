@@ -103,32 +103,10 @@ void Scheduler::heap_erase(std::size_t pos) {
   restore(pos);
 }
 
-void Scheduler::trim_tail() {
-  while (tail_head_ < tail_.size() && tail_[tail_head_].slot() == kSlotMask) {
-    ++tail_head_;  // skip cancelled entries
-  }
-  if (tail_head_ == tail_.size() && tail_head_ != 0) {
-    tail_.clear();
-    tail_head_ = 0;
-  }
-}
-
 void Scheduler::insert_entry(std::uint32_t idx, Time t, std::uint64_t seq) {
   assert(seq < (1ull << (64 - kSlotBits)) && "sequence space exhausted");
-  const HeapEntry e{t.ns(), (seq << kSlotBits) | idx};
-  // Monotone fast path: while the heap is empty, in-order events form a
-  // sorted run consumed from the front in O(1).
-  if (heap_.empty() && (tail_head_ >= tail_.size() || !earlier(e, tail_.back()))) {
-    assert(tail_.size() < kTailFlag && "tail index overflow");
-    pos_[idx] = kTailFlag | static_cast<std::uint32_t>(tail_.size());
-    tail_.push_back(e);
-    ++tail_live_;
-    return;
-  }
-  const std::size_t pos = heap_.size();
-  heap_.push_back(e);
-  pos_[idx] = static_cast<std::uint32_t>(pos);
-  sift_up(pos);
+  heap_.push_back(HeapEntry{t.ns(), (seq << kSlotBits) | idx});
+  sift_up(heap_.size() - 1);  // records pos_[idx]
 }
 
 EventId Scheduler::schedule_at(Time t, Callback cb) {
@@ -144,8 +122,7 @@ EventId Scheduler::schedule_at(Time t, Callback cb) {
 bool Scheduler::key_of(EventId id, PendingKey& out) const {
   const std::uint32_t idx = pending_slot_of(id);
   if (idx == kNullPos) return false;
-  const std::uint32_t pos = pos_[idx];
-  const HeapEntry& e = (pos & kTailFlag) != 0 ? tail_[pos & ~kTailFlag] : heap_[pos];
+  const HeapEntry& e = heap_[pos_[idx]];
   out.t_ns = e.t_ns;
   out.seq = e.key >> kSlotBits;
   return true;
@@ -174,73 +151,25 @@ void Scheduler::restore_clock(Time now, std::uint64_t next_seq, std::uint64_t di
 void Scheduler::cancel(EventId id) {
   const std::uint32_t idx = pending_slot_of(id);
   if (idx == kNullPos) return;
-  const std::uint32_t pos = pos_[idx];
-  if ((pos & kTailFlag) != 0) {
-    // Mark the tail entry dead in place; it keeps its sort key and is
-    // skipped when it reaches the front.
-    tail_[pos & ~kTailFlag].key |= kSlotMask;
-    --tail_live_;
-  } else {
-    heap_erase(pos);
-  }
+  heap_erase(pos_[idx]);
   release_slot(idx);
 }
 
-bool Scheduler::reschedule(EventId id, Time t) {
-  const std::uint32_t idx = pending_slot_of(id);
-  if (idx == kNullPos) return false;
-  assert(t >= now_ && "cannot reschedule into the past");
-  const std::uint32_t pos = pos_[idx];
-  if ((pos & kTailFlag) != 0) {
-    // Leave a dead entry behind and re-insert under a fresh sequence; the
-    // slot (and therefore the id) is unchanged.
-    tail_[pos & ~kTailFlag].key |= kSlotMask;
-    --tail_live_;
-    insert_entry(idx, t, next_seq_++);
-    return true;
-  }
-  heap_[pos].t_ns = t.ns();
-  // Re-enter the FIFO order as if freshly scheduled.
-  assert(next_seq_ < (1ull << (64 - kSlotBits)) && "sequence space exhausted");
-  heap_[pos].key = (next_seq_++ << kSlotBits) | idx;
-  restore(pos);
-  return true;
-}
-
 bool Scheduler::pop_next(std::int64_t bound_ns, Time& t, EventCallback& cb) {
-  trim_tail();
-  const bool tail_has = tail_head_ < tail_.size();
-  std::uint32_t idx;
-  if (!heap_.empty() && (!tail_has || earlier(heap_.front(), tail_[tail_head_]))) {
-    const HeapEntry top = heap_.front();
-    if (top.t_ns > bound_ns) return false;
-    idx = top.slot();
-    t = Time::nanoseconds(top.t_ns);
-    last_seq_ = top.key >> kSlotBits;
-    cb = std::move(slots_[idx].cb);
-    // Refill the root from the heap's own tail and sink it (no parent
-    // check needed at the root).
-    const HeapEntry last = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) {
-      place(last, 0);
-      sift_down(0);
-    }
-  } else if (tail_has) {
-    const HeapEntry& e = tail_[tail_head_];
-    if (e.t_ns > bound_ns) return false;
-    idx = e.slot();
-    t = Time::nanoseconds(e.t_ns);
-    last_seq_ = e.key >> kSlotBits;
-    cb = std::move(slots_[idx].cb);
-    ++tail_head_;
-    if (tail_head_ == tail_.size()) {
-      tail_.clear();
-      tail_head_ = 0;
-    }
-    --tail_live_;
-  } else {
-    return false;
+  if (heap_.empty()) return false;
+  const HeapEntry top = heap_.front();
+  if (top.t_ns > bound_ns) return false;
+  const std::uint32_t idx = top.slot();
+  t = Time::nanoseconds(top.t_ns);
+  last_seq_ = top.key >> kSlotBits;
+  cb = std::move(slots_[idx].cb);
+  // Refill the root from the heap's last leaf and sink it (no parent check
+  // needed at the root).
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    place(last, 0);
+    sift_down(0);
   }
   release_slot(idx);
   return true;
@@ -308,20 +237,8 @@ bool Scheduler::step_one() {
   return true;
 }
 
-Time Scheduler::next_time() {
-  trim_tail();
-  const bool tail_has = tail_head_ < tail_.size();
-  std::int64_t best = std::numeric_limits<std::int64_t>::max();
-  bool any = false;
-  if (!heap_.empty()) {
-    best = heap_.front().t_ns;
-    any = true;
-  }
-  if (tail_has && (!any || tail_[tail_head_].t_ns < best)) {
-    best = tail_[tail_head_].t_ns;
-    any = true;
-  }
-  return any ? Time::nanoseconds(best) : Time::infinity();
+Time Scheduler::next_time() const {
+  return heap_.empty() ? Time::infinity() : Time::nanoseconds(heap_.front().t_ns);
 }
 
 }  // namespace xmp::sim

@@ -22,22 +22,16 @@ inline constexpr EventId kInvalidEventId = 0;
 /// Events scheduled for the same instant fire in FIFO order, which together
 /// with the deterministic Rng makes every simulation run reproducible.
 ///
-/// The hot path is allocation-free in steady state and built from three
+/// The hot path is allocation-free in steady state and built from two
 /// pieces:
 ///  - a slab of callback slots (EventCallback small-buffer storage, no
 ///    heap allocation per event) recycled through a free list;
-///  - an indexed 4-ary min-heap of 16-byte (time, sequence|slot) keys;
-///    per-slot positions live in a dense side array, so cancel() and
-///    reschedule() are O(log n) in place — no tombstones, no
-///    skip-on-pop hash lookups;
-///  - a monotone tail: while the heap is empty, events scheduled in
-///    non-decreasing time order append to a sorted vector and pop from
-///    its front, making the common schedule-ahead / drain pattern O(1)
-///    per event instead of O(log n).
+///  - one indexed 4-ary min-heap of 16-byte (time, sequence|slot) keys
+///    holding every pending event; per-slot heap positions live in a dense
+///    side array, so cancel() is O(log n) in place — no tombstones, no
+///    skip-on-pop hash lookups.
 ///
-/// Dispatch order is defined purely by the (time, sequence) key, so the
-/// tail is invisible to results: any run dispatches identically to a
-/// pure-heap engine.
+/// Dispatch order is defined purely by the (time, sequence) key.
 ///
 /// Cache-line aligned: the sharded engine gives each worker thread its own
 /// schedulers and writes their clock and counters on every event, so two
@@ -58,12 +52,6 @@ class alignas(64) Scheduler {
 
   /// Cancel a pending event. Cancelling an already-fired or invalid id is a no-op.
   void cancel(EventId id);
-
-  /// Move a pending event to a new deadline, keeping its callback and id.
-  /// Equivalent to cancel + schedule_at (the event re-enters the FIFO order
-  /// at its new timestamp as if freshly scheduled). Returns false — and
-  /// does nothing — if the id is no longer pending.
-  bool reschedule(EventId id, Time t);
 
   /// Run until no events remain or stop() is called.
   void run();
@@ -87,7 +75,7 @@ class alignas(64) Scheduler {
   bool step_one();
 
   /// Timestamp of the earliest pending event, or Time::infinity() if none.
-  [[nodiscard]] Time next_time();
+  [[nodiscard]] Time next_time() const;
 
   /// Move the clock forward to `t` (no-op if already past). Barriers use
   /// this to align every shard's clock on the epoch boundary so that
@@ -167,15 +155,13 @@ class alignas(64) Scheduler {
   }
 
   /// Number of live (not yet fired, not cancelled) events.
-  [[nodiscard]] std::size_t pending() const { return heap_.size() + tail_live_; }
+  [[nodiscard]] std::size_t pending() const { return heap_.size(); }
 
   /// Total events dispatched so far (for micro-benchmarks and tests).
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
 
  private:
   static constexpr std::uint32_t kNullPos = 0xffffffffu;
-  /// pos_ values >= kTailFlag locate the event inside tail_ instead of heap_.
-  static constexpr std::uint32_t kTailFlag = 0x80000000u;
   static constexpr std::size_t kArity = 4;
   /// Heap keys pack (sequence << kSlotBits) | slot into one word: the
   /// monotone sequence makes FIFO ties exact, the slot rides along for
@@ -216,20 +202,15 @@ class alignas(64) Scheduler {
   void sift_down(std::size_t pos);
   void restore(std::size_t pos);
   void heap_erase(std::size_t pos);
-  void push_entry(const HeapEntry& e);
 
-  /// Route an entry for `idx` at time `t` under sequence `seq` to the tail
-  /// (O(1) monotone fast path) or the heap. schedule_at passes next_seq_++;
-  /// arm_at passes a reserved or checkpointed one.
+  /// Push an entry for `idx` at time `t` under sequence `seq` onto the
+  /// heap. schedule_at passes next_seq_++; arm_at passes a reserved or
+  /// checkpointed one.
   void insert_entry(std::uint32_t idx, Time t, std::uint64_t seq);
 
   [[nodiscard]] bool external_stop() const {
     return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
   }
-
-  /// Drop dead (cancelled) and consumed entries from the tail front; resets
-  /// the tail when it empties so indices stay small.
-  void trim_tail();
 
   /// Remove the earliest event with time <= `bound_ns`, moving its deadline
   /// and callback out and recording its key as the last dispatched one.
@@ -239,11 +220,8 @@ class alignas(64) Scheduler {
   void dispatch(Time t, EventCallback& cb);
 
   std::vector<Slot> slots_;
-  std::vector<std::uint32_t> pos_;  ///< per-slot location (heap pos or tail index)
+  std::vector<std::uint32_t> pos_;  ///< per-slot heap position
   std::vector<HeapEntry> heap_;
-  std::vector<HeapEntry> tail_;  ///< sorted ascending; consumed from tail_head_
-  std::size_t tail_head_ = 0;
-  std::size_t tail_live_ = 0;  ///< tail entries not yet cancelled
   std::vector<std::uint32_t> free_;
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;

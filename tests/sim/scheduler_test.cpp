@@ -142,41 +142,6 @@ TEST(Scheduler, StaleIdAfterDispatchIsNoop) {
   EXPECT_TRUE(ran);
 }
 
-TEST(Scheduler, RescheduleMovesEventAndKeepsId) {
-  Scheduler s;
-  std::vector<int> order;
-  const EventId a = s.schedule_at(Time::microseconds(10), [&] { order.push_back(1); });
-  s.schedule_at(Time::microseconds(20), [&] { order.push_back(2); });
-  EXPECT_TRUE(s.reschedule(a, Time::microseconds(30)));  // push later
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-  EXPECT_FALSE(s.reschedule(a, Time::microseconds(40)));  // already dispatched
-}
-
-TEST(Scheduler, RescheduleToEqualTimestampGoesLast) {
-  // A rescheduled event re-enters the FIFO of its new timestamp at the
-  // back, exactly as if it had been cancelled and scheduled afresh.
-  Scheduler s;
-  std::vector<int> order;
-  const EventId a = s.schedule_at(Time::microseconds(5), [&] { order.push_back(0); });
-  for (int i = 1; i <= 3; ++i) {
-    s.schedule_at(Time::microseconds(10), [&order, i] { order.push_back(i); });
-  }
-  EXPECT_TRUE(s.reschedule(a, Time::microseconds(10)));
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 0}));
-}
-
-TEST(Scheduler, RescheduleEarlierDispatchesFirst) {
-  Scheduler s;
-  std::vector<int> order;
-  s.schedule_at(Time::microseconds(10), [&] { order.push_back(1); });
-  const EventId b = s.schedule_at(Time::microseconds(20), [&] { order.push_back(2); });
-  EXPECT_TRUE(s.reschedule(b, Time::microseconds(5)));
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
 TEST(Scheduler, StopAtHorizonFreezesClock) {
   Scheduler s;
   s.schedule_at(Time::microseconds(10), [&] { s.stop(); });
