@@ -156,22 +156,11 @@ void Link::start_transmission() {
   // event only if a packet is waiting by then (enqueue_for_tx arms it late).
   tx_end_ = sched_.now() + tx;
   tx_seq_ = sched_.reserve_seq();
-  if (eager_completions_ || queue_->len_packets() > 0) arm_tx();
+  if (queue_->len_packets() > 0) arm_tx();
 }
 
 void Link::arm_tx() {
   tx_ev_ = sched_.arm_at(tx_end_, tx_seq_, [this] { complete_tx(); });
-}
-
-void Link::set_eager_completions(bool on) {
-  eager_completions_ = on;
-  if (!transmitting()) return;
-  if (on && tx_ev_ == sim::kInvalidEventId) {
-    arm_tx();
-  } else if (!on && tx_ev_ != sim::kInvalidEventId && queue_->len_packets() == 0) {
-    sched_.cancel(tx_ev_);
-    tx_ev_ = sim::kInvalidEventId;
-  }
 }
 
 void Link::complete_tx() {

@@ -95,31 +95,40 @@ TEST(ShardedEngine, PoolWidthClampedToLogicalShards) {
   expect_identical(r1, r512);
 }
 
-// A round flip runs as a serial segment of global micro-steps, and every
-// step re-aligns all shard clocks: the segment depends on which events
-// exist, not only on what they do. Links therefore arm even no-op transmit
-// completions while a segment runs (DESIGN.md §6); this two-round run pins
-// the trajectory that eager scheduling of every completion produces.
+// A round flip runs as a serial segment of global micro-steps. Each step
+// first aligns every shard clock on its time, so the flows the flip starts
+// on other shards schedule from the flip instant; this two-round run pins
+// that trajectory, and runs in every build type (a Debug build asserts on
+// any event scheduled behind a clock).
 TEST(ShardedEngine, GoldenRoundFlipFingerprint) {
-#ifndef NDEBUG
-  // Known engine defect, not what this test pins: a flow that a round flip
-  // starts on another shard reads that shard's clock, which lags the
-  // micro-step's time, so some of its events land behind the clock and trip
-  // Scheduler::dispatch's `t >= now` assert. Release builds run the pinned
-  // trajectory (see ROADMAP.md).
-  GTEST_SKIP() << "round flips trip the clock assert; release-only golden";
-#endif
   auto cfg = sharded_cfg(2);
   cfg.permutation_rounds = 2;
   const auto r = run_experiment(cfg);
-  EXPECT_EQ(r.events_dispatched, 102591u);
+  EXPECT_EQ(r.events_dispatched, 102338u);
   EXPECT_EQ(r.goodput.count(), 32u);
-  EXPECT_DOUBLE_EQ(r.goodput.mean(), 482.42504015952693);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.017350399999999998);
-  EXPECT_EQ(r.shard.epochs, 430u);
-  EXPECT_EQ(r.shard.barriers, 432u);
-  EXPECT_EQ(r.shard.handoff_packets, 13185u);
-  EXPECT_EQ(r.shard.micro_steps, 12u);
+  EXPECT_DOUBLE_EQ(r.goodput.mean(), 476.00423761153473);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.01808032);
+  EXPECT_EQ(r.shard.epochs, 448u);
+  EXPECT_EQ(r.shard.barriers, 450u);
+  EXPECT_EQ(r.shard.handoff_packets, 13209u);
+  EXPECT_EQ(r.shard.micro_steps, 9u);
+}
+
+// Two round completions inside one parallel epoch: the flip is deferred,
+// the attempt discarded and replayed with that epoch pinned serial. The
+// replay must land on the same results whatever the worker count.
+TEST(ShardedEngine, ReplayedRoundFlipIsWorkerCountInvariant) {
+  auto mk = [](int shards) {
+    auto cfg = sharded_cfg(shards);
+    cfg.permutation_rounds = 3;
+    cfg.duration = sim::Time::seconds(0.2);
+    cfg.seed = 7;
+    return cfg;
+  };
+  const auto r1 = run_experiment(mk(1));
+  EXPECT_GE(r1.shard.replays, 1u);
+  expect_identical(r1, run_experiment(mk(2)));
+  expect_identical(r1, run_experiment(mk(4)));
 }
 
 TEST(ShardedEngine, GoldenShardedFingerprint) {
@@ -127,7 +136,7 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_TRUE(r.sharded);
   EXPECT_EQ(r.shard.logical_shards, 4);
   EXPECT_DOUBLE_EQ(r.shard.lookahead_us, 40.0);
-  EXPECT_EQ(r.events_dispatched, 51668u);
+  EXPECT_EQ(r.events_dispatched, 51665u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 483.20222212422357);
@@ -136,7 +145,7 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_EQ(r.shard.epochs, 205u);
   EXPECT_EQ(r.shard.barriers, 206u);
   EXPECT_EQ(r.shard.handoff_packets, 6562u);
-  EXPECT_EQ(r.shard.micro_steps, 7u);
+  EXPECT_EQ(r.shard.micro_steps, 4u);
   EXPECT_EQ(r.shard.replays, 0u);
   EXPECT_EQ(r.rtt_by_category[1].count(), 2u);
   EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.37936899999999996);
