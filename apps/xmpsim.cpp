@@ -82,21 +82,26 @@
 //   xmpsim verify [--faults=PLAN] [--dir=DIR] [--checkpoint-every=SIMTIME]
 //                 ... any scenario flags accepted by `run` ...
 //       Differential validation harness (DESIGN.md §15): runs the same
-//       scenario four times — serial (--shards=1), --shards=2, a
-//       checkpointed reference, and a SIGKILL-mid-run + --restore leg —
-//       each in its own sub-directory of DIR (default: a fresh temp dir,
-//       removed on success, kept and named on failure). It then requires
-//       summary.json and drops.csv to be byte-identical across ALL legs,
-//       and trace.csv/metrics.json/out.txt to be byte-identical within
-//       each engine-config pair (serial vs shards=2; checkpointed vs
-//       kill+restore) — checkpointing legitimately adds CkptWrite trace
-//       events and harness.ckpt.* meters, so those files are only compared
-//       between legs with identical checkpoint flags. Exit 0 = all legs
-//       agree, 1 = divergence (the differing file and legs are named),
-//       2 = bad flags. The harness owns --shards, --checkpoint-dir,
-//       --restore and every output path; --checkpoint-every only sets the
-//       kill leg's snapshot cadence (default 0.005). Scenario flags are
-//       validated up front with the same rules as `run` under --shards.
+//       scenario once per leg, each in its own sub-directory of DIR
+//       (default: a fresh temp dir, removed on success, kept and named on
+//       failure; a reused DIR has each leg's sub-directory emptied first).
+//       Serial engine legs: serial (--shards=0), serial-ckpt (periodic
+//       snapshots) and serial-kill (SIGKILL mid-run + --restore). Sharded
+//       engine legs, when the scenario can run sharded: shards1..shards4
+//       (--shards=1..4), shards-ckpt and shards-kill (at --shards=1). The
+//       checkpoint legs run only where checkpointing is allowed. Within each
+//       engine, summary.json, flows.csv, drops.csv (and fct.csv for a
+//       --workload run) must be byte-identical across all legs, and
+//       trace.csv/metrics.json/out.txt across legs with the same checkpoint
+//       flags — checkpointing legitimately adds CkptWrite trace events,
+//       harness.ckpt.* meters and a "checkpoints:" line. Nothing is compared
+//       across engines (they differ in equal-timestamp tie order). Exit 0 =
+//       all legs agree, 1 = divergence (the differing file and legs are
+//       named), 2 = bad flags, or a scenario that only the plain serial leg
+//       can run (the one-line reason is printed). The harness owns
+//       --shards, --checkpoint-dir, --restore and every output path;
+//       --checkpoint-every only sets the snapshot cadence of the checkpoint
+//       legs (default 0.005).
 //
 //   xmpsim fluid  --capacity-gbps=1 --flows=3 [--beta=4] [--rtt-us=300]
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
@@ -431,31 +436,6 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   }
 
   cfg.shards = static_cast<int>(flag_i(args, "shards", 0, 0, 4096, ok));
-  if (cfg.shards > 0) {
-    // The sharded engine supports a precise subset of the serial feature
-    // set (DESIGN.md §11); everything else is an up-front one-line reject.
-    if (cfg.pattern != core::Pattern::Permutation) {
-      std::fprintf(stderr, "xmpsim: --shards requires --pattern=permutation (got %s)\n",
-                   core::pattern_name(cfg.pattern));
-      ok = false;
-    }
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --coexist\n");
-      ok = false;
-    }
-    if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --routing=flowlet\n");
-      ok = false;
-    }
-    if (cfg.check_invariants) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --invariants\n");
-      ok = false;
-    }
-    if (cfg.scheme.max_rehomes > 0) {
-      std::fprintf(stderr, "xmpsim: --shards is incompatible with --rehome\n");
-      ok = false;
-    }
-  }
 
   // --- hybrid fluid/packet engine (DESIGN.md §14) ---
   cfg.hybrid.enabled = args.has("hybrid");
@@ -518,10 +498,6 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
         std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --faults\n");
         ok = false;
       }
-      if (cfg.shards > 0) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --shards (serial engine only)\n");
-        ok = false;
-      }
       // In hybrid mode the pattern enum is inert (the engine replaces the
       // generators); Permutation keeps name/fingerprint output stable.
       cfg.pattern = core::Pattern::Permutation;
@@ -559,27 +535,15 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
     ok = false;
   }
   cfg.checkpoint.restore_path = args.get("restore", "");
-  if (cfg.checkpoint.every > sim::Time::zero() || !cfg.checkpoint.restore_path.empty()) {
-    // Checkpoint hooks cover a precise subset of the feature set; everything
-    // outside it is an up-front one-line reject, never a corrupt snapshot.
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --coexist\n");
+
+  // Each engine path and checkpointing cover a precise subset of the
+  // feature set (DESIGN.md §11, §12); everything outside it is an up-front
+  // one-line reject, never an engine assert or a corrupt snapshot.
+  for (const std::string& why : {core::sharded_refusal(cfg), core::checkpoint_refusal(cfg)}) {
+    if (!why.empty()) {
+      std::fprintf(stderr, "xmpsim: %s\n", why.c_str());
       ok = false;
     }
-    if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --routing=flowlet\n");
-      ok = false;
-    }
-    if (cfg.scheme.max_rehomes > 0) {
-      std::fprintf(stderr, "xmpsim: checkpointing is incompatible with --rehome\n");
-      ok = false;
-    }
-  }
-  if (cfg.check_invariants && cfg.checkpoint.every > sim::Time::zero()) {
-    std::fprintf(stderr,
-                 "xmpsim: --invariants is incompatible with --checkpoint-every "
-                 "(use 'xmpsim replay --restore=FILE --invariants' instead)\n");
-    ok = false;
   }
   return cfg;
 }
@@ -819,7 +783,10 @@ pid_t spawn_leg(const std::string& dir, const std::vector<std::string>& flags) {
   if (::chdir(dir.c_str()) != 0) std::_Exit(127);
   if (std::freopen("out.txt", "w", stdout) == nullptr) std::_Exit(127);
   if (std::freopen("err.txt", "w", stderr) == nullptr) std::_Exit(127);
-  std::_Exit(cmd_run(Args{flags}));
+  const int rc = cmd_run(Args{flags});
+  // _Exit skips stdio teardown, and both files are fully buffered.
+  std::fflush(nullptr);
+  std::_Exit(rc);
 }
 
 int wait_leg(pid_t pid) {
@@ -844,6 +811,17 @@ bool read_all(const std::string& path, std::string& out) {
   return ok;
 }
 
+/// One verify leg: `xmpsim run` with the scenario plus `flags`, in its own
+/// sub-directory. Legs are byte-compared only against legs of the same
+/// engine, which differ from the other engine in equal-timestamp tie order.
+struct VerifyLeg {
+  std::string name;
+  bool sharded;  ///< engine: sharded, else serial
+  bool ckpt;     ///< writes snapshots
+  bool kill;     ///< SIGKILLed after its first snapshot, then resumed with --restore
+  std::vector<std::string> flags;  ///< engine and checkpoint flags
+};
+
 int cmd_verify(const Args& args) {
   namespace fs = std::filesystem;
   bool ok = true;
@@ -859,32 +837,58 @@ int cmd_verify(const Args& args) {
       ok = false;
     }
   }
-  if (args.has("invariants")) {
-    std::fprintf(stderr, "xmpsim: verify legs run under --shards; --invariants is serial-only "
-                         "(use `run --invariants` directly)\n");
-    ok = false;
-  }
-  if (args.has("hybrid")) {
-    std::fprintf(stderr, "xmpsim: --hybrid is serial-engine-only; verify needs --shards legs\n");
-    ok = false;
-  }
-  const std::string every = args.get("checkpoint-every", "0.005");
+  const double every = flag_d(args, "checkpoint-every", 0.005, 1e-6, 3600, ok);
   if (!ok) return 2;
 
-  // Scenario flags (verify's own removed), shared by every leg.
+  // Scenario flags (verify's own removed), shared by every leg. Legs run
+  // inside their own directories, so a relative --workload is made absolute.
+  const std::string workload_flag = "--workload=";
   std::vector<std::string> scenario;
   for (const auto& a : args.raw()) {
     if (a.rfind("--dir=", 0) == 0 || a.rfind("--checkpoint-every=", 0) == 0) continue;
-    scenario.push_back(a);
+    std::error_code ec;
+    const fs::path abs = a.rfind(workload_flag, 0) == 0
+                             ? fs::absolute(a.substr(workload_flag.size()), ec)
+                             : fs::path{};
+    scenario.push_back(abs.empty() || ec ? a : workload_flag + abs.string());
   }
   // Validate once up front so a malformed scenario is a clean exit 2 on
   // *this* process's stderr, before any leg forks (legs log to err.txt).
-  {
-    std::vector<std::string> probe = scenario;
-    probe.emplace_back("--shards=1");
-    bool cok = true;
-    (void)config_from(Args{probe}, cok);
-    if (!cok) return 2;
+  bool cok = true;
+  core::ExperimentConfig cfg = config_from(Args{scenario}, cok);
+  if (!cok) return 2;
+  const bool workload = cfg.pattern == core::Pattern::Workload;
+  cfg.shards = 1;
+  const std::string no_shards = core::sharded_refusal(cfg);
+  cfg.checkpoint.every = sim::Time::seconds(every);
+  const std::string no_ckpt = core::checkpoint_refusal(cfg);
+
+  // Legs per engine (DESIGN.md §15): plain runs first, then a checkpointed
+  // run and a killed-and-restored one wherever checkpointing is allowed.
+  const std::string ckpt_every = "--checkpoint-every=" + args.get("checkpoint-every", "0.005");
+  std::vector<VerifyLeg> legs;
+  auto add_ckpt_legs = [&](bool sharded, const std::string& engine_flag) {
+    if (!no_ckpt.empty()) return;
+    const std::string prefix = sharded ? "shards" : "serial";
+    const std::vector<std::string> flags = {engine_flag, ckpt_every, "--checkpoint-dir=."};
+    legs.push_back({prefix + "-ckpt", sharded, true, false, flags});
+    legs.push_back({prefix + "-kill", sharded, true, true, flags});
+  };
+  legs.push_back({"serial", false, false, false, {"--shards=0"}});
+  add_ckpt_legs(false, "--shards=0");
+  if (no_shards.empty()) {
+    // 1-4 workers: on k=4, --shards=3 splits the four logical shards
+    // unevenly (2/1/1).
+    for (int n = 1; n <= 4; ++n) {
+      legs.push_back({"shards" + std::to_string(n), true, false, false,
+                      {"--shards=" + std::to_string(n)}});
+    }
+    add_ckpt_legs(true, "--shards=1");
+  }
+  if (legs.size() < 2) {
+    std::fprintf(stderr, "xmpsim: verify needs two legs but only the serial one can run: %s; %s\n",
+                 no_shards.c_str(), no_ckpt.c_str());
+    return 2;
   }
 
   std::string root = args.get("dir", "");
@@ -912,9 +916,20 @@ int cmd_verify(const Args& args) {
     }
   }
 
-  auto leg_dir = [&](const char* name) { return root + "/" + name; };
-  const std::vector<std::string> outputs = {"--json=summary.json", "--trace-csv=trace.csv",
-                                            "--metrics=metrics.json", "--drops-csv=drops.csv"};
+  // Every result file must be identical across all legs of an engine.
+  // trace.csv, metrics.json and stdout only between legs with the same
+  // checkpoint flags: checkpointing legitimately adds CkptWrite timeline
+  // events, harness.ckpt.* meters and a "checkpoints:" stdout line.
+  std::vector<std::string> outputs = {"--json=summary.json", "--csv=flows.csv",
+                                      "--drops-csv=drops.csv", "--trace-csv=trace.csv",
+                                      "--metrics=metrics.json"};
+  std::vector<std::string> result_files = {"summary.json", "flows.csv", "drops.csv"};
+  if (workload) {
+    outputs.emplace_back("--fct-csv=fct.csv");
+    result_files.emplace_back("fct.csv");
+  }
+  const std::vector<std::string> run_files = {"trace.csv", "metrics.json", "out.txt"};
+
   auto make_flags = [&](std::vector<std::string> extra) {
     extra.insert(extra.end(), outputs.begin(), outputs.end());
     extra.insert(extra.end(), scenario.begin(), scenario.end());
@@ -925,40 +940,30 @@ int cmd_verify(const Args& args) {
     return 1;
   };
 
-  const std::string ckpt_every = "--checkpoint-every=" + every;
-  const struct {
-    const char* name;
-    std::vector<std::string> extra;
-  } straight[] = {
-      {"serial", {"--shards=1"}},
-      {"shards2", {"--shards=2"}},
-      {"ckpt", {"--shards=1", ckpt_every, "--checkpoint-dir=."}},
-  };
-  for (const auto& leg : straight) {
-    const std::string dir = leg_dir(leg.name);
+  for (const VerifyLeg& leg : legs) {
+    const std::string dir = root + "/" + leg.name;
+    // A reused --dir must not hand this run stale outputs, or stale
+    // snapshots for the kill leg to restore.
     std::error_code ec;
+    fs::remove_all(dir, ec);
     fs::create_directories(dir, ec);
-    std::printf("verify: leg %-7s %s\n", leg.name, leg.extra.front().c_str());
-    const pid_t pid = spawn_leg(dir, make_flags(leg.extra));
+    if (ec) return fail("cannot create " + dir + ": " + ec.message());
+    std::string shown;
+    for (const auto& f : leg.flags) shown += " " + f;
+    std::printf("verify: leg %-11s%s%s\n", leg.name.c_str(), shown.c_str(),
+                leg.kill ? " + SIGKILL mid-run + --restore" : "");
+    const pid_t pid = spawn_leg(dir, make_flags(leg.flags));
     if (pid < 0) return fail("fork failed");
-    const int rc = wait_leg(pid);
-    if (rc != 0) {
-      return fail("leg " + std::string{leg.name} + " exited " + std::to_string(rc) + " (see " +
-                  dir + "/err.txt)");
+    if (!leg.kill) {
+      const int rc = wait_leg(pid);
+      if (rc != 0) {
+        return fail("leg " + leg.name + " exited " + std::to_string(rc) + " (see " + dir +
+                    "/err.txt)");
+      }
+      continue;
     }
-  }
-
-  // Kill leg: same flags as the checkpointed reference, SIGKILLed as soon
-  // as the first snapshot is visible (atomic rename: any ckpt_*.bin on
-  // disk is complete), then resumed from the newest one.
-  {
-    const std::string dir = leg_dir("kill");
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    std::printf("verify: leg kill    --shards=1 + SIGKILL mid-run + --restore\n");
-    const std::vector<std::string> base = {"--shards=1", ckpt_every, "--checkpoint-dir=."};
-    const pid_t pid = spawn_leg(dir, make_flags(base));
-    if (pid < 0) return fail("fork failed");
+    // SIGKILLed as soon as the first snapshot is visible (atomic rename:
+    // any ckpt_*.bin on disk is complete), then resumed from the newest.
     for (int i = 0; i < 400; ++i) {
       if (!newest_snapshot(dir).empty()) break;
       if (::kill(pid, 0) != 0) break;
@@ -968,65 +973,59 @@ int cmd_verify(const Args& args) {
     const int rc = wait_leg(pid);
     const std::string snap = newest_snapshot(dir);
     if (snap.empty()) {
-      return fail("kill leg wrote no snapshot — raise --duration or lower --checkpoint-every");
+      return fail("leg " + leg.name +
+                  " wrote no snapshot — raise --duration or lower --checkpoint-every");
     }
     // rc == 0 means the run beat the signal; the resume below still
     // re-runs the tail from the last snapshot, which must reproduce the
     // reference bytes either way.
     if (rc != 0 && rc != 137) {
-      return fail("kill leg exited " + std::to_string(rc) + " before the signal (see " + dir +
-                  "/err.txt)");
+      return fail("leg " + leg.name + " exited " + std::to_string(rc) +
+                  " before the signal (see " + dir + "/err.txt)");
     }
-    std::vector<std::string> resume = base;
+    std::vector<std::string> resume = leg.flags;
     resume.push_back("--restore=" + snap);
     const pid_t rpid = spawn_leg(dir, make_flags(resume));
     if (rpid < 0) return fail("fork failed");
     const int rrc = wait_leg(rpid);
     if (rrc != 0) {
-      return fail("restore leg exited " + std::to_string(rrc) + " (see " + dir + "/err.txt)");
+      return fail("leg " + leg.name + " restore exited " + std::to_string(rrc) + " (see " + dir +
+                  "/err.txt)");
     }
   }
 
-  // Byte-compare. summary.json and drops.csv must agree across ALL legs;
-  // trace.csv/metrics.json/out.txt only within engine-config pairs,
-  // because checkpointing legitimately adds CkptWrite timeline events,
-  // harness.ckpt.* meters and a "checkpoints:" stdout line.
-  auto compare = [&](const char* a, const char* b, const char* file) -> std::string {
-    std::string ca;
-    std::string cb;
-    if (!read_all(leg_dir(a) + "/" + file, ca)) return std::string{a} + "/" + file + " unreadable";
-    if (!read_all(leg_dir(b) + "/" + file, cb)) return std::string{b} + "/" + file + " unreadable";
-    if (ca != cb) return std::string{file} + " differs between legs " + a + " and " + b;
+  // The first file that differs between legs a and b, as a message.
+  auto compare = [&](const VerifyLeg& a, const VerifyLeg& b,
+                     const std::vector<std::string>& files) -> std::string {
+    for (const auto& file : files) {
+      std::string ca;
+      std::string cb;
+      if (!read_all(root + "/" + a.name + "/" + file, ca)) return a.name + "/" + file + " unreadable";
+      if (!read_all(root + "/" + b.name + "/" + file, cb)) return b.name + "/" + file + " unreadable";
+      if (ca != cb) return file + " differs between legs " + a.name + " and " + b.name;
+    }
     return {};
   };
-  const struct {
-    const char* a;
-    const char* b;
-    const char* file;
-  } checks[] = {
-      // Worker-count invariance: --shards=2 never changes one byte.
-      {"serial", "shards2", "summary.json"},
-      {"serial", "shards2", "drops.csv"},
-      {"serial", "shards2", "trace.csv"},
-      {"serial", "shards2", "metrics.json"},
-      {"serial", "shards2", "out.txt"},
-      // Checkpointing observes without perturbing.
-      {"serial", "ckpt", "summary.json"},
-      {"serial", "ckpt", "drops.csv"},
-      // Crash + restore replays the exact trajectory.
-      {"ckpt", "kill", "summary.json"},
-      {"ckpt", "kill", "drops.csv"},
-      {"ckpt", "kill", "trace.csv"},
-      {"ckpt", "kill", "metrics.json"},
-      {"ckpt", "kill", "out.txt"},
-  };
-  for (const auto& c : checks) {
-    const std::string err = compare(c.a, c.b, c.file);
+  std::string names;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const VerifyLeg& leg = legs[i];
+    names += (i == 0 ? "" : ", ") + leg.name;
+    // Each leg against its engine's first leg, and against the engine's
+    // first leg with the same checkpoint flags.
+    const VerifyLeg* first = nullptr;
+    const VerifyLeg* peer = nullptr;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (legs[j].sharded != leg.sharded) continue;
+      if (first == nullptr) first = &legs[j];
+      if (peer == nullptr && legs[j].ckpt == leg.ckpt) peer = &legs[j];
+    }
+    std::string err;
+    if (first != nullptr) err = compare(*first, leg, result_files);
+    if (err.empty() && peer != nullptr) err = compare(*peer, leg, run_files);
     if (!err.empty()) return fail(err);
   }
 
-  std::printf("verify: PASS — serial, shards=2, checkpointed and kill+restore legs agree "
-              "byte for byte\n");
+  std::printf("verify: PASS — %s agree byte for byte within each engine\n", names.c_str());
   if (ephemeral) {
     std::error_code ec;
     fs::remove_all(root, ec);

@@ -8,17 +8,12 @@
 # Every mode finishes with a chaos soak (tests/faults/chaos_soak_test.cpp)
 # at a CHAOS_RUNS volume sized to the preset's sanitizer overhead.
 #   scripts/check.sh all        # default, then asan, then tsan
-#   scripts/check.sh routing    # default build + routing-policy smoke matrix
-#   scripts/check.sh sweep      # default build + sweep kill/resume smoke
-#   scripts/check.sh shard      # default build + sharded-engine CLI smoke
-#   scripts/check.sh ckpt       # default build + checkpoint kill/resume smoke
-#   scripts/check.sh fct        # default build + FCT study kill/resume smoke
-#   scripts/check.sh hybrid     # default build + hybrid fluid/packet smoke
-#   scripts/check.sh gray       # default build + gray-failure verify diff
+#   scripts/check.sh smoke      # default build of xmpsim + scripts/smoke.sh
 #
-# The tsan mode also runs the "shard" ctest label (the sharded engine's
-# worker pool) under ThreadSanitizer; the default mode finishes with the
-# shard CLI smoke (scripts/shard_smoke.sh: --shards=1/2/3/4 byte-compare).
+# The default and all modes finish with the CLI smoke (scripts/smoke.sh:
+# `xmpsim verify` over every engine leg, kill/resume, rejects). The tsan
+# mode also runs the "shard" ctest label (the sharded engine's worker
+# pool) under ThreadSanitizer.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -50,25 +45,13 @@ run_chaos() {
   CHAOS_RUNS="$runs" "$build_dir/tests/test_chaos"
 }
 
-# One CLI smoke script on the default build: configure, build xmpsim, run
-# scripts/NAME.sh against it. The scripts:
-#   route_smoke         routing-policy smoke matrix
-#   sweep_resume_smoke  sweep kill/resume
-#   shard_smoke         --shards=1/2/3/4 byte-compare, incl. a round flip
-#   ckpt_smoke          SIGKILL + --restore byte-identity, corrupt-snapshot
-#                       rejection, SIGTERM exit-143 and replay
-#   fct_smoke           FCT campaign: schema, seeded and SIGKILL + --resume
-#                       byte-identity
-#   hybrid_smoke        hybrid fluid/packet determinism, tolerance band,
-#                       SIGKILL + --restore, strict flag rejection
-#   gray_diff           `xmpsim verify` over every gray fault kind, plus the
-#                       fault-layer CLI rejects
+# The CLI smoke on the default build: configure, build xmpsim, run
+# scripts/smoke.sh against it.
 run_smoke() {
-  local name="$1"
-  echo "== smoke: $name =="
+  echo "== smoke =="
   cmake --preset default
   cmake --build --preset default -j "$jobs" --target xmpsim
-  "scripts/$name.sh" build
+  scripts/smoke.sh build
 }
 
 # The sharded engine's worker pool under ThreadSanitizer: exactly the tests
@@ -80,27 +63,16 @@ run_shard_tsan() {
 }
 
 case "${1:-default}" in
-  default)
-    run_preset default; run_chaos build 210
-    for name in shard_smoke ckpt_smoke fct_smoke hybrid_smoke gray_diff; do run_smoke "$name"; done
-    ;;
+  default) run_preset default; run_chaos build 210; run_smoke ;;
   asan)    run_preset asan-ubsan; run_chaos build-asan 42 ;;
   tsan)    run_preset tsan; run_shard_tsan; run_chaos build-tsan 14 ;;
-  routing) run_smoke route_smoke ;;
-  sweep)   run_smoke sweep_resume_smoke ;;
-  shard)   run_smoke shard_smoke ;;
-  ckpt)    run_smoke ckpt_smoke ;;
-  fct)     run_smoke fct_smoke ;;
-  hybrid)  run_smoke hybrid_smoke ;;
-  gray)    run_smoke gray_diff ;;
+  smoke)   run_smoke ;;
   all)
     run_preset default; run_chaos build 210
     run_preset asan-ubsan; run_chaos build-asan 42
     run_preset tsan; run_shard_tsan; run_chaos build-tsan 14
-    for name in route_smoke sweep_resume_smoke shard_smoke ckpt_smoke fct_smoke hybrid_smoke gray_diff; do
-      run_smoke "$name"
-    done
+    run_smoke
     ;;
-  *) echo "usage: $0 [default|asan|tsan|all|routing|sweep|shard|ckpt|fct|hybrid|gray]" >&2; exit 2 ;;
+  *) echo "usage: $0 [default|asan|tsan|all|smoke]" >&2; exit 2 ;;
 esac
 echo "OK"

@@ -337,14 +337,27 @@ struct ExperimentResults {
 /// The sharded conservative-sync engine behind run_experiment when
 /// cfg.shards >= 1 (exposed for tests; run_experiment dispatches here): the
 /// epoch loop over the shared world, with its epoch accounting.
-/// Preconditions (asserted; the CLI rejects them with a diagnostic):
-/// Permutation pattern, no scheme_b, no flowlet routing, no invariant
-/// checking, no subflow re-homing.
+/// Precondition (asserted; the CLI rejects it with a diagnostic):
+/// sharded_refusal(cfg) is empty.
 [[nodiscard]] ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg);
 
 /// Worker threads run_experiment_sharded uses: cfg.shards clamped to the
 /// logical shard count (one per pod), since a worker beyond it owns no
 /// shard.
 [[nodiscard]] int sharded_pool_width(const ExperimentConfig& cfg);
+
+/// Why `cfg` cannot run as configured on the sharded engine, as a one-line
+/// diagnostic ("--shards is incompatible with --coexist"), or "" when it
+/// can. Always "" for cfg.shards == 0. The sharded engine runs Permutation
+/// patterns only, without hybrid, scheme_b, flowlet routing, invariant
+/// checking or subflow re-homing.
+[[nodiscard]] std::string sharded_refusal(const ExperimentConfig& cfg);
+
+/// Why `cfg`'s checkpoint settings cannot run, as a one-line diagnostic, or
+/// "" when they can. Always "" for a config that neither writes
+/// (checkpoint.every) nor restores snapshots. Checkpoint hooks cover
+/// neither scheme_b, flowlet routing nor subflow re-homing, and invariant
+/// checking only on replay (restore without writing).
+[[nodiscard]] std::string checkpoint_refusal(const ExperimentConfig& cfg);
 
 }  // namespace xmp::core

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -268,15 +269,26 @@ int sharded_pool_width(const ExperimentConfig& cfg) {
   return std::min(cfg.shards, cfg.fat_tree_k);
 }
 
+std::string sharded_refusal(const ExperimentConfig& cfg) {
+  if (cfg.shards == 0) return {};
+  if (cfg.hybrid.enabled) return "--hybrid is incompatible with --shards (serial engine only)";
+  if (cfg.pattern != Pattern::Permutation) {
+    return std::string{"--shards requires --pattern=permutation (got "} + pattern_name(cfg.pattern) +
+           ")";
+  }
+  if (cfg.scheme_b) return "--shards is incompatible with --coexist";
+  // Flowlet repathing reads the control clock per packet.
+  if (cfg.routing.kind == route::PolicyKind::Flowlet) {
+    return "--shards is incompatible with --routing=flowlet";
+  }
+  if (cfg.check_invariants) return "--shards is incompatible with --invariants";
+  if (cfg.scheme.max_rehomes > 0) return "--shards is incompatible with --rehome";
+  return {};
+}
+
 ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg) {
   assert(cfg.shards >= 1);
-  assert(cfg.pattern == Pattern::Permutation &&
-         "sharded engine: Permutation pattern only (CLI rejects others)");
-  assert(!cfg.scheme_b && "sharded engine: coexistence runs are serial-only");
-  assert(cfg.routing.kind != route::PolicyKind::Flowlet &&
-         "sharded engine: flowlet repathing reads the control clock per packet");
-  assert(!cfg.check_invariants && "sharded engine: invariant probing is serial-only");
-  assert(cfg.scheme.max_rehomes == 0 && "sharded engine: subflow re-homing is serial-only");
+  assert(sharded_refusal(cfg).empty() && "sharded engine: the CLI rejects this config");
 
   // A restore image is read and verified once; every attempt (including
   // round-flip replays) restores from the same in-memory bytes.
