@@ -39,16 +39,20 @@
 //       --shards=N runs the sharded conservative-sync engine on N worker
 //       threads (one logical shard per pod regardless of N, so every N —
 //       including 1 — produces identical results). Permutation pattern
-//       only; incompatible with --coexist, --routing=flowlet,
-//       --invariants and --rehome.
+//       only; incompatible with --hybrid and --rehome.
+//       --coexist=SCHEME splits the senders of a --pattern=random run
+//       between --scheme and SCHEME (the paper's Table 2).
 //       --checkpoint-every=T writes a verified snapshot (ckpt_<seq>.bin in
 //       --checkpoint-dir, default ".") every T *simulated* seconds at a
 //       quiescent point; --restore=FILE resumes a run from a snapshot and
 //       produces summary/trace/metrics byte-identical to the uninterrupted
 //       run. SIGTERM halts at the next quiescent point, writes a final
-//       checkpoint and a partial summary, and exits 143. Checkpointing is
-//       incompatible with --coexist, --routing=flowlet and --rehome, and
-//       --checkpoint-every with --invariants (see `replay` for that).
+//       checkpoint and a partial summary, and exits 143. Every feature
+//       checkpoints. A snapshot's config fingerprint must match the flags
+//       given, but leaves out the observability flags and --invariants:
+//       `run --restore=FILE --trace=... --invariants` re-runs a crash-point
+//       capture under extra observation (a snapshot taken without the
+//       checker starts a fresh one at the restore point).
 //       --workload=FILE replaces --pattern with an empirical workload file
 //       (DESIGN.md §13): open-loop Poisson arrivals whose sizes come from a
 //       flow-size CDF, plus optional explicit flows; --load=0.X sets the
@@ -73,12 +77,6 @@
 //       --coexist, --workload and --faults. A snapshot from a non-hybrid
 //       run never restores into a hybrid one (config fingerprint).
 //
-//   xmpsim replay --restore=FILE [--trace=...] [--invariants] ...
-//       Re-run a snapshot to completion without writing new checkpoints —
-//       for replaying a crash-point capture under extra observability
-//       (--trace, --trace-csv, --metrics, --invariants). The snapshot's
-//       config fingerprint must match the flags given.
-//
 //   xmpsim verify [--faults=PLAN] [--dir=DIR] [--checkpoint-every=SIMTIME]
 //                 ... any scenario flags accepted by `run` ...
 //       Differential validation harness (DESIGN.md §15): runs the same
@@ -88,20 +86,17 @@
 //       Serial engine legs: serial (--shards=0), serial-ckpt (periodic
 //       snapshots) and serial-kill (SIGKILL mid-run + --restore). Sharded
 //       engine legs, when the scenario can run sharded: shards1..shards4
-//       (--shards=1..4), shards-ckpt and shards-kill (at --shards=1). The
-//       checkpoint legs run only where checkpointing is allowed. Within each
-//       engine, summary.json, flows.csv, drops.csv (and fct.csv for a
-//       --workload run) must be byte-identical across all legs, and
+//       (--shards=1..4), shards-ckpt and shards-kill (at --shards=1).
+//       Within each engine, summary.json, flows.csv, drops.csv (and fct.csv
+//       for a --workload run) must be byte-identical across all legs, and
 //       trace.csv/metrics.json/out.txt across legs with the same checkpoint
 //       flags — checkpointing legitimately adds CkptWrite trace events,
 //       harness.ckpt.* meters and a "checkpoints:" line. Nothing is compared
 //       across engines (they differ in equal-timestamp tie order). Exit 0 =
 //       all legs agree, 1 = divergence (the differing file and legs are
-//       named), 2 = bad flags, or a scenario that only the plain serial leg
-//       can run (the one-line reason is printed). The harness owns
-//       --shards, --checkpoint-dir, --restore and every output path;
-//       --checkpoint-every only sets the snapshot cadence of the checkpoint
-//       legs (default 0.005).
+//       named), 2 = bad flags. The harness owns --shards, --checkpoint-dir,
+//       --restore and every output path; --checkpoint-every only sets the
+//       snapshot cadence of the checkpoint legs (default 0.005).
 //
 //   xmpsim fluid  --capacity-gbps=1 --flows=3 [--beta=4] [--rtt-us=300]
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
@@ -354,6 +349,13 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
       ok = false;
     }
     cfg.scheme_b = b;
+    // Coexistence splits the random pattern's senders between the schemes;
+    // no other generator reads scheme_b.
+    if (cfg.pattern != core::Pattern::Random) {
+      std::fprintf(stderr, "xmpsim: --coexist requires --pattern=random (got %s)\n",
+                   core::pattern_name(cfg.pattern));
+      ok = false;
+    }
   }
 
   cfg.fat_tree_k = static_cast<int>(flag_i(args, "k", 8, 2, 64, ok));
@@ -427,10 +429,6 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
     }
     if (!cfg.workload->has_cdf && cfg.offered_load > 0.0) {
       std::fprintf(stderr, "xmpsim: --load has no effect on a trace-only workload\n");
-      ok = false;
-    }
-    if (cfg.scheme_b) {
-      std::fprintf(stderr, "xmpsim: --workload is incompatible with --coexist\n");
       ok = false;
     }
   }
@@ -536,14 +534,12 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   }
   cfg.checkpoint.restore_path = args.get("restore", "");
 
-  // Each engine path and checkpointing cover a precise subset of the
-  // feature set (DESIGN.md §11, §12); everything outside it is an up-front
-  // one-line reject, never an engine assert or a corrupt snapshot.
-  for (const std::string& why : {core::sharded_refusal(cfg), core::checkpoint_refusal(cfg)}) {
-    if (!why.empty()) {
-      std::fprintf(stderr, "xmpsim: %s\n", why.c_str());
-      ok = false;
-    }
+  // The sharded engine covers a precise subset of the feature set
+  // (DESIGN.md §11); everything outside it is an up-front one-line reject,
+  // never an engine assert.
+  if (const std::string why = core::sharded_refusal(cfg); !why.empty()) {
+    std::fprintf(stderr, "xmpsim: %s\n", why.c_str());
+    ok = false;
   }
   return cfg;
 }
@@ -676,20 +672,9 @@ void print_summary(const core::ExperimentConfig& cfg, const core::ExperimentResu
   }
 }
 
-int cmd_run_impl(const Args& args, bool replay_mode) {
+int cmd_run(const Args& args) {
   bool ok = true;
   auto cfg = config_from(args, ok);
-  if (replay_mode) {
-    if (cfg.checkpoint.restore_path.empty()) {
-      std::fprintf(stderr, "xmpsim: replay needs --restore=FILE\n");
-      ok = false;
-    }
-    if (cfg.checkpoint.every > sim::Time::zero()) {
-      std::fprintf(stderr,
-                   "xmpsim: replay never writes checkpoints (drop --checkpoint-every)\n");
-      ok = false;
-    }
-  }
   if (!ok) return 2;
 
   if (!cfg.checkpoint.restore_path.empty()) {
@@ -706,7 +691,7 @@ int cmd_run_impl(const Args& args, bool replay_mode) {
                  cfg.checkpoint.restore_path.c_str(), static_cast<unsigned long long>(h.seq),
                  sim::Time::nanoseconds(h.t_ns).sec());
   }
-  if (!replay_mode && cfg.checkpoint.every > sim::Time::zero()) {
+  if (cfg.checkpoint.every > sim::Time::zero()) {
     struct sigaction sa = {};
     sa.sa_handler = on_sigterm;
     ::sigaction(SIGTERM, &sa, nullptr);
@@ -742,9 +727,6 @@ int cmd_run_impl(const Args& args, bool replay_mode) {
   // fail loudly instead of silently shipping a broken summary.
   return res.invariant_violations.empty() ? 0 : 3;
 }
-
-int cmd_run(const Args& args) { return cmd_run_impl(args, /*replay_mode=*/false); }
-int cmd_replay(const Args& args) { return cmd_run_impl(args, /*replay_mode=*/true); }
 
 // --- verify: differential validation harness (DESIGN.md §15) ---------------
 
@@ -837,7 +819,8 @@ int cmd_verify(const Args& args) {
       ok = false;
     }
   }
-  const double every = flag_d(args, "checkpoint-every", 0.005, 1e-6, 3600, ok);
+  // Validated here; the checkpoint legs pass the value through as given.
+  (void)flag_d(args, "checkpoint-every", 0.005, 1e-6, 3600, ok);
   if (!ok) return 2;
 
   // Scenario flags (verify's own removed), shared by every leg. Legs run
@@ -859,16 +842,13 @@ int cmd_verify(const Args& args) {
   if (!cok) return 2;
   const bool workload = cfg.pattern == core::Pattern::Workload;
   cfg.shards = 1;
-  const std::string no_shards = core::sharded_refusal(cfg);
-  cfg.checkpoint.every = sim::Time::seconds(every);
-  const std::string no_ckpt = core::checkpoint_refusal(cfg);
+  const bool can_shard = core::sharded_refusal(cfg).empty();
 
   // Legs per engine (DESIGN.md §15): plain runs first, then a checkpointed
-  // run and a killed-and-restored one wherever checkpointing is allowed.
+  // run and a killed-and-restored one.
   const std::string ckpt_every = "--checkpoint-every=" + args.get("checkpoint-every", "0.005");
   std::vector<VerifyLeg> legs;
   auto add_ckpt_legs = [&](bool sharded, const std::string& engine_flag) {
-    if (!no_ckpt.empty()) return;
     const std::string prefix = sharded ? "shards" : "serial";
     const std::vector<std::string> flags = {engine_flag, ckpt_every, "--checkpoint-dir=."};
     legs.push_back({prefix + "-ckpt", sharded, true, false, flags});
@@ -876,7 +856,7 @@ int cmd_verify(const Args& args) {
   };
   legs.push_back({"serial", false, false, false, {"--shards=0"}});
   add_ckpt_legs(false, "--shards=0");
-  if (no_shards.empty()) {
+  if (can_shard) {
     // 1-4 workers: on k=4, --shards=3 splits the four logical shards
     // unevenly (2/1/1).
     for (int n = 1; n <= 4; ++n) {
@@ -884,11 +864,6 @@ int cmd_verify(const Args& args) {
                       {"--shards=" + std::to_string(n)}});
     }
     add_ckpt_legs(true, "--shards=1");
-  }
-  if (legs.size() < 2) {
-    std::fprintf(stderr, "xmpsim: verify needs two legs but only the serial one can run: %s; %s\n",
-                 no_shards.c_str(), no_ckpt.c_str());
-    return 2;
   }
 
   std::string root = args.get("dir", "");
@@ -1077,7 +1052,7 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
   if (!args.get("restore", "").empty()) {
     // Per-job restore decisions belong to the campaign orchestrator (it
     // probes each job's checkpoint directory on retry).
-    std::fprintf(stderr, "xmpsim: --restore applies to 'run'/'replay', not 'sweep'\n");
+    std::fprintf(stderr, "xmpsim: --restore applies to 'run', not 'sweep'\n");
     return false;
   }
   if (base_values.empty()) {
@@ -1466,7 +1441,7 @@ int cmd_topo(const Args& args) {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: xmpsim <run|replay|verify|fluid|sweep|topo> [--key=value ...]\n"
+               "usage: xmpsim <run|verify|fluid|sweep|topo> [--key=value ...]\n"
                "see the header of apps/xmpsim.cpp for the full flag list\n");
 }
 
@@ -1480,7 +1455,6 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   Args args{argc, argv};
   if (cmd == "run") return cmd_run(args);
-  if (cmd == "replay") return cmd_replay(args);
   if (cmd == "verify") return cmd_verify(args);
   if (cmd == "fluid") return cmd_fluid(args);
   if (cmd == "sweep") return cmd_sweep(args);

@@ -6,8 +6,9 @@
 #      supports and byte-compares the results within each engine
 #      (DESIGN.md §15); then content asserts on kept legs' summary.json;
 #   2. checks verify cannot do: the routing policy x fault matrix, the
-#      checkpoint count across engines, SIGTERM -> exit 143 + replay, trace
-#      validation, and campaign kill/resume for a seed and an FCT sweep;
+#      checkpoint count across engines, SIGTERM -> exit 143 + restore under
+#      --invariants, trace validation, and campaign kill/resume for a seed
+#      and an FCT sweep;
 #   3. reject rows: a one-line diagnostic and exit 2 for every unsupported
 #      flag combination.
 #
@@ -61,6 +62,10 @@ mixed="$gray;down,link=14,at=0.015,until=0.035;loss,link=3,at=0,p=0.01,corrupt=0
 hybrid="--hybrid --scheme=xmp --subflows=2 --k=4 --hybrid-bg=500:2000000 --hybrid-fg=2 --hybrid-promote-bytes=256000 --duration=0.2 --seed=11"
 band='0 < hybrid["fluid_throughput_mbps"] <= 160000; 0 <= hybrid["mean_mark_p"] <= 1; hybrid["ticks"] == 1000; hybrid["active_fluid"] + hybrid["promotions"] + hybrid["fluid_completions"] == hybrid["bg_flows"]; hybrid["promotions"] > 0'
 imp='impairments["duplicated"] > 0; impairments["delayed"] > 0; impairments["overmarked"] > 0'
+inv='summary["invariant_checks"] > 0; summary["invariant_violations"] == 0'
+# Three links down at 50 ms with no reroute for 60 s: four subflows re-home
+# at ~0.65 s, after the kill legs' first snapshot.
+rehome="--pattern=permutation --scheme=xmp --subflows=2 --k=4 --rounds=4 --duration=1.0 --seed=7 --faults=down,link=40,at=0.05;down,link=44,at=0.05;down,link=8,at=0.05 --reroute-delay=60 --dead-after=2 --rehome=4 --checkpoint-every=0.05"
 
 echo "== 1. verify rows =="
 # name     | legs the asserts read | asserts                 | scenario
@@ -68,10 +73,13 @@ verify_rows=(
   "one       | shards1        | 'sharding' in s       | $perm --rounds=1 --duration=0.05"
   "flip      | shards1        | 'sharding' in s       | $perm --rounds=2 --duration=0.3"
   "gray      | serial shards1 | $imp                  | $perm --rounds=1 --duration=0.05 --faults=$gray"
-  "mixed     |                |                       | $perm --rounds=1 --duration=0.05 --routing=ecmp --faults=$mixed"
+  "mixed     | serial shards1 | $inv                  | $perm --rounds=1 --duration=0.05 --routing=ecmp --faults=$mixed --invariants"
+  "flowlet   | serial shards1 | routing['flowlet_repaths'] > 0 | $perm --rounds=1 --duration=0.05 --routing=flowlet"
   "hybrid    | serial         | $band                 | $hybrid"
   "websearch | serial         | fct['completed'] > 0  | --workload=configs/workloads/websearch.wl --load=0.3 --k=4 --duration=0.05 --seed=11"
   "random    |                |                       | --pattern=random --scheme=xmp --k=4 --duration=0.05 --seed=11"
+  "coexist   | serial         | summary['avg_goodput_b_mbps'] > 0 | --pattern=random --scheme=xmp --subflows=2 --coexist=dctcp --k=4 --duration=0.05 --seed=11"
+  "rehome    | serial         | routing['path_rehomes'] > 0 | $rehome"
   "incast    |                |                       | --pattern=incast --scheme=xmp --k=4 --duration=0.05 --seed=11"
 )
 for row in "${verify_rows[@]}"; do
@@ -121,7 +129,7 @@ bad="$tmp/bad.bin"
 cp "$snap" "$bad"
 printf '\x5a' | dd of="$bad" bs=1 seek=80 conv=notrunc status=none
 
-echo "-- SIGTERM writes a final snapshot, exits 143, and replays"
+echo "-- SIGTERM writes a final snapshot, exits 143, and restores under --invariants"
 term="$tmp/term"; mkdir -p "$term"
 term_run=(--pattern=permutation --scheme=xmp --subflows=2 --k=4 --rounds=2 --duration=0.4 --seed=11)
 "$bin" run "${term_run[@]}" --checkpoint-every=0.005 "--checkpoint-dir=$term" \
@@ -138,8 +146,8 @@ if [ "$rc" -eq 143 ]; then
   grep -q "interrupted at" "$term/err.txt" || fail "exit 143 without the 'interrupted at' notice"
   ck="$(newest_ckpt "$term")"
   [ -n "$ck" ] || fail "exit 143 but no checkpoint on disk"
-  "$bin" replay "--restore=$ck" "${term_run[@]}" --invariants > "$term/replay.txt"
-  grep -q "invariant" "$term/replay.txt" || fail "replay --invariants printed no invariant summary"
+  "$bin" run "--restore=$ck" "${term_run[@]}" --invariants > "$term/restore.txt"
+  grep -q "invariant" "$term/restore.txt" || fail "restore --invariants printed no invariant summary"
 else
   # The run can win the race and finish first: an empty sample, not a failure.
   [ "$rc" -eq 0 ] || fail "SIGTERM run exited $rc (want 143 or 0)"
@@ -229,13 +237,10 @@ assert sum(r["completed"] for r in table) > 0, "campaign completed zero flows"
 EOF
 
 echo "== 3. reject rows =="
-only_serial="verify needs two legs but only the serial one can run:"
 # diagnostic (grep -E)                                   | argv
 reject_rows=(
   "--shards requires --pattern=permutation                 | run --pattern=random --scheme=xmp --k=4 --duration=0.01 --shards=2"
-  "--shards is incompatible with --coexist                 | run $perm --coexist=dctcp --duration=0.01 --shards=2"
-  "--shards is incompatible with --routing=flowlet         | run $perm --routing=flowlet --duration=0.01 --shards=2"
-  "--shards is incompatible with --invariants              | run $perm --invariants --duration=0.01 --shards=2"
+  "--coexist requires --pattern=random                     | run $perm --coexist=dctcp --duration=0.01"
   "--shards is incompatible with --rehome                  | run $perm --rehome=1 --duration=0.01 --shards=2"
   "flags need --hybrid                                     | run --hybrid-bg=10 --duration=0.01"
   "--hybrid requires --scheme=xmp                          | run --hybrid --scheme=tcp --duration=0.01"
@@ -248,10 +253,6 @@ reject_rows=(
   "restore failed: .*config fingerprint mismatch           | run $hybrid --checkpoint-dir=$tmp --restore=$snap"
   "verify drives --shards itself                           | verify $perm --duration=0.05 --shards=4"
   "verify drives --json itself                             | verify $perm --duration=0.05 --json=out.json"
-  "$only_serial .*--coexist                                | verify $perm --coexist=dctcp --duration=0.01"
-  "$only_serial .*--routing=flowlet                        | verify $perm --routing=flowlet --duration=0.01"
-  "$only_serial .*--invariants                             | verify $perm --invariants --duration=0.01"
-  "$only_serial .*--rehome                                 | verify $perm --rehome=1 --duration=0.01"
 )
 for row in "${reject_rows[@]}"; do
   IFS='|' read -r want argv <<< "$row"

@@ -33,7 +33,7 @@ struct ExperimentConfig;
 
 namespace xmp::core::ckpt {
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Bytes before the payload: magic + version + fingerprint + t_ns + seq +
 /// prev_written + prev_bytes + payload size + crc32. A checkpoint file is
@@ -194,7 +194,7 @@ bool probe_file(const std::string& path, std::uint64_t expect_fingerprint, Heade
 /// topology, scheme, routing, faults, seeds, and whether the sharded engine
 /// runs (its equal-timestamp tie order differs from serial). Observability
 /// outputs, invariant checking and the checkpoint settings themselves are
-/// deliberately excluded so `xmpsim replay --restore` can add --trace /
+/// deliberately excluded so `xmpsim run --restore` can add --trace /
 /// --invariants to a checkpoint taken without them.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExperimentConfig& cfg);
 

@@ -25,21 +25,6 @@ const char* pattern_name(Pattern p) {
   return "?";
 }
 
-std::string checkpoint_refusal(const ExperimentConfig& cfg) {
-  const bool writes = cfg.checkpoint.every > sim::Time::zero();
-  if (!writes && cfg.checkpoint.restore_path.empty()) return {};
-  if (cfg.scheme_b) return "checkpointing is incompatible with --coexist";
-  if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-    return "checkpointing is incompatible with --routing=flowlet";
-  }
-  if (cfg.scheme.max_rehomes > 0) return "checkpointing is incompatible with --rehome";
-  if (cfg.check_invariants && writes) {
-    return "--invariants is incompatible with --checkpoint-every "
-           "(use 'xmpsim replay --restore=FILE --invariants' instead)";
-  }
-  return {};
-}
-
 const char* ExperimentResults::FctStats::bin_name(int b) {
   switch (b) {
     case 0: return "0-10K";

@@ -51,7 +51,7 @@ struct ObsConfig {
 
 /// In-run checkpoint/restore settings (DESIGN.md §12). Deliberately excluded
 /// from the config fingerprint: the same logical run may be checkpointed at
-/// different cadences, restored, or replayed with extra observability.
+/// different cadences, or restored with extra observability.
 struct CheckpointConfig {
   /// Snapshot cadence in sim time; zero disables periodic checkpoints.
   sim::Time every = sim::Time::zero();
@@ -147,9 +147,8 @@ struct ExperimentConfig {
   /// value >= 1 selects the sharded engine: the fabric is partitioned into
   /// one *logical* shard per pod (fixed by the topology, never by this
   /// knob), so results are bit-identical across every `shards` value.
-  /// Sharded runs support the Permutation pattern only, and neither
-  /// flowlet routing, invariant checking, subflow re-homing nor a
-  /// coexistence scheme_b (the serial engine covers those).
+  /// Sharded runs support the Permutation pattern only, without the hybrid
+  /// engine or subflow re-homing (the serial engine covers those).
   int shards = 0;
 
   /// Hybrid fluid/packet engine (inactive by default).
@@ -347,17 +346,10 @@ struct ExperimentResults {
 [[nodiscard]] int sharded_pool_width(const ExperimentConfig& cfg);
 
 /// Why `cfg` cannot run as configured on the sharded engine, as a one-line
-/// diagnostic ("--shards is incompatible with --coexist"), or "" when it
+/// diagnostic ("--shards is incompatible with --rehome"), or "" when it
 /// can. Always "" for cfg.shards == 0. The sharded engine runs Permutation
-/// patterns only, without hybrid, scheme_b, flowlet routing, invariant
-/// checking or subflow re-homing.
+/// patterns only, without hybrid or subflow re-homing. Checkpointing has no
+/// such predicate: every feature saves and restores its state.
 [[nodiscard]] std::string sharded_refusal(const ExperimentConfig& cfg);
-
-/// Why `cfg`'s checkpoint settings cannot run, as a one-line diagnostic, or
-/// "" when they can. Always "" for a config that neither writes
-/// (checkpoint.every) nor restores snapshots. Checkpoint hooks cover
-/// neither scheme_b, flowlet routing nor subflow re-homing, and invariant
-/// checking only on replay (restore without writing).
-[[nodiscard]] std::string checkpoint_refusal(const ExperimentConfig& cfg);
 
 }  // namespace xmp::core

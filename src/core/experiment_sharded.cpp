@@ -32,7 +32,8 @@
 // invalidated. At the barrier each worker drains the packets parked for its
 // own shards in a fixed (src, FIFO) order per destination and advances
 // their clocks to the boundary; then the control strand (RTT probe, fault
-// plan, route manager) runs with the whole fabric quiesced.
+// plan, route manager, invariant checker) runs with the whole fabric
+// quiesced.
 //
 // Global transitions — a Permutation round flip fans flow construction out
 // to every shard — must not run mid-epoch on a worker thread. The workload
@@ -276,12 +277,7 @@ std::string sharded_refusal(const ExperimentConfig& cfg) {
     return std::string{"--shards requires --pattern=permutation (got "} + pattern_name(cfg.pattern) +
            ")";
   }
-  if (cfg.scheme_b) return "--shards is incompatible with --coexist";
-  // Flowlet repathing reads the control clock per packet.
-  if (cfg.routing.kind == route::PolicyKind::Flowlet) {
-    return "--shards is incompatible with --routing=flowlet";
-  }
-  if (cfg.check_invariants) return "--shards is incompatible with --invariants";
+  // A re-home writes the peer shard's receiver tag mid-epoch.
   if (cfg.scheme.max_rehomes > 0) return "--shards is incompatible with --rehome";
   return {};
 }

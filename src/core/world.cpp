@@ -374,14 +374,16 @@ void World::start() {
   util.open(all_links);
 }
 
-std::function<void()> World::bind(const workload::CallbackTag& tag) {
+std::function<void()> World::bind(const workload::CallbackTag& tag,
+                                  workload::RandomTraffic* random) {
   using Tag = workload::CallbackTag;
   switch (tag.kind) {
     case Tag::kPermutation:
       return [g = perm.get()] { g->restored_flow_done(); };
     case Tag::kRandom:
-      return [g = incast_bg ? incast_bg.get() : rand_a.get(), src = static_cast<int>(tag.a),
-              dst = static_cast<int>(tag.b)] { g->restored_flow_done(src, dst); };
+      return [g = random, src = static_cast<int>(tag.a), dst = static_cast<int>(tag.b)] {
+        g->restored_flow_done(src, dst);
+      };
     case Tag::kIncastRequest:
       return [g = incast.get(), job = static_cast<std::size_t>(tag.a),
               server = static_cast<int>(tag.b), client = static_cast<int>(tag.c)] {
@@ -401,7 +403,7 @@ std::function<void()> World::bind(const workload::CallbackTag& tag) {
 }
 
 // Sections in order: SCHD, SHRD (0 shards when serial), LNKS, SWCH, HOST,
-// RTEM, FLTC, FLWA, WKLD, HYBR, PROB, SHST (zeros when serial), OBSV.
+// RTEM, FLTC, FLWA, WKLD, HYBR, PROB, INVC, SHST (zeros when serial), OBSV.
 void World::save(ckpt::Saver& s) const {
   const int n_shards = fabric != nullptr ? fabric->n_shards() : 0;
   s.tag("SCHD");
@@ -420,11 +422,15 @@ void World::save(ckpt::Saver& s) const {
   s.tag("FLTC");
   s.b(fault_ctl != nullptr);
   if (fault_ctl) fault_ctl->save_state(s);
+  // The fingerprint covers scheme_b, so flows_b and rand_b exist on both
+  // sides or on neither.
   s.tag("FLWA");
   flows_a.save_state(s);
+  if (flows_b) flows_b->save_state(s);
   s.tag("WKLD");
   if (perm) perm->save_state(s);
   if (rand_a) rand_a->save_state(s);
+  if (rand_b) rand_b->save_state(s);
   if (incast) incast->save_state(s);
   if (incast_bg) incast_bg->save_state(s);
   if (emp) emp->save_state(s);
@@ -437,6 +443,11 @@ void World::save(ckpt::Saver& s) const {
   // The RTT gauge accumulates into the results object, not the probe, so
   // its pre-checkpoint samples must ride along explicitly.
   for (const auto& d : res.rtt_by_category) d.save_state(s);
+  // The fingerprint leaves out --invariants: a presence flag lets a
+  // snapshot taken without the checker be restored with it and vice versa.
+  s.tag("INVC");
+  s.b(inv != nullptr);
+  if (inv) inv->save_state(s);
   // `replays` is process-local by design and deliberately not saved.
   s.tag("SHST");
   s.u64(res.shard.epochs);
@@ -485,12 +496,18 @@ bool World::restore(ckpt::Loader& l, sim::Time at) {
   l.tag("FLTC");
   if (l.b() && fault_ctl) fault_ctl->restore_state(l);
   l.tag("FLWA");
-  flows_a.restore_state(
-      l, [this](int h) -> net::Host& { return tree.host(h); },
-      [this](const workload::CallbackTag& tag) { return bind(tag); });
+  const auto host = [this](int h) -> net::Host& { return tree.host(h); };
+  flows_a.restore_state(l, host, [this](const workload::CallbackTag& tag) {
+    return bind(tag, incast_bg ? incast_bg.get() : rand_a.get());
+  });
+  if (flows_b) {
+    flows_b->restore_state(
+        l, host, [this](const workload::CallbackTag& tag) { return bind(tag, rand_b.get()); });
+  }
   l.tag("WKLD");
   if (perm) perm->restore_state(l);
   if (rand_a) rand_a->restore_state(l);
+  if (rand_b) rand_b->restore_state(l);
   if (incast) incast->restore_state(l);
   if (incast_bg) incast_bg->restore_state(l);
   if (emp) emp->restore_state(l);
@@ -503,6 +520,15 @@ bool World::restore(ckpt::Loader& l, sim::Time at) {
   rtt_tick.restore_state(l);
   util.restore_state(l, all_links);
   for (auto& d : res.rtt_by_category) d.restore_state(l);
+  l.tag("INVC");
+  if (l.b()) {
+    if (inv) {
+      inv->restore_state(l);
+    } else {
+      faults::InvariantChecker discard{sched};  // consume the section; arms nothing
+      discard.restore_state(l);
+    }
+  }
   l.tag("SHST");
   res.shard.epochs = l.u64();
   res.shard.barriers = l.u64();
@@ -578,7 +604,9 @@ void World::apply_restore(const ckpt::Header& h, const std::string& payload) {
   if (tracer) {
     tracer->ckpt_write(sim::Time::nanoseconds(h.t_ns), h.seq, ckpt::kHeaderBytes + payload.size());
   }
-  if (inv) inv->start();  // replay-only: a fresh checker over the resumed run
+  // Arms the restored tick, or a fresh checker's first one when the
+  // snapshot was taken without --invariants.
+  if (inv) inv->start();
 }
 
 sim::Time World::next_checkpoint(sim::Time now) const {

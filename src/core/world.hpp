@@ -135,8 +135,10 @@ class World {
   void build_workload();
   void build_hybrid();
   double sample_rtts();
-  /// A saved flow-completion callback, resolved against this world.
-  [[nodiscard]] std::function<void()> bind(const workload::CallbackTag& tag);
+  /// A saved flow-completion callback, resolved against this world; a
+  /// kRandom tag binds to `random`, the generator of the tag's manager.
+  [[nodiscard]] std::function<void()> bind(const workload::CallbackTag& tag,
+                                           workload::RandomTraffic* random);
   void publish_ckpt_totals();
 
   std::uint64_t fingerprint_ = 0;

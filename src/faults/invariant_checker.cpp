@@ -1,5 +1,7 @@
 #include "faults/invariant_checker.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -33,7 +35,12 @@ void InvariantChecker::add_connection_enumerator(
 }
 
 void InvariantChecker::start() {
-  if (timer_ == sim::kInvalidEventId) {
+  if (timer_ != sim::kInvalidEventId) return;
+  if (restored_tick_) {
+    timer_ = sched_.arm_at(sim::Time::nanoseconds(restored_tick_->t_ns), restored_tick_->seq,
+                           [this] { tick(); });
+    restored_tick_.reset();
+  } else {
     timer_ = sched_.schedule_in(cfg_.interval, [this] { tick(); });
   }
 }
@@ -121,7 +128,7 @@ void InvariantChecker::check_sender(const transport::TcpSender& s) {
 
 void InvariantChecker::check_receiver(const transport::TcpReceiver& r) {
   ++checks_run_;
-  std::int64_t& last = last_progress_[&r];
+  std::int64_t& last = last_progress_[(std::uint64_t{r.flow()} << 32) | r.subflow()];
   if (r.rcv_nxt() < last) {
     fail("receiver: rcv_nxt moved backwards (duplicate in-order delivery)");
   }
@@ -135,7 +142,7 @@ void InvariantChecker::check_connection(const mptcp::MptcpConnection& c) {
   }
   ++checks_run_;
   const std::int64_t delivered = c.delivered_bytes();
-  std::int64_t& last = last_progress_[&c];
+  std::int64_t& last = last_progress_[(std::uint64_t{c.id()} << 32) | kConnectionMark];
   if (delivered < last || delivered > c.size_bytes()) {
     char buf[128];
     std::snprintf(buf, sizeof buf,
@@ -164,6 +171,65 @@ std::string InvariantChecker::report() const {
     out += '\n';
   }
   return out;
+}
+
+void InvariantChecker::save_state(core::ckpt::Saver& s) const {
+  const bool armed = timer_ != sim::kInvalidEventId;
+  s.b(armed);
+  if (armed) {
+    sim::Scheduler::PendingKey k;
+    [[maybe_unused]] const bool live = sched_.key_of(timer_, k);
+    assert(live && "invariant checker timer id stale");
+    s.i64(k.t_ns);
+    s.u64(k.seq);
+  }
+  s.u64(checks_run_);
+  s.u64(violations_.size());
+  for (const Violation& v : violations_) {
+    s.time(v.at);
+    s.str(v.what);
+  }
+  // The map is unordered; serialize in key order for stable bytes.
+  std::vector<std::uint64_t> keys;
+  keys.reserve(last_progress_.size());
+  for (const auto& [k, mark] : last_progress_) keys.push_back(k);
+  std::sort(keys.begin(), keys.end());
+  s.u64(keys.size());
+  for (const std::uint64_t k : keys) {
+    s.u64(k);
+    s.i64(last_progress_.at(k));
+  }
+}
+
+void InvariantChecker::restore_state(core::ckpt::Loader& l) {
+  restored_tick_.reset();
+  if (l.b()) {
+    sim::Scheduler::PendingKey k;
+    k.t_ns = l.i64();
+    k.seq = l.u64();
+    // A key the restored clock already passed, or never handed out, would
+    // arm an event behind the clock.
+    if (k.seq >= sched_.next_seq() || sched_.passed(sim::Time::nanoseconds(k.t_ns), k.seq)) {
+      l.fail();
+    } else {
+      restored_tick_ = k;
+    }
+  }
+  checks_run_ = l.u64();
+  violations_.clear();
+  const std::uint64_t nv = l.u64();
+  for (std::uint64_t i = 0; i < nv && l.ok(); ++i) {
+    Violation v;
+    v.at = l.time();
+    v.what = l.str();
+    violations_.push_back(std::move(v));
+  }
+  last_progress_.clear();
+  const std::uint64_t nm = l.u64();
+  for (std::uint64_t i = 0; i < nm && l.ok(); ++i) {
+    const std::uint64_t k = l.u64();
+    last_progress_[k] = l.i64();
+  }
 }
 
 }  // namespace xmp::faults

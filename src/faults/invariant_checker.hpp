@@ -2,10 +2,12 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "mptcp/connection.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -73,7 +75,8 @@ class InvariantChecker {
   using ConnectionVisitor = std::function<void(const mptcp::MptcpConnection&)>;
   void add_connection_enumerator(std::function<void(const ConnectionVisitor&)> enumerate);
 
-  /// Begin periodic sweeps (idempotent).
+  /// Begin periodic sweeps (idempotent). After restore_state() the first
+  /// tick is the saved one, under its saved key.
   void start();
   void stop();
 
@@ -87,6 +90,12 @@ class InvariantChecker {
 
   /// One line per violation, for test failure messages.
   [[nodiscard]] std::string report() const;
+
+  /// Checkpoint the armed tick's key, the counters, the violations and the
+  /// progress marks (in key order). restore_state() leaves the tick to
+  /// start(), so a state that is only consumed arms nothing.
+  void save_state(core::ckpt::Saver& s) const;
+  void restore_state(core::ckpt::Loader& l);
 
  private:
   void tick();
@@ -105,10 +114,15 @@ class InvariantChecker {
   std::vector<std::function<void(const SenderVisitor&)>> enumerators_;
   std::vector<std::function<void(const ConnectionVisitor&)>> conn_enumerators_;
 
-  /// Last observed progress marks, for monotonicity checks.
-  std::unordered_map<const void*, std::int64_t> last_progress_;
+  /// Last observed progress marks, for monotonicity checks, keyed by
+  /// (flow id << 32) | subflow for receivers and | kConnectionMark for
+  /// connections: ids, unlike addresses, survive a checkpoint.
+  static constexpr std::uint64_t kConnectionMark = 0xffff'ffffULL;
+  std::unordered_map<std::uint64_t, std::int64_t> last_progress_;
 
   sim::EventId timer_ = sim::kInvalidEventId;
+  /// The restored tick's key, armed by the next start().
+  std::optional<sim::Scheduler::PendingKey> restored_tick_;
   std::vector<Violation> violations_;
   std::uint64_t checks_run_ = 0;
 };

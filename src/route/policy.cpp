@@ -163,7 +163,10 @@ std::size_t SwitchTable::pick_flowlet(const net::Packet& p) {
   const std::uint64_t key = (static_cast<std::uint64_t>(p.flow) << 17) |
                             (static_cast<std::uint64_t>(p.subflow) << 1) |
                             static_cast<std::uint64_t>(p.type == net::PacketType::Ack);
-  const std::int64_t now_ns = sched_.now().ns();
+  // The clock of the shard dispatching the packet; the table's own
+  // scheduler is the control strand, which lags inside a sharded epoch.
+  const sim::Scheduler* cs = sim::current_scheduler();
+  const std::int64_t now_ns = (cs != nullptr ? *cs : sched_).now().ns();
   const auto [it, inserted] = flowlets_.try_emplace(key);
   FlowletEntry& e = it->second;
   const bool expired = inserted || now_ns - e.last_ns > cfg_.flowlet_gap.ns();

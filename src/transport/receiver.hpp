@@ -37,6 +37,8 @@ class TcpReceiver final : public net::Host::Endpoint {
   /// must follow the data onto the surviving path).
   void set_path_tag(std::uint16_t tag) { path_tag_ = tag; }
   [[nodiscard]] std::uint16_t path_tag() const { return path_tag_; }
+  [[nodiscard]] net::FlowId flow() const { return flow_; }
+  [[nodiscard]] std::uint16_t subflow() const { return subflow_; }
 
   /// Next expected in-order segment.
   [[nodiscard]] std::int64_t rcv_nxt() const { return rcv_nxt_; }

@@ -15,10 +15,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
+#include "faults/invariant_checker.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
@@ -70,38 +72,131 @@ void expect_same_results(const ExperimentResults& a, const ExperimentResults& b)
   EXPECT_EQ(a.drops.offered, b.drops.offered);
   EXPECT_EQ(a.drops.delivered, b.drops.delivered);
   EXPECT_EQ(a.switch_forwarded, b.switch_forwarded);
+  EXPECT_EQ(a.goodput_b.count(), b.goodput_b.count());
+  EXPECT_EQ(a.goodput_b.mean(), b.goodput_b.mean());
+  EXPECT_EQ(a.flowlet_repaths, b.flowlet_repaths);
+  EXPECT_EQ(a.path_rehomes, b.path_rehomes);
+  EXPECT_EQ(a.invariant_checks, b.invariant_checks);
+  EXPECT_EQ(a.invariant_violations, b.invariant_violations);
+}
+
+faults::FaultPlan plan(const std::string& text) {
+  faults::FaultPlan p;
+  std::string err;
+  EXPECT_TRUE(faults::FaultPlan::parse(text, p, &err)) << err;
+  return p;
+}
+
+// Every feature checkpoints. The plain case restores from the first
+// snapshot; each feature case from one taken after its feature acted (the
+// run cut at the snapshot's time shows it), so the resumed run depends on
+// the feature's restored state, not on a rerun of it from scratch.
+struct ResumeCase {
+  const char* name;
+  ExperimentConfig cfg;
+  std::uint64_t restore_seq;
+  /// Whether the feature acted by `t`, judged on the run cut at `t`; null
+  /// for the plain case.
+  std::function<bool(const ExperimentResults& cut, sim::Time t)> acted;
+};
+
+std::vector<ResumeCase> serial_resume_cases() {
+  std::vector<ResumeCase> cases;
+  auto plain = small_cfg();
+  plain.checkpoint.every = sim::Time::seconds(0.002);
+  cases.push_back({"plain", plain, 1, nullptr});
+  {
+    auto cfg = plain;
+    cfg.routing.kind = route::PolicyKind::Flowlet;
+    cases.push_back({"flowlet", cfg, 2, [](const ExperimentResults& cut, sim::Time) {
+                       return cut.flowlet_repaths > 0;
+                     }});
+  }
+  {
+    // Three links down at 50 ms and no reroute for 60 s: the subflows
+    // pinned to them die after two timeouts and move onto fresh paths.
+    auto cfg = small_cfg();
+    cfg.permutation_rounds = 4;
+    cfg.perm_min_bytes = 2'000'000;
+    cfg.perm_max_bytes = 16'000'000;
+    cfg.duration = sim::Time::seconds(1.0);
+    cfg.seed = 7;
+    cfg.fault_plan = plan("down,link=40,at=0.05;down,link=44,at=0.05;down,link=8,at=0.05");
+    cfg.routing.reroute_delay = sim::Time::seconds(60);
+    cfg.scheme.dead_after_rtos = 2;
+    cfg.scheme.max_rehomes = 4;
+    cfg.checkpoint.every = sim::Time::seconds(0.05);
+    cases.push_back({"rehome", cfg, 14, [](const ExperimentResults& cut, sim::Time) {
+                       return cut.path_rehomes > 0;
+                     }});
+  }
+  {
+    auto cfg = small_cfg();
+    cfg.pattern = Pattern::Random;
+    cfg.scheme_b = workload::SchemeSpec{};
+    cfg.scheme_b->kind = workload::SchemeSpec::Kind::Dctcp;
+    cfg.rand_min_bytes = 250'000;
+    cfg.rand_max_bytes = 1'000'000;
+    cfg.checkpoint.every = sim::Time::seconds(0.005);
+    cases.push_back({"coexist", cfg, 8, [](const ExperimentResults& cut, sim::Time) {
+                       for (std::size_t i = 0; i < cut.flows.size(); ++i) {
+                         if (cut.flow_scheme[i] == 1 && cut.flows[i].completed) return true;
+                       }
+                       return false;
+                     }});
+  }
+  {
+    auto cfg = plain;
+    cfg.check_invariants = true;
+    cfg.fault_plan = plan("down,link=40,at=0.002,until=0.02;loss,link=3,at=0,p=0.01");
+    cases.push_back({"invariants", cfg, 3, [](const ExperimentResults&, sim::Time t) {
+                       return t > faults::InvariantChecker::Config{}.interval;
+                     }});
+  }
+  return cases;
 }
 
 TEST(Checkpoint, SerialResumeMatchesUninterrupted) {
-  const std::string dir_a = fresh_dir("serial_a");
-  const std::string dir_b = fresh_dir("serial_b");
+  for (const ResumeCase& rc : serial_resume_cases()) {
+    SCOPED_TRACE(rc.name);
+    const std::string dir_a = fresh_dir(std::string{"serial_a_"} + rc.name);
+    const std::string dir_b = fresh_dir(std::string{"serial_b_"} + rc.name);
 
-  auto cfg = small_cfg();
-  cfg.checkpoint.every = sim::Time::seconds(0.002);
-  cfg.checkpoint.dir = dir_a;
-  const auto full = run_experiment(cfg);
-  ASSERT_GE(full.ckpt.written, 2u);
-  ASSERT_FALSE(full.ckpt.last_path.empty());
+    auto cfg = rc.cfg;
+    cfg.checkpoint.dir = dir_a;
+    const auto full = run_experiment(cfg);
+    ASSERT_GT(full.ckpt.written, rc.restore_seq);
+    const std::string snap = dir_a + "/" + ckpt::file_name(rc.restore_seq);
+    if (rc.acted) {
+      ckpt::Header h;
+      std::string err;
+      ASSERT_TRUE(ckpt::probe_file(snap, ckpt::config_fingerprint(cfg), h, &err)) << err;
+      auto cut = rc.cfg;
+      cut.checkpoint = CheckpointConfig{};
+      cut.duration = sim::Time::nanoseconds(h.t_ns);
+      ASSERT_TRUE(rc.acted(run_experiment(cut), cut.duration))
+          << "snapshot " << rc.restore_seq << " predates the feature";
+    }
 
-  // Resume from the FIRST snapshot into a second directory; the resumed run
-  // must re-write every later checkpoint with identical bytes and finish
-  // with identical results and lineage totals.
-  auto cfg2 = small_cfg();
-  cfg2.checkpoint.every = cfg.checkpoint.every;
-  cfg2.checkpoint.dir = dir_b;
-  cfg2.checkpoint.restore_path = dir_a + "/" + ckpt::file_name(1);
-  const auto resumed = run_experiment(cfg2);
+    // Resume into a second directory; the resumed run must re-write every
+    // later checkpoint with identical bytes and finish with identical
+    // results and lineage totals.
+    auto cfg2 = rc.cfg;
+    cfg2.checkpoint.dir = dir_b;
+    cfg2.checkpoint.restore_path = snap;
+    const auto resumed = run_experiment(cfg2);
 
-  EXPECT_TRUE(resumed.ckpt.restored);
-  EXPECT_EQ(resumed.ckpt.restored_seq, 1u);
-  expect_same_results(full, resumed);
-  EXPECT_EQ(full.ckpt.written, resumed.ckpt.written);
-  EXPECT_EQ(full.ckpt.bytes, resumed.ckpt.bytes);
-  for (std::uint64_t s = 2; s <= full.ckpt.written; ++s) {
-    const std::string a = slurp(dir_a + "/" + ckpt::file_name(s));
-    const std::string b = slurp(dir_b + "/" + ckpt::file_name(s));
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "checkpoint " << s << " diverged after restore";
+    EXPECT_TRUE(resumed.ckpt.restored);
+    EXPECT_EQ(resumed.ckpt.restored_seq, rc.restore_seq);
+    expect_same_results(full, resumed);
+    EXPECT_EQ(full.ckpt.written, resumed.ckpt.written);
+    EXPECT_EQ(full.ckpt.bytes, resumed.ckpt.bytes);
+    for (std::uint64_t s = rc.restore_seq + 1; s <= full.ckpt.written; ++s) {
+      const std::string a = slurp(dir_a + "/" + ckpt::file_name(s));
+      const std::string b = slurp(dir_b + "/" + ckpt::file_name(s));
+      ASSERT_FALSE(a.empty());
+      EXPECT_EQ(a, b) << "checkpoint " << s << " diverged after restore";
+    }
   }
 }
 
@@ -132,6 +227,79 @@ TEST(Checkpoint, ShardedResumeMatchesUninterrupted) {
     const std::string b = slurp(dir_b + "/" + ckpt::file_name(s));
     ASSERT_FALSE(a.empty());
     EXPECT_EQ(a, b) << "sharded checkpoint " << s << " diverged after restore";
+  }
+}
+
+// --invariants is outside the config fingerprint. A snapshot with checker
+// state restores without the flag (the state is consumed and dropped); one
+// without it restores with the flag (a fresh checker starts there).
+TEST(Checkpoint, InvariantStateIsOptionalOnRestore) {
+  auto with = small_cfg();
+  with.check_invariants = true;
+  with.checkpoint.every = sim::Time::seconds(0.002);
+  with.checkpoint.dir = fresh_dir("inv_with");
+  const auto full_with = run_experiment(with);
+  auto without = small_cfg();
+  without.checkpoint.every = with.checkpoint.every;
+  without.checkpoint.dir = fresh_dir("inv_without");
+  const auto full_without = run_experiment(without);
+  ASSERT_GE(full_with.ckpt.written, 3u);
+  ASSERT_GT(full_with.invariant_checks, 0u);
+
+  auto dropped = small_cfg();
+  dropped.checkpoint.restore_path = with.checkpoint.dir + "/" + ckpt::file_name(3);
+  const auto r_dropped = run_experiment(dropped);
+  EXPECT_TRUE(r_dropped.ckpt.restored);
+  EXPECT_EQ(r_dropped.invariant_checks, 0u);
+  EXPECT_EQ(r_dropped.goodput.mean(), full_with.goodput.mean());
+
+  auto fresh = small_cfg();
+  fresh.check_invariants = true;
+  fresh.checkpoint.restore_path = without.checkpoint.dir + "/" + ckpt::file_name(3);
+  const auto r_fresh = run_experiment(fresh);
+  EXPECT_TRUE(r_fresh.ckpt.restored);
+  EXPECT_GT(r_fresh.invariant_checks, 0u);
+  EXPECT_LT(r_fresh.invariant_checks, full_with.invariant_checks);
+  EXPECT_TRUE(r_fresh.invariant_violations.empty());
+  EXPECT_EQ(r_fresh.goodput.mean(), full_without.goodput.mean());
+}
+
+// The checker's saved tick key is validated like a link's: a key behind the
+// restored clock, or one never handed out, is a malformed payload.
+TEST(Checkpoint, RejectsCheckerTickBehindTheClock) {
+  auto cfg = small_cfg();
+  cfg.check_invariants = true;
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = fresh_dir("inv_key");
+  ASSERT_GE(run_experiment(cfg).ckpt.written, 2u);
+  ckpt::Header h;
+  std::string payload;
+  std::string err;
+  ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(2),
+                              ckpt::config_fingerprint(cfg), h, payload, &err))
+      << err;
+  // INVC: tag, presence flag, armed flag, then the key (t_ns, seq).
+  const std::size_t invc = payload.rfind("INVC");
+  ASSERT_NE(invc, std::string::npos);
+  ASSERT_EQ(payload[invc + 4], 1);
+  ASSERT_EQ(payload[invc + 5], 1);
+  const std::size_t t_at = invc + 6;
+  for (const int field : {0, 1}) {
+    std::string bad = payload;
+    if (field == 0) {
+      const std::int64_t zero = 0;  // before the snapshot's 4 ms
+      std::memcpy(&bad[t_at], &zero, 8);
+    } else {
+      const std::uint64_t never = ~std::uint64_t{0};
+      std::memcpy(&bad[t_at + 8], &never, 8);
+    }
+    const std::string path = cfg.checkpoint.dir + "/mutated.bin";
+    ASSERT_TRUE(ckpt::write_file(path, h, bad));
+    auto restore = cfg;
+    restore.checkpoint = CheckpointConfig{};
+    restore.checkpoint.restore_path = path;
+    EXPECT_EXIT((void)run_experiment(restore), ::testing::ExitedWithCode(2),
+                "restore failed: .*malformed payload");
   }
 }
 
@@ -205,7 +373,7 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
   EXPECT_FALSE(ckpt::probe_file(newest, fp, h, &err));
   EXPECT_NE(err.find("version"), std::string::npos) << err;
 
-  // The previous format (v2 kept separate serial and sharded layouts):
+  // The previous format (v3 lacked the coexistence and checker state):
   // rejected the same way.
   {
     std::string bad = pristine;

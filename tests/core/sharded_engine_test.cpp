@@ -21,6 +21,7 @@
 #include <array>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,10 @@ void expect_identical(const ExperimentResults& a, const ExperimentResults& b) {
   EXPECT_EQ(a.drops.offered, b.drops.offered);
   EXPECT_EQ(a.drops.delivered, b.drops.delivered);
   EXPECT_EQ(a.switch_forwarded, b.switch_forwarded);
+  EXPECT_EQ(a.flowlet_repaths, b.flowlet_repaths);
+  EXPECT_EQ(a.route_reroutes, b.route_reroutes);
+  EXPECT_EQ(a.invariant_checks, b.invariant_checks);
+  EXPECT_EQ(a.invariant_violations, b.invariant_violations);
   // The shard accounting itself is worker-count independent.
   EXPECT_EQ(a.shard.logical_shards, b.shard.logical_shards);
   EXPECT_EQ(a.shard.epochs, b.shard.epochs);
@@ -73,14 +78,36 @@ void expect_identical(const ExperimentResults& a, const ExperimentResults& b) {
   EXPECT_EQ(a.shard.replays, b.shard.replays);
 }
 
+// Flowlet routing reads the dispatching shard's clock per packet, and the
+// invariant checker sweeps the quiesced fabric from the control strand;
+// under a down/up plus loss plan both must stay worker-count invariant.
+ExperimentConfig flowlet_checked_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.routing.kind = route::PolicyKind::Flowlet;
+  cfg.check_invariants = true;
+  std::string err;
+  EXPECT_TRUE(faults::FaultPlan::parse(
+      "down,link=40,at=0.01,until=0.03;loss,link=3,at=0,p=0.01", cfg.fault_plan, &err))
+      << err;
+  cfg.scheme.dead_after_rtos = 3;
+  return cfg;
+}
+
+/// Runs `make(1..4)`, expects identical results, and returns the first.
+ExperimentResults same_across_workers(ExperimentConfig (*make)(int)) {
+  auto r1 = run_experiment(make(1));
+  expect_identical(r1, run_experiment(make(2)));
+  expect_identical(r1, run_experiment(make(3)));  // uneven 2/1/1 split of 4 shards
+  expect_identical(r1, run_experiment(make(4)));
+  return r1;
+}
+
 TEST(ShardedEngine, WorkerCountInvariance) {
-  const auto r1 = run_experiment(sharded_cfg(1));
-  const auto r2 = run_experiment(sharded_cfg(2));
-  const auto r3 = run_experiment(sharded_cfg(3));  // uneven 2/1/1 split of 4 shards
-  const auto r4 = run_experiment(sharded_cfg(4));
-  expect_identical(r1, r2);
-  expect_identical(r1, r3);
-  expect_identical(r1, r4);
+  same_across_workers(&sharded_cfg);
+  const auto checked = same_across_workers(&flowlet_checked_cfg);
+  EXPECT_GT(checked.flowlet_repaths, 0u);
+  EXPECT_GT(checked.invariant_checks, 0u);
+  EXPECT_TRUE(checked.invariant_violations.empty());
 }
 
 // --shards beyond the logical shard count (4 pods at k=4) would only add

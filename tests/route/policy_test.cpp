@@ -194,6 +194,26 @@ TEST(RoutePolicy, FlowletSticksWithinGapAndRepathsAfterIdle) {
   EXPECT_GT(table.repaths(), 0u);
 }
 
+// In the sharded engine a switch's table is built on the control strand,
+// whose clock lags inside an epoch; the gap is measured on the clock of the
+// scheduler dispatching the packet.
+TEST(RoutePolicy, FlowletGapReadsTheDispatchingClock) {
+  UplinkGroup g{4};
+  RouteConfig cfg;
+  cfg.kind = PolicyKind::Flowlet;
+  cfg.flowlet_gap = sim::Time::microseconds(100);
+  SwitchTable table{g.sched, *g.sw, cfg};
+  sim::Scheduler shard;
+  auto burst = [&table] {
+    for (net::FlowId f = 10; f < 42; ++f) (void)table.select_up_port(data_packet(1, 2, f, 0, 0));
+  };
+  shard.schedule_at(sim::Time::zero(), burst);
+  shard.schedule_at(sim::Time::microseconds(500), burst);
+  shard.run();
+  EXPECT_EQ(g.sched.now(), sim::Time::zero());
+  EXPECT_GT(table.repaths(), 0u);
+}
+
 TEST(RoutePolicy, FlowletAbandonsDeadMemberImmediately) {
   UplinkGroup g{2};
   RouteConfig cfg;
