@@ -1,24 +1,19 @@
 // xmpsim — command-line front end to the library.
 //
-//   xmpsim run    --pattern=random --scheme=xmp --subflows=2 [--k=8]
-//                 [--workload=FILE.wl] [--load=0.3]
-//                 [--duration=0.5] [--queue=100] [--mark-k=10] [--beta=4]
-//                 [--seed=1] [--coexist=dctcp] [--csv=flows.csv]
-//                 [--json=summary.json]
-//                 [--routing=pinned|ecmp|wcmp|flowlet] [--flowlet-gap=100]
-//                 [--reroute-delay=0.001] [--rehome=0]
-//                 [--faults="down,link=3,at=0.1; loss,link=5,at=0,p=0.01"]
-//                 [--fault-seed=1] [--dead-after=3] [--invariants]
-//                 [--drops-csv=drops.csv]
-//                 [--trace=timeline.json] [--trace-csv=timeline.csv]
-//                 [--trace-filter=cwnd,gain,queue] [--trace-capacity=262144]
-//                 [--metrics=metrics.json] [--shards=N]
-//                 [--checkpoint-every=SIMTIME] [--checkpoint-dir=DIR]
-//                 [--restore=FILE] [--fct-csv=FILE]
-//                 [--hybrid] [--hybrid-bg=FLOWS[:BYTES]]
-//                 [--hybrid-fg=FLOWS[:BYTES]] [--hybrid-promote-bytes=N]
-//                 [--hybrid-tick=US]
+//   xmpsim <run|verify|fluid|sweep|topo> [--key=value ...]
+//   xmpsim [<command>] --help    prints kUsage, every command's flags
+//
+// The flag rule: every value is validated up front (a malformed or
+// out-of-range value prints one line naming the flag, the value and the
+// accepted range), and each flag is read only in the branch where it
+// changes the run. An argument that no branch read (an unknown flag, a flag
+// with no effect on this run, a positional) prints one line naming it
+// (cli::Args::finish). Either way the exit is 2, before any simulation
+// starts, never an assert.
+//
+//   xmpsim run
 //       Run one Fat-Tree evaluation and print the paper's summary metrics.
+//       The traffic comes from --hybrid, else --workload, else --pattern.
 //       --routing selects how switches spread over equal-cost up-ports
 //       (default pinned = the paper's per-tag deterministic paths; ecmp
 //       ignores tags and exhibits collisions); --flowlet-gap is the flowlet
@@ -53,13 +48,13 @@
 //       `run --restore=FILE --trace=... --invariants` re-runs a crash-point
 //       capture under extra observation (a snapshot taken without the
 //       checker starts a fresh one at the restore point).
-//       --workload=FILE replaces --pattern with an empirical workload file
-//       (DESIGN.md §13): open-loop Poisson arrivals whose sizes come from a
-//       flow-size CDF, plus optional explicit flows; --load=0.X sets the
-//       offered load per sender (overriding the file's `load` directive).
+//       --workload=FILE runs an empirical workload file (DESIGN.md §13):
+//       open-loop Poisson arrivals whose sizes come from a flow-size CDF,
+//       plus optional explicit flows; --load=0.X sets the offered load per
+//       sender (overriding the file's `load` directive).
 //       The run then reports FCT slowdown p50/p95/p99 per flow-size bin
 //       (and an "fct" block in --json). Composes with --faults, --routing
-//       and checkpointing; incompatible with --coexist and --shards.
+//       and checkpointing.
 //       --fct-csv=FILE writes one row per flow of a --workload run
 //       (id,bytes,start_s,finish_s,completed,slowdown; censored flows carry
 //       finish_s=-1); in sweeps it becomes one file per job.
@@ -72,17 +67,16 @@
 //       capacity, and measured packet drain. --hybrid-promote-bytes=N hands
 //       a finite fluid flow to the packet domain for its last N bytes;
 //       --hybrid-tick=US sets the fluid step (default 200 us, ~ one RTT).
-//       Requires --scheme=xmp; replaces --pattern; composes with
-//       checkpointing, --trace and --metrics; incompatible with --shards,
-//       --coexist, --workload and --faults. A snapshot from a non-hybrid
-//       run never restores into a hybrid one (config fingerprint).
+//       Requires --scheme=xmp; composes with checkpointing, --trace and
+//       --metrics. A snapshot from a non-hybrid run never restores into a
+//       hybrid one (config fingerprint).
 //
-//   xmpsim verify [--faults=PLAN] [--dir=DIR] [--checkpoint-every=SIMTIME]
-//                 ... any scenario flags accepted by `run` ...
+//   xmpsim verify
 //       Differential validation harness (DESIGN.md §15): runs the same
-//       scenario once per leg, each in its own sub-directory of DIR
-//       (default: a fresh temp dir, removed on success, kept and named on
-//       failure; a reused DIR has each leg's sub-directory emptied first).
+//       scenario (any `run` flags) once per leg, each in its own
+//       sub-directory of --dir (default: a fresh temp dir, removed on
+//       success, kept and named on failure; a reused DIR has each leg's
+//       sub-directory emptied first).
 //       Serial engine legs: serial (--shards=0), serial-ckpt (periodic
 //       snapshots) and serial-kill (SIGKILL mid-run + --restore). Sharded
 //       engine legs, when the scenario can run sharded: shards1..shards4
@@ -98,11 +92,10 @@
 //       --restore and every output path; --checkpoint-every only sets the
 //       snapshot cadence of the checkpoint legs (default 0.005).
 //
-//   xmpsim fluid  --capacity-gbps=1 --flows=3 [--beta=4] [--rtt-us=300]
+//   xmpsim fluid
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
 //
-//   xmpsim sweep  --param={mark-k|beta|subflows|queue|seed|load} --values=a,b,c
-//                 [--schemes=xmp,dctcp,lia,olia] [--jobs=N] ...
+//   xmpsim sweep
 //       Re-run `run` for each value and tabulate average goodput. Points
 //       run concurrently on N worker threads (default: hardware cores);
 //       results are identical to a serial sweep, in the order given.
@@ -131,12 +124,8 @@
 //       the summary; the campaign still salvages every survivor and exits
 //       0 unless --strict is given (then exit 1).
 //
-//   xmpsim topo   [--k=8]
+//   xmpsim topo
 //       Print Fat-Tree dimensions and delay budget for a given k.
-//
-// All flag values are validated up front: a malformed or out-of-range value
-// prints one line naming the flag, the offending value and the accepted
-// range, then exits 2 (never an assert).
 
 #include <csignal>
 #include <sys/wait.h>
@@ -150,10 +139,12 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/cli.hpp"
 #include "core/export.hpp"
 #include "core/job_manifest.hpp"
 #include "core/orchestrator.hpp"
@@ -166,6 +157,34 @@
 namespace {
 
 using namespace xmp;
+using cli::Args;
+using cli::flag_d;
+using cli::flag_i;
+
+/// Every command's flags: `--help` prints it, and Args::finish calls a flag
+/// it names "no effect on this run" rather than "unknown".
+constexpr std::string_view kUsage =
+    "usage: xmpsim <command> [--key=value ...]   (notes: apps/xmpsim.cpp)\n"
+    "  run     [--pattern=random|permutation|incast] [--scheme=xmp|dctcp|tcp|lia|olia]\n"
+    "          [--subflows=2] [--beta=4] [--k=8] [--duration=0.5] [--queue=100]\n"
+    "          [--mark-k=10] [--seed=1] [--rounds=2] [--scale=1] [--coexist=SCHEME]\n"
+    "          [--workload=FILE.wl] [--load=0.3] [--fct-csv=FILE]\n"
+    "          [--hybrid] [--hybrid-bg=FLOWS[:BYTES]] [--hybrid-fg=FLOWS[:BYTES]]\n"
+    "          [--hybrid-promote-bytes=N] [--hybrid-tick=US]\n"
+    "          [--routing=pinned|ecmp|wcmp|flowlet] [--flowlet-gap=100]\n"
+    "          [--reroute-delay=0.001] [--faults=PLAN] [--fault-seed=1] [--dead-after=3]\n"
+    "          [--rehome=0] [--invariants] [--shards=N] [--checkpoint-every=SIMTIME]\n"
+    "          [--checkpoint-dir=DIR] [--restore=FILE] [--csv=flows.csv]\n"
+    "          [--json=summary.json] [--drops-csv=drops.csv] [--metrics=metrics.json]\n"
+    "          [--trace=timeline.json] [--trace-csv=timeline.csv]\n"
+    "          [--trace-filter=cwnd,gain,queue] [--trace-capacity=262144]\n"
+    "  verify  [--dir=DIR] [--checkpoint-every=0.005] + run's scenario flags\n"
+    "  sweep   --param=mark-k|beta|subflows|queue|seed|load --values=a,b,c\n"
+    "          [--schemes=xmp,dctcp,lia,olia] [--jobs=N] + run's flags\n"
+    "          [--out=DIR [--job-timeout=S] [--retries=2] [--backoff=0.5] [--strict]]\n"
+    "          [--resume=DIR]\n"
+    "  fluid   [--capacity-gbps=1] [--flows=3] [--beta=4] [--rtt-us=300]\n"
+    "  topo    [--k=8]\n";
 
 /// Flipped by the SIGTERM handler; polled by the engine at quiescent
 /// points. Installed only when checkpointing is configured, so plain runs
@@ -173,106 +192,6 @@ using namespace xmp;
 std::atomic<bool> g_stop{false};
 
 extern "C" void on_sigterm(int) { g_stop.store(true); }
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-  /// Build from a raw flag vector (used to replay a manifest's stored argv).
-  explicit Args(std::vector<std::string> raw) : args_{std::move(raw)} {}
-
-  /// The flags verbatim, in order. `get` returns the *first* match, so
-  /// prepending new flags to a stored vector overrides the stored values.
-  [[nodiscard]] const std::vector<std::string>& raw() const { return args_; }
-
-  [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const std::string prefix = "--" + key + "=";
-    for (const auto& a : args_) {
-      if (a.rfind(prefix, 0) == 0) return a.substr(prefix.size());
-    }
-    return fallback;
-  }
-
-  /// Bare boolean flag (`--invariants`, no value).
-  [[nodiscard]] bool has(const std::string& key) const {
-    const std::string flag = "--" + key;
-    for (const auto& a : args_) {
-      if (a == flag) return true;
-    }
-    return false;
-  }
-
- private:
-  std::vector<std::string> args_;
-};
-
-/// Strict numeric parsing: the whole token must be consumed, no overflow.
-bool parse_number(const std::string& v, double& out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtod(v.c_str(), &end);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
-
-bool parse_integer(const std::string& v, std::int64_t& out) {
-  if (v.empty()) return false;
-  errno = 0;
-  char* end = nullptr;
-  out = std::strtoll(v.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0';
-}
-
-/// Validated flag accessors. A missing flag yields `fallback` untouched; a
-/// present-but-malformed or out-of-range value prints one line naming the
-/// flag, the value and the accepted range, and clears `ok` (callers exit 2).
-double flag_d(const Args& args, const char* key, double fallback, double lo, double hi, bool& ok) {
-  const std::string v = args.get(key, "");
-  if (v.empty()) return fallback;
-  double out = 0;
-  if (!parse_number(v, out) || out < lo || out > hi) {
-    std::fprintf(stderr, "xmpsim: bad --%s=%s (expected a number in [%g, %g])\n", key, v.c_str(),
-                 lo, hi);
-    ok = false;
-    return fallback;
-  }
-  return out;
-}
-
-std::int64_t flag_i(const Args& args, const char* key, std::int64_t fallback, std::int64_t lo,
-                    std::int64_t hi, bool& ok) {
-  const std::string v = args.get(key, "");
-  if (v.empty()) return fallback;
-  std::int64_t out = 0;
-  if (!parse_integer(v, out) || out < lo || out > hi) {
-    std::fprintf(stderr, "xmpsim: bad --%s=%s (expected an integer in [%lld, %lld])\n", key,
-                 v.c_str(), static_cast<long long>(lo), static_cast<long long>(hi));
-    ok = false;
-    return fallback;
-  }
-  return out;
-}
-
-std::vector<double> flag_list(const Args& args, const char* key, bool& ok) {
-  std::vector<double> out;
-  std::string v = args.get(key, "");
-  while (!v.empty()) {
-    const auto comma = v.find(',');
-    const std::string token = v.substr(0, comma);
-    double num = 0;
-    if (!parse_number(token, num)) {
-      std::fprintf(stderr, "xmpsim: bad --%s entry '%s' (expected a number)\n", key,
-                   token.c_str());
-      ok = false;
-      return {};
-    }
-    out.push_back(num);
-    if (comma == std::string::npos) break;
-    v = v.substr(comma + 1);
-  }
-  return out;
-}
 
 bool parse_scheme(const std::string& name, int subflows, int beta, workload::SchemeSpec& out) {
   if (name == "tcp") {
@@ -293,15 +212,94 @@ bool parse_scheme(const std::string& name, int subflows, int beta, workload::Sch
   return true;
 }
 
-core::ExperimentConfig config_from(const Args& args, bool& ok) {
-  core::ExperimentConfig cfg;
-  ok = true;
+/// The hybrid engine's flags (DESIGN.md §14).
+void hybrid_from(const Args& args, core::ExperimentConfig& cfg, bool& ok) {
+  // FLOWS[:BYTES] spec: "--hybrid-bg=100000" or "--hybrid-bg=1000:64000000".
+  auto parse_count_spec = [&](const char* key, int& count, std::int64_t& bytes) {
+    const std::string v = args.get(key, "");
+    if (v.empty()) return;
+    const auto colon = v.find(':');
+    std::int64_t n = 0;
+    std::int64_t b = bytes;
+    bool good = cli::parse_integer(v.substr(0, colon), n) && n >= 1 && n <= 2'000'000;
+    if (good && colon != std::string::npos) {
+      good = cli::parse_integer(v.substr(colon + 1), b) && b >= 1;
+    }
+    if (!good) {
+      std::fprintf(stderr,
+                   "xmpsim: bad --%s=%s (expected FLOWS[:BYTES], flows in [1, 2000000], "
+                   "bytes >= 1)\n",
+                   key, v.c_str());
+      ok = false;
+      return;
+    }
+    count = static_cast<int>(n);
+    bytes = b;
+  };
+  parse_count_spec("hybrid-bg", cfg.hybrid.bg_flows, cfg.hybrid.bg_bytes);
+  parse_count_spec("hybrid-fg", cfg.hybrid.fg_flows, cfg.hybrid.fg_bytes);
+  cfg.hybrid.promote_bytes = flag_i(args, "hybrid-promote-bytes", 0, 0, std::int64_t{1} << 40, ok);
+  cfg.hybrid.tick = sim::Time::microseconds(flag_i(args, "hybrid-tick", 200, 10, 1000000, ok));
+  // In hybrid mode the pattern enum is inert (the engine replaces the
+  // generators); Permutation keeps name/fingerprint output stable.
+  cfg.pattern = core::Pattern::Permutation;
+}
 
+/// An empirical workload file (DESIGN.md §13) and its cross-checks.
+void workload_from(const Args& args, const std::string& file, core::ExperimentConfig& cfg,
+                   bool& ok) {
+  auto spec = std::make_shared<workload::WorkloadSpec>();
+  std::string werr;
+  if (!workload::WorkloadSpec::parse_file(file, *spec, &werr)) {
+    std::fprintf(stderr, "xmpsim: bad --workload: %s\n", werr.c_str());
+    ok = false;
+    return;
+  }
+  cfg.pattern = core::Pattern::Workload;
+  cfg.workload = spec;
+  cfg.obs.fct_csv = args.get("fct-csv", "");
+  // Only Poisson arrivals have an offered load; a trace-only file has none.
+  if (spec->has_cdf) cfg.offered_load = flag_d(args, "load", 0.0, 0.0001, 1.2, ok);
+  const int hosts = cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k / 4;
+  if (spec->nodes > hosts) {
+    std::fprintf(stderr, "xmpsim: workload needs %d hosts but --k=%d provides %d\n", spec->nodes,
+                 cfg.fat_tree_k, hosts);
+    ok = false;
+  }
+  if (spec->span == workload::WorkloadSpan::InterRack && spec->nodes <= cfg.fat_tree_k / 2) {
+    std::fprintf(stderr,
+                 "xmpsim: workload span inter-rack needs nodes in >= 2 racks "
+                 "(%d nodes fit in one rack of %d hosts)\n",
+                 spec->nodes, cfg.fat_tree_k / 2);
+    ok = false;
+  }
+  if (spec->has_cdf && cfg.offered_load <= 0.0 && spec->default_load <= 0.0) {
+    std::fprintf(stderr,
+                 "xmpsim: workload has a cdf but no offered load "
+                 "(give --load=0.X or a 'load' directive)\n");
+    ok = false;
+  }
+}
+
+/// A synthetic --pattern (the paper's §5.2.1) and the flags it reads.
+void pattern_from(const Args& args, core::ExperimentConfig& cfg, bool& ok) {
   const std::string pattern = args.get("pattern", "random");
   if (pattern == "permutation") {
     cfg.pattern = core::Pattern::Permutation;
+    cfg.permutation_rounds = static_cast<int>(flag_i(args, "rounds", 2, 1, 1000, ok));
   } else if (pattern == "random") {
     cfg.pattern = core::Pattern::Random;
+    // Coexistence splits the random pattern's senders between the schemes.
+    const std::string coexist = args.get("coexist", "");
+    if (!coexist.empty()) {
+      workload::SchemeSpec b;
+      if (!parse_scheme(coexist, cfg.scheme.subflows, cfg.scheme.beta, b)) {
+        std::fprintf(stderr, "xmpsim: bad --coexist=%s (expected tcp|dctcp|xmp|lia|olia)\n",
+                     coexist.c_str());
+        ok = false;
+      }
+      cfg.scheme_b = b;
+    }
   } else if (pattern == "incast") {
     cfg.pattern = core::Pattern::Incast;
   } else {
@@ -309,28 +307,16 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
                  pattern.c_str());
     ok = false;
   }
+  const auto scale = flag_i(args, "scale", 1, 1, 1000000, ok);
+  cfg.perm_min_bytes *= scale;
+  cfg.perm_max_bytes *= scale;
+  cfg.rand_min_bytes *= scale;
+  cfg.rand_max_bytes *= scale;
+}
 
-  const std::string workload_file = args.get("workload", "");
-  cfg.offered_load = flag_d(args, "load", 0.0, 0.0001, 1.2, ok);
-  if (!workload_file.empty()) {
-    if (!args.get("pattern", "").empty()) {
-      std::fprintf(stderr, "xmpsim: --workload replaces --pattern (drop --pattern=%s)\n",
-                   pattern.c_str());
-      ok = false;
-    }
-    auto spec = std::make_shared<workload::WorkloadSpec>();
-    std::string werr;
-    if (!workload::WorkloadSpec::parse_file(workload_file, *spec, &werr)) {
-      std::fprintf(stderr, "xmpsim: bad --workload: %s\n", werr.c_str());
-      ok = false;
-    } else {
-      cfg.pattern = core::Pattern::Workload;
-      cfg.workload = std::move(spec);
-    }
-  } else if (!args.get("load", "").empty()) {
-    std::fprintf(stderr, "xmpsim: --load needs --workload=FILE\n");
-    ok = false;
-  }
+core::ExperimentConfig config_from(const Args& args, bool& ok) {
+  core::ExperimentConfig cfg;
+  ok = true;
 
   const int subflows = static_cast<int>(flag_i(args, "subflows", 2, 1, 64, ok));
   const int beta = static_cast<int>(flag_i(args, "beta", 4, 1, 1000, ok));
@@ -340,53 +326,49 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
                  scheme.c_str());
     ok = false;
   }
-  const std::string coexist = args.get("coexist", "");
-  if (!coexist.empty()) {
-    workload::SchemeSpec b;
-    if (!parse_scheme(coexist, subflows, beta, b)) {
-      std::fprintf(stderr, "xmpsim: bad --coexist=%s (expected tcp|dctcp|xmp|lia|olia)\n",
-                   coexist.c_str());
-      ok = false;
-    }
-    cfg.scheme_b = b;
-    // Coexistence splits the random pattern's senders between the schemes;
-    // no other generator reads scheme_b.
-    if (cfg.pattern != core::Pattern::Random) {
-      std::fprintf(stderr, "xmpsim: --coexist requires --pattern=random (got %s)\n",
-                   core::pattern_name(cfg.pattern));
-      ok = false;
-    }
-  }
-
-  cfg.fat_tree_k = static_cast<int>(flag_i(args, "k", 8, 2, 64, ok));
-  if (cfg.fat_tree_k % 2 != 0) {
-    std::fprintf(stderr, "xmpsim: bad --k=%d (expected an even integer in [2, 64])\n",
-                 cfg.fat_tree_k);
-    ok = false;
-    cfg.fat_tree_k = 8;
-  }
+  cfg.fat_tree_k = cli::flag_k(args, 8, ok);
   cfg.duration = sim::Time::seconds(flag_d(args, "duration", 0.5, 1e-6, 3600, ok));
   cfg.queue_capacity = static_cast<std::size_t>(flag_i(args, "queue", 100, 1, 1000000, ok));
   cfg.mark_threshold = static_cast<std::size_t>(flag_i(args, "mark-k", 10, 1, 1000000, ok));
-  cfg.permutation_rounds = static_cast<int>(flag_i(args, "rounds", 2, 1, 1000, ok));
   cfg.seed = static_cast<std::uint64_t>(flag_i(args, "seed", 1, 0, INT64_MAX, ok));
 
-  const std::string faults = args.get("faults", "");
-  if (!faults.empty()) {
+  // The traffic: --hybrid, else --workload, else --pattern. The other two
+  // sources' flags stay unread, so Args::finish rejects them.
+  cfg.hybrid.enabled = args.has("hybrid");
+  const std::string workload_file = cfg.hybrid.enabled ? "" : args.get("workload", "");
+  if (cfg.hybrid.enabled) {
+    hybrid_from(args, cfg, ok);
+    // The fluid ODEs implement the paper's §2 XMP dynamics.
+    if (cfg.scheme.kind != workload::SchemeSpec::Kind::Xmp) {
+      std::fprintf(stderr, "xmpsim: --hybrid requires --scheme=xmp (got %s)\n", scheme.c_str());
+      ok = false;
+    }
+  } else if (!workload_file.empty()) {
+    workload_from(args, workload_file, cfg, ok);
+  } else {
+    pattern_from(args, cfg, ok);
+  }
+
+  if (!cfg.hybrid.enabled) {
+    const std::string faults = args.get("faults", "");
     std::string error;
-    if (!faults::FaultPlan::parse(faults, cfg.fault_plan, &error)) {
+    if (!faults.empty() && !faults::FaultPlan::parse(faults, cfg.fault_plan, &error)) {
       std::fprintf(stderr, "xmpsim: bad --faults: %s\n", error.c_str());
       ok = false;
     }
+    if (!cfg.fault_plan.empty()) {
+      cfg.fault_seed = static_cast<std::uint64_t>(flag_i(args, "fault-seed", 1, 0, INT64_MAX, ok));
+    }
   }
-  cfg.fault_seed = static_cast<std::uint64_t>(flag_i(args, "fault-seed", 1, 0, INT64_MAX, ok));
   // Subflow failover is on by default only under fault injection, so that
   // fault-free runs stay bit-identical to builds without the fault layer.
   cfg.scheme.dead_after_rtos =
       static_cast<int>(flag_i(args, "dead-after", cfg.fault_plan.empty() ? 0 : 3, 0, 1000, ok));
-  if (cfg.scheme_b) cfg.scheme_b->dead_after_rtos = cfg.scheme.dead_after_rtos;
   cfg.scheme.max_rehomes = static_cast<int>(flag_i(args, "rehome", 0, 0, 1000, ok));
-  if (cfg.scheme_b) cfg.scheme_b->max_rehomes = cfg.scheme.max_rehomes;
+  if (cfg.scheme_b) {
+    cfg.scheme_b->dead_after_rtos = cfg.scheme.dead_after_rtos;
+    cfg.scheme_b->max_rehomes = cfg.scheme.max_rehomes;
+  }
 
   const std::string routing = args.get("routing", "pinned");
   if (!route::parse_policy(routing, cfg.routing.kind)) {
@@ -394,129 +376,26 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
                  routing.c_str());
     ok = false;
   }
-  cfg.routing.flowlet_gap =
-      sim::Time::microseconds(flag_i(args, "flowlet-gap", 100, 1, 1000000000, ok));
+  if (cfg.routing.kind == route::PolicyKind::Flowlet) {
+    cfg.routing.flowlet_gap =
+        sim::Time::microseconds(flag_i(args, "flowlet-gap", 100, 1, 1000000000, ok));
+  }
   cfg.routing.reroute_delay = sim::Time::seconds(flag_d(args, "reroute-delay", 0.001, 0, 60, ok));
-  cfg.check_invariants = args.has("invariants") || !args.get("invariants", "").empty();
-
-  const auto scale = flag_i(args, "scale", 1, 1, 1000000, ok);
-  cfg.perm_min_bytes *= scale;
-  cfg.perm_max_bytes *= scale;
-  cfg.rand_min_bytes *= scale;
-  cfg.rand_max_bytes *= scale;
-
-  // Workload-file cross-checks (the file itself already parsed clean).
-  if (cfg.workload) {
-    const int hosts = cfg.fat_tree_k * cfg.fat_tree_k * cfg.fat_tree_k / 4;
-    if (cfg.workload->nodes > hosts) {
-      std::fprintf(stderr, "xmpsim: workload needs %d hosts but --k=%d provides %d\n",
-                   cfg.workload->nodes, cfg.fat_tree_k, hosts);
-      ok = false;
-    }
-    if (cfg.workload->span == workload::WorkloadSpan::InterRack &&
-        cfg.workload->nodes <= cfg.fat_tree_k / 2) {
-      std::fprintf(stderr,
-                   "xmpsim: workload span inter-rack needs nodes in >= 2 racks "
-                   "(%d nodes fit in one rack of %d hosts)\n",
-                   cfg.workload->nodes, cfg.fat_tree_k / 2);
-      ok = false;
-    }
-    if (cfg.workload->has_cdf && cfg.offered_load <= 0.0 && cfg.workload->default_load <= 0.0) {
-      std::fprintf(stderr,
-                   "xmpsim: workload has a cdf but no offered load "
-                   "(give --load=0.X or a 'load' directive)\n");
-      ok = false;
-    }
-    if (!cfg.workload->has_cdf && cfg.offered_load > 0.0) {
-      std::fprintf(stderr, "xmpsim: --load has no effect on a trace-only workload\n");
-      ok = false;
-    }
-  }
-
+  cfg.check_invariants = args.has("invariants");
   cfg.shards = static_cast<int>(flag_i(args, "shards", 0, 0, 4096, ok));
-
-  // --- hybrid fluid/packet engine (DESIGN.md §14) ---
-  cfg.hybrid.enabled = args.has("hybrid");
-  {
-    // FLOWS[:BYTES] spec: "--hybrid-bg=100000" or "--hybrid-bg=1000:64000000".
-    auto parse_count_spec = [&](const char* key, int& count, std::int64_t& bytes) {
-      const std::string v = args.get(key, "");
-      if (v.empty()) return;
-      const auto colon = v.find(':');
-      std::int64_t n = 0;
-      std::int64_t b = bytes;
-      bool good = parse_integer(v.substr(0, colon), n) && n >= 1 && n <= 2'000'000;
-      if (good && colon != std::string::npos) {
-        good = parse_integer(v.substr(colon + 1), b) && b >= 1;
-      }
-      if (!good) {
-        std::fprintf(stderr,
-                     "xmpsim: bad --%s=%s (expected FLOWS[:BYTES], flows in [1, 2000000], "
-                     "bytes >= 1)\n",
-                     key, v.c_str());
-        ok = false;
-        return;
-      }
-      count = static_cast<int>(n);
-      bytes = b;
-    };
-    const bool sub_flags =
-        !args.get("hybrid-bg", "").empty() || !args.get("hybrid-fg", "").empty() ||
-        !args.get("hybrid-promote-bytes", "").empty() || !args.get("hybrid-tick", "").empty();
-    if (sub_flags && !cfg.hybrid.enabled) {
-      std::fprintf(stderr, "xmpsim: --hybrid-* flags need --hybrid\n");
-      ok = false;
-    }
-    if (cfg.hybrid.enabled) {
-      parse_count_spec("hybrid-bg", cfg.hybrid.bg_flows, cfg.hybrid.bg_bytes);
-      parse_count_spec("hybrid-fg", cfg.hybrid.fg_flows, cfg.hybrid.fg_bytes);
-      cfg.hybrid.promote_bytes =
-          flag_i(args, "hybrid-promote-bytes", 0, 0, std::int64_t{1} << 40, ok);
-      cfg.hybrid.tick = sim::Time::microseconds(flag_i(args, "hybrid-tick", 200, 10, 1000000, ok));
-      // The fluid ODEs implement the paper's §2 XMP dynamics; everything the
-      // hybrid engine can't represent is an up-front one-line reject.
-      if (cfg.scheme.kind != workload::SchemeSpec::Kind::Xmp) {
-        std::fprintf(stderr, "xmpsim: --hybrid requires --scheme=xmp (got %s)\n", scheme.c_str());
-        ok = false;
-      }
-      if (!args.get("pattern", "").empty()) {
-        std::fprintf(stderr, "xmpsim: --hybrid replaces --pattern (drop --pattern=%s)\n",
-                     pattern.c_str());
-        ok = false;
-      }
-      if (cfg.workload) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --workload\n");
-        ok = false;
-      }
-      if (cfg.scheme_b) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --coexist\n");
-        ok = false;
-      }
-      if (!cfg.fault_plan.empty()) {
-        std::fprintf(stderr, "xmpsim: --hybrid is incompatible with --faults\n");
-        ok = false;
-      }
-      // In hybrid mode the pattern enum is inert (the engine replaces the
-      // generators); Permutation keeps name/fingerprint output stable.
-      cfg.pattern = core::Pattern::Permutation;
-    }
-  }
 
   cfg.obs.trace_json = args.get("trace", "");
   cfg.obs.trace_csv = args.get("trace-csv", "");
   cfg.obs.metrics_json = args.get("metrics", "");
-  cfg.obs.fct_csv = args.get("fct-csv", "");
-  if (!cfg.obs.fct_csv.empty() && cfg.pattern != core::Pattern::Workload) {
-    std::fprintf(stderr, "xmpsim: --fct-csv needs --workload=FILE\n");
-    ok = false;
-  }
-  cfg.obs.capacity =
-      static_cast<std::size_t>(flag_i(args, "trace-capacity", 1 << 18, 1, 1 << 26, ok));
-  const std::string filter = args.get("trace-filter", "");
-  std::string filter_error;
-  if (!obs::TimelineTracer::parse_filter(filter, cfg.obs.categories, &filter_error)) {
-    std::fprintf(stderr, "xmpsim: bad --trace-filter: %s\n", filter_error.c_str());
-    ok = false;
+  if (cfg.obs.tracing()) {
+    cfg.obs.capacity =
+        static_cast<std::size_t>(flag_i(args, "trace-capacity", 1 << 18, 1, 1 << 26, ok));
+    std::string filter_error;
+    if (!obs::TimelineTracer::parse_filter(args.get("trace-filter", ""), cfg.obs.categories,
+                                           &filter_error)) {
+      std::fprintf(stderr, "xmpsim: bad --trace-filter: %s\n", filter_error.c_str());
+      ok = false;
+    }
   }
 
   cfg.checkpoint.every =
@@ -675,7 +554,10 @@ void print_summary(const core::ExperimentConfig& cfg, const core::ExperimentResu
 int cmd_run(const Args& args) {
   bool ok = true;
   auto cfg = config_from(args, ok);
-  if (!ok) return 2;
+  const std::string csv = args.get("csv", "");
+  const std::string json = args.get("json", "");
+  const std::string drops_csv = args.get("drops-csv", "");
+  if (!ok || !args.finish(kUsage)) return 2;
 
   if (!cfg.checkpoint.restore_path.empty()) {
     // Probe before building the world: a truncated, bit-flipped or
@@ -700,17 +582,14 @@ int cmd_run(const Args& args) {
 
   const auto res = core::run_experiment(cfg);
   print_summary(cfg, res);
-  const std::string csv = args.get("csv", "");
   if (!csv.empty()) {
     core::export_flows_csv(res, csv);
     std::printf("wrote %s\n", csv.c_str());
   }
-  const std::string json = args.get("json", "");
   if (!json.empty()) {
     core::export_summary_json(cfg, res, json);
     std::printf("wrote %s\n", json.c_str());
   }
-  const std::string drops_csv = args.get("drops-csv", "");
   if (!drops_csv.empty()) {
     core::export_link_drops_csv(res, drops_csv);
     std::printf("wrote %s\n", drops_csv.c_str());
@@ -835,11 +714,15 @@ int cmd_verify(const Args& args) {
                              : fs::path{};
     scenario.push_back(abs.empty() || ec ? a : workload_flag + abs.string());
   }
-  // Validate once up front so a malformed scenario is a clean exit 2 on
-  // *this* process's stderr, before any leg forks (legs log to err.txt).
+  // Validate once up front so a malformed scenario, or a flag with no
+  // effect on it, is a clean exit 2 on *this* process's stderr, before any
+  // leg forks (legs log to err.txt). Every leg traces, so the trace flags
+  // take effect.
+  Args checked{scenario};
+  checked.append({"--trace-csv=trace.csv"});
   bool cok = true;
-  core::ExperimentConfig cfg = config_from(Args{scenario}, cok);
-  if (!cok) return 2;
+  core::ExperimentConfig cfg = config_from(checked, cok);
+  if (!cok || !checked.finish(kUsage)) return 2;
   const bool workload = cfg.pattern == core::Pattern::Workload;
   cfg.shards = 1;
   const bool can_shard = core::sharded_refusal(cfg).empty();
@@ -1016,7 +899,7 @@ int cmd_fluid(const Args& args) {
   const int n = static_cast<int>(flag_i(args, "flows", 3, 1, 1000000, ok));
   const double beta = flag_d(args, "beta", 4.0, 1, 1000, ok);
   const double rtt_us = flag_d(args, "rtt-us", 300.0, 0.1, 10000000, ok);
-  if (!ok) return 2;
+  if (!ok || !args.finish(kUsage)) return 2;
   const double cap_sps = cap_gbps * 1e9 / (net::kDataPacketBytes * 8.0);
 
   std::vector<model::FluidFlow> flows(static_cast<std::size_t>(n),
@@ -1047,7 +930,7 @@ struct SweepSpec {
 bool build_sweep_grid(const Args& args, SweepSpec& spec) {
   bool ok = true;
   spec.param = args.get("param", "mark-k");
-  const std::vector<double> base_values = flag_list(args, "values", ok);
+  const std::vector<double> base_values = cli::flag_list(args, "values", ok);
   if (!ok) return false;
   if (!args.get("restore", "").empty()) {
     // Per-job restore decisions belong to the campaign orchestrator (it
@@ -1238,9 +1121,9 @@ void write_fct_summary(const std::string& dir, const SweepSpec& spec,
 }
 
 /// Crash-isolated, resumable sweep (`--out=DIR` / `--resume=DIR`).
-int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
+int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
   core::JobManifest manifest;
-  Args args = cli;
+  Args args = given;
   if (resume) {
     std::string err;
     if (!core::JobManifest::load(dir, manifest, &err)) {
@@ -1248,14 +1131,24 @@ int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
       return 2;
     }
     // Effective flags = today's command line first (overrides win, because
-    // Args::get returns the first match), then the campaign's stored argv.
-    std::vector<std::string> merged = cli.raw();
-    merged.insert(merged.end(), manifest.argv.begin(), manifest.argv.end());
-    args = Args{merged};
+    // Args::get returns the first match), then the campaign's stored argv
+    // but its --out, which --resume replaces.
+    for (const auto& a : manifest.argv) {
+      if (a.rfind("--out=", 0) != 0) args.append({a});
+    }
   }
 
   SweepSpec spec;
   if (!build_sweep_grid(args, spec)) return 2;
+  bool ok = true;
+  core::OrchestratorConfig ocfg;
+  ocfg.campaign_dir = dir;
+  ocfg.workers = static_cast<unsigned>(flag_i(args, "jobs", 0, 1, 4096, ok));
+  ocfg.job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
+  ocfg.retries = static_cast<int>(flag_i(args, "retries", 2, 0, 100, ok));
+  ocfg.backoff_base_s = flag_d(args, "backoff", 0.5, 0, 3600, ok);
+  ocfg.strict = args.has("strict");
+  if (!ok || !args.finish(kUsage)) return 2;
 
   if (resume) {
     // The grid rebuilt from the merged flags must be the campaign's grid;
@@ -1280,23 +1173,13 @@ int cmd_sweep_campaign(const Args& cli, const std::string& dir, bool resume) {
       return 2;
     }
     manifest.param = spec.param;
-    manifest.argv = cli.raw();
+    manifest.argv = given.raw();
     manifest.jobs.resize(spec.grid.size());
     for (std::size_t i = 0; i < spec.grid.size(); ++i) {
       manifest.jobs[i].index = i;
       manifest.jobs[i].value = spec.values[i];
     }
   }
-
-  bool ok = true;
-  core::OrchestratorConfig ocfg;
-  ocfg.campaign_dir = dir;
-  ocfg.workers = static_cast<unsigned>(flag_i(args, "jobs", 0, 1, 4096, ok));
-  ocfg.job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
-  ocfg.retries = static_cast<int>(flag_i(args, "retries", 2, 0, 100, ok));
-  ocfg.backoff_base_s = flag_d(args, "backoff", 0.5, 0, 3600, ok);
-  ocfg.strict = args.has("strict");
-  if (!ok) return 2;
 
   obs::MetricsRegistry metrics;
   obs::TimelineTracer::Config tcfg;
@@ -1377,7 +1260,7 @@ int cmd_sweep(const Args& args) {
 
   bool ok = true;
   const std::int64_t jobs = flag_i(args, "jobs", 0, 1, 4096, ok);  // absent = hardware cores
-  if (!ok) return 2;
+  if (!ok || !args.finish(kUsage)) return 2;
   const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
   std::fprintf(stderr, "sweeping %zu points on %u workers\n", spec.grid.size(), runner.workers());
   const auto results =
@@ -1414,12 +1297,8 @@ int cmd_sweep(const Args& args) {
 
 int cmd_topo(const Args& args) {
   bool ok = true;
-  const int k = static_cast<int>(flag_i(args, "k", 8, 2, 64, ok));
-  if (ok && k % 2 != 0) {
-    std::fprintf(stderr, "xmpsim: bad --k=%d (expected an even integer in [2, 64])\n", k);
-    ok = false;
-  }
-  if (!ok) return 2;
+  const int k = cli::flag_k(args, 8, ok);
+  if (!ok || !args.finish(kUsage)) return 2;
   sim::Scheduler sched;
   net::Network netw{sched};
   topo::FatTree::Config tc;
@@ -1439,26 +1318,20 @@ int cmd_topo(const Args& args) {
   return 0;
 }
 
-void usage() {
-  std::fprintf(stderr,
-               "usage: xmpsim <run|verify|fluid|sweep|topo> [--key=value ...]\n"
-               "see the header of apps/xmpsim.cpp for the full flag list\n");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
+  const std::string cmd = argc < 2 ? "" : argv[1];
+  const Args args{argc, argv, 2};
+  if (cmd == "--help" || (!cmd.empty() && args.has("help"))) {
+    std::fputs(kUsage.data(), stdout);
+    return 0;
   }
-  const std::string cmd = argv[1];
-  Args args{argc, argv};
   if (cmd == "run") return cmd_run(args);
   if (cmd == "verify") return cmd_verify(args);
   if (cmd == "fluid") return cmd_fluid(args);
   if (cmd == "sweep") return cmd_sweep(args);
   if (cmd == "topo") return cmd_topo(args);
-  usage();
+  std::fputs(kUsage.data(), stderr);
   return 2;
 }

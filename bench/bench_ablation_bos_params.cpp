@@ -74,9 +74,11 @@ Outcome run_case(int beta, int mark_k, int n_flows, double sim_s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int n_flows = static_cast<int>(args.get_i("flows", 2));
-  const double sim_s = args.get("sim", 1.5);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int n_flows = static_cast<int>(cli::flag_i(args, "flows", 2, 1, 1000, ok));
+  const double sim_s = cli::flag_d(args, "sim", 1.5, 1e-3, 3600, ok);
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_ablation_bos_params",
                       "Design ablation for Eq. 1: K >= BDP/(beta-1) (paper §2.1)");

@@ -113,12 +113,14 @@ Outcome run_case(bool deadline_aware, int n_senders, double tight_ms, double loo
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int senders = static_cast<int>(args.get_i("senders", 8));
-  const double tight_ms = args.get("tight-ms", 31.0);
-  const double loose_ms = args.get("loose-ms", 90.0);
-  const int rounds = static_cast<int>(args.get_i("rounds", 40));
-  const double alpha0 = args.get("alpha0", 0.4);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int senders = static_cast<int>(cli::flag_i(args, "senders", 8, 2, 1000, ok));
+  const double tight_ms = cli::flag_d(args, "tight-ms", 31.0, 0.1, 1e6, ok);
+  const double loose_ms = cli::flag_d(args, "loose-ms", 90.0, 0.1, 1e6, ok);
+  const int rounds = static_cast<int>(cli::flag_i(args, "rounds", 40, 1, 100000, ok));
+  const double alpha0 = cli::flag_d(args, "alpha0", 0.4, 0, 1, ok);
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_ablation_d2tcp",
                       "extension: deadline adherence of D2TCP vs DCTCP (related work [30])");

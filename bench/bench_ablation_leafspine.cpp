@@ -64,9 +64,11 @@ Outcome run_scheme(const workload::SchemeSpec& spec, int rounds, std::uint64_t s
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int rounds = static_cast<int>(args.get_i("rounds", 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int rounds = static_cast<int>(cli::flag_i(args, "rounds", 1, 1, 1000, ok));
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_ablation_leafspine",
                       "topology-transfer ablation: schemes on an oversubscribed leaf-spine");

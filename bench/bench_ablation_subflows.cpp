@@ -13,11 +13,13 @@
 using namespace xmp;
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int k = static_cast<int>(args.get_i("k", 8));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int k = cli::flag_k(args, 8, ok);
   const bool quick = args.has("quick");
-  const int rounds = static_cast<int>(args.get_i("rounds", 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const int rounds = static_cast<int>(cli::flag_i(args, "rounds", 1, 1, 1000, ok));
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_ablation_subflows",
                       "Subflow-count ablation (paper §5.2.2: XMP needs only 2 subflows)");

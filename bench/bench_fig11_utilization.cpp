@@ -15,11 +15,13 @@
 using namespace xmp;
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int k = static_cast<int>(args.get_i("k", 8));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int k = cli::flag_k(args, 8, ok);
   const bool quick = args.has("quick");
-  const double duration = args.get("duration", quick ? 0.2 : 0.4);
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const double duration = cli::flag_d(args, "duration", quick ? 0.2 : 0.4, 1e-3, 3600, ok);
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_fig11_utilization",
                       "Figure 11 (link utilization distributions per layer)");

@@ -9,7 +9,7 @@
 //  (c,d) constant-factor halving with K chosen per Eq. 1 stays fair and
 //        still achieves (near-)full utilization.
 //
-// Usage: bench_fig1_convergence [--interval=5] [--bin=0.5]
+// Usage: bench_fig1_convergence [--interval=2] [--bin=0.5] [--series]
 
 #include <array>
 #include <memory>
@@ -117,10 +117,12 @@ Result run_case(bool dctcp, int mark_threshold, double interval_s, double bin_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const double interval = args.get("interval", 2.0);
-  const double bin = args.get("bin", 0.5);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double interval = cli::flag_d(args, "interval", 2.0, 0.01, 3600, ok);
+  const double bin = cli::flag_d(args, "bin", 0.5, 0.001, 3600, ok);
   const bool series = args.has("series");
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_fig1_convergence",
                       "Figure 1 (fairness/convergence of DCTCP vs constant-factor halving)");

@@ -129,9 +129,12 @@ PhaseAverages run_case(int beta, double phase_s, double bin_s, bool print,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const double phase = args.get("phase", 4.0);
-  const double bin = args.get("bin", 0.5);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double phase = cli::flag_d(args, "phase", 4.0, 0.01, 3600, ok);
+  const double bin = cli::flag_d(args, "bin", 0.5, 0.001, 3600, ok);
+  const bool series = args.has("series");
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_fig4_traffic_shifting",
                       "Figure 4 (XMP shifting Flow 2 between DN1/DN2 under background load)");
@@ -156,7 +159,7 @@ int main(int argc, char** argv) {
   // The figure itself (numeric table behind --series).
   for (int beta : {4, 6}) {
     std::printf("\n--- beta=%d subflow rates over time ---\n", beta);
-    run_case(beta, phase, bin, true, args.has("series"));
+    run_case(beta, phase, bin, true, series);
   }
   return 0;
 }

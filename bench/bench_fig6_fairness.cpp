@@ -155,9 +155,12 @@ CaseResult run_case(int beta, double unit_s, double bin_s, bool print) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const double unit = args.get("unit", 2.0);
-  const double bin = args.get("bin", 0.5);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double unit = cli::flag_d(args, "unit", 2.0, 0.01, 3600, ok);
+  const double bin = cli::flag_d(args, "bin", 0.5, 0.001, 3600, ok);
+  const bool series = args.has("series");
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_fig6_fairness",
                       "Figure 6 (per-flow fairness irrespective of subflow count)");
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
   std::printf("\npaper shape: with beta=4 all flows get ~1/4 of the link regardless of\n"
               "subflow count; fairness declines with beta=6 (Fig. 6b).\n");
 
-  if (args.has("series")) {
+  if (series) {
     for (int beta : {4, 6}) {
       std::printf("\n--- beta=%d per-subflow rate series ---\n", beta);
       run_case(beta, unit, bin, true);

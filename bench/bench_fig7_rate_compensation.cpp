@@ -11,7 +11,7 @@
 // dominos". Flow 1-1 / Flow 5-* stay nearly unchanged. When L3 closes,
 // the L3 subflows collapse to zero and the siblings jump.
 //
-// Usage: bench_fig7_rate_compensation [--unit=1.5] [--series]
+// Usage: bench_fig7_rate_compensation [--unit=0.5]
 
 #include <memory>
 
@@ -121,8 +121,10 @@ std::vector<Sample> run_case(int beta, int mark_k, double unit_s,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const double unit = args.get("unit", 0.5);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double unit = cli::flag_d(args, "unit", 0.5, 0.01, 3600, ok);
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner(
       "bench_fig7_rate_compensation",

@@ -70,8 +70,10 @@ SimOutcome simulate_shared_bottleneck(int n_flows, int beta, double sim_s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const double sim_s = args.get("sim", 1.0);
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double sim_s = cli::flag_d(args, "sim", 1.0, 1e-3, 3600, ok);
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_fluid_validation",
                       "theory-vs-simulation: Eq. 3 equilibria and TraSh fixed points");

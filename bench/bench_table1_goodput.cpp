@@ -12,7 +12,7 @@
 // XMP's subflows adds ~10% while doubling LIA's adds >40%.
 //
 // Usage: bench_table1_goodput [--k=8] [--rounds=2] [--duration=0.6]
-//        [--seed=1] [--quick] [--cdf] [--scale=1] [--jobs=N]
+//        [--seed=1] [--quick] [--scale=1] [--jobs=N]
 //
 // The 15 scheme x pattern cells are independent experiments; they are
 // fanned across a core::ParallelRunner pool (--jobs, default: hardware
@@ -53,12 +53,16 @@ workload::SchemeSpec scheme_by_name(const std::string& name) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int k = static_cast<int>(args.get_i("k", 8));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int k = cli::flag_k(args, 8, ok);
   const bool quick = args.has("quick");
-  const int rounds = static_cast<int>(args.get_i("rounds", quick ? 1 : 2));
-  const double duration = args.get("duration", quick ? 0.25 : 0.6);
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const int rounds = static_cast<int>(cli::flag_i(args, "rounds", quick ? 1 : 2, 1, 1000, ok));
+  const double duration = cli::flag_d(args, "duration", quick ? 0.25 : 0.6, 1e-3, 3600, ok);
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  const std::int64_t scale = cli::flag_i(args, "scale", 1, 1, 1000000, ok);
+  const std::int64_t jobs = cli::flag_i(args, "jobs", 0, 0, 4096, ok);  // 0 = hardware cores
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_table1_goodput",
                       "Table 1 + Figure 8 (goodput per scheme x pattern, k=8 Fat-Tree)");
@@ -98,7 +102,6 @@ int main(int argc, char** argv) {
         cfg.rand_min_bytes /= 4;
         cfg.rand_max_bytes /= 4;
       }
-      const auto scale = static_cast<std::int64_t>(args.get_i("scale", 1));
       cfg.perm_min_bytes *= scale;
       cfg.perm_max_bytes *= scale;
       cfg.rand_min_bytes *= scale;
@@ -111,7 +114,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::int64_t jobs = args.get_i("jobs", 0);  // <= 0 means "hardware cores"
   const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
   std::fprintf(stderr, "running %zu cells on %u workers\n", grid.size(), runner.workers());
   const auto ordered =

@@ -20,11 +20,14 @@
 using namespace xmp;
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int k = static_cast<int>(args.get_i("k", 8));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int k = cli::flag_k(args, 8, ok);
   const bool quick = args.has("quick");
-  const double duration = args.get("duration", quick ? 0.25 : 0.5);
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const double duration = cli::flag_d(args, "duration", quick ? 0.25 : 0.5, 1e-3, 3600, ok);
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  const std::int64_t jobs = cli::flag_i(args, "jobs", 0, 0, 4096, ok);  // 0 = hardware cores
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_table2_coexistence",
                       "Table 2 (XMP-2 vs LIA-2 / TCP / DCTCP, Random pattern, queue 50/100)");
@@ -68,7 +71,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::int64_t jobs = args.get_i("jobs", 0);  // <= 0 means "hardware cores"
   const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
   std::fprintf(stderr, "running %zu cells on %u workers\n", grid.size(), runner.workers());
   const auto results = runner.run(grid, [](std::size_t, std::size_t done, std::size_t total) {

@@ -10,7 +10,7 @@
 // with >10% of jobs beyond 300 ms; CDF jumps ~200 ms apart (TCP incast
 // collapse); more subflows -> slightly more second-collapse jobs.
 //
-// Usage: bench_table3_jobs [--k=8] [--duration=0.6] [--seed=1] [--quick] [--cdf]
+// Usage: bench_table3_jobs [--k=8] [--duration=1.2] [--seed=1] [--quick]
 
 #include <map>
 
@@ -19,11 +19,13 @@
 using namespace xmp;
 
 int main(int argc, char** argv) {
-  bench::Args args{argc, argv};
-  const int k = static_cast<int>(args.get_i("k", 8));
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const int k = cli::flag_k(args, 8, ok);
   const bool quick = args.has("quick");
-  const double duration = args.get("duration", quick ? 0.3 : 1.2);
-  const auto seed = static_cast<std::uint64_t>(args.get_i("seed", 1));
+  const double duration = cli::flag_d(args, "duration", quick ? 0.3 : 1.2, 1e-3, 3600, ok);
+  const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_table3_jobs",
                       "Table 3 + Figure 9 (incast job completion times per scheme)");

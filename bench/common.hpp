@@ -1,46 +1,16 @@
 #pragma once
 
-// Shared helpers for the paper-reproduction bench binaries.
+// Shared helpers for the paper-reproduction bench binaries. Flags go
+// through cli::Args (core/cli.hpp), like every other binary's.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "core/cli.hpp"
 #include "core/xmp.hpp"
 
 namespace xmp::bench {
-
-/// Minimal `--key=value` argument parser (no dependencies).
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
-  }
-
-  [[nodiscard]] bool has(const std::string& key) const {
-    for (const auto& a : args_) {
-      if (a == "--" + key || a.rfind("--" + key + "=", 0) == 0) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] double get(const std::string& key, double fallback) const {
-    const std::string prefix = "--" + key + "=";
-    for (const auto& a : args_) {
-      if (a.rfind(prefix, 0) == 0) return std::atof(a.c_str() + prefix.size());
-    }
-    return fallback;
-  }
-
-  [[nodiscard]] std::int64_t get_i(const std::string& key, std::int64_t fallback) const {
-    return static_cast<std::int64_t>(get(key, static_cast<double>(fallback)));
-  }
-
- private:
-  std::vector<std::string> args_;
-};
 
 inline void print_banner(const char* experiment, const char* paper_artifact) {
   std::printf("==============================================================\n");

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/cli.hpp"
 #include "core/xmp.hpp"
 
 namespace {
@@ -69,8 +70,9 @@ class AdaptiveBos final : public transport::CongestionControl {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xmp;
+  if (!cli::Args{argc, argv}.finish()) return 2;  // takes no flags
 
   sim::Scheduler sched;
   net::Network network{sched};

@@ -7,18 +7,17 @@
 //   $ ./datacenter_mix [--duration=0.3]
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
+#include "core/cli.hpp"
 #include "core/xmp.hpp"
 
 int main(int argc, char** argv) {
   using namespace xmp;
 
-  double duration = 0.3;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--duration=", 11) == 0) duration = std::atof(argv[i] + 11);
-  }
+  const cli::Args args{argc, argv};
+  bool ok = true;
+  const double duration = cli::flag_d(args, "duration", 0.3, 1e-3, 3600, ok);
+  if (!ok || !args.finish()) return 2;
 
   struct SchemeRow {
     const char* label;

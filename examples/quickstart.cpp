@@ -9,10 +9,12 @@
 
 #include <cstdio>
 
+#include "core/cli.hpp"
 #include "core/xmp.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace xmp;
+  if (!cli::Args{argc, argv}.finish()) return 2;  // takes no flags
 
   sim::Scheduler sched;
   net::Network network{sched};

@@ -10,7 +10,7 @@
 #      --invariants, trace validation, and campaign kill/resume for a seed
 #      and an FCT sweep;
 #   3. reject rows: a one-line diagnostic and exit 2 for every unsupported
-#      flag combination.
+#      flag combination, unknown flag and flag with no effect on the run.
 #
 #   scripts/smoke.sh [build-dir]   # default: build
 set -euo pipefail
@@ -240,15 +240,17 @@ echo "== 3. reject rows =="
 # diagnostic (grep -E)                                   | argv
 reject_rows=(
   "--shards requires --pattern=permutation                 | run --pattern=random --scheme=xmp --k=4 --duration=0.01 --shards=2"
-  "--coexist requires --pattern=random                     | run $perm --coexist=dctcp --duration=0.01"
+  "--coexist=dctcp has no effect on this run               | run $perm --coexist=dctcp --duration=0.01"
   "--shards is incompatible with --rehome                  | run $perm --rehome=1 --duration=0.01 --shards=2"
-  "flags need --hybrid                                     | run --hybrid-bg=10 --duration=0.01"
+  "--hybrid-bg=10 has no effect on this run                | run --hybrid-bg=10 --duration=0.01"
   "--hybrid requires --scheme=xmp                          | run --hybrid --scheme=tcp --duration=0.01"
   "--hybrid is incompatible with --shards                  | run --hybrid --scheme=xmp --subflows=2 --shards=2 --duration=0.01"
-  "--hybrid replaces --pattern                             | run --hybrid --scheme=xmp --subflows=2 --pattern=stride --duration=0.01"
+  "--pattern=stride has no effect on this run              | run --hybrid --scheme=xmp --subflows=2 --pattern=stride --duration=0.01"
   "bad --hybrid-bg=0                                       | run --hybrid --scheme=xmp --subflows=2 --hybrid-bg=0 --duration=0.01"
-  "--hybrid is incompatible with --faults                  | run --hybrid --faults=$gray"
-  "--fct-csv needs --workload                              | run --pattern=permutation --fct-csv=x.csv --duration=0.01"
+  "--faults=.* has no effect on this run                   | run --hybrid --faults=$gray"
+  "--fct-csv=x.csv has no effect on this run               | run --pattern=permutation --fct-csv=x.csv --duration=0.01"
+  "unknown flag --bogus=1                                  | run $perm --bogus=1 --duration=0.01"
+  "--rounds=4 has no effect on this run                    | run --pattern=random --scheme=xmp --k=4 --rounds=4 --duration=0.01"
   "restore failed: .*CRC mismatch                          | run ${cadence[*]} --checkpoint-dir=$tmp --restore=$bad"
   "restore failed: .*config fingerprint mismatch           | run $hybrid --checkpoint-dir=$tmp --restore=$snap"
   "verify drives --shards itself                           | verify $perm --duration=0.05 --shards=4"

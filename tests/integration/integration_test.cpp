@@ -1,6 +1,5 @@
 // Cross-module integration scenarios: workload generators on the
-// alternative fabric, mixed schemes sharing a network, and trace replay
-// driving the full stack.
+// alternative fabric and mixed schemes sharing a network.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include "workload/incast.hpp"
 #include "workload/permutation.hpp"
 #include "workload/random_traffic.hpp"
-#include "workload/trace_replay.hpp"
 
 namespace xmp {
 namespace {
@@ -119,20 +117,6 @@ TEST(Integration, MixedSchemesShareFatTree) {
     for (const auto& r : fm->records()) completed += r.completed ? 1 : 0;
     EXPECT_GT(completed, 0u);
   }
-}
-
-TEST(Integration, TraceReplayOnLeafSpine) {
-  SpineFixture f;
-  workload::FlowManager fm{f.sched, scheme(workload::SchemeSpec::Kind::Xmp)};
-  std::vector<workload::TraceEntry> entries;
-  for (int i = 0; i < 8; ++i) {
-    entries.push_back({i * 0.005, i, (i + 5) % f.fabric->n_hosts(), 100'000, false});
-  }
-  workload::TraceReplay replay{f.sched, *f.fabric, fm, entries};
-  replay.start();
-  f.sched.run_until(sim::Time::seconds(3.0));
-  EXPECT_EQ(fm.records().size(), 8u);
-  for (const auto& r : fm.records()) EXPECT_TRUE(r.completed);
 }
 
 TEST(Integration, ManagersWithDisjointIdBasesDoNotCollideAtSharedDestination) {

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/experiment.hpp"
 #include "workload/traffic_matrix.hpp"
 
 namespace xmp::workload {
@@ -74,6 +75,28 @@ TEST_F(TrafficMatrixTest, TraceOnlyWorkloadNeedsNoCdf) {
   ASSERT_TRUE(parse("nodes 4\nflow 0 1 1000 0\n", spec, &error)) << error;
   EXPECT_FALSE(spec.has_cdf);
   EXPECT_EQ(spec.flows.size(), 1u);
+}
+
+// A trace-only file's explicit flows, end to end through run_experiment:
+// each starts at its scheduled time and completes.
+TEST_F(TrafficMatrixTest, TraceOnlyFlowsStartOnScheduleAndComplete) {
+  std::ofstream{dir_ + "/trace.wl"} << "nodes 16\nflow 0 8 50000 0\nflow 1 9 2000 0.02\n"
+                                       "flow 2 10 50000 0.04\n";
+  auto spec = std::make_shared<WorkloadSpec>();
+  std::string error;
+  ASSERT_TRUE(WorkloadSpec::parse_file(dir_ + "/trace.wl", *spec, &error)) << error;
+  core::ExperimentConfig cfg;
+  cfg.pattern = core::Pattern::Workload;
+  cfg.workload = spec;
+  cfg.fat_tree_k = 4;
+  cfg.duration = sim::Time::seconds(0.5);
+  const auto res = core::run_experiment(cfg);
+  ASSERT_EQ(res.fct_records.size(), 3u);
+  const double starts[] = {0.0, 0.02, 0.04};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(res.fct_records[i].start_ns, sim::Time::seconds(starts[i]).ns()) << i;
+    EXPECT_TRUE(res.fct_records[i].completed) << i;
+  }
 }
 
 TEST_F(TrafficMatrixTest, RejectsHostileInputs) {
