@@ -18,8 +18,9 @@
 //       (default pinned = the paper's per-tag deterministic paths; ecmp
 //       ignores tags and exhibits collisions); --flowlet-gap is the flowlet
 //       idle gap in microseconds, --reroute-delay the failure-convergence
-//       delay in seconds. --rehome lets MPTCP move a dead subflow onto a
-//       fresh path up to N times per connection instead of killing it.
+//       delay in seconds (with --faults only). --rehome lets MPTCP move a
+//       dead subflow onto a fresh path up to N times per connection instead
+//       of killing it (only where subflows can die: --dead-after above 0).
 //       With --faults, the plan's events are injected on the simulation
 //       clock (see src/faults/fault_plan.hpp for the grammar); --dead-after
 //       defaults to 3 when faults are given (0 = failover disabled
@@ -314,12 +315,35 @@ void pattern_from(const Args& args, core::ExperimentConfig& cfg, bool& ok) {
   cfg.rand_max_bytes *= scale;
 }
 
+/// The integer knobs `sweep --param` can vary, with the range both their
+/// own flag and a `--values` entry for them accept.
+struct IntKnob {
+  const char* name;
+  std::int64_t lo;
+  std::int64_t hi;
+};
+constexpr IntKnob kIntKnobs[] = {{"subflows", 1, 64},       {"beta", 1, 1000},
+                                 {"queue", 1, 1000000},     {"mark-k", 1, 1000000},
+                                 {"seed", 0, INT64_MAX}};
+
+const IntKnob* int_knob(const std::string& name) {
+  for (const IntKnob& k : kIntKnobs) {
+    if (name == k.name) return &k;
+  }
+  return nullptr;
+}
+
+std::int64_t knob_flag(const Args& args, const char* name, std::int64_t fallback, bool& ok) {
+  const IntKnob& k = *int_knob(name);
+  return flag_i(args, name, fallback, k.lo, k.hi, ok);
+}
+
 core::ExperimentConfig config_from(const Args& args, bool& ok) {
   core::ExperimentConfig cfg;
   ok = true;
 
-  const int subflows = static_cast<int>(flag_i(args, "subflows", 2, 1, 64, ok));
-  const int beta = static_cast<int>(flag_i(args, "beta", 4, 1, 1000, ok));
+  const int subflows = static_cast<int>(knob_flag(args, "subflows", 2, ok));
+  const int beta = static_cast<int>(knob_flag(args, "beta", 4, ok));
   const std::string scheme = args.get("scheme", "xmp");
   if (!parse_scheme(scheme, subflows, beta, cfg.scheme)) {
     std::fprintf(stderr, "xmpsim: bad --scheme=%s (expected tcp|dctcp|xmp|lia|olia)\n",
@@ -328,9 +352,9 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   }
   cfg.fat_tree_k = cli::flag_k(args, 8, ok);
   cfg.duration = sim::Time::seconds(flag_d(args, "duration", 0.5, 1e-6, 3600, ok));
-  cfg.queue_capacity = static_cast<std::size_t>(flag_i(args, "queue", 100, 1, 1000000, ok));
-  cfg.mark_threshold = static_cast<std::size_t>(flag_i(args, "mark-k", 10, 1, 1000000, ok));
-  cfg.seed = static_cast<std::uint64_t>(flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  cfg.queue_capacity = static_cast<std::size_t>(knob_flag(args, "queue", 100, ok));
+  cfg.mark_threshold = static_cast<std::size_t>(knob_flag(args, "mark-k", 10, ok));
+  cfg.seed = static_cast<std::uint64_t>(knob_flag(args, "seed", 1, ok));
 
   // The traffic: --hybrid, else --workload, else --pattern. The other two
   // sources' flags stay unread, so Args::finish rejects them.
@@ -364,7 +388,11 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
   // fault-free runs stay bit-identical to builds without the fault layer.
   cfg.scheme.dead_after_rtos =
       static_cast<int>(flag_i(args, "dead-after", cfg.fault_plan.empty() ? 0 : 3, 0, 1000, ok));
-  cfg.scheme.max_rehomes = static_cast<int>(flag_i(args, "rehome", 0, 0, 1000, ok));
+  // A re-home moves a dead subflow, and no subflow dies without a
+  // --dead-after budget (3 under --faults, else 0).
+  if (cfg.scheme.dead_after_rtos > 0) {
+    cfg.scheme.max_rehomes = static_cast<int>(flag_i(args, "rehome", 0, 0, 1000, ok));
+  }
   if (cfg.scheme_b) {
     cfg.scheme_b->dead_after_rtos = cfg.scheme.dead_after_rtos;
     cfg.scheme_b->max_rehomes = cfg.scheme.max_rehomes;
@@ -380,7 +408,11 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
     cfg.routing.flowlet_gap =
         sim::Time::microseconds(flag_i(args, "flowlet-gap", 100, 1, 1000000000, ok));
   }
-  cfg.routing.reroute_delay = sim::Time::seconds(flag_d(args, "reroute-delay", 0.001, 0, 60, ok));
+  // Tables reroute only around links a fault plan changes.
+  if (!cfg.fault_plan.empty()) {
+    cfg.routing.reroute_delay =
+        sim::Time::seconds(flag_d(args, "reroute-delay", 0.001, 0, 60, ok));
+  }
   cfg.check_invariants = args.has("invariants");
   cfg.shards = static_cast<int>(flag_i(args, "shards", 0, 0, 4096, ok));
 
@@ -942,6 +974,29 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
     std::fprintf(stderr, "xmpsim: sweep needs --values=a,b,c\n");
     return false;
   }
+  const IntKnob* knob = int_knob(spec.param);
+  if (knob == nullptr && spec.param != "load") {
+    std::fprintf(stderr, "xmpsim: bad --param=%s (expected mark-k|beta|subflows|queue|seed|load)\n",
+                 spec.param.c_str());
+    return false;
+  }
+  // An integer knob reads each entry by its own flag's rule: a fraction or
+  // an out-of-range entry is an error, never truncated.
+  std::vector<std::int64_t> ints;
+  if (knob != nullptr) {
+    for (const std::string& entry : cli::list_entries(args, "values")) {
+      std::int64_t n = 0;
+      if (!cli::parse_integer(entry, n) || n < knob->lo || n > knob->hi) {
+        std::fprintf(stderr,
+                     "xmpsim: bad --values entry '%s' for --param=%s (expected an integer in "
+                     "[%lld, %lld])\n",
+                     entry.c_str(), knob->name, static_cast<long long>(knob->lo),
+                     static_cast<long long>(knob->hi));
+        return false;
+      }
+      ints.push_back(n);
+    }
+  }
 
   // Optional scheme cross product: --schemes=xmp,dctcp,lia,olia multiplies
   // the grid (scheme-major order), which is how a full load-vs-FCT study
@@ -970,23 +1025,11 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
   // Build the whole grid up front, then fan it across workers; results come
   // back in submission order, bit-identical to a serial sweep.
   for (const std::string& sch : schemes) {
-    for (double v : base_values) {
+    for (std::size_t i = 0; i < base_values.size(); ++i) {
+      const double v = base_values[i];
       auto cfg = config_from(args, ok);
       if (!ok) return false;
-      if (spec.param == "mark-k" || spec.param == "queue" || spec.param == "subflows" ||
-          spec.param == "beta") {
-        if (v < 1) {
-          std::fprintf(stderr, "xmpsim: bad --values entry %g for --param=%s (expected >= 1)\n",
-                       v, spec.param.c_str());
-          return false;
-        }
-      } else if (spec.param == "seed") {
-        if (v < 0) {
-          std::fprintf(stderr, "xmpsim: bad --values entry %g for --param=seed (expected >= 0)\n",
-                       v);
-          return false;
-        }
-      } else if (spec.param == "load") {
+      if (spec.param == "load") {
         if (!cfg.workload) {
           std::fprintf(stderr, "xmpsim: --param=load needs --workload=FILE\n");
           return false;
@@ -1001,24 +1044,19 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
                        v);
           return false;
         }
-      } else {
-        std::fprintf(stderr,
-                     "xmpsim: bad --param=%s (expected mark-k|beta|subflows|queue|seed|load)\n",
-                     spec.param.c_str());
-        return false;
       }
       if (spec.param == "mark-k") {
-        cfg.mark_threshold = static_cast<std::size_t>(v);
+        cfg.mark_threshold = static_cast<std::size_t>(ints[i]);
       } else if (spec.param == "beta") {
-        cfg.scheme.beta = static_cast<int>(v);
+        cfg.scheme.beta = static_cast<int>(ints[i]);
       } else if (spec.param == "subflows") {
-        cfg.scheme.subflows = static_cast<int>(v);
+        cfg.scheme.subflows = static_cast<int>(ints[i]);
       } else if (spec.param == "queue") {
-        cfg.queue_capacity = static_cast<std::size_t>(v);
+        cfg.queue_capacity = static_cast<std::size_t>(ints[i]);
       } else if (spec.param == "load") {
         cfg.offered_load = v;
       } else {
-        cfg.seed = static_cast<std::uint64_t>(v);
+        cfg.seed = static_cast<std::uint64_t>(ints[i]);
       }
       if (!sch.empty()) {
         // Swap the scheme kind, keeping every other knob (--subflows,

@@ -241,7 +241,7 @@ echo "== 3. reject rows =="
 reject_rows=(
   "--shards requires --pattern=permutation                 | run --pattern=random --scheme=xmp --k=4 --duration=0.01 --shards=2"
   "--coexist=dctcp has no effect on this run               | run $perm --coexist=dctcp --duration=0.01"
-  "--shards is incompatible with --rehome                  | run $perm --rehome=1 --duration=0.01 --shards=2"
+  "--shards is incompatible with --rehome                  | run $perm --faults=down,link=40,at=0.005 --rehome=1 --duration=0.01 --shards=2"
   "--hybrid-bg=10 has no effect on this run                | run --hybrid-bg=10 --duration=0.01"
   "--hybrid requires --scheme=xmp                          | run --hybrid --scheme=tcp --duration=0.01"
   "--hybrid is incompatible with --shards                  | run --hybrid --scheme=xmp --subflows=2 --shards=2 --duration=0.01"

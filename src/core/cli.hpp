@@ -157,13 +157,23 @@ inline int flag_k(const Args& args, int fallback, bool& ok) {
   return fallback;
 }
 
-/// Comma-separated numbers (`--values=1,2,3`); empty when absent.
-inline std::vector<double> flag_list(const Args& args, const char* key, bool& ok) {
-  std::vector<double> out;
+/// The entries of a comma-separated list flag, verbatim; empty when absent.
+inline std::vector<std::string> list_entries(const Args& args, const char* key) {
+  std::vector<std::string> out;
   std::string v = args.get(key, "");
   while (!v.empty()) {
     const auto comma = v.find(',');
-    const std::string token = v.substr(0, comma);
+    out.push_back(v.substr(0, comma));
+    if (comma == std::string::npos) break;
+    v = v.substr(comma + 1);
+  }
+  return out;
+}
+
+/// Comma-separated numbers (`--values=1,2,3`); empty when absent.
+inline std::vector<double> flag_list(const Args& args, const char* key, bool& ok) {
+  std::vector<double> out;
+  for (const std::string& token : list_entries(args, key)) {
     double num = 0;
     if (!parse_number(token, num)) {
       std::fprintf(stderr, "%s: bad --%s entry '%s' (expected a number)\n", args.prog().c_str(),
@@ -172,8 +182,6 @@ inline std::vector<double> flag_list(const Args& args, const char* key, bool& ok
       return {};
     }
     out.push_back(num);
-    if (comma == std::string::npos) break;
-    v = v.substr(comma + 1);
   }
   return out;
 }

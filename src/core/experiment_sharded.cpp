@@ -29,11 +29,13 @@
 // executing events strictly before the epoch boundary in parallel: a packet
 // another shard sends during the same epoch cannot arrive earlier than
 // epoch_start + L, so nothing a shard runs inside the window can be
-// invalidated. At the barrier each worker drains the packets parked for its
-// own shards in a fixed (src, FIFO) order per destination and advances
-// their clocks to the boundary; then the control strand (RTT probe, fault
-// plan, route manager, invariant checker) runs with the whole fabric
-// quiesced.
+// invalidated. Each shard's inbound packets are drained in a fixed
+// (src, FIFO) order per destination and its clock advanced to the
+// boundary: by the workers in a drain phase at the barrier, or, when
+// nothing needs a quiesced fabric before the next epoch, by each shard's
+// next epoch task before it runs (a deferred drain: one pool.run per
+// epoch). Then the control strand (RTT probe, fault plan, route manager,
+// invariant checker) runs with the whole fabric quiesced.
 //
 // Global transitions — a Permutation round flip fans flow construction out
 // to every shard — must not run mid-epoch on a worker thread. The workload
@@ -95,8 +97,20 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
                                   ? fabric.lookahead()
                                   : horizon + sim::Time::nanoseconds(1);
   ExperimentResults::ShardStats& stats = w.res.shard;
-  // Per-destination handoff counts of one barrier, summed in shard order.
-  std::vector<std::uint64_t> drained_into(static_cast<std::size_t>(n_shards));
+  // Packets each shard parked during one parallel epoch, summed in shard
+  // order at its barrier.
+  std::vector<std::uint64_t> parked(static_cast<std::size_t>(n_shards));
+  // The last barrier's drain runs at the start of the next epoch's tasks.
+  // The counter is live (not summed at the end) so a snapshot carries it.
+  bool drain_deferred = false;
+  obs::Counter* deferred_drains =
+      w.registry ? &w.registry->counter("harness.shard.deferred_drains") : nullptr;
+  auto drain_at = [&](sim::Time b) {
+    pool.run(n_shards, [&fabric, b](int s) {
+      fabric.drain_into(s);
+      fabric.sched(s).advance_clock_to(b);
+    });
+  };
 
   auto all_clocks_to = [&](sim::Time t) {
     for (int s = 0; s < n_shards; ++s) fabric.sched(s).advance_clock_to(t);
@@ -135,6 +149,7 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
 
     if (forced_serial || gate_serial) {
       // ---- serial segment: global one-event micro-steps ----
+      assert(!drain_deferred && "a serial segment needs a drained fabric");
       const sim::Time serial_until = start + lookahead;
       if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
         tr->shard_epoch(start, w.next_epoch, serial_until.us(), /*serial=*/true);
@@ -179,11 +194,17 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
       }
 
       perm.set_parallel_phase(true);
-      pool.run(n_shards, [&fabric, &w, b](int s) {
+      pool.run(n_shards, [&fabric, &w, &parked, start, b, drain_first = drain_deferred](int s) {
         obs::ObservationScope shard_scope{
             w.shard_tracers.empty() ? nullptr : w.shard_tracers[static_cast<std::size_t>(s)].get(),
             w.sim_metrics.get()};
-        fabric.sched(s).run_before(b);
+        sim::Scheduler& sched = fabric.sched(s);
+        if (drain_first) {
+          fabric.drain_into(s);
+          sched.advance_clock_to(start);
+        }
+        sched.run_before(b);
+        parked[static_cast<std::size_t>(s)] = fabric.parked_by(s);
       });
       perm.set_parallel_phase(false);
 
@@ -195,15 +216,27 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
         return out;
       }
 
-      // ---- barrier: each worker drains its shards' inbound handoffs and
-      // aligns their clocks; then the control strand runs on this thread ----
-      pool.run(n_shards, [&fabric, &drained_into, b](int s) {
-        drained_into[static_cast<std::size_t>(s)] = fabric.drain_into(s);
-        fabric.sched(s).advance_clock_to(b);
-      });
+      // ---- barrier: every shard's inbound handoffs are drained and its
+      // clock aligned, either now or (deferred) by its next task; then the
+      // control strand runs on this thread ----
+      fabric.flip();
       std::uint64_t drained = 0;
-      for (const std::uint64_t d : drained_into) drained += d;
+      for (const std::uint64_t p : parked) drained += p;
       stats.handoff_packets += drained;
+      // The drain waits for the next epoch when nothing before it needs a
+      // quiesced fabric: no control event at b, no horizon pass, no
+      // snapshot, and a next epoch that runs in parallel. Each shard's
+      // next task drains its own inbound packets before it runs, which
+      // reserves the same keys as a drain here. A stop request is not
+      // consulted: the loop below completes a deferred drain before it
+      // snapshots, so the decision is a pure function of simulation state.
+      drain_deferred = control.next_time() > b && b < horizon && b < next_ckpt &&
+                       forced.count(b.ns()) == 0 && perm.pending_flows() > 1;
+      if (drain_deferred) {
+        if (deferred_drains != nullptr) deferred_drains->inc();
+      } else {
+        drain_at(b);
+      }
       control.advance_clock_to(b);
       control.run_until(b);
       ++stats.epochs;
@@ -215,9 +248,11 @@ AttemptOutcome attempt(const ExperimentConfig& cfg, const std::set<std::int64_t>
     }
     ++w.next_epoch;
 
-    // ---- quiescent point: channels drained, every clock == start ----
+    // ---- quiescent point: channels drained, every clock == start (once a
+    // deferred drain has run) ----
     if (!done) {
       if (stop_flag != nullptr && stop_flag->load()) {
+        if (drain_deferred) drain_at(start);
         w.write_checkpoint();
         w.res.ckpt.interrupted = true;
         final_time = start;  // partial summary covers [0, halt)

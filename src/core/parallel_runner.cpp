@@ -113,6 +113,11 @@ void WorkerPool::run(int n_shards, const ShardTask& task) {
     for (int s = 0; s < n_shards; ++s) task(s);
     return;
   }
+  if (n_shards > claims_size_) {
+    claims_ = std::make_unique<Claim[]>(static_cast<std::size_t>(n_shards));
+    claims_size_ = n_shards;
+  }
+  for (int s = 0; s < n_shards; ++s) claims_[s].taken.store(false, std::memory_order_relaxed);
   task_ = &task;
   n_shards_ = n_shards;
   running_.store(width_ - 1, std::memory_order_relaxed);
@@ -131,13 +136,32 @@ void WorkerPool::run(int n_shards, const ShardTask& task) {
   }
 }
 
+void WorkerPool::run_unclaimed(int s) {
+  // The claim orders nothing else: what a task reads and writes is
+  // published by the barrier.
+  std::atomic<bool>& taken = claims_[s].taken;
+  if (taken.load(std::memory_order_relaxed) || taken.exchange(true, std::memory_order_relaxed)) {
+    return;
+  }
+  try {
+    (*task_)(s);
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock{mu_};
+    if (!first_error_) first_error_ = std::current_exception();
+  }
+}
+
 void WorkerPool::run_share(unsigned index) {
-  for (int s = static_cast<int>(index); s < n_shards_; s += static_cast<int>(width_)) {
-    try {
-      (*task_)(s);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock{mu_};
-      if (!first_error_) first_error_ = std::current_exception();
+  const int width = static_cast<int>(width_);
+  const int self = static_cast<int>(index);
+  // Own shards, front to back...
+  for (int s = self; s < n_shards_; s += width) run_unclaimed(s);
+  // ...then the other owners' unstarted shards, each list from its back.
+  for (int i = 1; i < width; ++i) {
+    const int owner = (self + i) % width;
+    if (owner >= n_shards_) continue;
+    for (int s = owner + (n_shards_ - 1 - owner) / width * width; s >= owner; s -= width) {
+      run_unclaimed(s);
     }
   }
 }

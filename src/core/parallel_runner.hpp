@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -61,11 +62,14 @@ class ParallelRunner {
 /// Persistent barrier-synchronised worker pool for the sharded engine.
 ///
 /// Unlike ParallelRunner (which load-balances independent jobs through a
-/// shared counter), shard-to-worker assignment here is *static*: shard s
-/// always executes on worker (s % width). That pins every shard's
-/// scheduler, links and flows to one thread for the whole run — no
-/// migration, no false sharing surprises, and the assignment is a pure
-/// function of (s, width), never of timing.
+/// shared counter), every shard here has an *owner*: worker (s % width).
+/// A worker first runs its own shards, front to back, and then steals the
+/// shards other workers have not started yet, from the back of each
+/// owner's list, so an owner and a thief meet in the middle. A claim flag
+/// per shard, reset by every run(), makes each shard run exactly once.
+/// Which thread runs a shard therefore depends on timing, never what it
+/// computes: a task sets every thread-local it reads (tracer, metrics,
+/// current scheduler) itself.
 ///
 /// run() is a barrier: it returns only after every shard's task finished.
 /// The calling thread participates as worker 0, so width == 1 degrades to
@@ -94,13 +98,15 @@ class WorkerPool {
   static constexpr std::chrono::microseconds kSpinBudget{30};
 
   using ShardTask = std::function<void(int shard)>;
-  /// Execute task(s) for every s in [0, n_shards), shard s on worker
-  /// (s % width). Blocks until all complete.
+  /// Execute task(s) exactly once for every s in [0, n_shards), owners
+  /// first (see above). Blocks until all complete.
   void run(int n_shards, const ShardTask& task);
 
  private:
   void worker_loop(unsigned index);
   void run_share(unsigned index);
+  /// Run shard s unless another worker already claimed it.
+  void run_unclaimed(int s);
   /// Block until `a` no longer holds `old`: spin first (if spinning is on),
   /// then park.
   void wait_while(const std::atomic<std::uint32_t>& a, std::uint32_t old) const;
@@ -121,6 +127,15 @@ class WorkerPool {
 
   std::mutex mu_;  ///< guards first_error_
   std::exception_ptr first_error_;
+
+  // One flag per shard, on its own cache line: an owner claims its shards
+  // while thieves probe theirs. run() grows the array (before it releases
+  // the helpers) and resets the first n_shards_ flags.
+  struct alignas(64) Claim {
+    std::atomic<bool> taken{false};
+  };
+  std::unique_ptr<Claim[]> claims_;
+  int claims_size_ = 0;
 
   std::vector<std::thread> threads_;  ///< last: the helpers use every member above
 };

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -24,14 +25,16 @@ struct RemotePacket {
   std::uint64_t link_epoch = 0;   ///< link admin epoch at transmission time
 };
 
-/// Handoff buffer for one ordered (src_shard, dst_shard) pair. Strictly
-/// single-producer, single-consumer: only the source shard's thread pushes
-/// during an epoch, and only the destination shard's drain (all shards
-/// quiesced) consumes, so no locks or atomics are needed — the epoch
-/// barrier itself is the synchronization point.
+/// Handoff buffers for one ordered (src_shard, dst_shard) pair. Strictly
+/// single-producer, single-consumer, with no locks or atomics: pushes go to
+/// the buffer the fabric's write index selects, and only the source shard's
+/// thread pushes, during an epoch; drains read the other buffer, on the
+/// destination shard's thread. The epoch barrier that flips the index is
+/// the synchronization point, so a destination can drain the previous
+/// epoch's packets while its sources already park the next epoch's.
 class HandoffChannel {
  public:
-  void push(RemotePacket&& rp) { items_.push_back(std::move(rp)); }
+  void push(RemotePacket&& rp) { bufs_[*write_].push_back(std::move(rp)); }
 
   /// Minimum propagation delay over the boundary links feeding this
   /// channel; recorded once per link at topology-construction time.
@@ -39,7 +42,8 @@ class HandoffChannel {
 
  private:
   friend class ShardFabric;
-  std::vector<RemotePacket> items_;
+  std::array<std::vector<RemotePacket>, 2> bufs_;
+  const std::uint8_t* write_ = nullptr;  ///< the fabric's write index
   std::int64_t min_delay_ns_ = std::numeric_limits<std::int64_t>::max();
 };
 
@@ -78,18 +82,28 @@ class ShardFabric {
     return min_cross_delay_ns_ != std::numeric_limits<std::int64_t>::max();
   }
 
-  /// Barrier-time drain of one destination: schedule every packet parked
-  /// for shard `dst` on its scheduler, walking channels (src, dst) in
-  /// ascending src order and each channel FIFO. It touches only dst's
-  /// scheduler and the receive side of the links feeding dst, so distinct
-  /// destinations may drain concurrently, each on the thread that owns
-  /// `dst`, provided every source shard is quiesced. Returns the number of
-  /// packets handed off.
+  /// Publish every packet parked so far for draining: the write buffers
+  /// become the drain side, and pushes from now on park in the other
+  /// buffer. The drain side must be empty (drained) when this is called.
+  /// Only while every shard is quiesced.
+  void flip();
+
+  /// Packets shard `src` parked since the last flip(), over its outbound
+  /// channels. Read on the thread that ran `src`, where they are cached.
+  [[nodiscard]] std::uint64_t parked_by(int src) const;
+
+  /// Drain of one destination: schedule every packet on the drain side for
+  /// shard `dst` on its scheduler, walking channels (src, dst) in ascending
+  /// src order and each channel FIFO. It touches only dst's scheduler, the
+  /// receive side of the links feeding dst and the drain side of their
+  /// channels, so distinct destinations may drain concurrently, each on the
+  /// thread that runs `dst`, even while the sources run the next epoch.
+  /// Returns the number of packets handed off.
   std::uint64_t drain_into(int dst);
 
-  /// drain_into() for every destination in ascending order: the fixed
-  /// (dst_shard, src_shard, post-order) merge order. Must only run while
-  /// all shards are quiesced.
+  /// flip(), then drain_into() for every destination in ascending order:
+  /// the fixed (dst_shard, src_shard, post-order) merge order. Must only
+  /// run while all shards are quiesced.
   std::uint64_t drain_all();
 
   /// Sum of events dispatched across all shard schedulers.
@@ -99,6 +113,7 @@ class ShardFabric {
   int n_;
   std::vector<std::unique_ptr<sim::Scheduler>> scheds_;
   std::vector<HandoffChannel> channels_;  ///< n*n, row-major [src][dst]
+  std::uint8_t write_ = 0;               ///< which buffer pushes go to
   std::int64_t min_cross_delay_ns_ = std::numeric_limits<std::int64_t>::max();
 };
 

@@ -19,12 +19,18 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "core/mini_json.hpp"
 #include "core/parallel_runner.hpp"
 #include "net/handoff.hpp"
 #include "net/link.hpp"
@@ -263,6 +269,137 @@ TEST(ShardedEngine, BoundaryLinkKillMidEpoch) {
   EXPECT_GT(r1.drops.fault + r1.drops.admin_down, 0u);
 }
 
+// --- deferred drains ------------------------------------------------------
+// A parallel epoch's barrier skips its drain phase when nothing before the
+// next epoch needs a quiesced fabric; each shard's next task drains its own
+// inbound packets first. harness.shard.deferred_drains counts those
+// barriers, so a drain that never defers cannot pass as a working one.
+
+struct Observed {
+  ExperimentResults res;
+  std::string metrics;         ///< the metrics.json bytes
+  std::uint64_t deferred = 0;  ///< harness.shard.deferred_drains
+};
+
+Observed run_observed(ExperimentConfig cfg, const std::string& tag) {
+  const std::string path = ::testing::TempDir() + "xmp_deferred_" + tag + ".json";
+  cfg.obs.metrics_json = path;
+  Observed o{run_experiment(cfg), {}, 0};
+  std::ifstream in{path};
+  o.metrics.assign(std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{});
+  std::filesystem::remove(path);
+  const auto root = json::MiniJsonParser::parse(o.metrics);
+  o.deferred =
+      static_cast<std::uint64_t>(root.at("counters").at("harness.shard.deferred_drains").number);
+  return o;
+}
+
+std::string fresh_dir(const std::string& name) {
+  const std::string d = ::testing::TempDir() + "xmp_" + name;
+  std::filesystem::remove_all(d);
+  std::filesystem::create_directories(d);
+  return d;
+}
+
+// The paper's Table 1 fabric on three workers, as perfbench's perm_k8 runs
+// it: control events (the probes) are rare, so almost every barrier
+// defers its drain.
+TEST(ShardedEngine, DefersMostDrainsOnAK8Permutation) {
+  auto cfg = sharded_cfg(3);
+  cfg.fat_tree_k = 8;
+  cfg.duration = sim::Time::seconds(0.01);
+  const auto o = run_observed(cfg, "k8");
+  ASSERT_GT(o.res.shard.epochs, 100u);
+  EXPECT_GT(static_cast<double>(o.deferred), 0.9 * static_cast<double>(o.res.shard.epochs));
+  EXPECT_LE(o.deferred, o.res.shard.epochs);
+}
+
+// A snapshot needs every channel drained and every clock aligned, so the
+// barrier it is taken at drains in place: a checkpointed run defers fewer
+// drains than a plain one, at most one fewer per snapshot, with the same
+// trajectory; and a run restored from a snapshot continues the count.
+TEST(ShardedEngine, NoDrainDeferredAcrossACheckpoint) {
+  const auto plain = run_observed(sharded_cfg(2), "plain");
+
+  auto cfg = sharded_cfg(2);
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = fresh_dir("deferred_ckpt");
+  const auto cut = run_observed(cfg, "ckpt");
+  ASSERT_GE(cut.res.ckpt.written, 2u);
+  expect_identical(plain.res, cut.res);
+  EXPECT_LT(cut.deferred, plain.deferred);
+  EXPECT_LE(plain.deferred - cut.deferred, cut.res.ckpt.written);
+
+  auto again = cfg;
+  again.checkpoint.dir = fresh_dir("deferred_resumed");
+  again.checkpoint.restore_path = cfg.checkpoint.dir + "/" + ckpt::file_name(1);
+  const auto resumed = run_observed(again, "resumed");
+  EXPECT_TRUE(resumed.res.ckpt.restored);
+  expect_identical(cut.res, resumed.res);
+  EXPECT_EQ(resumed.metrics, cut.metrics);
+}
+
+// A stop request seen while a drain is deferred must run that drain
+// before the final snapshot: a snapshot with packets still parked would
+// lose them, and the run resumed from it would not match an uninterrupted
+// one. Resuming mid-run with the stop already requested halts at the first
+// barrier, which parks packets and defers their drain.
+TEST(ShardedEngine, StopAfterADeferredDrainSnapshotsADrainedFabric) {
+  auto cfg = sharded_cfg(2);
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = fresh_dir("deferred_stop_full");
+  const auto full = run_observed(cfg, "stop_full");
+  ASSERT_GE(full.res.ckpt.written, 1u);
+
+  std::atomic<bool> stop{true};
+  auto halt = cfg;
+  halt.checkpoint.dir = fresh_dir("deferred_stop_halt");
+  halt.checkpoint.restore_path = cfg.checkpoint.dir + "/" + ckpt::file_name(1);
+  halt.checkpoint.stop_requested = &stop;
+  halt.obs.trace_csv = halt.checkpoint.dir + "/trace.csv";
+  const auto halted = run_observed(halt, "stop_halt");
+  EXPECT_TRUE(halted.res.ckpt.interrupted);
+  // The halting barrier's row: t_ns,shard_barrier,epoch,0,0,parked,0.
+  std::ifstream trace{halt.obs.trace_csv};
+  std::string line;
+  std::string last_barrier;
+  while (std::getline(trace, line)) {
+    if (line.find(",shard_barrier,") != std::string::npos) last_barrier = line;
+  }
+  ASSERT_FALSE(last_barrier.empty());
+  const std::string parked = last_barrier.substr(0, last_barrier.rfind(','));
+  EXPECT_NE(parked.substr(parked.rfind(',') + 1), "0") << last_barrier;
+
+  auto again = cfg;
+  again.checkpoint.dir = fresh_dir("deferred_stop_resumed");
+  again.checkpoint.restore_path = halted.res.ckpt.last_path;
+  const auto resumed = run_observed(again, "stop_resumed");
+  expect_identical(full.res, resumed.res);
+  EXPECT_EQ(resumed.deferred, full.deferred);
+}
+
+// Invariant-checker ticks (control events) and snapshots make barriers
+// that drain in place between ones that defer; the mix must not depend on
+// the worker count, down to the metrics bytes.
+TEST(ShardedEngine, MixedDrainsAreWorkerCountInvariant) {
+  auto mk = [](int shards) {
+    auto cfg = sharded_cfg(shards);
+    cfg.check_invariants = true;
+    cfg.checkpoint.every = sim::Time::seconds(0.002);
+    cfg.checkpoint.dir = fresh_dir("deferred_mixed_" + std::to_string(shards));
+    return cfg;
+  };
+  const auto one = run_observed(mk(1), "mixed1");
+  EXPECT_GT(one.res.invariant_checks, 0u);
+  EXPECT_GT(one.deferred, 0u);
+  EXPECT_LT(one.deferred, one.res.shard.epochs);
+  for (const int shards : {2, 3, 4}) {
+    const auto other = run_observed(mk(shards), "mixed" + std::to_string(shards));
+    expect_identical(one.res, other.res);
+    EXPECT_EQ(other.metrics, one.metrics) << shards << " workers";
+  }
+}
+
 // A hand-wired fabric: two boundary links per ordered shard pair, all with
 // the same rate and delay, each carrying a three-packet burst sent at t=0.
 // Deliveries on one destination therefore share timestamps, and only the
@@ -270,14 +407,13 @@ TEST(ShardedEngine, BoundaryLinkKillMidEpoch) {
 class HandoffWorld {
  public:
   static constexpr int kShards = 3;
+  static constexpr sim::Time kDelay = sim::Time::microseconds(100);
   using Arrivals = std::vector<std::pair<std::int64_t, std::uint64_t>>;  // (t_ns, uid)
 
   HandoffWorld() {
-    const sim::Time delay = sim::Time::microseconds(100);
     net::QueueConfig q;
     q.kind = net::QueueConfig::Kind::DropTail;
     q.capacity_packets = 16;
-    std::uint64_t uid = 0;
     net::LinkId id = 0;
     for (int src = 0; src < kShards; ++src) {
       for (int dst = 0; dst < kShards; ++dst) {
@@ -285,21 +421,31 @@ class HandoffWorld {
         for (int l = 0; l < 2; ++l, ++id) {
           sinks_.push_back(std::make_unique<Sink>(fabric.sched(dst), arrivals_[dst]));
           links_.push_back(std::make_unique<net::Link>(fabric.sched(src), id, 1'000'000'000,
-                                                       delay, net::make_queue(q), *sinks_.back()));
-          net::Link& link = *links_.back();
-          fabric.note_cross_link(src, dst, delay, id);
-          link.set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst));
-          for (int i = 0; i < 3; ++i) {
-            net::Packet p;
-            p.uid = ++uid;
-            p.size_bytes = net::kDataPacketBytes;
-            link.send(std::move(p));
-          }
+                                                       kDelay, net::make_queue(q), *sinks_.back()));
+          link_src_.push_back(src);
+          fabric.note_cross_link(src, dst, kDelay, id);
+          links_.back()->set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst));
         }
       }
     }
     // One epoch: every burst is on the wire, nothing has arrived yet.
-    for (int s = 0; s < kShards; ++s) fabric.sched(s).run_before(delay);
+    for (int s = 0; s < kShards; ++s) send_burst(s, 0);
+  }
+
+  /// Shard `src`'s part of epoch `burst` ([burst, burst + 1) x kDelay): a
+  /// three-packet burst on each of its outbound links, run until every
+  /// packet is on the wire. Uids are (burst, link, packet) in order.
+  void send_burst(int src, int burst) {
+    for (std::size_t l = 0; l < links_.size(); ++l) {
+      if (link_src_[l] != src) continue;
+      for (std::uint64_t i = 0; i < 3; ++i) {
+        net::Packet p;
+        p.uid = 1000 * static_cast<std::uint64_t>(burst) + 3 * l + i + 1;
+        p.size_bytes = net::kDataPacketBytes;
+        links_[l]->send(std::move(p));
+      }
+    }
+    fabric.sched(src).run_before(kDelay * (burst + 1));
   }
 
   /// Run every destination to completion; returns its arrivals.
@@ -329,6 +475,7 @@ class HandoffWorld {
   std::array<Arrivals, kShards> arrivals_;
   std::vector<std::unique_ptr<Sink>> sinks_;
   std::vector<std::unique_ptr<net::Link>> links_;
+  std::vector<int> link_src_;  ///< source shard of links_[l]
 };
 
 // Destinations drain independently: any order of drain_into calls (here
@@ -342,6 +489,7 @@ TEST(ShardFabric, DrainIntoMatchesDrainAllInAnyDestinationOrder) {
   const auto ref_arrivals = ref.deliver();
 
   HandoffWorld reversed;
+  reversed.fabric.flip();  // publish the burst for drain_into
   std::uint64_t n = 0;
   for (int dst = HandoffWorld::kShards - 1; dst >= 0; --dst) n += reversed.fabric.drain_into(dst);
   EXPECT_EQ(n, 36u);
@@ -349,6 +497,7 @@ TEST(ShardFabric, DrainIntoMatchesDrainAllInAnyDestinationOrder) {
   EXPECT_EQ(reversed.deliver(), ref_arrivals);
 
   HandoffWorld parallel;
+  parallel.fabric.flip();
   std::array<std::uint64_t, HandoffWorld::kShards> per_dst{};
   WorkerPool pool{HandoffWorld::kShards};
   pool.run(HandoffWorld::kShards, [&](int dst) {
@@ -364,6 +513,46 @@ TEST(ShardFabric, DrainIntoMatchesDrainAllInAnyDestinationOrder) {
     ASSERT_EQ(a.size(), 12u);
     EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
     EXPECT_EQ(a[0].first, a[1].first);  // ties do occur
+  }
+}
+
+// Double buffering: while destinations drain the last epoch's packets
+// (concurrently, on a pool), their sources already park the next epoch's
+// in the other buffer — as a deferred drain does. Those must neither be
+// drained early nor reorder anything: the result matches draining the two
+// epochs one after the other with every shard quiesced.
+TEST(ShardFabric, PushesDuringADrainWaitForTheNextFlip) {
+  // Second epoch: each shard takes its inbound packets, aligns its clock,
+  // sends a second burst and runs the epoch (first-burst deliveries land).
+  auto second_epoch = [](HandoffWorld& w, int s) {
+    w.fabric.sched(s).advance_clock_to(HandoffWorld::kDelay);
+    w.send_burst(s, 1);
+  };
+
+  HandoffWorld ref;
+  EXPECT_EQ(ref.fabric.drain_all(), 36u);
+  for (int s = 0; s < HandoffWorld::kShards; ++s) second_epoch(ref, s);
+  EXPECT_EQ(ref.fabric.drain_all(), 36u);
+  const auto ref_seqs = ref.next_seqs();
+  const auto ref_arrivals = ref.deliver();
+
+  HandoffWorld overlapped;
+  overlapped.fabric.flip();
+  std::array<std::uint64_t, HandoffWorld::kShards> per_dst{};
+  WorkerPool pool{HandoffWorld::kShards};
+  pool.run(HandoffWorld::kShards, [&](int s) {
+    per_dst[static_cast<std::size_t>(s)] = overlapped.fabric.drain_into(s);
+    second_epoch(overlapped, s);
+  });
+  // Only the first burst drained: 2 sources x 2 links x 3 packets each.
+  EXPECT_EQ(per_dst, (std::array<std::uint64_t, HandoffWorld::kShards>{12, 12, 12}));
+  for (int s = 0; s < HandoffWorld::kShards; ++s) EXPECT_EQ(overlapped.fabric.parked_by(s), 12u);
+  EXPECT_EQ(overlapped.fabric.drain_all(), 36u);
+  EXPECT_EQ(overlapped.next_seqs(), ref_seqs);
+  EXPECT_EQ(overlapped.deliver(), ref_arrivals);
+  for (const auto& a : ref_arrivals) {
+    ASSERT_EQ(a.size(), 24u);
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   }
 }
 
