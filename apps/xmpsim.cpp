@@ -953,8 +953,8 @@ int cmd_fluid(const Args& args) {
 /// and `values`/`labels` are expanded to one entry per grid point.
 struct SweepSpec {
   std::string param;
-  std::vector<double> values;        ///< swept value per grid point
-  std::vector<std::string> labels;   ///< scheme per grid point ("" = --scheme)
+  std::vector<core::SweepValue> values;  ///< swept value per grid point
+  std::vector<std::string> labels;       ///< scheme per grid point ("" = --scheme)
   std::vector<core::ExperimentConfig> grid;
   bool schemes_swept = false;
 };
@@ -1072,7 +1072,8 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
       cfg.obs.trace_csv = per_job_path(cfg.obs.trace_csv, job);
       cfg.obs.metrics_json = per_job_path(cfg.obs.metrics_json, job);
       cfg.obs.fct_csv = per_job_path(cfg.obs.fct_csv, job);
-      spec.values.push_back(v);
+      spec.values.push_back(knob != nullptr ? core::SweepValue::of_int(ints[i])
+                                            : core::SweepValue::of_real(v));
       spec.labels.push_back(sch);
       spec.grid.push_back(cfg);
     }
@@ -1103,7 +1104,8 @@ void write_sweep_summary(const std::string& dir, const SweepSpec& spec,
     const core::JobResult& r = *outcome.results[i];
     json.begin_object();
     json.kv("index", static_cast<std::uint64_t>(i));
-    json.kv("value", spec.values[i]);
+    json.key("value");
+    spec.values[i].write(json);
     json.kv("goodput_mbps", r.goodput_mbps);
     json.kv("events", r.events);
     json.kv("flows", r.flows);
@@ -1130,7 +1132,8 @@ void write_fct_summary(const std::string& dir, const SweepSpec& spec,
     const core::JobResult& r = *outcome.results[i];
     json.begin_object();
     json.kv("index", static_cast<std::uint64_t>(i));
-    json.kv("value", spec.values[i]);
+    json.key("value");
+    spec.values[i].write(json);
     json.kv("scheme", spec.labels[i].empty() ? spec.grid[i].scheme.name() : spec.labels[i]);
     json.kv("offered_load", r.fct_load);
     json.kv("completed", r.fct_completed);
@@ -1245,7 +1248,7 @@ int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
   if (any_fct) std::printf(" %10s %10s", "fct p50", "fct p99");
   std::printf("\n");
   for (std::size_t i = 0; i < outcome.results.size(); ++i) {
-    std::printf("%-12g", spec.values[i]);
+    std::printf("%-12s", spec.values[i].label().c_str());
     if (spec.schemes_swept) std::printf(" %-8s", spec.labels[i].c_str());
     if (outcome.results[i]) {
       const core::JobResult& r = *outcome.results[i];
@@ -1316,7 +1319,7 @@ int cmd_sweep(const Args& args) {
   if (any_fct) std::printf(" %10s %10s", "fct p50", "fct p99");
   std::printf("\n");
   for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-12g", spec.values[i]);
+    std::printf("%-12s", spec.values[i].label().c_str());
     if (spec.schemes_swept) std::printf(" %-8s", spec.labels[i].c_str());
     std::printf(" %16.1f %16llu", results[i].avg_goodput_mbps(),
                 static_cast<unsigned long long>(results[i].events_dispatched));

@@ -3,17 +3,16 @@
 #
 #   scripts/check.sh            # default RelWithDebInfo build + ctest
 #   scripts/check.sh asan       # AddressSanitizer + UBSan build + ctest
-#   scripts/check.sh tsan       # ThreadSanitizer build + ParallelRunner tests
-#
-# Every mode finishes with a chaos soak (tests/faults/chaos_soak_test.cpp)
-# at a CHAOS_RUNS volume sized to the preset's sanitizer overhead.
+#   scripts/check.sh tsan       # ThreadSanitizer build + the tsan preset's
+#                               # ParallelRunner|WorkerPool|ChaosSoak|ShardedEngine
+#                               # tests + `ctest -L shard`
 #   scripts/check.sh all        # default, then asan, then tsan
 #   scripts/check.sh smoke      # default build of xmpsim + scripts/smoke.sh
 #
-# The default and all modes finish with the CLI smoke (scripts/smoke.sh:
-# `xmpsim verify` over every engine leg, kill/resume, rejects). The tsan
-# mode also runs the "shard" ctest label (the sharded engine's worker
-# pool) under ThreadSanitizer.
+# Every build mode also runs a chaos soak (tests/faults/chaos_soak_test.cpp)
+# at a CHAOS_RUNS volume sized to the preset's sanitizer overhead. The
+# default and all modes finish with the CLI smoke (scripts/smoke.sh:
+# `xmpsim verify` over every engine leg, kill/resume, rejects).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

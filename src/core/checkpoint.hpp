@@ -19,12 +19,19 @@
 // every subsequent read returns zero. Callers check ok() once at the end —
 // a corrupted-but-CRC-valid payload (impossible short of a CRC collision)
 // degrades to a clean "invalid checkpoint" rejection, never UB.
+//
+// Pending events survive a snapshot through one codec on the same pair:
+// Saver::event() writes an armed event's (t_ns, seq) key; Loader::event()
+// validates it against the restored scheduler and re-arms it.
 
+#include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace xmp::core {
@@ -39,6 +46,9 @@ inline constexpr std::uint32_t kFormatVersion = 4;
 /// prev_written + prev_bytes + payload size + crc32. A checkpoint file is
 /// exactly kHeaderBytes + payload bytes long.
 inline constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 4;
+
+/// A checkpointed event's (t_ns, seq) key, as Loader::key() returns it.
+using EventKey = sim::Scheduler::PendingKey;
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n);
@@ -61,6 +71,23 @@ class Saver {
   /// Four-character section marker; the Loader verifies it in order, so a
   /// save/restore structural mismatch is caught at the exact section.
   void tag(const char t[5]) { buf_.append(t, 4); }
+
+  /// The (t_ns, seq) key of `id`, which must be pending on `sched`.
+  /// Dispatch order is a pure function of that key, so re-arming under it
+  /// (Loader::event) resumes the event exactly, equal-timestamp ties
+  /// included.
+  void event(const sim::Scheduler& sched, sim::EventId id) {
+    EventKey k;
+    [[maybe_unused]] const bool live = sched.key_of(id, k);
+    assert(live && "checkpointed event id is stale");
+    i64(k.t_ns);
+    u64(k.seq);
+  }
+  /// event() behind a presence flag; kInvalidEventId writes the flag alone.
+  void opt_event(const sim::Scheduler& sched, sim::EventId id) {
+    b(id != sim::kInvalidEventId);
+    if (id != sim::kInvalidEventId) event(sched, id);
+  }
 
   [[nodiscard]] const std::string& data() const { return buf_; }
 
@@ -132,6 +159,38 @@ class Loader {
     char got[4] = {};
     raw(got, 4);
     if (ok_ && std::memcmp(got, t, 4) != 0) ok_ = false;
+  }
+
+  /// Read a structure size and fail() unless it is `expected`, the size of
+  /// the structure the config rebuilt. Returns ok().
+  bool count(std::uint64_t expected) {
+    if (u64() != expected) ok_ = false;
+    return ok_;
+  }
+
+  /// Read an event key (Saver::event(), or a raw i64 t_ns + u64 seq pair)
+  /// and fail() unless `sched`, restored to the snapshot's clock, could
+  /// still dispatch it: a key the clock already passed() would arm an
+  /// event behind it, and one at or above next_seq() was never handed out.
+  EventKey key(const sim::Scheduler& sched) {
+    EventKey k;
+    k.t_ns = i64();
+    k.seq = u64();
+    if (k.seq >= sched.next_seq() || sched.passed(sim::Time::nanoseconds(k.t_ns), k.seq)) {
+      ok_ = false;
+    }
+    return k;
+  }
+  /// key(), re-armed on `sched` with `cb`; kInvalidEventId (nothing armed)
+  /// once the Loader has failed.
+  sim::EventId event(sim::Scheduler& sched, sim::EventCallback cb) {
+    const EventKey k = key(sched);
+    return ok_ ? sched.arm_at(sim::Time::nanoseconds(k.t_ns), k.seq, std::move(cb))
+               : sim::kInvalidEventId;
+  }
+  /// event() behind a presence flag (Saver::opt_event()).
+  sim::EventId opt_event(sim::Scheduler& sched, sim::EventCallback cb) {
+    return b() ? event(sched, std::move(cb)) : sim::kInvalidEventId;
   }
 
  private:

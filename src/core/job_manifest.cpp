@@ -1,11 +1,32 @@
 #include "core/job_manifest.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdio>
+#include <system_error>
 
 #include "core/mini_json.hpp"
 #include "trace/writers.hpp"
 
 namespace xmp::core {
+
+std::string SweepValue::label() const {
+  char buf[32];
+  if (integral) {
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(i));
+  } else {
+    std::snprintf(buf, sizeof buf, "%g", d);
+  }
+  return buf;
+}
+
+void SweepValue::write(trace::JsonWriter& json) const {
+  if (integral) {
+    json.value(i);
+  } else {
+    json.value(d);
+  }
+}
 
 const char* job_state_name(JobState s) {
   switch (s) {
@@ -52,7 +73,8 @@ bool JobManifest::save(const std::string& dir, std::string* error) const {
     for (const auto& j : jobs) {
       json.begin_object();
       json.kv("index", static_cast<std::uint64_t>(j.index));
-      json.kv("value", j.value);
+      json.key("value");
+      j.value.write(json);
       json.kv("state", job_state_name(j.state));
       json.kv("attempts", static_cast<std::int64_t>(j.attempts));
       json.kv("result", j.result_file);
@@ -103,7 +125,19 @@ bool JobManifest::load(const std::string& dir, JobManifest& out, std::string* er
     if (!jv.has("index") || !jv.at("index").is_number()) return fail("job missing index");
     j.index = static_cast<std::size_t>(jv.at("index").number);
     if (!jv.has("value") || !jv.at("value").is_number()) return fail("job missing value");
-    j.value = jv.at("value").number;
+    // An integer literal is read from its text: the parsed double has lost
+    // every digit past 2^53.
+    const json::JsonValue& v = jv.at("value");
+    if (v.str.find_first_of(".eE") == std::string::npos) {
+      std::int64_t n = 0;
+      const auto [end, ec] = std::from_chars(v.str.data(), v.str.data() + v.str.size(), n);
+      if (ec != std::errc{} || end != v.str.data() + v.str.size()) {
+        return fail("job value out of range");
+      }
+      j.value = SweepValue::of_int(n);
+    } else {
+      j.value = SweepValue::of_real(v.number);
+    }
     if (!jv.has("state") || !jv.at("state").is_string() ||
         !parse_job_state(jv.at("state").str, j.state)) {
       return fail("job missing or unknown state");

@@ -5,7 +5,37 @@
 #include <string>
 #include <vector>
 
+namespace xmp::trace {
+class JsonWriter;
+}
+
 namespace xmp::core {
+
+/// One swept parameter value. Integer knobs (seed, mark-k, beta, subflows,
+/// queue) stay exact integers in the sweep table, sweep_summary.json and
+/// the manifest: a double cannot hold every seed above 2^53, so two distinct
+/// seeds would print, store and compare as one. --param=load is real-valued.
+struct SweepValue {
+  bool integral = false;
+  std::int64_t i = 0;  ///< the value, when integral
+  double d = 0.0;      ///< the value, otherwise
+
+  [[nodiscard]] static SweepValue of_int(std::int64_t v) { return {true, v, 0.0}; }
+  [[nodiscard]] static SweepValue of_real(double v) { return {false, 0, v}; }
+  /// The table label: "%lld" when integral, "%g" otherwise.
+  [[nodiscard]] std::string label() const;
+  /// A JSON number: exact when integral, JsonWriter's double otherwise.
+  void write(trace::JsonWriter& json) const;
+  /// Integers compare exactly. Otherwise the doubles compare, so a load of
+  /// 1, which the manifest stores as the literal `1`, still matches.
+  friend bool operator==(const SweepValue& a, const SweepValue& b) {
+    if (a.integral && b.integral) return a.i == b.i;
+    const auto real = [](const SweepValue& v) {
+      return v.integral ? static_cast<double>(v.i) : v.d;
+    };
+    return real(a) == real(b);
+  }
+};
 
 /// Lifecycle of one sweep job inside a campaign (DESIGN.md §10):
 ///
@@ -27,7 +57,7 @@ enum class JobState : std::uint8_t { Pending, Running, Succeeded, Failed, Exhaus
 /// One job row of the campaign manifest.
 struct JobEntry {
   std::size_t index = 0;    ///< position in the sweep grid
-  double value = 0.0;       ///< swept parameter value of this grid point
+  SweepValue value;         ///< swept parameter value of this grid point
   JobState state = JobState::Pending;
   int attempts = 0;         ///< child processes spawned so far for this job
   std::string result_file;  ///< campaign-dir-relative result JSON ("job_<i>.json")

@@ -31,7 +31,7 @@ struct JsonValue {
   Kind kind = Kind::Null;
   bool boolean = false;
   double number = 0.0;
-  std::string str;
+  std::string str;  ///< a string's contents, or a number's literal text
   std::vector<JsonValue> array;
   std::map<std::string, JsonValue> object;
 
@@ -287,8 +287,9 @@ class MiniJsonParser {
     if (pos_ == start) fail("expected a value");
     JsonValue v;
     v.kind = JsonValue::Kind::Number;
+    v.str = text_.substr(start, pos_ - start);
     try {
-      v.number = std::stod(text_.substr(start, pos_ - start));
+      v.number = std::stod(v.str);
     } catch (const std::exception&) {
       fail("bad number");
     }

@@ -104,10 +104,9 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
 
   if (cfg_.tracer != nullptr) {
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      char value[40];
-      std::snprintf(value, sizeof value, "%g", manifest.jobs[i].value);
-      cfg_.tracer->name_flow(static_cast<std::uint32_t>(i), "job " + std::to_string(i) + " (" +
-                                                                manifest.param + "=" + value + ")");
+      cfg_.tracer->name_flow(static_cast<std::uint32_t>(i),
+                             "job " + std::to_string(i) + " (" + manifest.param + "=" +
+                                 manifest.jobs[i].value.label() + ")");
     }
   }
 

@@ -41,7 +41,7 @@ struct OrchestratorConfig {
 /// built *only* from these files — never from in-memory state — so a
 /// resumed campaign aggregates byte-identically to an uninterrupted one.
 struct JobResult {
-  double value = 0.0;  ///< swept parameter value (filled from the manifest)
+  SweepValue value;  ///< swept parameter value (filled from the manifest)
   double goodput_mbps = 0.0;
   std::uint64_t events = 0;
   std::uint64_t flows = 0;

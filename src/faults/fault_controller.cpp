@@ -1,7 +1,6 @@
 #include "faults/fault_controller.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "net/types.hpp"
 #include "obs/hooks.hpp"
@@ -284,15 +283,7 @@ void FaultController::save_state(core::ckpt::Saver& s) const {
   s.u64(events_applied_);
   s.u64(plan_.events.size());
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const bool pending = i < event_ids_.size() && event_ids_[i] != sim::kInvalidEventId;
-    s.b(pending);
-    if (pending) {
-      sim::Scheduler::PendingKey k;
-      [[maybe_unused]] const bool live = sched_.key_of(event_ids_[i], k);
-      assert(live && "fault plan timer id stale");
-      s.i64(k.t_ns);
-      s.u64(k.seq);
-    }
+    s.opt_event(sched_, i < event_ids_.size() ? event_ids_[i] : sim::kInvalidEventId);
   }
   // Active per-link fault channels, in link-id order (the map is unordered).
   std::vector<net::LinkId> links;
@@ -322,15 +313,10 @@ void FaultController::save_state(core::ckpt::Saver& s) const {
 
 void FaultController::restore_state(core::ckpt::Loader& l) {
   events_applied_ = l.u64();
-  const std::uint64_t n = l.u64();
-  assert(!l.ok() || n == plan_.events.size());
+  if (!l.count(plan_.events.size())) return;
   event_ids_.assign(plan_.events.size(), sim::kInvalidEventId);
-  for (std::uint64_t i = 0; i < n && i < plan_.events.size() && l.ok(); ++i) {
-    if (!l.b()) continue;
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    const std::size_t idx = static_cast<std::size_t>(i);
-    event_ids_[idx] = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
+  for (std::size_t idx = 0; idx < plan_.events.size() && l.ok(); ++idx) {
+    event_ids_[idx] = l.opt_event(sched_, [this, idx] {
       event_ids_[idx] = sim::kInvalidEventId;
       apply(plan_.events[idx]);
     });
@@ -338,6 +324,7 @@ void FaultController::restore_state(core::ckpt::Loader& l) {
   const std::uint64_t nl = l.u64();
   for (std::uint64_t i = 0; i < nl && l.ok(); ++i) {
     const net::LinkId link = l.u32();
+    if (link >= net_.links().size()) return l.fail();
     Channel& ch = ensure_channel(link);
     if (l.b()) {
       LossModel m;

@@ -1,7 +1,6 @@
 #include "faults/invariant_checker.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 
@@ -174,15 +173,7 @@ std::string InvariantChecker::report() const {
 }
 
 void InvariantChecker::save_state(core::ckpt::Saver& s) const {
-  const bool armed = timer_ != sim::kInvalidEventId;
-  s.b(armed);
-  if (armed) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(timer_, k);
-    assert(live && "invariant checker timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-  }
+  s.opt_event(sched_, timer_);
   s.u64(checks_run_);
   s.u64(violations_.size());
   for (const Violation& v : violations_) {
@@ -203,18 +194,7 @@ void InvariantChecker::save_state(core::ckpt::Saver& s) const {
 
 void InvariantChecker::restore_state(core::ckpt::Loader& l) {
   restored_tick_.reset();
-  if (l.b()) {
-    sim::Scheduler::PendingKey k;
-    k.t_ns = l.i64();
-    k.seq = l.u64();
-    // A key the restored clock already passed, or never handed out, would
-    // arm an event behind the clock.
-    if (k.seq >= sched_.next_seq() || sched_.passed(sim::Time::nanoseconds(k.t_ns), k.seq)) {
-      l.fail();
-    } else {
-      restored_tick_ = k;
-    }
-  }
+  if (l.b()) restored_tick_ = l.key(sched_);
   checks_run_ = l.u64();
   violations_.clear();
   const std::uint64_t nv = l.u64();

@@ -122,7 +122,7 @@ class InvariantChecker {
 
   sim::EventId timer_ = sim::kInvalidEventId;
   /// The restored tick's key, armed by the next start().
-  std::optional<sim::Scheduler::PendingKey> restored_tick_;
+  std::optional<core::ckpt::EventKey> restored_tick_;
   std::vector<Violation> violations_;
   std::uint64_t checks_run_ = 0;
 };

@@ -307,24 +307,14 @@ void Engine::save_state(core::ckpt::Saver& s) const {
   s.u64(stats_.fluid_completions);
   s.f64(stats_.fluid_bytes);
   s.f64(stats_.mark_p_accum);
-  const bool armed = timer_ != sim::kInvalidEventId;
-  s.b(armed);
-  if (armed) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(timer_, k);
-    assert(live && "hybrid tick timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-  }
+  s.opt_event(sched_, timer_);
 }
 
 void Engine::restore_state(core::ckpt::Loader& l) {
   // Structure (links, paths, aggregate shapes) was rebuilt from config
   // before this call — the config fingerprint guarantees it matches.
-  const std::uint64_t n_links = l.u64();
-  assert(n_links == links_.size());
-  for (std::uint64_t i = 0; i < n_links && l.ok(); ++i) {
-    LinkState& ls = links_[i];
+  if (!l.count(links_.size())) return;
+  for (LinkState& ls : links_) {
     ls.q_fluid = l.f64();
     ls.p_mark = l.f64();
     ls.fluid_rate_sps = l.f64();
@@ -334,17 +324,14 @@ void Engine::restore_state(core::ckpt::Loader& l) {
     ls.last_bytes_sent = l.u64();
     ls.last_queue_bytes = l.u64();
   }
-  const std::uint64_t n_aggs = l.u64();
-  assert(n_aggs == aggs_.size());
-  for (std::uint64_t i = 0; i < n_aggs && l.ok(); ++i) {
-    FluidAggregate& agg = aggs_[i];
+  if (!l.count(aggs_.size())) return;
+  for (FluidAggregate& agg : aggs_) {
     agg.state = static_cast<FluidAggregate::State>(l.u8());
     agg.delivered_bytes = l.f64();
-    const std::uint64_t n_sf = l.u64();
-    assert(n_sf == agg.subflows.size());
-    for (std::uint64_t j = 0; j < n_sf && l.ok(); ++j) {
-      agg.subflows[j].w = l.f64();
-      agg.subflows[j].delta = l.f64();
+    if (!l.count(agg.subflows.size())) return;
+    for (FluidSubflowState& sf : agg.subflows) {
+      sf.w = l.f64();
+      sf.delta = l.f64();
     }
   }
   stats_.ticks = l.u64();
@@ -352,11 +339,7 @@ void Engine::restore_state(core::ckpt::Loader& l) {
   stats_.fluid_completions = l.u64();
   stats_.fluid_bytes = l.f64();
   stats_.mark_p_accum = l.f64();
-  if (l.b()) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] { tick(); });
-  }
+  timer_ = l.opt_event(sched_, [this] { tick(); });
   // Coupling values are not serialized in the queue/link objects; re-derive
   // them now that stats_.ticks (the duty-cycle phase) is restored.
   for (std::size_t i = 0; i < links_.size(); ++i) push_coupling(links_[i], i);

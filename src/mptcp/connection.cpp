@@ -320,15 +320,7 @@ void MptcpConnection::save_state(core::ckpt::Saver& s) const {
     const Subflow& sf = subflows_[i];
     s.b(sf.started);
     s.b(sf.dead);
-    const bool timer = start_timers_[i] != sim::kInvalidEventId;
-    s.b(timer);
-    if (timer) {
-      sim::Scheduler::PendingKey k;
-      [[maybe_unused]] const bool live = sched_.key_of(start_timers_[i], k);
-      assert(live && "subflow start timer id stale");
-      s.i64(k.t_ns);
-      s.u64(k.seq);
-    }
+    s.opt_event(sched_, start_timers_[i]);
     sf.sender->save_state(s);
     sf.receiver->save_state(s);
   }
@@ -342,21 +334,16 @@ void MptcpConnection::restore_state(core::ckpt::Loader& l) {
   finish_time_ = l.time();
   path_mgr_.restore_rehomes_used(static_cast<int>(l.i64()));
   source_->restore_state(l);
-  const std::uint64_t n = l.u64();
-  assert(!l.ok() || n == subflows_.size());
-  for (std::size_t i = 0; i < subflows_.size() && i < n && l.ok(); ++i) {
+  if (!l.count(subflows_.size())) return;
+  for (std::size_t i = 0; i < subflows_.size() && l.ok(); ++i) {
     Subflow& sf = subflows_[i];
     sf.started = l.b();
     sf.dead = l.b();
-    if (l.b()) {
-      const std::int64_t t_ns = l.i64();
-      const std::uint64_t seq = l.u64();
-      const int idx = static_cast<int>(i);
-      start_timers_[i] = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, idx] {
-        start_timers_[static_cast<std::size_t>(idx)] = sim::kInvalidEventId;
-        start_subflow(idx);
-      });
-    }
+    const int idx = static_cast<int>(i);
+    start_timers_[i] = l.opt_event(sched_, [this, idx] {
+      start_timers_[static_cast<std::size_t>(idx)] = sim::kInvalidEventId;
+      start_subflow(idx);
+    });
     sf.sender->restore_state(l);
     sf.receiver->restore_state(l);
   }

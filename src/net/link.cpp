@@ -23,12 +23,6 @@ void note_impair(sim::Time t, LinkId link, obs::ImpairKind kind) {
   if (auto* m = obs::metrics(); m != nullptr) [[unlikely]] m->packets_impaired.inc();
 }
 
-// A checkpointed event key can be re-armed only if it lies ahead of the
-// restored clock and was handed out before the snapshot.
-bool restorable(const sim::Scheduler& s, std::int64_t t_ns, std::uint64_t seq) {
-  return !s.passed(sim::Time::nanoseconds(t_ns), seq) && seq < s.next_seq();
-}
-
 }  // namespace
 
 Link::Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time prop_delay,
@@ -288,11 +282,7 @@ void Link::save_state(core::ckpt::Saver& s) const {
   // Hold buffer: each parked packet re-arms its release event on restore.
   s.u64(held_.size());
   for (const Held& h : held_) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(h.ev, k);
-    assert(live && "hold release event lost");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
+    s.event(sched_, h.ev);
     s.b(h.duplicate);
     save_packet(s, h.pkt);
   }
@@ -348,14 +338,10 @@ void Link::restore_state(core::ckpt::Loader& l) {
 
   const std::uint64_t n_held = l.u64();
   for (std::uint64_t i = 0; i < n_held && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
+    const std::uint64_t id = next_held_id_++;
+    const sim::EventId ev = l.event(sched_, [this, id] { release_held(id); });
     const bool dup = l.b();
     Packet pkt = load_packet(l);
-    if (!restorable(sched_, t_ns, seq)) return l.fail();
-    const std::uint64_t id = next_held_id_++;
-    const sim::EventId ev =
-        sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this, id] { release_held(id); });
     held_.push_back(Held{id, dup, std::move(pkt), ev});
   }
 
@@ -364,15 +350,14 @@ void Link::restore_state(core::ckpt::Loader& l) {
   // them) were already counted as lost and are dropped.
   auto load_fifo = [&](Ring<InFlight>& q, const sim::Scheduler* on) {
     const std::uint64_t n = l.u64();
+    if (n > 0 && on == nullptr) return l.fail();
     for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
-      const std::int64_t t_ns = l.i64();
-      const std::uint64_t seq = l.u64();
+      const core::ckpt::EventKey k = l.key(*on);
       const std::uint64_t epoch = l.u64();
       Packet pkt = load_packet(l);
-      if (on == nullptr || !restorable(*on, t_ns, seq)) return l.fail();
       if (epoch != epoch_) continue;
-      if (!q.empty() && t_ns < q.back().t_ns) return l.fail();
-      q.push_back(InFlight{std::move(pkt), t_ns, seq});
+      if (!q.empty() && k.t_ns < q.back().t_ns) return l.fail();
+      q.push_back(InFlight{std::move(pkt), k.t_ns, k.seq});
     }
   };
   // Boundary links never use the local FIFO; remote arrivals need the
@@ -383,15 +368,13 @@ void Link::restore_state(core::ckpt::Loader& l) {
   const std::uint64_t n_tx = l.u64();
   bool live_tx = false;
   for (std::uint64_t i = 0; i < n_tx && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
+    const core::ckpt::EventKey k = l.key(sched_);
     const std::uint64_t epoch = l.u64();
-    if (!restorable(sched_, t_ns, seq)) return l.fail();
     if (epoch != epoch_) continue;  // stale completion (older snapshots)
     if (live_tx) return l.fail();
     live_tx = true;
-    tx_end_ = sim::Time::nanoseconds(t_ns);
-    tx_seq_ = seq;
+    tx_end_ = sim::Time::nanoseconds(k.t_ns);
+    tx_seq_ = k.seq;
   }
   if (busy != live_tx) return l.fail();
 

@@ -220,19 +220,16 @@ void SwitchTable::save_state(core::ckpt::Saver& s) const {
 }
 
 void SwitchTable::restore_state(core::ckpt::Loader& l) {
-  const std::uint64_t n = l.u64();
-  assert(!l.ok() || n == members_.size());
-  for (std::uint64_t i = 0; i < n && i < members_.size() && l.ok(); ++i) {
-    members_[i].alive = l.b();
-    members_[i].forwarded = l.u64();
+  if (!l.count(members_.size())) return;
+  for (Member& m : members_) {
+    m.alive = l.b();
+    m.forwarded = l.u64();
   }
   rebuild();
   collisions_ = l.u64();
   repaths_ = l.u64();
-  const std::uint64_t nc = l.u64();
-  for (std::uint64_t i = 0; i < nc && i < flow_count_.size() && l.ok(); ++i) {
-    flow_count_[i] = l.u32();
-  }
+  if (!l.count(flow_count_.size())) return;
+  for (std::uint32_t& c : flow_count_) c = l.u32();
   const std::uint64_t np = l.u64();
   for (std::uint64_t i = 0; i < np && l.ok(); ++i) {
     const std::uint64_t k = l.u64();
@@ -245,6 +242,7 @@ void SwitchTable::restore_state(core::ckpt::Loader& l) {
     e.last_ns = l.i64();
     e.member = l.u32();
     e.salt = l.u64();
+    if (e.member >= members_.size()) return l.fail();
     flowlets_[k] = e;
   }
 }

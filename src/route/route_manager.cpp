@@ -1,7 +1,5 @@
 #include "route/route_manager.hpp"
 
-#include <cassert>
-
 #include "obs/hooks.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
@@ -44,12 +42,12 @@ void RouteManager::on_link_state(net::Link& link, bool /*down*/) {
   // The timer applies whatever state the link holds when it fires, so a
   // repair during the window simply converges back to "alive" — flapping
   // never leaves a table permanently stale.
-  track_converge(&link, sched_.now() + cfg_.reroute_delay, 0, /*restore=*/false);
+  converge_timers_.emplace_back(&link,
+                                sched_.schedule_in(cfg_.reroute_delay, converge_timer(&link)));
 }
 
-void RouteManager::track_converge(net::Link* link, sim::Time at, std::uint64_t seq,
-                                  bool restore) {
-  auto cb = [this, link] {
+sim::EventCallback RouteManager::converge_timer(net::Link* link) {
+  return [this, link] {
     // Same-delay timers for one link fire in scheduling order, so the
     // oldest tracked entry is the one firing now.
     for (auto it = converge_timers_.begin(); it != converge_timers_.end(); ++it) {
@@ -60,9 +58,6 @@ void RouteManager::track_converge(net::Link* link, sim::Time at, std::uint64_t s
     }
     converge(link);
   };
-  const sim::EventId id =
-      restore ? sched_.arm_at(at, seq, std::move(cb)) : sched_.schedule_at(at, std::move(cb));
-  converge_timers_.emplace_back(link, id);
 }
 
 void RouteManager::converge(net::Link* link) {
@@ -84,11 +79,7 @@ void RouteManager::save_state(core::ckpt::Saver& s) const {
   s.u64(converge_timers_.size());
   for (const auto& [link, id] : converge_timers_) {
     s.u32(static_cast<std::uint32_t>(link->id()));
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(id, k);
-    assert(live && "converge timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
+    s.event(sched_, id);
   }
   s.u64(tables_.size());
   for (const auto& t : tables_) t->save_state(s);
@@ -98,16 +89,13 @@ void RouteManager::restore_state(core::ckpt::Loader& l) {
   reroutes_ = l.u64();
   const std::uint64_t nt = l.u64();
   for (std::uint64_t i = 0; i < nt && l.ok(); ++i) {
-    const net::LinkId link = l.u32();
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    track_converge(&netw_.link(link), sim::Time::nanoseconds(t_ns), seq, /*restore=*/true);
+    const net::LinkId id = l.u32();
+    if (id >= netw_.links().size()) return l.fail();
+    net::Link* link = &netw_.link(id);
+    converge_timers_.emplace_back(link, l.event(sched_, converge_timer(link)));
   }
-  const std::uint64_t n = l.u64();
-  assert(!l.ok() || n == tables_.size());
-  for (std::uint64_t i = 0; i < n && i < tables_.size() && l.ok(); ++i) {
-    tables_[i]->restore_state(l);
-  }
+  if (!l.count(tables_.size())) return;
+  for (std::size_t i = 0; i < tables_.size() && l.ok(); ++i) tables_[i]->restore_state(l);
 }
 
 std::uint64_t RouteManager::collisions() const {

@@ -58,7 +58,9 @@ class RouteManager final : public net::Link::StateListener {
 
  private:
   void converge(net::Link* link);
-  void track_converge(net::Link* link, sim::Time at, std::uint64_t seq, bool restore);
+  /// The timer that applies `link`'s state to its table after the reroute
+  /// delay and drops its converge_timers_ entry.
+  sim::EventCallback converge_timer(net::Link* link);
 
   sim::Scheduler& sched_;
   net::Network& netw_;

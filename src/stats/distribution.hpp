@@ -41,7 +41,6 @@ class Distribution {
   void restore_state(core::ckpt::Loader& l) {
     const std::uint64_t n = l.u64();
     samples_.clear();
-    samples_.reserve(n);
     for (std::uint64_t i = 0; i < n && l.ok(); ++i) samples_.push_back(l.f64());
     sorted_ = false;
   }

@@ -81,27 +81,14 @@ void GaugeProbe::tick() {
 void GaugeProbe::save_state(core::ckpt::Saver& s) const {
   s.u64(samples_.size());
   for (const double x : samples_) s.f64(x);
-  const bool armed = timer_ != sim::kInvalidEventId;
-  s.b(armed);
-  if (armed) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(timer_, k);
-    assert(live && "gauge probe timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-  }
+  s.opt_event(sched_, timer_);
 }
 
 void GaugeProbe::restore_state(core::ckpt::Loader& l) {
   const std::uint64_t n = l.u64();
   samples_.clear();
-  samples_.reserve(n);
   for (std::uint64_t i = 0; i < n && l.ok(); ++i) samples_.push_back(l.f64());
-  if (l.b()) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] { tick(); });
-  }
+  timer_ = l.opt_event(sched_, [this] { tick(); });
 }
 
 void UtilizationWindow::open(const std::vector<net::Link*>& links) {
@@ -124,7 +111,6 @@ void UtilizationWindow::restore_state(core::ckpt::Loader& l,
   opened_at_ = l.time();
   const std::uint64_t n = l.u64();
   busy_at_open_.clear();
-  busy_at_open_.reserve(n);
   for (std::uint64_t i = 0; i < n && l.ok(); ++i) busy_at_open_.push_back(l.time());
 }
 

@@ -1,6 +1,5 @@
 #include "transport/receiver.hpp"
 
-#include <cassert>
 
 namespace xmp::transport {
 
@@ -107,15 +106,7 @@ void TcpReceiver::save_state(core::ckpt::Saver& s) const {
   s.time(pending_ts_);
   s.u64(acks_sent_);
   s.u64(duplicates_);
-  const bool timer = delack_timer_ != sim::kInvalidEventId;
-  s.b(timer);
-  if (timer) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(delack_timer_, k);
-    assert(live && "delack timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-  }
+  s.opt_event(sched_, delack_timer_);
 }
 
 void TcpReceiver::restore_state(core::ckpt::Loader& l) {
@@ -128,14 +119,10 @@ void TcpReceiver::restore_state(core::ckpt::Loader& l) {
   pending_ts_ = l.time();
   acks_sent_ = l.u64();
   duplicates_ = l.u64();
-  if (l.b()) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    delack_timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] {
-      delack_timer_ = sim::kInvalidEventId;
-      if (pending_acks_ > 0) flush_pending(pending_ts_);
-    });
-  }
+  delack_timer_ = l.opt_event(sched_, [this] {
+    delack_timer_ = sim::kInvalidEventId;
+    if (pending_acks_ > 0) flush_pending(pending_ts_);
+  });
 }
 
 }  // namespace xmp::transport

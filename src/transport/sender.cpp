@@ -315,15 +315,7 @@ void TcpSender::save_state(core::ckpt::Saver& s) const {
   s.u64(timeouts_);
   s.u64(fast_retransmits_);
   s.u64(ce_echoes_);
-  const bool timer = rto_timer_ != sim::kInvalidEventId;
-  s.b(timer);
-  if (timer) {
-    sim::Scheduler::PendingKey k;
-    [[maybe_unused]] const bool live = sched_.key_of(rto_timer_, k);
-    assert(live && "rto timer id stale");
-    s.i64(k.t_ns);
-    s.u64(k.seq);
-  }
+  s.opt_event(sched_, rto_timer_);
   cc_->save_state(s);
 }
 
@@ -354,11 +346,7 @@ void TcpSender::restore_state(core::ckpt::Loader& l) {
   // The construction-time registration does not exist for senders (start()
   // registers), so mirror the started side effect without pumping.
   if (started_) local_.register_endpoint(flow_, subflow_, net::PacketType::Ack, *this);
-  if (l.b()) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    rto_timer_ = sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, [this] { on_rto(); });
-  }
+  rto_timer_ = l.opt_event(sched_, [this] { on_rto(); });
   cc_->restore_state(l);
 }
 

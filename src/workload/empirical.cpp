@@ -242,19 +242,8 @@ void EmpiricalTraffic::save_state(core::ckpt::Saver& s) const {
   s.u64(poisson_issued_);
   s.u64(trace_issued_);
   s.u64(trace_next_);
-  const auto save_timer = [&](sim::EventId id) {
-    const bool armed = id != sim::kInvalidEventId;
-    s.b(armed);
-    if (armed) {
-      sim::Scheduler::PendingKey k;
-      [[maybe_unused]] const bool live = sched_.key_of(id, k);
-      assert(live && "empirical traffic timer id stale");
-      s.i64(k.t_ns);
-      s.u64(k.seq);
-    }
-  };
-  save_timer(arrival_timer_);
-  save_timer(trace_timer_);
+  s.opt_event(sched_, arrival_timer_);
+  s.opt_event(sched_, trace_timer_);
 }
 
 void EmpiricalTraffic::restore_state(core::ckpt::Loader& l) {
@@ -265,14 +254,8 @@ void EmpiricalTraffic::restore_state(core::ckpt::Loader& l) {
   poisson_issued_ = l.u64();
   trace_issued_ = l.u64();
   trace_next_ = static_cast<std::size_t>(l.u64());
-  const auto restore_timer = [&](auto cb) -> sim::EventId {
-    if (!l.b()) return sim::kInvalidEventId;
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t seq = l.u64();
-    return sched_.arm_at(sim::Time::nanoseconds(t_ns), seq, cb);
-  };
-  arrival_timer_ = restore_timer([this] { on_arrival(); });
-  trace_timer_ = restore_timer([this] { on_trace_due(); });
+  arrival_timer_ = l.opt_event(sched_, [this] { on_arrival(); });
+  trace_timer_ = l.opt_event(sched_, [this] { on_trace_due(); });
 }
 
 }  // namespace xmp::workload

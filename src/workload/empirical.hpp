@@ -115,7 +115,7 @@ class EmpiricalTraffic {
   [[nodiscard]] double arrival_rate() const { return rate_; }
 
   /// Checkpoint the RNG, issue progress, trace cursor and pending timers
-  /// (the GaugeProbe PendingKey idiom: equal-timestamp FIFO order survives).
+  /// (their event keys, so equal-timestamp FIFO order survives).
   void save_state(core::ckpt::Saver& s) const;
   void restore_state(core::ckpt::Loader& l);
 

@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -87,6 +88,48 @@ faults::FaultPlan plan(const std::string& text) {
   return p;
 }
 
+/// 16 fluid aggregates and two packet flows, a fluid tick every 200 us.
+ExperimentConfig hybrid_cfg() {
+  auto cfg = small_cfg();
+  cfg.duration = sim::Time::seconds(0.1);
+  cfg.hybrid.enabled = true;
+  cfg.hybrid.bg_flows = 16;
+  cfg.hybrid.bg_bytes = 20'000'000;
+  cfg.hybrid.promote_bytes = 2'000'000;
+  cfg.hybrid.fg_flows = 2;
+  cfg.hybrid.fg_bytes = 100'000;
+  cfg.checkpoint.every = sim::Time::seconds(0.02);
+  return cfg;
+}
+
+/// A delay window from 1 ms to 70 ms: at the 4 ms snapshot packets sit in
+/// link 5's hold buffer, its fault channel is active and the window's end
+/// is a pending plan timer.
+ExperimentConfig delay_cfg() {
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.fault_plan = plan("delay,link=5,at=0.001,dt=1e-4,jitter=5e-5,until=0.07");
+  return cfg;
+}
+
+/// A websearch-style workload on the k=4 tree: Poisson arrivals from a
+/// small size CDF plus two explicit (trace) flows, at 1 ms and 30 ms.
+ExperimentConfig workload_cfg() {
+  const std::string dir = fresh_dir("resume_wl");
+  std::ofstream{dir + "/sizes.cdf"} << "1000 0\n50000 0.6\n1000000 1\n";
+  std::ofstream{dir + "/web.wl"} << "nodes 16\ncdf sizes.cdf\nload 0.3\nspan any\n"
+                                    "flow 0 8 50000 0.001\nflow 1 9 50000 0.03\n";
+  auto spec = std::make_shared<workload::WorkloadSpec>();
+  std::string err;
+  EXPECT_TRUE(workload::WorkloadSpec::parse_file(dir + "/web.wl", *spec, &err)) << err;
+  ExperimentConfig cfg = small_cfg();
+  cfg.pattern = Pattern::Workload;
+  cfg.workload = spec;
+  cfg.duration = sim::Time::seconds(0.05);
+  cfg.checkpoint.every = sim::Time::seconds(0.01);
+  return cfg;
+}
+
 // Every feature checkpoints. The plain case restores from the first
 // snapshot; each feature case from one taken after its feature acted (the
 // run cut at the snapshot's time shows it), so the resumed run depends on
@@ -153,6 +196,26 @@ std::vector<ResumeCase> serial_resume_cases() {
                        return t > faults::InvariantChecker::Config{}.interval;
                      }});
   }
+  // The fluid tick is periodic: once one ran, the next is armed.
+  cases.push_back({"hybrid", hybrid_cfg(), 2, [](const ExperimentResults& cut, sim::Time) {
+                     return cut.hybrid.ticks > 0;
+                   }});
+  // At 20 ms Poisson flows have arrived (the arrival timer is armed) and
+  // the 1 ms trace flow has started, so the walker waits on the 30 ms one.
+  cases.push_back({"workload", workload_cfg(), 2, [](const ExperimentResults& cut, sim::Time) {
+                     bool trace = false;
+                     bool poisson = false;
+                     for (const auto& r : cut.fct_records) {
+                       (r.start_ns == sim::Time::seconds(0.001).ns() ? trace : poisson) = true;
+                     }
+                     return trace && poisson;
+                   }});
+  cases.push_back({"delay", delay_cfg(), 2, [](const ExperimentResults& cut, sim::Time) {
+                     for (const auto& row : cut.link_drops) {
+                       if (row.link == 5 && row.delayed > 0) return true;
+                     }
+                     return false;
+                   }});
   return cases;
 }
 
@@ -425,23 +488,54 @@ TEST(Checkpoint, SchedulerPendingKeyRoundTrip) {
   const sim::EventId e3 = a.schedule_at(Time::microseconds(30), [&] { order.push_back(3); });
   a.run_until(Time::microseconds(20));  // fires event 1; 2 and 3 stay pending
 
-  sim::Scheduler::PendingKey k2;
-  sim::Scheduler::PendingKey k3;
-  ASSERT_TRUE(a.key_of(e2, k2));
-  ASSERT_TRUE(a.key_of(e3, k3));
+  // Saved in the *opposite* order, so the restore below re-arms 3 before
+  // 2; the saved (t, seq) keys must still reproduce the original
+  // equal-timestamp FIFO order.
+  ckpt::Saver s;
+  s.event(a, e3);
+  s.opt_event(a, e2);
+  s.opt_event(a, sim::kInvalidEventId);
 
-  // Restore into a virgin scheduler — deliberately re-arming in the
-  // *opposite* order; the saved (t, seq) keys must still reproduce the
-  // original equal-timestamp FIFO order.
   sim::Scheduler b;
   b.restore_clock(a.now(), a.next_seq(), a.dispatched());
   std::vector<int> replay;
-  b.arm_at(Time::nanoseconds(k3.t_ns), k3.seq, [&] { replay.push_back(3); });
-  b.arm_at(Time::nanoseconds(k2.t_ns), k2.seq, [&] { replay.push_back(2); });
+  ckpt::Loader l{s.data()};
+  EXPECT_NE(l.event(b, [&] { replay.push_back(3); }), sim::kInvalidEventId);
+  EXPECT_NE(l.opt_event(b, [&] { replay.push_back(2); }), sim::kInvalidEventId);
+  EXPECT_EQ(l.opt_event(b, [&] { replay.push_back(4); }), sim::kInvalidEventId);
+  EXPECT_TRUE(l.done());
   b.run_until(Time::microseconds(50));
   EXPECT_EQ(replay, (std::vector<int>{2, 3}));
   EXPECT_EQ(b.now().ns(), Time::microseconds(50).ns());
   EXPECT_EQ(b.dispatched(), a.dispatched() + 2);
+}
+
+// The codec's load side: a key the restored clock passed, or one at or
+// above next_seq(), fails the Loader and arms nothing; so does a count
+// that is not the rebuilt structure's size.
+TEST(Checkpoint, CodecRejectsKeysTheClockCannotDispatch) {
+  using sim::Time;
+  sim::Scheduler a;
+  a.schedule_at(Time::microseconds(10), [] {});
+  const sim::EventId e = a.schedule_at(Time::microseconds(30), [] {});
+  a.run_until(Time::microseconds(20));
+  ckpt::Saver s;
+  s.event(a, e);
+  s.u64(3);
+
+  const auto load = [&](Time now, std::uint64_t next_seq, std::uint64_t count) {
+    sim::Scheduler b;
+    b.restore_clock(now, next_seq, 0);
+    ckpt::Loader l{s.data()};
+    const sim::EventId id = l.event(b, [] {});
+    EXPECT_EQ(id == sim::kInvalidEventId, !l.ok());
+    EXPECT_EQ(b.pending(), l.ok() ? 1u : 0u);
+    return l.count(count) && l.done();
+  };
+  EXPECT_TRUE(load(a.now(), a.next_seq(), 3));
+  EXPECT_FALSE(load(Time::microseconds(31), a.next_seq(), 3)) << "key behind the clock";
+  EXPECT_FALSE(load(a.now(), a.next_seq() - 1, 3)) << "sequence never handed out";
+  EXPECT_FALSE(load(a.now(), a.next_seq(), 2)) << "count off the built structure";
 }
 
 // ---------------------------------------------------------------------------
@@ -464,6 +558,7 @@ struct LinkEntry {
   static constexpr std::size_t kFlightBytes = 24 + kPacketBytes;
   std::size_t end = 0;
   std::size_t n_flight = 0;
+  std::size_t n_held = 0;
   bool busy = false;
 
   [[nodiscard]] std::size_t arrivals_count() const { return end - 8; }
@@ -507,6 +602,7 @@ SnapshotLinks walk_links(const std::string& payload) {
     link.restore_state(l);
     e.end = l.offset();
     e.n_flight = link.live_in_flight();
+    e.n_held = link.held();
     out.links.push_back(e);
   }
   l.tag("SWCH");
@@ -690,6 +786,217 @@ TEST_F(ClockRestoreValidation, RejectsClocksPastHorizon) {
   ckpt::Header h = header_;
   h.fingerprint = ckpt::config_fingerprint(cfg);
   expect_rejected(h, payload_, cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Validated event keys beyond the links: every module re-arms its pending
+// events through the one codec (Loader::event/key), so a key the restored
+// clock cannot dispatch, a count above the structure the config rebuilt, or
+// a link id the topology lacks is a "malformed payload", exit 2, in release
+// builds too.
+// ---------------------------------------------------------------------------
+
+std::uint64_t get_u64(const std::string& p, std::size_t at) {
+  std::uint64_t v;
+  std::memcpy(&v, &p[at], 8);
+  return v;
+}
+
+class KeyRestoreValidation : public ::testing::Test {
+ protected:
+  /// Run serial `cfg` with checkpoints and load its snapshot `seq`.
+  void snapshot(ExperimentConfig cfg, std::uint64_t seq) {
+    dir_ = fresh_dir("keys_" + std::string{
+                         ::testing::UnitTest::GetInstance()->current_test_info()->name()});
+    cfg_ = cfg;
+    cfg.checkpoint.dir = dir_;
+    ASSERT_GE(run_experiment(cfg).ckpt.written, seq);
+    std::string err;
+    ASSERT_TRUE(ckpt::read_file(dir_ + "/" + ckpt::file_name(seq), ckpt::config_fingerprint(cfg),
+                                header_, payload_, &err))
+        << err;
+    // SCHD: tag, clock (t, next_seq, dispatched).
+    now_ = get_i64(payload_, 4);
+    next_seq_ = get_u64(payload_, 12);
+  }
+
+  /// Offset of the first byte after section tag `tag`.
+  [[nodiscard]] std::size_t section(const char* tag) const {
+    const std::size_t at = payload_.rfind(tag);
+    EXPECT_NE(at, std::string::npos) << tag;
+    return at + 4;
+  }
+
+  void expect_rejected(const std::string& payload) {
+    const std::string path = dir_ + "/mutated.bin";
+    ASSERT_TRUE(ckpt::write_file(path, header_, payload));
+    auto cfg = cfg_;
+    cfg.checkpoint = CheckpointConfig{};
+    cfg.checkpoint.restore_path = path;
+    EXPECT_EXIT((void)run_experiment(cfg), ::testing::ExitedWithCode(2),
+                "restore failed: .*malformed payload");
+  }
+
+  /// The (t_ns, seq) key at `at` is a live one; moved behind the restored
+  /// clock, or onto a sequence never handed out, it must be rejected.
+  void expect_key_validated(std::size_t at) {
+    ASSERT_GE(get_i64(payload_, at), now_) << "not a pending key";
+    ASSERT_LT(get_u64(payload_, at + 8), next_seq_) << "not a pending key";
+    std::string behind = payload_;
+    put_i64(behind, at, now_ - 1);
+    expect_rejected(behind);
+    std::string unreserved = payload_;
+    put_u64(unreserved, at + 8, next_seq_);
+    expect_rejected(unreserved);
+  }
+
+  std::string dir_;
+  ExperimentConfig cfg_;
+  ckpt::Header header_;
+  std::string payload_;
+  std::int64_t now_ = 0;
+  std::uint64_t next_seq_ = 0;
+};
+
+TEST_F(KeyRestoreValidation, RejectsBadProbeTickKey) {
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  snapshot(cfg, 1);
+  // PROB opens with the RTT probe: sample count, samples, armed flag, key.
+  const std::size_t p = section("PROB");
+  const std::size_t armed = p + 8 + 8 * get_u64(payload_, p);
+  ASSERT_EQ(payload_[armed], 1);
+  expect_key_validated(armed + 1);
+}
+
+// A sample count no payload could hold is a short read, not a reserve()
+// that throws std::length_error past the "malformed payload" exit.
+TEST_F(KeyRestoreValidation, RejectsProbeSampleCountPastThePayload) {
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  snapshot(cfg, 1);
+  std::string bad = payload_;
+  put_u64(bad, section("PROB"), std::uint64_t{1} << 61);
+  expect_rejected(bad);
+}
+
+TEST_F(KeyRestoreValidation, RejectsBadHybridTickKey) {
+  snapshot(hybrid_cfg(), 1);
+  // HYBR ends with the tick's armed flag and key, right before PROB.
+  const std::size_t key = section("PROB") - 4 - 16;
+  ASSERT_EQ(payload_[key - 1], 1);
+  expect_key_validated(key);
+}
+
+TEST_F(KeyRestoreValidation, RejectsHybridLinkCountAboveBuiltLinks) {
+  snapshot(hybrid_cfg(), 1);
+  // HYBR: presence flag, link count, one 64-byte state per link. One more
+  // well-formed entry keeps the rest aligned: only the count is wrong.
+  const std::size_t h = section("HYBR");
+  ASSERT_EQ(payload_[h], 1);
+  const std::uint64_t n = get_u64(payload_, h + 1);
+  std::string bad = payload_;
+  put_u64(bad, h + 1, n + 1);
+  bad.insert(h + 9 + 64 * n, std::string(64, '\0'));
+  expect_rejected(bad);
+}
+
+TEST_F(KeyRestoreValidation, RejectsBadFaultPlanKey) {
+  snapshot(delay_cfg(), 2);
+  // The "delay" resume case restores this snapshot for its hold buffer.
+  ASSERT_GT(walk_links(payload_).links[5].n_held, 0u);
+  // FLTC: presence flag, events applied, event count, then per plan event
+  // a pending flag and, when set, its key.
+  const std::size_t f = section("FLTC");
+  ASSERT_EQ(payload_[f], 1);
+  std::size_t at = f + 17;
+  for (std::uint64_t i = 0; i < get_u64(payload_, f + 9) && payload_[at] == 0; ++i) ++at;
+  ASSERT_EQ(payload_[at], 1) << "no pending plan event";
+  expect_key_validated(at + 1);
+}
+
+TEST_F(KeyRestoreValidation, RejectsFaultChannelOnUnknownLink) {
+  snapshot(delay_cfg(), 2);
+  const std::size_t f = section("FLTC");
+  std::size_t at = f + 17;
+  for (std::uint64_t i = 0; i < get_u64(payload_, f + 9); ++i) at += payload_[at] == 1 ? 17 : 1;
+  ASSERT_EQ(get_u64(payload_, at), 1u) << "one active channel";
+  ASSERT_EQ(get_u64(payload_, at + 8) & 0xffffffffu, 5u);
+  std::string bad = payload_;
+  const std::uint32_t unknown = 0xffffffffu;
+  std::memcpy(&bad[at + 8], &unknown, 4);
+  expect_rejected(bad);
+}
+
+/// Link 40 down at 1 ms with a 60 s reroute delay: its convergence timer
+/// is pending at every later snapshot.
+ExperimentConfig reroute_cfg() {
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.fault_plan = plan("down,link=40,at=0.001");
+  cfg.routing.reroute_delay = sim::Time::seconds(60);
+  return cfg;
+}
+
+TEST_F(KeyRestoreValidation, RejectsBadConvergeTimerKey) {
+  snapshot(reroute_cfg(), 1);
+  // RTEM: reroute tally, timer count, then per timer a u32 link id and key.
+  const std::size_t r = section("RTEM");
+  ASSERT_EQ(get_u64(payload_, r + 8), 1u);
+  expect_key_validated(r + 20);
+}
+
+TEST_F(KeyRestoreValidation, RejectsConvergeTimerOnUnknownLink) {
+  snapshot(reroute_cfg(), 1);
+  const std::size_t r = section("RTEM");
+  ASSERT_EQ(get_u64(payload_, r + 8), 1u);
+  std::string bad = payload_;
+  const std::uint32_t unknown = 0xffffffffu;
+  std::memcpy(&bad[r + 16], &unknown, 4);
+  expect_rejected(bad);
+}
+
+// A flowlet entry names its member by index; one the table lacks would be
+// read out of bounds by the entry's next packet.
+TEST_F(KeyRestoreValidation, RejectsFlowletEntryOnUnknownMember) {
+  auto cfg = small_cfg();
+  cfg.routing.kind = route::PolicyKind::Flowlet;
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  snapshot(cfg, 1);
+  // RTEM: reroute tally, timers (u32 link + key each), table count, then
+  // per table: members (alive, forwarded), collision and repath tallies,
+  // flow counts (u32), flow ports (key, u32), flowlet entries (key,
+  // last_ns, u32 member, salt).
+  const std::size_t r = section("RTEM");
+  std::size_t at = r + 16 + 20 * get_u64(payload_, r + 8);
+  const std::uint64_t tables = get_u64(payload_, at);
+  at += 8;
+  std::size_t member = 0;
+  for (std::uint64_t t = 0; t < tables; ++t) {
+    at += 8 + 9 * get_u64(payload_, at) + 16;
+    at += 8 + 4 * get_u64(payload_, at);
+    at += 8 + 12 * get_u64(payload_, at);
+    const std::uint64_t nf = get_u64(payload_, at);
+    if (nf > 0 && member == 0) member = at + 8 + 16;
+    at += 8 + 28 * nf;
+  }
+  ASSERT_EQ(payload_.compare(at, 4, "FLTC"), 0) << "RTEM walk lost sync";
+  ASSERT_NE(member, 0u) << "no flowlet entry in the snapshot";
+  std::string bad = payload_;
+  const std::uint32_t unknown = 0xffffffffu;
+  std::memcpy(&bad[member], &unknown, 4);
+  expect_rejected(bad);
+}
+
+TEST_F(KeyRestoreValidation, RejectsBadWorkloadTimerKeys) {
+  snapshot(workload_cfg(), 2);
+  // WKLD (workload runs have no other generator): RNG state, stopped flag,
+  // three progress counters, then the arrival and trace timers.
+  const std::size_t arrival = section("WKLD") + 32 + 1 + 24;
+  ASSERT_EQ(payload_[arrival], 1);
+  expect_key_validated(arrival + 1);
+  ASSERT_EQ(payload_[arrival + 17], 1);
+  expect_key_validated(arrival + 18);
 }
 
 }  // namespace

@@ -33,7 +33,7 @@ JobManifest sample_manifest() {
   for (std::size_t i = 0; i < 2; ++i) {
     JobEntry j;
     j.index = i;
-    j.value = 5.0 * static_cast<double>(i + 1);
+    j.value = SweepValue::of_int(5 * static_cast<std::int64_t>(i + 1));
     j.state = i == 0 ? JobState::Succeeded : JobState::Failed;
     j.attempts = static_cast<int>(i + 1);
     j.result_file = job_result_file(i);
@@ -62,6 +62,31 @@ TEST(JobManifest, RoundTripsThroughDisk) {
     EXPECT_EQ(out.jobs[i].result_file, in.jobs[i].result_file);
     EXPECT_EQ(out.jobs[i].last_error, in.jobs[i].last_error);
   }
+}
+
+// Seeds above 2^53 have no double of their own: 2^53 + 1 must come back as
+// itself, not as its neighbour 2^53, and a load value stays real.
+TEST(JobManifest, IntegerValuesRoundTripExactly) {
+  const TempDir dir{"bigint"};
+  JobManifest in;
+  in.param = "seed";
+  for (const SweepValue v : {SweepValue::of_int(9007199254740993),
+                             SweepValue::of_int(9007199254740992), SweepValue::of_real(0.3)}) {
+    JobEntry j;
+    j.index = in.jobs.size();
+    j.value = v;
+    in.jobs.push_back(j);
+  }
+  ASSERT_TRUE(in.save(dir.path));
+  JobManifest out;
+  std::string error;
+  ASSERT_TRUE(JobManifest::load(dir.path, out, &error)) << error;
+  ASSERT_EQ(out.jobs.size(), 3u);
+  EXPECT_EQ(out.jobs[0].value.label(), "9007199254740993");
+  EXPECT_EQ(out.jobs[1].value.label(), "9007199254740992");
+  EXPECT_FALSE(out.jobs[0].value == out.jobs[1].value);
+  EXPECT_FALSE(out.jobs[2].value.integral);
+  EXPECT_EQ(out.jobs[2].value, SweepValue::of_real(0.3));
 }
 
 TEST(JobManifest, SaveLeavesNoTempFileBehind) {

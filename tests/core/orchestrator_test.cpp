@@ -40,7 +40,7 @@ JobManifest fresh_manifest(std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     JobEntry j;
     j.index = i;
-    j.value = static_cast<double>(i);
+    j.value = SweepValue::of_int(static_cast<std::int64_t>(i));
     m.jobs.push_back(j);
   }
   return m;
@@ -86,7 +86,7 @@ TEST(Orchestrator, AllJobsSucceedFirstAttempt) {
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(outcome.results[i].has_value()) << "job " << i;
     EXPECT_DOUBLE_EQ(outcome.results[i]->goodput_mbps, 100.0 + static_cast<double>(i));
-    EXPECT_EQ(outcome.results[i]->value, static_cast<double>(i));
+    EXPECT_EQ(outcome.results[i]->value, SweepValue::of_int(static_cast<std::int64_t>(i)));
     EXPECT_EQ(outcome.jobs[i].state, JobState::Succeeded);
     EXPECT_EQ(outcome.jobs[i].attempts, 1);
   }

@@ -268,5 +268,33 @@ TEST(Sender, IdleAfterEverythingAcked) {
   EXPECT_EQ(h.sender->timeouts(), 0u);
 }
 
+// The RTO timer's checkpointed key restores only onto a clock that can
+// still dispatch it: behind the restored clock, or on a sequence the
+// restored scheduler never handed out, it fails the Loader (the world's
+// "malformed payload" exit 2) instead of arming a timer in the past.
+TEST(Sender, RestoreValidatesTheRtoKey) {
+  SenderHarness a;
+  a.sender->start();
+  a.t.sched.run_until(sim::Time::microseconds(5));  // data out, no acks: RTO armed
+  core::ckpt::Saver s;
+  a.sender->save_state(s);
+
+  struct Clock {
+    sim::Time now;
+    std::uint64_t next_seq;
+    bool ok;
+  };
+  for (const Clock c : {Clock{a.t.sched.now(), a.t.sched.next_seq(), true},
+                        Clock{sim::Time::seconds(10), a.t.sched.next_seq(), false},
+                        Clock{a.t.sched.now(), 1, false}}) {
+    SenderHarness b;
+    b.t.sched.restore_clock(c.now, c.next_seq, 0);
+    core::ckpt::Loader l{s.data()};
+    b.sender->restore_state(l);
+    EXPECT_EQ(l.done(), c.ok) << "clock " << c.now.ns() << " ns, next_seq " << c.next_seq;
+    EXPECT_EQ(b.t.sched.pending(), c.ok ? 1u : 0u);
+  }
+}
+
 }  // namespace
 }  // namespace xmp::transport
