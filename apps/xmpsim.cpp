@@ -97,24 +97,29 @@
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
 //
 //   xmpsim sweep
-//       Re-run `run` for each value and tabulate average goodput. Points
-//       run concurrently on N worker threads (default: hardware cores);
-//       results are identical to a serial sweep, in the order given.
+//       Re-run `run` for each value and tabulate average goodput. Every
+//       sweep is a resilient *campaign* in a directory: --out=DIR, or
+//       without it a fresh temp dir, removed when every job succeeded and
+//       kept and named otherwise. Each job runs crash-isolated in its own
+//       process, N at a time (--jobs, default: hardware cores); the table
+//       lists the points in the order given, identical for every N. A
+//       watchdog kills attempts that exceed --job-timeout=SECONDS, and
+//       failures are retried up to --retries=N times with exponential
+//       backoff (--backoff=SECONDS base, deterministic per-job jitter).
 //       --param=load sweeps the offered load of a --workload=FILE run (an
 //       FCT study); --schemes crosses the value list with a scheme list
-//       (grid = schemes x values) and campaigns emit a ready-to-plot
+//       (grid = schemes x values) and the campaign emits a ready-to-plot
 //       fct_summary.json next to sweep_summary.json.
 //       --trace/--trace-csv/--metrics apply per job: "trace.json" becomes
 //       "trace.0.json", "trace.1.json", ... (one file per sweep point).
+//       --checkpoint-every snapshots each job into DIR/ckpt_job_<i>/, and a
+//       retried job resumes from its newest valid snapshot.
 //
-//       With --out=DIR the sweep becomes a resilient *campaign*: every job
-//       runs crash-isolated in its own process, a watchdog kills attempts
-//       that exceed --job-timeout=SECONDS, and failures are retried up to
-//       --retries=N times with exponential backoff (--backoff=SECONDS base,
-//       deterministic per-job jitter). DIR accumulates job_<i>.json result
-//       files, a sweep_manifest.json updated atomically after every state
-//       change, the aggregate sweep_summary.json, and the harness's own
-//       metrics/trace (harness_metrics.json, harness_trace.json).
+//       DIR accumulates job_<i>.json result files (each job's summary.json,
+//       as `run --json` writes it), a sweep_manifest.json updated
+//       atomically after every state change, the aggregate
+//       sweep_summary.json, and the harness's own metrics/trace
+//       (harness_metrics.json, harness_trace.json).
 //
 //       xmpsim sweep --resume=DIR picks a campaign back up: jobs already
 //       succeeded are not re-run, and the final summary is byte-identical
@@ -182,7 +187,7 @@ constexpr std::string_view kUsage =
     "  verify  [--dir=DIR] [--checkpoint-every=0.005] + run's scenario flags\n"
     "  sweep   --param=mark-k|beta|subflows|queue|seed|load --values=a,b,c\n"
     "          [--schemes=xmp,dctcp,lia,olia] [--jobs=N] + run's flags\n"
-    "          [--out=DIR [--job-timeout=S] [--retries=2] [--backoff=0.5] [--strict]]\n"
+    "          [--out=DIR] [--job-timeout=S] [--retries=2] [--backoff=0.5] [--strict]\n"
     "          [--resume=DIR]\n"
     "  fluid   [--capacity-gbps=1] [--flows=3] [--beta=4] [--rtt-us=300]\n"
     "  topo    [--k=8]\n";
@@ -641,27 +646,31 @@ int cmd_run(const Args& args) {
 
 // --- verify: differential validation harness (DESIGN.md §15) ---------------
 
-/// Newest on-disk snapshot (highest seq) in `dir`, by filename only — the
-/// restore path re-validates header, CRC and fingerprint. Empty if none.
-std::string newest_snapshot(const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  std::uint64_t best_seq = 0;
-  std::string best;
-  for (const auto& entry : fs::directory_iterator{dir, ec}) {
-    const std::string name = entry.path().filename().string();
-    if (name.size() <= 9 || name.compare(0, 5, "ckpt_") != 0 ||
-        name.compare(name.size() - 4, 4, ".bin") != 0)
-      continue;
-    const std::string digits = name.substr(5, name.size() - 9);
-    if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    const std::uint64_t seq = std::stoull(digits);
-    if (best.empty() || seq > best_seq) {
-      best_seq = seq;
-      best = name;
-    }
+/// The directory verify and sweep work in: `dir` (created if missing), or,
+/// when `dir` is empty, a fresh "xmp<cmd>.XXXXXX" under $TMPDIR (default
+/// /tmp), flagged `ephemeral`: the command removes it on success, and keeps
+/// and names it on failure. Empty, after a one-line diagnostic, when it
+/// cannot be made.
+std::string work_dir(const char* cmd, const char* flag, const std::string& dir, bool& ephemeral) {
+  ephemeral = dir.empty();
+  if (!ephemeral) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (!ec) return dir;
+    std::fprintf(stderr, "xmpsim: %s: cannot create --%s=%s: %s\n", cmd, flag, dir.c_str(),
+                 ec.message().c_str());
+    return {};
   }
-  return best;
+  std::string tmpl = "/tmp";
+  if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') tmpl = t;
+  tmpl += std::string{"/xmp"} + cmd + ".XXXXXX";
+  std::vector<char> buf{tmpl.begin(), tmpl.end()};
+  buf.push_back('\0');
+  if (::mkdtemp(buf.data()) == nullptr) {
+    std::fprintf(stderr, "xmpsim: %s: mkdtemp(%s): %s\n", cmd, tmpl.c_str(), std::strerror(errno));
+    return {};
+  }
+  return buf.data();
 }
 
 /// Fork a child that runs `xmpsim run <flags>` from inside `dir`, stdout
@@ -781,30 +790,9 @@ int cmd_verify(const Args& args) {
     add_ckpt_legs(true, "--shards=1");
   }
 
-  std::string root = args.get("dir", "");
   bool ephemeral = false;
-  if (root.empty()) {
-    std::string tmpl = "/tmp";
-    if (const char* t = std::getenv("TMPDIR"); t != nullptr && *t != '\0') tmpl = t;
-    tmpl += "/xmpverify.XXXXXX";
-    std::vector<char> buf{tmpl.begin(), tmpl.end()};
-    buf.push_back('\0');
-    if (::mkdtemp(buf.data()) == nullptr) {
-      std::fprintf(stderr, "xmpsim: verify: mkdtemp(%s): %s\n", tmpl.c_str(),
-                   std::strerror(errno));
-      return 2;
-    }
-    root = buf.data();
-    ephemeral = true;
-  } else {
-    std::error_code ec;
-    fs::create_directories(root, ec);
-    if (ec) {
-      std::fprintf(stderr, "xmpsim: verify: cannot create --dir=%s: %s\n", root.c_str(),
-                   ec.message().c_str());
-      return 2;
-    }
-  }
+  const std::string root = work_dir("verify", "dir", args.get("dir", ""), ephemeral);
+  if (root.empty()) return 2;
 
   // Every result file must be identical across all legs of an engine.
   // trace.csv, metrics.json and stdout only between legs with the same
@@ -853,15 +841,19 @@ int cmd_verify(const Args& args) {
       continue;
     }
     // SIGKILLed as soon as the first snapshot is visible (atomic rename:
-    // any ckpt_*.bin on disk is complete), then resumed from the newest.
+    // any ckpt_*.bin on disk is complete), then resumed from the newest
+    // that verifies. The fingerprint is left to the restore, which checks
+    // it against the leg's flags.
     for (int i = 0; i < 400; ++i) {
-      if (!newest_snapshot(dir).empty()) break;
+      if (!core::ckpt::newest_valid(dir, 0).empty()) break;
       if (::kill(pid, 0) != 0) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(25));
     }
     ::kill(pid, SIGKILL);
     const int rc = wait_leg(pid);
-    const std::string snap = newest_snapshot(dir);
+    const std::string newest = core::ckpt::newest_valid(dir, 0);
+    // The leg runs inside `dir`: --restore takes the file name alone.
+    const std::string snap = newest.substr(newest.find_last_of('/') + 1);
     if (snap.empty()) {
       return fail("leg " + leg.name +
                   " wrote no snapshot — raise --duration or lower --checkpoint-every");
@@ -1022,8 +1014,8 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
   spec.schemes_swept = !schemes.empty();
   if (schemes.empty()) schemes.emplace_back();  // sentinel: keep --scheme as given
 
-  // Build the whole grid up front, then fan it across workers; results come
-  // back in submission order, bit-identical to a serial sweep.
+  // Build the whole grid up front; the campaign runs it --jobs points at a
+  // time and tabulates the results in grid order.
   for (const std::string& sch : schemes) {
     for (std::size_t i = 0; i < base_values.size(); ++i) {
       const double v = base_values[i];
@@ -1161,14 +1153,15 @@ void write_fct_summary(const std::string& dir, const SweepSpec& spec,
   json.end_object();
 }
 
-/// Crash-isolated, resumable sweep (`--out=DIR` / `--resume=DIR`).
-int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
+/// Crash-isolated, resumable sweep campaign in `out` (--out=DIR; empty = a
+/// fresh temp dir, see work_dir), or resumed in it (--resume=DIR).
+int cmd_sweep_campaign(const Args& given, const std::string& out, bool resume) {
   core::JobManifest manifest;
   Args args = given;
   if (resume) {
     std::string err;
-    if (!core::JobManifest::load(dir, manifest, &err)) {
-      std::fprintf(stderr, "xmpsim: cannot resume --resume=%s: %s\n", dir.c_str(), err.c_str());
+    if (!core::JobManifest::load(out, manifest, &err)) {
+      std::fprintf(stderr, "xmpsim: cannot resume --resume=%s: %s\n", out.c_str(), err.c_str());
       return 2;
     }
     // Effective flags = today's command line first (overrides win, because
@@ -1183,7 +1176,6 @@ int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
   if (!build_sweep_grid(args, spec)) return 2;
   bool ok = true;
   core::OrchestratorConfig ocfg;
-  ocfg.campaign_dir = dir;
   ocfg.workers = static_cast<unsigned>(flag_i(args, "jobs", 0, 1, 4096, ok));
   ocfg.job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
   ocfg.retries = static_cast<int>(flag_i(args, "retries", 2, 0, 100, ok));
@@ -1202,17 +1194,10 @@ int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
       std::fprintf(stderr,
                    "xmpsim: --resume=%s grid mismatch (manifest sweeps %s over %zu values); "
                    "re-run without conflicting --param/--values\n",
-                   dir.c_str(), manifest.param.c_str(), manifest.jobs.size());
+                   out.c_str(), manifest.param.c_str(), manifest.jobs.size());
       return 2;
     }
   } else {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "xmpsim: cannot create --out=%s: %s\n", dir.c_str(),
-                   ec.message().c_str());
-      return 2;
-    }
     manifest.param = spec.param;
     manifest.argv = given.raw();
     manifest.jobs.resize(spec.grid.size());
@@ -1221,6 +1206,10 @@ int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
       manifest.jobs[i].value = spec.values[i];
     }
   }
+  bool ephemeral = false;
+  const std::string dir = resume ? out : work_dir("sweep", "out", out, ephemeral);
+  if (dir.empty()) return 2;
+  ocfg.campaign_dir = dir;
 
   obs::MetricsRegistry metrics;
   obs::TimelineTracer::Config tcfg;
@@ -1274,66 +1263,27 @@ int cmd_sweep_campaign(const Args& given, const std::string& dir, bool resume) {
   metrics.dump_to_file(dir + "/harness_metrics.json");
   tracer.export_chrome_json(dir + "/harness_trace.json");
 
-  if (!outcome.complete()) {
-    std::fprintf(stderr, "xmpsim: %zu of %zu jobs incomplete after retries%s\n",
-                 outcome.incomplete.size(), spec.grid.size(),
-                 ocfg.strict ? "" : " (salvaged the rest; --strict to fail)");
-    if (ocfg.strict) return 1;
+  if (outcome.complete()) {
+    if (ephemeral) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+    return 0;
   }
-  return 0;
+  std::fprintf(stderr, "xmpsim: %zu of %zu jobs incomplete after retries%s\n",
+               outcome.incomplete.size(), spec.grid.size(),
+               ocfg.strict ? "" : " (salvaged the rest; --strict to fail)");
+  if (ephemeral) {
+    std::fprintf(stderr, "xmpsim: sweep: campaign kept in %s (--resume=%s re-runs the rest)\n",
+                 dir.c_str(), dir.c_str());
+  }
+  return ocfg.strict ? 1 : 0;
 }
 
 int cmd_sweep(const Args& args) {
   const std::string resume_dir = args.get("resume", "");
-  if (!resume_dir.empty()) return cmd_sweep_campaign(args, resume_dir, true);
-  const std::string out_dir = args.get("out", "");
-  if (!out_dir.empty()) return cmd_sweep_campaign(args, out_dir, false);
-
-  // Fast path: trusted in-process sweep on a thread pool.
-  SweepSpec spec;
-  if (!build_sweep_grid(args, spec)) return 2;
-  if (!spec.grid.empty() && spec.grid[0].checkpoint.every > sim::Time::zero()) {
-    std::fprintf(stderr,
-                 "xmpsim: --checkpoint-every in a sweep needs --out=DIR (per-job checkpoint "
-                 "directories live in the campaign dir)\n");
-    return 2;
-  }
-
-  bool ok = true;
-  const std::int64_t jobs = flag_i(args, "jobs", 0, 1, 4096, ok);  // absent = hardware cores
-  if (!ok || !args.finish(kUsage)) return 2;
-  const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
-  std::fprintf(stderr, "sweeping %zu points on %u workers\n", spec.grid.size(), runner.workers());
-  const auto results =
-      runner.run(spec.grid, [](std::size_t, std::size_t done, std::size_t total) {
-        std::fprintf(stderr, "  [%zu/%zu] done\n", done, total);
-      });
-
-  bool any_fct = false;
-  for (const auto& r : results) {
-    if (r.fct.enabled()) any_fct = true;
-  }
-  std::printf("%-12s", spec.param.c_str());
-  if (spec.schemes_swept) std::printf(" %-8s", "scheme");
-  std::printf(" %16s %16s", "goodput (Mbps)", "events");
-  if (any_fct) std::printf(" %10s %10s", "fct p50", "fct p99");
-  std::printf("\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-12s", spec.values[i].label().c_str());
-    if (spec.schemes_swept) std::printf(" %-8s", spec.labels[i].c_str());
-    std::printf(" %16.1f %16llu", results[i].avg_goodput_mbps(),
-                static_cast<unsigned long long>(results[i].events_dispatched));
-    if (any_fct) {
-      if (results[i].fct.slowdown_all.count() > 0) {
-        std::printf(" %10.2f %10.2f", results[i].fct.slowdown_all.percentile(50),
-                    results[i].fct.slowdown_all.percentile(99));
-      } else {
-        std::printf(" %10s %10s", "-", "-");
-      }
-    }
-    std::printf("\n");
-  }
-  return 0;
+  const bool resume = !resume_dir.empty();
+  return cmd_sweep_campaign(args, resume ? resume_dir : args.get("out", ""), resume);
 }
 
 int cmd_topo(const Args& args) {

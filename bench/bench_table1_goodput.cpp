@@ -15,8 +15,8 @@
 //        [--seed=1] [--quick] [--scale=1] [--jobs=N]
 //
 // The 15 scheme x pattern cells are independent experiments; they are
-// fanned across a core::ParallelRunner pool (--jobs, default: hardware
-// cores). Results are bit-identical to the old serial loop.
+// fanned across a core::WorkerPool (--jobs, default: hardware cores).
+// Results are bit-identical to a serial loop.
 //
 // --scale multiplies the (already 32x-reduced) flow sizes; --scale=8 gets
 // within 4x of the paper's sizes, which matters for LIA whose 200 ms RTO
@@ -79,8 +79,8 @@ int main(int argc, char** argv) {
   };
 
   // Build all 15 cells up front and fan them across worker threads; the
-  // runner fills results in submission order, so the tables below are
-  // bit-identical to the old serial loop.
+  // results are indexed like the grid, so the tables below are
+  // bit-identical to a serial loop.
   std::vector<core::ExperimentConfig> grid;
   std::vector<std::pair<std::string, std::size_t>> cells;  // (scheme, pattern index)
   for (const auto& name : schemes) {
@@ -114,13 +114,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
-  std::fprintf(stderr, "running %zu cells on %u workers\n", grid.size(), runner.workers());
-  const auto ordered =
-      runner.run(grid, [&](std::size_t i, std::size_t done, std::size_t total) {
-        std::fprintf(stderr, "  [done %2zu/%zu] %-6s %s\n", done, total, cells[i].first.c_str(),
-                     core::pattern_name(patterns[cells[i].second]));
-      });
+  const auto ordered = bench::run_grid(grid, jobs, [&](std::size_t i) {
+    return cells[i].first + " " + core::pattern_name(patterns[cells[i].second]);
+  });
 
   std::map<std::string, std::array<core::ExperimentResults, 3>> results;
   for (std::size_t i = 0; i < ordered.size(); ++i) {

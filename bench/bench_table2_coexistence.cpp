@@ -10,8 +10,8 @@
 // Usage: bench_table2_coexistence [--k=8] [--duration=0.5] [--seed=1] [--quick]
 //        [--jobs=N]
 //
-// The 6 pairing x queue cells run concurrently on a core::ParallelRunner
-// pool (--jobs, default: hardware cores); results match the serial loop.
+// The 6 pairing x queue cells run concurrently on a core::WorkerPool
+// (--jobs, default: hardware cores); results match a serial loop.
 
 #include <map>
 
@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   };
 
   // All 6 cells (pairing x queue size) are independent; build them up
-  // front and fan across a worker pool. Results come back in submission
-  // order, so the table matches the old serial loop exactly.
+  // front and fan across a worker pool. Results are indexed like the grid,
+  // so the table matches a serial loop exactly.
   std::vector<core::ExperimentConfig> grid;
   for (const auto& p : pairings) {
     for (int qi = 0; qi < 2; ++qi) {
@@ -71,10 +71,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const core::ParallelRunner runner{jobs > 0 ? static_cast<unsigned>(jobs) : 0U};
-  std::fprintf(stderr, "running %zu cells on %u workers\n", grid.size(), runner.workers());
-  const auto results = runner.run(grid, [](std::size_t, std::size_t done, std::size_t total) {
-    std::fprintf(stderr, "  [done %zu/%zu]\n", done, total);
+  const auto results = bench::run_grid(grid, jobs, [&](std::size_t i) {
+    return std::string{pairings[i / 2].name} + (i % 2 == 0 ? " q50" : " q100");
   });
 
   std::printf("\nAverage goodput (Mbps), measured (paper):\n");

@@ -3,8 +3,13 @@
 // Shared helpers for the paper-reproduction bench binaries. Flags go
 // through cli::Args (core/cli.hpp), like every other binary's.
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/cli.hpp"
@@ -17,6 +22,30 @@ inline void print_banner(const char* experiment, const char* paper_artifact) {
   std::printf("%s\n", experiment);
   std::printf("reproduces: %s\n", paper_artifact);
   std::printf("==============================================================\n");
+}
+
+/// Run every config of `grid` on a core::WorkerPool; the results are
+/// indexed like the grid and bit-identical to a serial loop, because each
+/// experiment owns its whole world. `jobs` is the pool width (0 = hardware
+/// cores), never wider than the grid. Each finished config prints a stderr
+/// progress line naming it by `label(i)`.
+inline std::vector<core::ExperimentResults> run_grid(
+    const std::vector<core::ExperimentConfig>& grid, std::int64_t jobs,
+    const std::function<std::string(std::size_t)>& label) {
+  const std::int64_t cells = std::max<std::int64_t>(1, static_cast<std::int64_t>(grid.size()));
+  const std::int64_t hw = std::max(1u, std::thread::hardware_concurrency());
+  core::WorkerPool pool{static_cast<unsigned>(std::min(jobs > 0 ? jobs : hw, cells))};
+  std::fprintf(stderr, "running %zu cells on %u workers\n", grid.size(), pool.width());
+  std::vector<core::ExperimentResults> results(grid.size());
+  std::mutex mu;  // guards done and stderr
+  std::size_t done = 0;
+  pool.run(static_cast<int>(grid.size()), [&](int s) {
+    const auto i = static_cast<std::size_t>(s);
+    results[i] = core::run_experiment(grid[i]);
+    const std::lock_guard<std::mutex> lock{mu};
+    std::fprintf(stderr, "  [done %2zu/%zu] %s\n", ++done, grid.size(), label(i).c_str());
+  });
+  return results;
 }
 
 /// Print one normalized-rate time series table: one row per sample time,

@@ -4,7 +4,7 @@
 #   scripts/check.sh            # default RelWithDebInfo build + ctest
 #   scripts/check.sh asan       # AddressSanitizer + UBSan build + ctest
 #   scripts/check.sh tsan       # ThreadSanitizer build + the tsan preset's
-#                               # ParallelRunner|WorkerPool|ChaosSoak|ShardedEngine
+#                               # WorkerPool|ChaosSoak|ShardedEngine
 #                               # tests + `ctest -L shard`
 #   scripts/check.sh all        # default, then asan, then tsan
 #   scripts/check.sh smoke      # default build of xmpsim + scripts/smoke.sh

@@ -7,8 +7,9 @@
 #      (DESIGN.md §15); then content asserts on kept legs' summary.json;
 #   2. checks verify cannot do: the routing policy x fault matrix, the
 #      checkpoint count across engines, SIGTERM -> exit 143 + restore under
-#      --invariants, trace validation, and campaign kill/resume for a seed
-#      and an FCT sweep;
+#      --invariants, trace validation, campaign kill/resume for a seed and
+#      an FCT sweep, a sweep without --out (the same campaign in a temp dir
+#      under TMPDIR) and the resume of a load no JSON double would round;
 #   3. reject rows: a one-line diagnostic and exit 2 for every unsupported
 #      flag combination, unknown flag and flag with no effect on the run.
 #
@@ -161,14 +162,16 @@ python3 scripts/validate_trace.py "$tmp/trace.json" --require-counter 'cwnd[' --
 [ -s "$tmp/trace.csv" ] || fail "traced run wrote no trace.csv"
 python3 -c "import json, sys; json.load(open(sys.argv[1]))" "$tmp/metrics.json"
 
-# campaign NAME TOTAL "SUMMARIES" SWEEP-ARGS...: two seeded campaigns agree;
+# campaign NAME TOTAL "SUMMARIES" SWEEP-ARGS...: two seeded campaigns agree
+# (the first one's stdout is kept in $tmp/NAME/ref.txt);
 # a campaign SIGKILLed (whole process group) after some of its TOTAL jobs
 # publishes no summary; --resume reproduces the summaries byte for byte
 # without re-running settled jobs; a second --resume is a no-op.
 campaign_check() {
   local name="$1" total="$2" summaries="$3"; shift 3
   local d="$tmp/$name" f n
-  "$bin" "$@" "--out=$d/ref" > /dev/null
+  mkdir -p "$d"
+  "$bin" "$@" "--out=$d/ref" > "$d/ref.txt"
   "$bin" "$@" "--out=$d/ref2" > /dev/null
   for f in $summaries; do
     cmp "$d/ref/$f" "$d/ref2/$f" || fail "$name: two seeded campaigns disagree on $f"
@@ -203,9 +206,27 @@ campaign_check() {
 }
 
 echo "-- seed sweep campaign kill/resume"
-campaign_check sweep 8 "sweep_summary.json" \
-  sweep --param=seed --values=1,2,3,4,5,6,7,8 --pattern=random --scheme=xmp --k=4 \
-  --duration=0.05 --jobs=1 --retries=1
+seed_sweep=(sweep --param=seed --values=1,2,3,4,5,6,7,8 --pattern=random --scheme=xmp --k=4
+            --duration=0.05 --jobs=1 --retries=1)
+campaign_check sweep 8 "sweep_summary.json" "${seed_sweep[@]}"
+
+echo "-- a sweep without --out: the same campaign in a temp dir, removed after"
+scratch="$tmp/tmpdir"; mkdir -p "$scratch"
+TMPDIR="$scratch" "$bin" "${seed_sweep[@]}" > "$tmp/sweep/noout.txt"
+cmp "$tmp/sweep/ref.txt" "$tmp/sweep/noout.txt" || fail "sweep stdout differs without --out"
+[ -z "$(ls -A "$scratch")" ] || fail "a sweep without --out left $(ls "$scratch") behind"
+TMPDIR="$scratch" "$bin" sweep --param=seed --values=1,2 --pattern=permutation --k=4 \
+  --rounds=1 --duration=0.03 --checkpoint-every=0.01 > /dev/null ||
+  fail "a checkpointed sweep without --out failed"
+[ -z "$(ls -A "$scratch")" ] || fail "a checkpointed sweep left $(ls "$scratch") behind"
+
+echo "-- a load campaign resumes with the exact value it swept"
+# "%.9g" would store 0.1234567891 as 0.123456789: a different grid.
+load_sweep=(sweep --param=load --values=0.1234567891 --workload=configs/workloads/websearch.wl
+            --k=4 --duration=0.02 --seed=5 --jobs=1)
+"$bin" "${load_sweep[@]}" "--out=$tmp/load" > "$tmp/load.txt"
+"$bin" sweep "--resume=$tmp/load" > "$tmp/load-resumed.txt" || fail "load campaign did not resume"
+cmp "$tmp/load.txt" "$tmp/load-resumed.txt" || fail "resumed load campaign printed another table"
 
 echo "-- FCT campaign kill/resume (2 loads x 4 schemes, websearch CDF)"
 campaign_check fct 8 "fct_summary.json sweep_summary.json" \

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/worker_pool.hpp"
 #include "core/world.hpp"
 #include "net/handoff.hpp"
 #include "obs/hooks.hpp"

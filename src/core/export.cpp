@@ -94,7 +94,7 @@ void export_link_drops_csv(const ExperimentResults& results, const std::string& 
   }
 }
 
-void export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,
+bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,
                          const std::string& path) {
   trace::JsonWriter json{path};
   json.begin_object();
@@ -256,6 +256,7 @@ void export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
   json.end_object();
 
   json.end_object();
+  return json.close();
 }
 
 }  // namespace xmp::core

@@ -12,8 +12,9 @@ void export_flows_csv(const ExperimentResults& results, const std::string& path)
 
 /// Write the experiment configuration and summary metrics (goodput,
 /// job-completion, RTT and utilization distributions, drop breakdown) as a
-/// JSON document.
-void export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,
+/// JSON document. Returns false when the write failed (no file appears).
+/// A sweep job's result file is this document (core/orchestrator.hpp).
+bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,
                          const std::string& path);
 
 /// Write one row per flow of a workload run's FCT records:

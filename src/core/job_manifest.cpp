@@ -28,6 +28,16 @@ void SweepValue::write(trace::JsonWriter& json) const {
   }
 }
 
+void SweepValue::write_exact(trace::JsonWriter& json) const {
+  if (integral) {
+    json.value(i);
+    return;
+  }
+  char buf[32];  // holds the shortest form of any double
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof buf, d);
+  json.number_literal(std::string(buf, r.ptr));
+}
+
 const char* job_state_name(JobState s) {
   switch (s) {
     case JobState::Pending:
@@ -74,7 +84,7 @@ bool JobManifest::save(const std::string& dir, std::string* error) const {
       json.begin_object();
       json.kv("index", static_cast<std::uint64_t>(j.index));
       json.key("value");
-      j.value.write(json);
+      j.value.write_exact(json);
       json.kv("state", job_state_name(j.state));
       json.kv("attempts", static_cast<std::int64_t>(j.attempts));
       json.kv("result", j.result_file);

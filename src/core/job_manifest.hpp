@@ -24,8 +24,13 @@ struct SweepValue {
   [[nodiscard]] static SweepValue of_real(double v) { return {false, 0, v}; }
   /// The table label: "%lld" when integral, "%g" otherwise.
   [[nodiscard]] std::string label() const;
-  /// A JSON number: exact when integral, JsonWriter's double otherwise.
+  /// A JSON number: exact when integral, JsonWriter's double ("%.9g")
+  /// otherwise, as the sweep tables print it.
   void write(trace::JsonWriter& json) const;
+  /// A JSON number that reads back as this exact value: a real in its
+  /// shortest round-trip form. The manifest stores values this way, so a
+  /// resumed campaign rebuilds the same grid.
+  void write_exact(trace::JsonWriter& json) const;
   /// Integers compare exactly. Otherwise the doubles compare, so a load of
   /// 1, which the manifest stores as the literal `1`, still matches.
   friend bool operator==(const SweepValue& a, const SweepValue& b) {

@@ -12,10 +12,10 @@
 #include <thread>
 
 #include "core/checkpoint.hpp"
+#include "core/export.hpp"
 #include "core/mini_json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeline.hpp"
-#include "trace/writers.hpp"
 
 namespace xmp::core {
 namespace {
@@ -338,46 +338,7 @@ std::string job_result_file(std::size_t index) { return "job_" + std::to_string(
 int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path) {
   try {
     const ExperimentResults res = run_experiment(cfg);
-    {
-      trace::JsonWriter json{result_path};
-      json.begin_object();
-      json.kv("index", static_cast<std::uint64_t>(index));
-      json.kv("goodput_mbps", res.avg_goodput_mbps());
-      json.kv("events", res.events_dispatched);
-      json.kv("flows", static_cast<std::uint64_t>(res.flows.size()));
-      json.kv("completed_flows", static_cast<std::uint64_t>(res.goodput.count()));
-      json.kv("aborted_flows", res.aborted_flows);
-      if (res.fct.enabled()) {
-        // FCT quantiles ride in the job file so the campaign-level
-        // fct_summary.json can be rebuilt from files alone (the resume
-        // byte-identity contract).
-        json.key("fct");
-        json.begin_object();
-        json.kv("offered_load", res.fct.offered_load);
-        json.kv("completed", res.fct.completed);
-        json.kv("censored", res.fct.censored);
-        auto quantiles = [&](const char* name, const stats::Distribution& d) {
-          json.key(name);
-          json.begin_object();
-          json.kv("count", static_cast<std::uint64_t>(d.count()));
-          json.kv("mean", d.count() > 0 ? d.mean() : 0.0);
-          json.kv("p50", d.count() > 0 ? d.percentile(50) : 0.0);
-          json.kv("p95", d.count() > 0 ? d.percentile(95) : 0.0);
-          json.kv("p99", d.count() > 0 ? d.percentile(99) : 0.0);
-          json.end_object();
-        };
-        quantiles("all", res.fct.slowdown_all);
-        json.key("bins");
-        json.begin_object();
-        for (int b = 0; b < ExperimentResults::FctStats::kBins; ++b) {
-          quantiles(ExperimentResults::FctStats::bin_name(b), res.fct.slowdown_by_bin[b]);
-        }
-        json.end_object();
-        json.end_object();
-      }
-      json.end_object();
-      if (!json.ok()) return 5;
-    }
+    if (!export_summary_json(cfg, res, result_path)) return 5;
     return res.invariant_violations.empty() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "job %zu: %s\n", index, e.what());
@@ -390,47 +351,41 @@ int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::str
 bool load_job_result(const std::string& path, JobResult& out, std::string* error) {
   json::JsonValue root;
   if (!json::parse_file(path, root, error)) return false;
-  if (!root.is_object() || !root.has("goodput_mbps") || !root.has("events")) {
-    if (error != nullptr) *error = path + ": not a job result file";
-    return false;
-  }
-  out = JobResult{};
-  out.goodput_mbps = root.at("goodput_mbps").number;
-  out.events = static_cast<std::uint64_t>(root.at("events").number);
-  if (root.has("flows")) out.flows = static_cast<std::uint64_t>(root.at("flows").number);
-  if (root.has("completed_flows")) {
-    out.completed_flows = static_cast<std::uint64_t>(root.at("completed_flows").number);
-  }
-  if (root.has("aborted_flows")) {
-    out.aborted_flows = static_cast<std::uint64_t>(root.at("aborted_flows").number);
-  }
-  if (root.has("fct") && root.at("fct").is_object()) {
-    const json::JsonValue& fct = root.at("fct");
-    auto quantiles = [&](const json::JsonValue& q, JobResult::FctQuantiles& out_q) {
-      if (!q.is_object()) return;
-      if (q.has("count")) out_q.count = static_cast<std::uint64_t>(q.at("count").number);
-      if (q.has("mean")) out_q.mean = q.at("mean").number;
-      if (q.has("p50")) out_q.p50 = q.at("p50").number;
-      if (q.has("p95")) out_q.p95 = q.at("p95").number;
-      if (q.has("p99")) out_q.p99 = q.at("p99").number;
-    };
-    out.has_fct = true;
-    if (fct.has("offered_load")) out.fct_load = fct.at("offered_load").number;
-    if (fct.has("completed")) {
-      out.fct_completed = static_cast<std::uint64_t>(fct.at("completed").number);
-    }
-    if (fct.has("censored")) {
-      out.fct_censored = static_cast<std::uint64_t>(fct.at("censored").number);
-    }
-    if (fct.has("all")) quantiles(fct.at("all"), out.fct_all);
-    if (fct.has("bins") && fct.at("bins").is_object()) {
+  const auto count = [](const json::JsonValue& v) { return static_cast<std::uint64_t>(v.number); };
+  // A distribution with no samples carries only its count: absent
+  // quantiles read as 0.
+  const auto quantiles = [&](const json::JsonValue& q, JobResult::FctQuantiles& o) {
+    o.count = count(q.at("count"));
+    o.mean = q.has("mean") ? q.at("mean").number : 0.0;
+    o.p50 = q.has("p50") ? q.at("p50").number : 0.0;
+    o.p95 = q.has("p95") ? q.at("p95").number : 0.0;
+    o.p99 = q.has("p99") ? q.at("p99").number : 0.0;
+  };
+  // at() throws on a missing key or a non-object parent: the file is not
+  // a run summary (a job file of the older hand-written format, say).
+  try {
+    const json::JsonValue& summary = root.at("summary");
+    out = JobResult{};
+    out.goodput_mbps = summary.at("avg_goodput_mbps").number;
+    out.events = count(summary.at("events"));
+    out.flows = count(summary.at("flows"));
+    out.aborted_flows = count(summary.at("aborted_flows"));
+    out.completed_flows = count(root.at("goodput_mbps").at("all").at("count"));
+    if (root.has("fct")) {
+      const json::JsonValue& fct = root.at("fct");
+      out.has_fct = true;
+      out.fct_load = fct.at("offered_load").number;
+      out.fct_completed = count(fct.at("completed"));
+      out.fct_censored = count(fct.at("censored"));
+      quantiles(fct.at("all"), out.fct_all);
       for (int b = 0; b < ExperimentResults::FctStats::kBins; ++b) {
-        const char* name = ExperimentResults::FctStats::bin_name(b);
-        if (fct.at("bins").has(name)) {
-          quantiles(fct.at("bins").at(name), out.fct_bins[static_cast<std::size_t>(b)]);
-        }
+        quantiles(fct.at("bins").at(ExperimentResults::FctStats::bin_name(b)),
+                  out.fct_bins[static_cast<std::size_t>(b)]);
       }
     }
+  } catch (const std::runtime_error& e) {
+    if (error != nullptr) *error = path + ": not a run summary (" + e.what() + ")";
+    return false;
   }
   return true;
 }

@@ -36,10 +36,11 @@ struct OrchestratorConfig {
   double poll_interval_s = 0.002;
 };
 
-/// The numbers salvaged from one job's result file (job_<i>.json), written
-/// by the child and parsed back by the parent. The aggregate sweep table is
-/// built *only* from these files — never from in-memory state — so a
-/// resumed campaign aggregates byte-identically to an uninterrupted one.
+/// The numbers salvaged from one job's result file (job_<i>.json, the
+/// run's own summary.json as export_summary_json writes it), written by the
+/// child and parsed back by the parent. The aggregate sweep table is built
+/// *only* from these files — never from in-memory state — so a resumed
+/// campaign aggregates byte-identically to an uninterrupted one.
 struct JobResult {
   SweepValue value;  ///< swept parameter value (filled from the manifest)
   double goodput_mbps = 0.0;
@@ -48,8 +49,9 @@ struct JobResult {
   std::uint64_t completed_flows = 0;
   std::uint64_t aborted_flows = 0;
 
-  /// FCT-slowdown quantiles parsed back from the job file (Workload runs;
-  /// `has_fct` false otherwise). Mirrors ExperimentResults::FctStats.
+  /// FCT-slowdown quantiles parsed back from the job file's "fct" block
+  /// (Workload runs; `has_fct` false otherwise). Mirrors
+  /// ExperimentResults::FctStats.
   struct FctQuantiles {
     std::uint64_t count = 0;
     double mean = 0.0;
@@ -74,16 +76,15 @@ struct CampaignOutcome {
   [[nodiscard]] bool complete() const { return incomplete.empty(); }
 };
 
-/// Crash-isolated sweep campaign driver.
+/// Crash-isolated sweep campaign driver: every `xmpsim sweep` runs through
+/// it (in --out=DIR, or in a temporary directory).
 ///
 /// Each grid point runs in a forked child process: a segfault, OOM kill,
 /// std::terminate or runaway loop in one job can never take down the
 /// campaign or its siblings. The parent is a single-threaded reap loop —
 /// spawn up to `workers` children, waitpid(WNOHANG) each, SIGKILL any that
 /// outlive the watchdog, and respawn failures after a deterministic
-/// exponential backoff — which sidesteps every fork-vs-threads hazard
-/// (ParallelRunner's in-process thread pool remains the fast path for
-/// trusted sweeps without isolation).
+/// exponential backoff — which sidesteps every fork-vs-threads hazard.
 ///
 /// The manifest is rewritten atomically after every state transition, so
 /// SIGKILLing the *campaign* at any instant leaves a resumable directory.
@@ -109,17 +110,20 @@ class Orchestrator {
   OrchestratorConfig cfg_;
 };
 
-/// Default child body: run_experiment(cfg), write the job result JSON
-/// atomically to `result_path`. Returns 0, or 3 when invariant checking
-/// found violations, or 4 on an exception.
+/// Default child body: run_experiment(cfg), then export_summary_json to
+/// `result_path` (atomically). Returns 0, or 3 when invariant checking
+/// found violations, 4 on an exception, 5 when the result file cannot be
+/// written.
 int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path);
 
 /// Result-file name for grid point `index`: "job_<index>.json".
 [[nodiscard]] std::string job_result_file(std::size_t index);
 
 /// Parse a result file written by run_sweep_job. `value` is left at 0 (the
-/// manifest owns it). Returns false and sets *error on missing/malformed
-/// files — the caller treats that attempt as failed.
+/// manifest owns it). Returns false and sets *error on a missing or
+/// malformed file, or one that is not a run summary (a job file of the
+/// older hand-written format included) — the caller treats that attempt as
+/// failed, so a resumed campaign re-runs the job.
 bool load_job_result(const std::string& path, JobResult& out, std::string* error = nullptr);
 
 }  // namespace xmp::core

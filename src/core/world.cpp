@@ -111,10 +111,10 @@ std::optional<RestoreImage> read_restore_image(const ExperimentConfig& cfg) {
   return img;
 }
 
-// Observation is installed for this thread only (ParallelRunner gives every
-// sweep job its own worker thread and its own observers) and is strictly
-// passive: nothing reads the tracer or registry, so a run with observation
-// produces byte-identical results to one without.
+// Observation is installed for this thread only (concurrent experiments on
+// a WorkerPool each get their own observers) and is strictly passive:
+// nothing reads the tracer or registry, so a run with observation produces
+// byte-identical results to one without.
 World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::ShardFabric* fab)
     : cfg{cfg_in},
       sched{control},
@@ -497,12 +497,13 @@ bool World::restore(ckpt::Loader& l, sim::Time at) {
   if (l.b() && fault_ctl) fault_ctl->restore_state(l);
   l.tag("FLWA");
   const auto host = [this](int h) -> net::Host& { return tree.host(h); };
-  flows_a.restore_state(l, host, [this](const workload::CallbackTag& tag) {
+  flows_a.restore_state(l, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
     return bind(tag, incast_bg ? incast_bg.get() : rand_a.get());
   });
   if (flows_b) {
-    flows_b->restore_state(
-        l, host, [this](const workload::CallbackTag& tag) { return bind(tag, rand_b.get()); });
+    flows_b->restore_state(l, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
+      return bind(tag, rand_b.get());
+    });
   }
   l.tag("WKLD");
   if (perm) perm->restore_state(l);

@@ -17,7 +17,7 @@
 /// Quickstart: see examples/quickstart.cpp.
 
 #include "core/experiment.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/worker_pool.hpp"
 #include "faults/fault_controller.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/invariant_checker.hpp"

@@ -3,9 +3,9 @@
 // Thread-local observation gates — the single branch every instrumentation
 // site pays when observation is disabled.
 //
-// The simulator is single-threaded per run but core::ParallelRunner fans
-// independent runs across worker threads, so the active tracer/metrics
-// bundle is a thread_local pointer: each run installs its own observers on
+// The simulator is single-threaded per run but a core::WorkerPool can run
+// independent runs on concurrent threads (the Table 1/2 benches), so the
+// active tracer/metrics bundle is a thread_local pointer: each run installs its own observers on
 // its own thread via ObservationScope (RAII), and runs never see each
 // other's instruments. A disabled run costs one TLS load + one predictable
 // branch per site; no simulation state is ever touched by observation, so

@@ -10,17 +10,15 @@ namespace {
 
 /// Shared teardown for both writers: publish the staged temp file if every
 /// write succeeded, otherwise discard it so a failed export leaves no
-/// artifact at all (and never a torn one).
-void finish_atomic(std::ofstream& out, const std::string& path) {
+/// artifact at all (and never a torn one). True when the file was published.
+bool finish_atomic(std::ofstream& out, const std::string& path) {
   out.flush();
   const bool good = out.good();
   out.close();
   const std::string tmp = tmp_path_for(path);
-  if (good) {
-    commit_tmp_file(tmp, path);
-  } else {
-    std::remove(tmp.c_str());
-  }
+  if (good) return commit_tmp_file(tmp, path);
+  std::remove(tmp.c_str());
+  return false;
 }
 
 }  // namespace
@@ -91,8 +89,13 @@ JsonWriter::JsonWriter(const std::string& path) : path_{path}, out_{tmp_path_for
 }
 
 JsonWriter::~JsonWriter() {
+  if (!closed_) close();
+}
+
+bool JsonWriter::close() {
+  closed_ = true;
   out_ << '\n';
-  finish_atomic(out_, path_);
+  return finish_atomic(out_, path_);
 }
 
 std::string JsonWriter::escape(const std::string& s) {
@@ -214,6 +217,11 @@ void JsonWriter::value(std::uint64_t v) {
 void JsonWriter::value(bool v) {
   comma_if_needed();
   out_ << (v ? "true" : "false");
+}
+
+void JsonWriter::number_literal(const std::string& text) {
+  comma_if_needed();
+  out_ << text;
 }
 
 }  // namespace xmp::trace

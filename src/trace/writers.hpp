@@ -56,6 +56,9 @@ class JsonWriter {
   JsonWriter& operator=(const JsonWriter&) = delete;
 
   [[nodiscard]] bool ok() const { return out_.good(); }
+  /// Publish the document now, as the destructor would, and report whether
+  /// every write, the flush and the rename succeeded. Write nothing after.
+  bool close();
 
   void begin_object();
   void end_object();
@@ -71,6 +74,8 @@ class JsonWriter {
   void value(std::int64_t v);
   void value(std::uint64_t v);
   void value(bool v);
+  /// A number the caller already formatted, written verbatim.
+  void number_literal(const std::string& text);
 
   // Convenience: key + scalar value.
   template <typename T>
@@ -89,6 +94,7 @@ class JsonWriter {
   std::vector<bool> needs_comma_;  ///< per nesting level
   bool after_key_ = false;
   int depth_ = 0;
+  bool closed_ = false;
 };
 
 }  // namespace xmp::trace

@@ -208,8 +208,8 @@ void FlowManager::save_state(core::ckpt::Saver& s) const {
   }
 }
 
-void FlowManager::restore_state(core::ckpt::Loader& l, const std::function<net::Host&(int)>& host,
-                                const BindFn& bind) {
+void FlowManager::restore_state(core::ckpt::Loader& l, int n_hosts,
+                                const std::function<net::Host&(int)>& host, const BindFn& bind) {
   next_id_ = static_cast<net::FlowId>(l.u64());
   active_large_.store(l.u64(), std::memory_order_relaxed);
   aborted_large_.store(l.u64(), std::memory_order_relaxed);
@@ -217,8 +217,14 @@ void FlowManager::restore_state(core::ckpt::Loader& l, const std::function<net::
   for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
     FlowRecord rec;
     rec.id = l.u32();
-    rec.src_host = static_cast<int>(l.i64());
-    rec.dst_host = static_cast<int>(l.i64());
+    const std::int64_t src = l.i64();
+    const std::int64_t dst = l.i64();
+    if (src < 0 || src >= n_hosts || dst < 0 || dst >= n_hosts) {
+      l.fail();  // a CRC-valid payload naming a host this world lacks
+      return;
+    }
+    rec.src_host = static_cast<int>(src);
+    rec.dst_host = static_cast<int>(dst);
     rec.bytes = l.i64();
     rec.large = l.b();
     rec.start = l.time();

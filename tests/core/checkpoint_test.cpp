@@ -366,6 +366,48 @@ TEST(Checkpoint, RejectsCheckerTickBehindTheClock) {
   }
 }
 
+// A flow record's host indices must name hosts of the restored world (16 on
+// k=4): one outside it, or one that only truncates into range, is a
+// malformed payload, never an out-of-range abort or a silently wrong host.
+TEST(Checkpoint, RejectsFlowHostOutsideTheWorld) {
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = fresh_dir("flow_host");
+  ASSERT_GE(run_experiment(cfg).ckpt.written, 1u);
+  ckpt::Header h;
+  std::string payload;
+  std::string err;
+  ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(1),
+                              ckpt::config_fingerprint(cfg), h, payload, &err))
+      << err;
+  // FLWA: tag, next id, active, aborted and record count (u64 each), then
+  // the first record's id (u32), src_host and dst_host (i64 each).
+  const std::size_t flwa = payload.find("FLWA");
+  ASSERT_NE(flwa, std::string::npos);
+  std::uint64_t records = 0;
+  std::memcpy(&records, &payload[flwa + 28], 8);
+  ASSERT_GE(records, 1u);
+  const std::size_t src_at = flwa + 36 + 4;
+  for (const std::size_t at : {src_at, src_at + 8}) {
+    std::int64_t saved = 0;
+    std::memcpy(&saved, &payload[at], 8);
+    ASSERT_TRUE(saved >= 0 && saved < 16) << "FLWA walk lost sync";
+    for (const std::int64_t host : {std::int64_t{100000}, std::int64_t{-1}, std::int64_t{16},
+                                    (std::int64_t{1} << 32) + saved}) {
+      std::string bad = payload;
+      std::memcpy(&bad[at], &host, 8);
+      const std::string path = cfg.checkpoint.dir + "/mutated.bin";
+      ASSERT_TRUE(ckpt::write_file(path, h, bad));
+      auto restore = cfg;
+      restore.checkpoint = CheckpointConfig{};
+      restore.checkpoint.restore_path = path;
+      EXPECT_EXIT((void)run_experiment(restore), ::testing::ExitedWithCode(2),
+                  "restore failed: .*malformed payload")
+          << "host " << host;
+    }
+  }
+}
+
 TEST(Checkpoint, ExternalStopWritesResumableSnapshot) {
   const std::string dir = fresh_dir("stop");
 

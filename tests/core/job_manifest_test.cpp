@@ -89,6 +89,31 @@ TEST(JobManifest, IntegerValuesRoundTripExactly) {
   EXPECT_EQ(out.jobs[2].value, SweepValue::of_real(0.3));
 }
 
+// A real that "%.9g" would round (0.1234567891 has ten significant digits)
+// comes back as the same double, so a resumed load sweep rebuilds the grid
+// it saved; the sweep tables keep printing the rounded form.
+TEST(JobManifest, RealValuesRoundTripExactly) {
+  const TempDir dir{"real"};
+  JobManifest in;
+  in.param = "load";
+  for (const double d : {0.1234567891, 0.1, 1.0 / 3.0, 1.0}) {
+    JobEntry j;
+    j.index = in.jobs.size();
+    j.value = SweepValue::of_real(d);
+    in.jobs.push_back(j);
+  }
+  ASSERT_TRUE(in.save(dir.path));
+  JobManifest out;
+  std::string error;
+  ASSERT_TRUE(JobManifest::load(dir.path, out, &error)) << error;
+  ASSERT_EQ(out.jobs.size(), in.jobs.size());
+  for (std::size_t i = 0; i < in.jobs.size(); ++i) {
+    EXPECT_EQ(out.jobs[i].value, in.jobs[i].value) << "job " << i;
+  }
+  EXPECT_EQ(out.jobs[0].value.d, 0.1234567891);
+  EXPECT_EQ(out.jobs[0].value.label(), "0.123457");
+}
+
 TEST(JobManifest, SaveLeavesNoTempFileBehind) {
   const TempDir dir{"notmp"};
   ASSERT_TRUE(sample_manifest().save(dir.path));

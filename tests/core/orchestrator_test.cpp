@@ -6,6 +6,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,15 +48,41 @@ JobManifest fresh_manifest(std::size_t n) {
   return m;
 }
 
-/// Child body that writes a well-formed result file and exits 0.
+/// Child body that writes a well-formed result file and exits 0: a run's
+/// summary.json, cut down to the keys load_job_result reads.
 int write_result_and_succeed(std::size_t index, const std::string& result_path) {
   trace::JsonWriter json{result_path};
   json.begin_object();
-  json.kv("index", static_cast<std::uint64_t>(index));
-  json.kv("goodput_mbps", 100.0 + static_cast<double>(index));
+  json.key("summary");
+  json.begin_object();
   json.kv("events", static_cast<std::uint64_t>(1000 + index));
+  json.kv("flows", std::uint64_t{4});
+  json.kv("avg_goodput_mbps", 100.0 + static_cast<double>(index));
+  json.kv("aborted_flows", std::uint64_t{0});
+  json.end_object();
+  json.key("goodput_mbps");
+  json.begin_object();
+  json.key("all");
+  json.begin_object();
+  json.kv("count", std::uint64_t{3});
+  json.end_object();
+  json.end_object();
   json.end_object();
   return 0;
+}
+
+/// A job file in the hand-written format sweeps wrote before a job's result
+/// became its run's summary.json.
+void write_old_job_file(const std::string& path) {
+  trace::JsonWriter json{path};
+  json.begin_object();
+  json.kv("index", std::uint64_t{0});
+  json.kv("goodput_mbps", 100.0);
+  json.kv("events", std::uint64_t{1000});
+  json.kv("flows", std::uint64_t{4});
+  json.kv("completed_flows", std::uint64_t{3});
+  json.kv("aborted_flows", std::uint64_t{0});
+  json.end_object();
 }
 
 OrchestratorConfig fast_cfg(const std::string& dir) {
@@ -246,6 +274,42 @@ TEST(Orchestrator, ResumeSkipsSucceededJobs) {
   EXPECT_DOUBLE_EQ(outcome.results[2]->goodput_mbps, 102.0);
 }
 
+// A campaign directory from a build that wrote the hand-written job files:
+// --resume cannot salvage such a file, so it re-runs that job instead of
+// failing the campaign.
+TEST(Orchestrator, ResumeRerunsAJobWhoseResultIsNotARunSummary) {
+  const TempDir dir{"oldformat"};
+  {
+    Orchestrator orch{fast_cfg(dir.path)};
+    auto manifest = fresh_manifest(2);
+    const auto outcome = orch.run(
+        dummy_grid(2), manifest,
+        [](std::size_t i, const ExperimentConfig&, const std::string& path, int) {
+          return write_result_and_succeed(i, path);
+        });
+    ASSERT_TRUE(outcome.complete());
+  }
+  write_old_job_file(dir.path + "/" + job_result_file(0));
+
+  JobManifest manifest;
+  ASSERT_TRUE(JobManifest::load(dir.path, manifest));
+  obs::MetricsRegistry metrics;
+  auto cfg = fast_cfg(dir.path);
+  cfg.metrics = &metrics;
+  Orchestrator orch{cfg};
+  const auto outcome = orch.run(
+      dummy_grid(2), manifest,
+      [](std::size_t i, const ExperimentConfig&, const std::string& path, int) {
+        if (i != 0) return 77;  // job 1's result still parses: never re-run
+        return write_result_and_succeed(i, path);
+      });
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(metrics.counter("harness.jobs_resumed").get(), 1u);
+  EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
+  EXPECT_EQ(outcome.results[0]->events, 1000u);
+  EXPECT_EQ(outcome.results[0]->completed_flows, 3u);
+}
+
 TEST(Orchestrator, ManifestGridSizeMismatchThrows) {
   const TempDir dir{"mismatch"};
   Orchestrator orch{fast_cfg(dir.path)};
@@ -267,7 +331,62 @@ TEST(LoadJobResult, RejectsMissingAndMalformedFiles) {
     json.end_object();
   }
   EXPECT_FALSE(load_job_result(bad, r, &error));
-  EXPECT_NE(error.find("not a job result"), std::string::npos);
+  EXPECT_NE(error.find("not a run summary"), std::string::npos);
+
+  const std::string old = dir.path + "/old.json";
+  write_old_job_file(old);
+  EXPECT_FALSE(load_job_result(old, r, &error));
+  EXPECT_NE(error.find("not a run summary"), std::string::npos);
+}
+
+// The default child body's result file is the run's summary.json, and
+// load_job_result reads back what the aggregate tables need: the summary
+// counters, the completed-flow count and the FCT block, where a bin with
+// no completions reads 0.
+TEST(LoadJobResult, ReadsTheSummaryRunSweepJobWrites) {
+  const TempDir dir{"roundtrip"};
+  std::ofstream{dir.path + "/sizes.cdf"} << "1000 0\n50000 0.6\n1000000 1\n";
+  std::ofstream{dir.path + "/web.wl"} << "nodes 16\ncdf sizes.cdf\nload 0.3\nspan any\n";
+  auto spec = std::make_shared<workload::WorkloadSpec>();
+  std::string err;
+  ASSERT_TRUE(workload::WorkloadSpec::parse_file(dir.path + "/web.wl", *spec, &err)) << err;
+  ExperimentConfig cfg;
+  cfg.fat_tree_k = 4;
+  cfg.pattern = Pattern::Workload;
+  cfg.workload = spec;
+  cfg.duration = sim::Time::seconds(0.02);
+  cfg.seed = 3;
+
+  const std::string path = dir.path + "/" + job_result_file(0);
+  ASSERT_EQ(run_sweep_job(0, cfg, path), 0);
+  JobResult r;
+  ASSERT_TRUE(load_job_result(path, r, &err)) << err;
+
+  const ExperimentResults res = run_experiment(cfg);
+  EXPECT_NEAR(r.goodput_mbps, res.avg_goodput_mbps(), 1e-6 * (1 + res.avg_goodput_mbps()));
+  EXPECT_EQ(r.events, res.events_dispatched);
+  EXPECT_EQ(r.flows, res.flows.size());
+  EXPECT_EQ(r.completed_flows, res.goodput.count());
+  EXPECT_EQ(r.aborted_flows, res.aborted_flows);
+  ASSERT_TRUE(r.has_fct);
+  EXPECT_EQ(r.fct_completed, res.fct.completed);
+  EXPECT_EQ(r.fct_censored, res.fct.censored);
+  ASSERT_GT(res.fct.slowdown_all.count(), 0u);
+  EXPECT_EQ(r.fct_all.count, res.fct.slowdown_all.count());
+  EXPECT_NEAR(r.fct_all.p99, res.fct.slowdown_all.percentile(99), 1e-6 * r.fct_all.p99);
+  bool saw_empty_bin = false;
+  for (int b = 0; b < ExperimentResults::FctStats::kBins; ++b) {
+    const auto& q = r.fct_bins[static_cast<std::size_t>(b)];
+    EXPECT_EQ(q.count, res.fct.slowdown_by_bin[b].count()) << "bin " << b;
+    if (q.count == 0) {
+      saw_empty_bin = true;
+      EXPECT_EQ(q.mean, 0.0);
+      EXPECT_EQ(q.p50, 0.0);
+      EXPECT_EQ(q.p99, 0.0);
+    }
+  }
+  // The size CDF stops at 1 MB: the >10M bin is empty.
+  EXPECT_TRUE(saw_empty_bin);
 }
 
 }  // namespace

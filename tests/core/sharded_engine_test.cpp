@@ -31,7 +31,7 @@
 
 #include "core/checkpoint.hpp"
 #include "core/mini_json.hpp"
-#include "core/parallel_runner.hpp"
+#include "core/worker_pool.hpp"
 #include "net/handoff.hpp"
 #include "net/link.hpp"
 #include "net/network.hpp"

@@ -70,6 +70,22 @@ TEST(JsonWriter, PublishesAtomicallyOnDestruction) {
   EXPECT_FALSE(std::ifstream{f.path + ".tmp"}.good());
 }
 
+// close() publishes at once and reports the outcome, which the destructor
+// cannot: a sweep job's result file is only as good as its last write.
+TEST(JsonWriter, CloseReportsWhetherTheFileWasPublished) {
+  TempFile f{"closed.json"};
+  JsonWriter json{f.path};
+  json.begin_object();
+  json.end_object();
+  EXPECT_TRUE(json.close());
+  EXPECT_EQ(slurp(f.path), "{}\n");
+
+  JsonWriter lost{"/tmp/no_such_dir_xmp_test/out.json"};
+  lost.begin_object();
+  lost.end_object();
+  EXPECT_FALSE(lost.close());
+}
+
 TEST(AtomicFile, WriteFilePublishesContentAndCleansUp) {
   TempFile f{"atomic_write.txt"};
   std::string error;
@@ -302,7 +318,8 @@ TEST(Export, FlowsCsvAndSummaryJsonRoundTrip) {
   TempFile csv{"flows.csv"};
   TempFile json{"summary.json"};
   core::export_flows_csv(res, csv.path);
-  core::export_summary_json(cfg, res, json.path);
+  EXPECT_TRUE(core::export_summary_json(cfg, res, json.path));
+  EXPECT_FALSE(core::export_summary_json(cfg, res, "/tmp/no_such_dir_xmp_test/summary.json"));
 
   const std::string csv_text = slurp(csv.path);
   // One header plus one line per flow.
