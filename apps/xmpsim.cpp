@@ -71,6 +71,9 @@
 //       Requires --scheme=xmp; composes with checkpointing, --trace and
 //       --metrics. A snapshot from a non-hybrid run never restores into a
 //       hybrid one (config fingerprint).
+//       --csv, --json and --drops-csv each print "wrote PATH" once the file
+//       is published; one that could not be written is named on stderr and
+//       the run exits 5.
 //
 //   xmpsim verify
 //       Differential validation harness (DESIGN.md §15): runs the same
@@ -619,18 +622,20 @@ int cmd_run(const Args& args) {
 
   const auto res = core::run_experiment(cfg);
   print_summary(cfg, res);
-  if (!csv.empty()) {
-    core::export_flows_csv(res, csv);
-    std::printf("wrote %s\n", csv.c_str());
-  }
-  if (!json.empty()) {
-    core::export_summary_json(cfg, res, json);
-    std::printf("wrote %s\n", json.c_str());
-  }
-  if (!drops_csv.empty()) {
-    core::export_link_drops_csv(res, drops_csv);
-    std::printf("wrote %s\n", drops_csv.c_str());
-  }
+  // Exit 5 (as a sweep job does) when an output could not be written.
+  bool write_failed = false;
+  const auto report = [&write_failed](const char* flag, const std::string& path, bool ok) {
+    if (ok) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "xmpsim: run: could not write --%s=%s\n", flag, path.c_str());
+      write_failed = true;
+    }
+  };
+  if (!csv.empty()) report("csv", csv, core::export_flows_csv(res, csv));
+  if (!json.empty()) report("json", json, core::export_summary_json(cfg, res, json));
+  if (!drops_csv.empty()) report("drops-csv", drops_csv, core::export_link_drops_csv(res, drops_csv));
+  if (write_failed) return 5;
   if (res.ckpt.interrupted) {
     // The partial summary above covers [0, halt); 143 = "terminated by
     // SIGTERM" so wrappers distinguish an interrupted run from a finished

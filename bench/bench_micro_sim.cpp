@@ -323,22 +323,24 @@ BENCHMARK(BM_ShardedEpoch)
 
 void BM_CheckpointWrite(benchmark::State& state) {
   // The checkpoint write hot path (DESIGN.md §12): serialize a payload of
-  // range(0) KB through the Saver, CRC it and publish atomically
+  // range(0) KB through a saving ckpt::Io, CRC it and publish atomically
   // (temp file + rename). 64 KB matches a real k=4 snapshot; 1 MB bounds
-  // larger topologies. The payload mix mirrors save_world: mostly u64/i64
-  // counters with a sprinkling of f64 samples.
+  // larger topologies. The payload mix mirrors World::checkpoint: mostly
+  // u64/i64 counters with a sprinkling of f64 samples.
   const std::size_t kb = static_cast<std::size_t>(state.range(0));
   const std::string path =
       (std::filesystem::temp_directory_path() / "bm_ckpt.bin").string();
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    core::ckpt::Saver s;
+    core::ckpt::Io s;
     const std::size_t words = kb * 1024 / 8;
     for (std::size_t i = 0; i < words; ++i) {
       if (i % 8 == 7) {
-        s.f64(static_cast<double>(i) * 1e-3);
+        double x = static_cast<double>(i) * 1e-3;
+        s.f64(x);
       } else {
-        s.u64(i * 0x9E3779B97F4A7C15ull);
+        std::uint64_t v = i * 0x9E3779B97F4A7C15ull;
+        s.u64(v);
       }
     }
     core::ckpt::Header h;
@@ -360,8 +362,11 @@ void BM_CheckpointRestore(benchmark::State& state) {
   const std::size_t kb = static_cast<std::size_t>(state.range(0));
   const std::string path =
       (std::filesystem::temp_directory_path() / "bm_ckpt_r.bin").string();
-  core::ckpt::Saver s;
-  for (std::size_t i = 0; i < kb * 1024 / 8; ++i) s.u64(i * 0x9E3779B97F4A7C15ull);
+  core::ckpt::Io s;
+  for (std::size_t i = 0; i < kb * 1024 / 8; ++i) {
+    std::uint64_t v = i * 0x9E3779B97F4A7C15ull;
+    s.u64(v);
+  }
   core::ckpt::Header h;
   h.fingerprint = 0xBADC0FFEE;
   h.t_ns = 1'000'000;

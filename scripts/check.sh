@@ -4,8 +4,11 @@
 #   scripts/check.sh            # default RelWithDebInfo build + ctest
 #   scripts/check.sh asan       # AddressSanitizer + UBSan build + ctest
 #   scripts/check.sh tsan       # ThreadSanitizer build + the tsan preset's
-#                               # WorkerPool|ChaosSoak|ShardedEngine
-#                               # tests + `ctest -L shard`
+#                               # WorkerPool|ChaosSoak|ShardedEngine tests,
+#                               # the two sharded Checkpoint cases
+#                               # (ShardedResumeMatchesUninterrupted,
+#                               # ShardedRestoreThenSaveReproducesThePayload)
+#                               # + `ctest -L shard`
 #   scripts/check.sh all        # default, then asan, then tsan
 #   scripts/check.sh smoke      # default build of xmpsim + scripts/smoke.sh
 #

@@ -72,21 +72,32 @@ std::string file_name(std::uint64_t seq) {
   return "ckpt_" + std::to_string(seq) + ".bin";
 }
 
+namespace {
+
+/// The file header: magic, then the Header fields, the payload size and
+/// its CRC.
+void header(Io& io, Header& h, std::uint64_t& payload_size, std::uint32_t& crc) {
+  io.tag("XMPC");
+  io.u32(h.version);
+  io.u64(h.fingerprint);
+  io.i64(h.t_ns);
+  io.u64(h.seq);
+  io.u64(h.prev_written);
+  io.u64(h.prev_bytes);
+  io.u64(payload_size);
+  io.u32(crc);
+}
+
+}  // namespace
+
 bool write_file(const std::string& path, const Header& h, const std::string& payload,
                 std::string* error) {
-  Saver s;
-  s.tag("XMPC");
-  s.u32(h.version);
-  s.u64(h.fingerprint);
-  s.i64(h.t_ns);
-  s.u64(h.seq);
-  s.u64(h.prev_written);
-  s.u64(h.prev_bytes);
-  s.u64(payload.size());
-  s.u32(crc32(payload.data(), payload.size()));
-  std::string out = s.data();
-  out += payload;
-  return trace::atomic_write_file(path, out, error);
+  Io io;
+  Header fields = h;
+  std::uint64_t size = payload.size();
+  std::uint32_t crc = crc32(payload.data(), payload.size());
+  header(io, fields, size, crc);
+  return trace::atomic_write_file(path, io.data() + payload, error);
 }
 
 namespace {
@@ -111,29 +122,21 @@ bool read_impl(const std::string& path, std::uint64_t expect_fingerprint, Header
                     " bytes < " + std::to_string(kHeaderBytes) + "-byte header)");
     return false;
   }
-  Loader l{raw};
-  char magic[4];
-  // Loader::tag would reject, but we want a distinct diagnostic for magic.
-  std::memcpy(magic, raw.data(), 4);
-  l.tag("XMPC");
-  if (std::memcmp(magic, kMagic, 4) != 0) {
+  // Io::tag would reject too, but the magic gets its own diagnostic.
+  if (std::memcmp(raw.data(), kMagic, 4) != 0) {
     fail(error, "checkpoint " + path + ": bad magic (not a checkpoint file)");
     return false;
   }
-  h.version = l.u32();
+  Io io{raw};
+  std::uint64_t payload_size = 0;
+  std::uint32_t stored_crc = 0;
+  header(io, h, payload_size, stored_crc);
   if (h.version != kFormatVersion) {
     fail(error, "checkpoint " + path + ": format version " + std::to_string(h.version) +
                     " (expected " + std::to_string(kFormatVersion) + ")");
     return false;
   }
-  h.fingerprint = l.u64();
-  h.t_ns = l.i64();
-  h.seq = l.u64();
-  h.prev_written = l.u64();
-  h.prev_bytes = l.u64();
-  const std::uint64_t payload_size = l.u64();
-  const std::uint32_t stored_crc = l.u32();
-  if (!l.ok()) {
+  if (!io.ok()) {
     fail(error, "checkpoint " + path + ": corrupt header");
     return false;
   }

@@ -23,7 +23,7 @@ void write_distribution(trace::JsonWriter& json, const char* name,
 
 }  // namespace
 
-void export_flows_csv(const ExperimentResults& results, const std::string& path) {
+bool export_flows_csv(const ExperimentResults& results, const std::string& path) {
   trace::CsvWriter csv{path};
   csv.header({"id", "src", "dst", "bytes", "large", "category", "scheme", "start_s",
               "finish_s", "completed", "goodput_mbps"});
@@ -42,9 +42,10 @@ void export_flows_csv(const ExperimentResults& results, const std::string& path)
         .field(rec.goodput_bps() / 1e6);
     csv.end_row();
   }
+  return csv.close();
 }
 
-void export_fct_csv(const ExperimentResults& results, const std::string& path) {
+bool export_fct_csv(const ExperimentResults& results, const std::string& path) {
   trace::CsvWriter csv{path};
   csv.header({"id", "bytes", "start_s", "finish_s", "completed", "slowdown"});
   for (const auto& r : results.fct_records) {
@@ -56,9 +57,10 @@ void export_fct_csv(const ExperimentResults& results, const std::string& path) {
         .field(r.slowdown);
     csv.end_row();
   }
+  return csv.close();
 }
 
-void export_link_drops_csv(const ExperimentResults& results, const std::string& path) {
+bool export_link_drops_csv(const ExperimentResults& results, const std::string& path) {
   trace::CsvWriter csv{path};
   csv.header({"link", "offered", "delivered", "drops_queue", "drops_admin_down", "drops_fault",
               "drops_corrupt", "drops_unroutable", "duplicated", "delayed", "overmarked"});
@@ -92,6 +94,7 @@ void export_link_drops_csv(const ExperimentResults& results, const std::string& 
         .field(std::uint64_t{0});
     csv.end_row();
   }
+  return csv.close();
 }
 
 bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,

@@ -8,12 +8,12 @@ namespace xmp::core {
 
 /// Write one row per transfer (large and small) to a CSV file:
 /// id,src,dst,bytes,large,category,scheme,start_s,finish_s,completed,goodput_mbps
-void export_flows_csv(const ExperimentResults& results, const std::string& path);
+/// Every export returns false when the write failed (no file appears).
+bool export_flows_csv(const ExperimentResults& results, const std::string& path);
 
 /// Write the experiment configuration and summary metrics (goodput,
 /// job-completion, RTT and utilization distributions, drop breakdown) as a
-/// JSON document. Returns false when the write failed (no file appears).
-/// A sweep job's result file is this document (core/orchestrator.hpp).
+/// JSON document. A sweep job's result file is this document (core/orchestrator.hpp).
 bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& results,
                          const std::string& path);
 
@@ -21,12 +21,12 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
 /// id,bytes,start_s,finish_s,completed,slowdown
 /// Censored flows (unfinished at the horizon) carry finish_s = -1,
 /// completed = 0 and slowdown = 0.
-void export_fct_csv(const ExperimentResults& results, const std::string& path);
+bool export_fct_csv(const ExperimentResults& results, const std::string& path);
 
 /// Write one row per link that saw traffic, with per-cause drop counters:
 /// link,offered,delivered,drops_queue,drops_admin_down,drops_fault,drops_corrupt,drops_unroutable
 /// followed by one row per switch that dropped packets for lack of a usable
 /// output port (link column = "sw<id>", offered = forwarded + unroutable).
-void export_link_drops_csv(const ExperimentResults& results, const std::string& path);
+bool export_link_drops_csv(const ExperimentResults& results, const std::string& path);
 
 }  // namespace xmp::core

@@ -1,5 +1,6 @@
 #include "core/world.hpp"
 
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -33,68 +34,49 @@ net::Network& attach(net::Network& netw, net::ShardFabric* fabric) {
   return netw;
 }
 
-void save_clock(ckpt::Saver& s, const sim::Scheduler& sc) {
-  s.time(sc.now());
-  s.u64(sc.next_seq());
-  s.u64(sc.dispatched());
+void clock(ckpt::Io& io, sim::Scheduler& sc) {
+  sim::Time now = sc.now();
+  std::uint64_t next_seq = sc.next_seq();
+  std::uint64_t dispatched = sc.dispatched();
+  io.time(now);
+  io.u64(next_seq);
+  io.u64(dispatched);
+  if (io.loading() && io.ok()) sc.restore_clock(now, next_seq, dispatched);
 }
 
-void load_clock(ckpt::Loader& l, sim::Scheduler& sc) {
-  const sim::Time now = l.time();
-  const std::uint64_t next_seq = l.u64();
-  const std::uint64_t dispatched = l.u64();
-  if (l.ok()) sc.restore_clock(now, next_seq, dispatched);
-}
-
-/// A counted section of per-element state (links, switches, hosts).
+/// A counted section of per-element state (links, switches, hosts); fails
+/// when the element count differs from the world's.
 template <typename Items>
-void save_each(ckpt::Saver& s, const Items& items) {
-  s.u64(items.size());
-  for (const auto& item : items) item->save_state(s);
+void each(ckpt::Io& io, const Items& items) {
+  if (!io.count(items.size())) return;
+  for (std::size_t i = 0; i < items.size() && io.ok(); ++i) items[i]->checkpoint(io);
 }
 
-/// The matching restore; false when the element count differs from the
-/// world's.
-template <typename Items>
-bool restore_each(ckpt::Loader& l, const Items& items) {
-  const std::uint64_t n = l.u64();
-  if (l.ok() && n != items.size()) return false;
-  for (std::uint64_t i = 0; i < n && l.ok(); ++i) items[i]->restore_state(l);
-  return true;
-}
-
-void save_tracer(ckpt::Saver& s, const obs::TimelineTracer& t) {
-  s.u64(t.size());
-  t.for_each([&](const obs::TimelineEvent& e) {
-    s.i64(e.t_ns);
-    s.f64(e.a);
-    s.f64(e.b);
-    s.u32(e.id);
-    s.u8(static_cast<std::uint8_t>(e.kind));
-    s.u8(e.subflow);
-    s.u16(e.aux);
-  });
-  s.u64(t.dropped());
-}
-
-/// Consumes one tracer section; applies it when `t` is non-null (an
-/// untraced snapshot can be replayed with --trace and vice versa).
-void load_tracer(ckpt::Loader& l, obs::TimelineTracer* t) {
-  const std::uint64_t ne = l.u64();
+/// One tracer ring. Loading applies it when `t` is non-null (an untraced
+/// snapshot can be replayed with --trace and vice versa) and fails on an
+/// event kind the tracer does not know.
+void trace_ring(ckpt::Io& io, obs::TimelineTracer* t) {
+  auto fields = [&](obs::TimelineEvent& e) {
+    io.i64(e.t_ns);
+    io.f64(e.a);
+    io.f64(e.b);
+    io.u32(e.id);
+    io.u8(e.kind);
+    io.u8(e.subflow);
+    io.u16(e.aux);
+    if (e.kind > obs::kLastEventKind) io.fail();
+  };
+  std::uint64_t n = t != nullptr ? t->size() : 0;
+  std::uint64_t dropped = t != nullptr ? t->dropped() : 0;
+  io.u64(n);
   std::vector<obs::TimelineEvent> evs;
-  for (std::uint64_t i = 0; i < ne && l.ok(); ++i) {
-    obs::TimelineEvent e;
-    e.t_ns = l.i64();
-    e.a = l.f64();
-    e.b = l.f64();
-    e.id = l.u32();
-    e.kind = static_cast<obs::EventKind>(l.u8());
-    e.subflow = l.u8();
-    e.aux = l.u16();
-    evs.push_back(e);
+  if (io.saving()) {
+    t->for_each([&](obs::TimelineEvent e) { fields(e); });
+  } else {
+    for (std::uint64_t i = 0; i < n && io.ok(); ++i) fields(evs.emplace_back());
   }
-  const std::uint64_t ev_dropped = l.u64();
-  if (t != nullptr && l.ok()) t->restore_snapshot(evs, ev_dropped);
+  io.u64(dropped);
+  if (io.loading() && t != nullptr && io.ok()) t->restore_snapshot(evs, dropped);
 }
 
 }  // namespace
@@ -404,155 +386,110 @@ std::function<void()> World::bind(const workload::CallbackTag& tag,
 
 // Sections in order: SCHD, SHRD (0 shards when serial), LNKS, SWCH, HOST,
 // RTEM, FLTC, FLWA, WKLD, HYBR, PROB, INVC, SHST (zeros when serial), OBSV.
-void World::save(ckpt::Saver& s) const {
+bool World::checkpoint(ckpt::Io& io, sim::Time at) {
   const int n_shards = fabric != nullptr ? fabric->n_shards() : 0;
-  s.tag("SCHD");
-  save_clock(s, sched);
-  s.tag("SHRD");
-  s.u64(static_cast<std::uint64_t>(n_shards));
-  for (int sh = 0; sh < n_shards; ++sh) save_clock(s, fabric->sched(sh));
-  s.tag("LNKS");
-  save_each(s, netw.links());
-  s.tag("SWCH");
-  save_each(s, netw.switches());
-  s.tag("HOST");
-  save_each(s, netw.hosts());
-  s.tag("RTEM");
-  routes.save_state(s);
-  s.tag("FLTC");
-  s.b(fault_ctl != nullptr);
-  if (fault_ctl) fault_ctl->save_state(s);
+  io.tag("SCHD");
+  clock(io, sched);
+  io.tag("SHRD");
+  io.count(static_cast<std::uint64_t>(n_shards));
+  for (int sh = 0; sh < n_shards && io.ok(); ++sh) clock(io, fabric->sched(sh));
+  if (io.loading()) {
+    // Snapshots are only taken with every clock aligned at the header's
+    // time, inside the horizon.
+    for (int sh = 0; sh < n_shards && io.ok(); ++sh) {
+      if (fabric->sched(sh).now() != sched.now()) io.fail();
+    }
+    if (sched.now() != at || sched.now() < sim::Time::zero() || sched.now() > cfg.duration) {
+      io.fail();
+    }
+    if (!io.ok()) return false;
+  }
+  io.tag("LNKS");
+  each(io, netw.links());
+  io.tag("SWCH");
+  each(io, netw.switches());
+  io.tag("HOST");
+  each(io, netw.hosts());
+  if (!io.ok()) return false;
+  io.tag("RTEM");
+  routes.checkpoint(io);
+  io.tag("FLTC");
+  bool has = fault_ctl != nullptr;
+  io.b(has);
+  if (has && fault_ctl) fault_ctl->checkpoint(io);
   // The fingerprint covers scheme_b, so flows_b and rand_b exist on both
   // sides or on neither.
-  s.tag("FLWA");
-  flows_a.save_state(s);
-  if (flows_b) flows_b->save_state(s);
-  s.tag("WKLD");
-  if (perm) perm->save_state(s);
-  if (rand_a) rand_a->save_state(s);
-  if (rand_b) rand_b->save_state(s);
-  if (incast) incast->save_state(s);
-  if (incast_bg) incast_bg->save_state(s);
-  if (emp) emp->save_state(s);
-  s.tag("HYBR");
-  s.b(hybrid != nullptr);
-  if (hybrid) hybrid->save_state(s);
-  s.tag("PROB");
-  rtt_tick.save_state(s);
-  util.save_state(s);
-  // The RTT gauge accumulates into the results object, not the probe, so
-  // its pre-checkpoint samples must ride along explicitly.
-  for (const auto& d : res.rtt_by_category) d.save_state(s);
-  // The fingerprint leaves out --invariants: a presence flag lets a
-  // snapshot taken without the checker be restored with it and vice versa.
-  s.tag("INVC");
-  s.b(inv != nullptr);
-  if (inv) inv->save_state(s);
-  // `replays` is process-local by design and deliberately not saved.
-  s.tag("SHST");
-  s.u64(res.shard.epochs);
-  s.u64(res.shard.barriers);
-  s.u64(res.shard.handoff_packets);
-  s.u64(res.shard.micro_steps);
-  s.u32(next_epoch);
-  // Observability state rides along so a resumed run's exports match an
-  // uninterrupted run's byte for byte. Presence flags let a checkpoint
-  // taken without --trace be replayed with it (and vice versa).
-  s.tag("OBSV");
-  s.b(tracer != nullptr);
-  if (tracer) {
-    save_tracer(s, *tracer);
-    s.u64(shard_tracers.size());
-    for (const auto& t : shard_tracers) save_tracer(s, *t);
-  }
-  s.b(registry != nullptr);
-  if (registry) registry->save_state(s);
-}
-
-bool World::restore(ckpt::Loader& l, sim::Time at) {
-  const int n_shards = fabric != nullptr ? fabric->n_shards() : 0;
-  l.tag("SCHD");
-  load_clock(l, sched);
-  l.tag("SHRD");
-  if (l.u64() != static_cast<std::uint64_t>(n_shards)) l.fail();
-  for (int sh = 0; sh < n_shards && l.ok(); ++sh) {
-    load_clock(l, fabric->sched(sh));
-    if (fabric->sched(sh).now() != sched.now()) l.fail();
-  }
-  // Snapshots are only taken with every clock aligned at the header's
-  // time, inside the horizon.
-  if (sched.now() != at || sched.now() < sim::Time::zero() || sched.now() > cfg.duration) {
-    l.fail();
-  }
-  if (!l.ok()) return false;
-  l.tag("LNKS");
-  if (!restore_each(l, netw.links())) return false;
-  l.tag("SWCH");
-  if (!restore_each(l, netw.switches())) return false;
-  l.tag("HOST");
-  if (!restore_each(l, netw.hosts())) return false;
-  l.tag("RTEM");
-  routes.restore_state(l);
-  l.tag("FLTC");
-  if (l.b() && fault_ctl) fault_ctl->restore_state(l);
-  l.tag("FLWA");
+  io.tag("FLWA");
   const auto host = [this](int h) -> net::Host& { return tree.host(h); };
-  flows_a.restore_state(l, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
+  flows_a.checkpoint(io, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
     return bind(tag, incast_bg ? incast_bg.get() : rand_a.get());
   });
   if (flows_b) {
-    flows_b->restore_state(l, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
+    flows_b->checkpoint(io, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
       return bind(tag, rand_b.get());
     });
   }
-  l.tag("WKLD");
-  if (perm) perm->restore_state(l);
-  if (rand_a) rand_a->restore_state(l);
-  if (rand_b) rand_b->restore_state(l);
-  if (incast) incast->restore_state(l);
-  if (incast_bg) incast_bg->restore_state(l);
-  if (emp) emp->restore_state(l);
-  l.tag("HYBR");
+  io.tag("WKLD");
+  if (perm) perm->checkpoint(io);
+  if (rand_a) rand_a->checkpoint(io);
+  if (rand_b) rand_b->checkpoint(io);
+  if (incast) incast->checkpoint(io);
+  if (incast_bg) incast_bg->checkpoint(io);
+  if (emp) emp->checkpoint(io);
   // The config fingerprint covers cfg.hybrid, so a non-hybrid snapshot
   // never reaches a hybrid world (and vice versa); the flag only keeps the
   // payload self-describing.
-  if (l.b() && hybrid) hybrid->restore_state(l);
-  l.tag("PROB");
-  rtt_tick.restore_state(l);
-  util.restore_state(l, all_links);
-  for (auto& d : res.rtt_by_category) d.restore_state(l);
-  l.tag("INVC");
-  if (l.b()) {
-    if (inv) {
-      inv->restore_state(l);
-    } else {
-      faults::InvariantChecker discard{sched};  // consume the section; arms nothing
-      discard.restore_state(l);
+  io.tag("HYBR");
+  has = hybrid != nullptr;
+  io.b(has);
+  if (has && hybrid) hybrid->checkpoint(io);
+  io.tag("PROB");
+  rtt_tick.checkpoint(io);
+  util.checkpoint(io, all_links);
+  // The RTT gauge accumulates into the results object, not the probe, so
+  // its pre-checkpoint samples must ride along explicitly.
+  for (auto& d : res.rtt_by_category) d.checkpoint(io);
+  // The fingerprint leaves out --invariants: a presence flag lets a
+  // snapshot taken without the checker be restored with it and vice versa.
+  io.tag("INVC");
+  has = inv != nullptr;
+  io.b(has);
+  if (has && inv) {
+    inv->checkpoint(io);
+  } else if (has) {
+    faults::InvariantChecker discard{sched};  // consume the section; arms nothing
+    discard.checkpoint(io);
+  }
+  // `replays` is process-local by design and deliberately not saved.
+  io.tag("SHST");
+  io.u64(res.shard.epochs);
+  io.u64(res.shard.barriers);
+  io.u64(res.shard.handoff_packets);
+  io.u64(res.shard.micro_steps);
+  io.u32(next_epoch);
+  // Observability state rides along so a resumed run's exports match an
+  // uninterrupted run's byte for byte. Presence flags let a checkpoint
+  // taken without --trace be replayed with it (and vice versa).
+  io.tag("OBSV");
+  has = tracer != nullptr;
+  io.b(has);
+  if (has) {
+    trace_ring(io, tracer.get());
+    std::uint64_t nt = shard_tracers.size();
+    io.u64(nt);
+    for (std::uint64_t i = 0; i < nt && io.ok(); ++i) {
+      trace_ring(io, i < shard_tracers.size() ? shard_tracers[i].get() : nullptr);
     }
   }
-  l.tag("SHST");
-  res.shard.epochs = l.u64();
-  res.shard.barriers = l.u64();
-  res.shard.handoff_packets = l.u64();
-  res.shard.micro_steps = l.u64();
-  next_epoch = l.u32();
-  l.tag("OBSV");
-  if (l.b()) {
-    load_tracer(l, tracer.get());
-    const std::uint64_t nt = l.u64();
-    for (std::uint64_t i = 0; i < nt && l.ok(); ++i) {
-      load_tracer(l, i < shard_tracers.size() ? shard_tracers[i].get() : nullptr);
-    }
+  has = registry != nullptr;
+  io.b(has);
+  if (has && registry) {
+    registry->checkpoint(io);
+  } else if (has) {
+    obs::MetricsRegistry discard;  // consume the section to stay aligned
+    discard.checkpoint(io);
   }
-  if (l.b()) {
-    if (registry) {
-      registry->restore_state(l);
-    } else {
-      obs::MetricsRegistry discard;  // consume the section to stay aligned
-      discard.restore_state(l);
-    }
-  }
-  return l.done();
+  return io.done();
 }
 
 void World::publish_ckpt_totals() {
@@ -562,8 +499,9 @@ void World::publish_ckpt_totals() {
 }
 
 void World::write_checkpoint() {
-  ckpt::Saver s;
-  save(s);
+  ckpt::Io io;
+  [[maybe_unused]] const bool saved = checkpoint(io, sched.now());
+  assert(saved);
   ckpt::Header h;
   h.fingerprint = fingerprint_;
   h.t_ns = sched.now().ns();
@@ -572,11 +510,11 @@ void World::write_checkpoint() {
   h.prev_bytes = ckpt_bytes_;
   const std::string path = cfg.checkpoint.dir + "/" + ckpt::file_name(h.seq);
   std::string err;
-  if (!ckpt::write_file(path, h, s.data(), &err)) {
+  if (!ckpt::write_file(path, h, io.data(), &err)) {
     std::fprintf(stderr, "xmpsim: checkpoint write failed: %s\n", err.c_str());
     return;  // the run continues; the previous snapshot stays the fallback
   }
-  const std::uint64_t file_bytes = ckpt::kHeaderBytes + s.data().size();
+  const std::uint64_t file_bytes = ckpt::kHeaderBytes + io.data().size();
   ckpt_written_ += 1;
   ckpt_bytes_ += file_bytes;
   res.ckpt.last_path = path;
@@ -587,8 +525,8 @@ void World::write_checkpoint() {
 }
 
 void World::apply_restore(const ckpt::Header& h, const std::string& payload) {
-  ckpt::Loader l{payload};
-  if (!restore(l, sim::Time::nanoseconds(h.t_ns))) {
+  ckpt::Io io{payload};
+  if (!checkpoint(io, sim::Time::nanoseconds(h.t_ns))) {
     std::fprintf(stderr, "xmpsim: restore failed: %s: malformed payload\n",
                  cfg.checkpoint.restore_path.c_str());
     std::exit(2);

@@ -68,10 +68,11 @@ class World {
   void start();
 
   /// The checkpoint payload, one layout for both engines (DESIGN.md §12).
-  /// restore() fails the Loader on clocks that differ from `at` (the
-  /// header time) or from each other, or lie outside [0, horizon].
-  void save(ckpt::Saver& s) const;
-  [[nodiscard]] bool restore(ckpt::Loader& l, sim::Time at);
+  /// A loading pass fails on clocks that differ from `at` (the header time;
+  /// a saving pass passes the clock's own) or from each other, or lie
+  /// outside [0, horizon]. True when the pass succeeded (and, loading,
+  /// consumed the whole payload).
+  [[nodiscard]] bool checkpoint(ckpt::Io& io, sim::Time at);
 
   /// Publish the next ckpt_<seq>.bin now (a quiescent point). A failed
   /// write is reported on stderr and the run continues.

@@ -94,29 +94,15 @@ void GrayProcess::impair(net::Link::FaultVerdict& v) {
   if (o.on && o.rng.uniform01() < o.model.p) v.overmark = true;
 }
 
-void GrayProcess::save_state(core::ckpt::Saver& s) const {
-  for (const Slot& sl : slots_) {
-    s.b(sl.on);
-    s.f64(sl.model.factor);
-    s.time(sl.model.delay);
-    s.time(sl.model.jitter);
-    s.f64(sl.model.p);
-    s.time(sl.model.hold);
-    for (const std::uint64_t w : sl.rng.state()) s.u64(w);
-  }
-}
-
-void GrayProcess::restore_state(core::ckpt::Loader& l) {
+void GrayProcess::checkpoint(core::ckpt::Io& io) {
   for (Slot& sl : slots_) {
-    sl.on = l.b();
-    sl.model.factor = l.f64();
-    sl.model.delay = l.time();
-    sl.model.jitter = l.time();
-    sl.model.p = l.f64();
-    sl.model.hold = l.time();
-    std::array<std::uint64_t, 4> st{};
-    for (auto& w : st) w = l.u64();
-    sl.rng.restore_state(st);
+    io.b(sl.on);
+    io.f64(sl.model.factor);
+    io.time(sl.model.delay);
+    io.time(sl.model.jitter);
+    io.f64(sl.model.p);
+    io.time(sl.model.hold);
+    io.rng(sl.rng);
   }
 }
 
@@ -279,70 +265,45 @@ void FaultController::stop_gray(net::LinkId link, GrayProcess::Effect effect) {
   prune_channel(link);
 }
 
-void FaultController::save_state(core::ckpt::Saver& s) const {
-  s.u64(events_applied_);
-  s.u64(plan_.events.size());
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    s.opt_event(sched_, i < event_ids_.size() ? event_ids_[i] : sim::kInvalidEventId);
-  }
-  // Active per-link fault channels, in link-id order (the map is unordered).
-  std::vector<net::LinkId> links;
-  links.reserve(channels_.size());
-  for (const auto& [link, ch] : channels_) links.push_back(link);
-  std::sort(links.begin(), links.end());
-  s.u64(links.size());
-  for (const net::LinkId link : links) {
-    const Channel& ch = *channels_.at(link);
-    s.u32(link);
-    s.b(ch.loss != nullptr);
-    if (ch.loss != nullptr) {
-      const LossModel& m = ch.loss->model();
-      s.u8(static_cast<std::uint8_t>(m.kind));
-      s.f64(m.p_loss);
-      s.f64(m.p_corrupt);
-      s.f64(m.p_good_bad);
-      s.f64(m.p_bad_good);
-      s.f64(m.loss_good);
-      s.f64(m.loss_bad);
-      ch.loss->save_state(s);
-    }
-    s.b(ch.gray != nullptr);
-    if (ch.gray != nullptr) ch.gray->save_state(s);
-  }
-}
-
-void FaultController::restore_state(core::ckpt::Loader& l) {
-  events_applied_ = l.u64();
-  if (!l.count(plan_.events.size())) return;
-  event_ids_.assign(plan_.events.size(), sim::kInvalidEventId);
-  for (std::size_t idx = 0; idx < plan_.events.size() && l.ok(); ++idx) {
-    event_ids_[idx] = l.opt_event(sched_, [this, idx] {
+void FaultController::checkpoint(core::ckpt::Io& io) {
+  io.u64(events_applied_);
+  if (!io.count(plan_.events.size())) return;
+  event_ids_.resize(plan_.events.size(), sim::kInvalidEventId);
+  for (std::size_t idx = 0; idx < plan_.events.size() && io.ok(); ++idx) {
+    io.opt_event(sched_, event_ids_[idx], [this, idx] {
       event_ids_[idx] = sim::kInvalidEventId;
       apply(plan_.events[idx]);
     });
   }
-  const std::uint64_t nl = l.u64();
-  for (std::uint64_t i = 0; i < nl && l.ok(); ++i) {
-    const net::LinkId link = l.u32();
-    if (link >= net_.links().size()) return l.fail();
+  // Active per-link fault channels, in link-id order (the map is unordered).
+  std::vector<net::LinkId> links;
+  for (const auto& [link, ch] : channels_) links.push_back(link);
+  std::sort(links.begin(), links.end());
+  io.seq(links, [&](net::LinkId& link) {
+    io.u32(link);
+    if (link >= net_.links().size()) return io.fail();
     Channel& ch = ensure_channel(link);
-    if (l.b()) {
-      LossModel m;
-      m.kind = static_cast<LossModel::Kind>(l.u8());
-      m.p_loss = l.f64();
-      m.p_corrupt = l.f64();
-      m.p_good_bad = l.f64();
-      m.p_bad_good = l.f64();
-      m.loss_good = l.f64();
-      m.loss_bad = l.f64();
-      ch.loss = std::make_unique<LossProcess>(m, cfg_.seed, link);
-      ch.loss->restore_state(l);
+    bool has_loss = ch.loss != nullptr;
+    io.b(has_loss);
+    if (has_loss) {
+      LossModel m = ch.loss != nullptr ? ch.loss->model() : LossModel{};
+      io.u8(m.kind);
+      io.f64(m.p_loss);
+      io.f64(m.p_corrupt);
+      io.f64(m.p_good_bad);
+      io.f64(m.p_bad_good);
+      io.f64(m.loss_good);
+      io.f64(m.loss_bad);
+      if (io.loading()) ch.loss = std::make_unique<LossProcess>(m, cfg_.seed, link);
+      ch.loss->checkpoint(io);
     }
-    if (l.b()) {
-      ch.gray = std::make_unique<GrayProcess>(cfg_.seed, link);
-      ch.gray->restore_state(l);
+    bool has_gray = ch.gray != nullptr;
+    io.b(has_gray);
+    if (has_gray) {
+      if (io.loading()) ch.gray = std::make_unique<GrayProcess>(cfg_.seed, link);
+      ch.gray->checkpoint(io);
     }
-  }
+  });
 }
 
 }  // namespace xmp::faults

@@ -30,15 +30,9 @@ class LossProcess final : public net::Link::FaultHook {
 
   /// Checkpoint the channel RNG and Gilbert–Elliott state (the model itself
   /// is reconstructed from the saved LossModel by the controller).
-  void save_state(core::ckpt::Saver& s) const {
-    for (const std::uint64_t w : rng_.state()) s.u64(w);
-    s.b(bad_state_);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    std::array<std::uint64_t, 4> st{};
-    for (auto& w : st) w = l.u64();
-    rng_.restore_state(st);
-    bad_state_ = l.b();
+  void checkpoint(core::ckpt::Io& io) {
+    io.rng(rng_);
+    io.b(bad_state_);
   }
 
  private:
@@ -76,9 +70,8 @@ class GrayProcess final {
   void impair(net::Link::FaultVerdict& v);
 
   /// Checkpoint every slot (on flag + model) and every substream's RNG
-  /// words; symmetric with restore_state on a freshly constructed process.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// words; loading expects a freshly constructed process.
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   struct Slot {
@@ -130,13 +123,12 @@ class FaultController {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
 
   /// Checkpoint applied-event progress, the pending plan timers' keys and
-  /// every active loss/gray process. restore_state() expects an *un-armed*
+  /// every active loss/gray process. Loading expects an *un-armed*
   /// controller over the same plan: it re-arms only the still-pending
   /// events and re-installs the per-link fault channels (the
   /// already-applied topology effects — down links, degraded rates,
   /// disabled marking — live in the net-layer state and restore there).
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   /// The one FaultHook installed per faulted link: loss first (a dropped

@@ -75,7 +75,7 @@ class InvariantChecker {
   using ConnectionVisitor = std::function<void(const mptcp::MptcpConnection&)>;
   void add_connection_enumerator(std::function<void(const ConnectionVisitor&)> enumerate);
 
-  /// Begin periodic sweeps (idempotent). After restore_state() the first
+  /// Begin periodic sweeps (idempotent). After a loading checkpoint() the first
   /// tick is the saved one, under its saved key.
   void start();
   void stop();
@@ -92,10 +92,9 @@ class InvariantChecker {
   [[nodiscard]] std::string report() const;
 
   /// Checkpoint the armed tick's key, the counters, the violations and the
-  /// progress marks (in key order). restore_state() leaves the tick to
-  /// start(), so a state that is only consumed arms nothing.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// progress marks (in key order). Loading leaves the tick to start(), so
+  /// a state that is only consumed arms nothing.
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void tick();

@@ -280,66 +280,37 @@ void Engine::promote(int agg_index) {
   on_promote_(info);
 }
 
-void Engine::save_state(core::ckpt::Saver& s) const {
-  s.u64(links_.size());
-  for (const LinkState& ls : links_) {
-    s.f64(ls.q_fluid);
-    s.f64(ls.p_mark);
-    s.f64(ls.fluid_rate_sps);
-    s.f64(ls.fluid_share);
-    s.f64(ls.pkt_drain_sps);
-    s.f64(ls.pkt_arrival_sps);
-    s.u64(ls.last_bytes_sent);
-    s.u64(ls.last_queue_bytes);
-  }
-  s.u64(aggs_.size());
-  for (const FluidAggregate& agg : aggs_) {
-    s.u8(static_cast<std::uint8_t>(agg.state));
-    s.f64(agg.delivered_bytes);
-    s.u64(agg.subflows.size());
-    for (const FluidSubflowState& sf : agg.subflows) {
-      s.f64(sf.w);
-      s.f64(sf.delta);
-    }
-  }
-  s.u64(stats_.ticks);
-  s.u64(stats_.promotions);
-  s.u64(stats_.fluid_completions);
-  s.f64(stats_.fluid_bytes);
-  s.f64(stats_.mark_p_accum);
-  s.opt_event(sched_, timer_);
-}
-
-void Engine::restore_state(core::ckpt::Loader& l) {
+void Engine::checkpoint(core::ckpt::Io& io) {
   // Structure (links, paths, aggregate shapes) was rebuilt from config
-  // before this call — the config fingerprint guarantees it matches.
-  if (!l.count(links_.size())) return;
+  // before a loading pass — the config fingerprint guarantees it matches.
+  if (!io.count(links_.size())) return;
   for (LinkState& ls : links_) {
-    ls.q_fluid = l.f64();
-    ls.p_mark = l.f64();
-    ls.fluid_rate_sps = l.f64();
-    ls.fluid_share = l.f64();
-    ls.pkt_drain_sps = l.f64();
-    ls.pkt_arrival_sps = l.f64();
-    ls.last_bytes_sent = l.u64();
-    ls.last_queue_bytes = l.u64();
+    io.f64(ls.q_fluid);
+    io.f64(ls.p_mark);
+    io.f64(ls.fluid_rate_sps);
+    io.f64(ls.fluid_share);
+    io.f64(ls.pkt_drain_sps);
+    io.f64(ls.pkt_arrival_sps);
+    io.u64(ls.last_bytes_sent);
+    io.u64(ls.last_queue_bytes);
   }
-  if (!l.count(aggs_.size())) return;
+  if (!io.count(aggs_.size())) return;
   for (FluidAggregate& agg : aggs_) {
-    agg.state = static_cast<FluidAggregate::State>(l.u8());
-    agg.delivered_bytes = l.f64();
-    if (!l.count(agg.subflows.size())) return;
+    io.u8(agg.state);
+    io.f64(agg.delivered_bytes);
+    if (!io.count(agg.subflows.size())) return;
     for (FluidSubflowState& sf : agg.subflows) {
-      sf.w = l.f64();
-      sf.delta = l.f64();
+      io.f64(sf.w);
+      io.f64(sf.delta);
     }
   }
-  stats_.ticks = l.u64();
-  stats_.promotions = l.u64();
-  stats_.fluid_completions = l.u64();
-  stats_.fluid_bytes = l.f64();
-  stats_.mark_p_accum = l.f64();
-  timer_ = l.opt_event(sched_, [this] { tick(); });
+  io.u64(stats_.ticks);
+  io.u64(stats_.promotions);
+  io.u64(stats_.fluid_completions);
+  io.f64(stats_.fluid_bytes);
+  io.f64(stats_.mark_p_accum);
+  io.opt_event(sched_, timer_, [this] { tick(); });
+  if (io.saving()) return;
   // Coupling values are not serialized in the queue/link objects; re-derive
   // them now that stats_.ticks (the duty-cycle phase) is restored.
   for (std::size_t i = 0; i < links_.size(); ++i) push_coupling(links_[i], i);

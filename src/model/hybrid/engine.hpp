@@ -151,7 +151,7 @@ class Engine {
   }
 
   /// Arm the periodic fluid tick (idempotent). Call on a fresh start only —
-  /// restore_state re-arms the saved timer itself.
+  /// a loading checkpoint() re-arms the saved timer itself.
   void start();
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
@@ -179,8 +179,7 @@ class Engine {
   /// Checkpoint the dynamic fluid state + the tick timer (HYBR section
   /// payload). The static structure (links, paths, aggregate shapes) is
   /// rebuilt from config before restore, exactly like the topology itself.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   struct LinkState {

@@ -307,45 +307,26 @@ void MptcpConnection::on_source_done() {
   if (on_complete_) on_complete_();
 }
 
-void MptcpConnection::save_state(core::ckpt::Saver& s) const {
-  s.b(started_);
-  s.b(finished_);
-  s.b(aborted_);
-  s.time(start_time_);
-  s.time(finish_time_);
-  s.i64(path_mgr_.rehomes_used());
-  source_->save_state(s);
-  s.u64(subflows_.size());
-  for (std::size_t i = 0; i < subflows_.size(); ++i) {
-    const Subflow& sf = subflows_[i];
-    s.b(sf.started);
-    s.b(sf.dead);
-    s.opt_event(sched_, start_timers_[i]);
-    sf.sender->save_state(s);
-    sf.receiver->save_state(s);
-  }
-}
-
-void MptcpConnection::restore_state(core::ckpt::Loader& l) {
-  started_ = l.b();
-  finished_ = l.b();
-  aborted_ = l.b();
-  start_time_ = l.time();
-  finish_time_ = l.time();
-  path_mgr_.restore_rehomes_used(static_cast<int>(l.i64()));
-  source_->restore_state(l);
-  if (!l.count(subflows_.size())) return;
-  for (std::size_t i = 0; i < subflows_.size() && l.ok(); ++i) {
+void MptcpConnection::checkpoint(core::ckpt::Io& io) {
+  io.b(started_);
+  io.b(finished_);
+  io.b(aborted_);
+  io.time(start_time_);
+  io.time(finish_time_);
+  path_mgr_.checkpoint(io);
+  source_->checkpoint(io);
+  if (!io.count(subflows_.size())) return;
+  for (std::size_t i = 0; i < subflows_.size() && io.ok(); ++i) {
     Subflow& sf = subflows_[i];
-    sf.started = l.b();
-    sf.dead = l.b();
+    io.b(sf.started);
+    io.b(sf.dead);
     const int idx = static_cast<int>(i);
-    start_timers_[i] = l.opt_event(sched_, [this, idx] {
+    io.opt_event(sched_, start_timers_[i], [this, idx] {
       start_timers_[static_cast<std::size_t>(idx)] = sim::kInvalidEventId;
       start_subflow(idx);
     });
-    sf.sender->restore_state(l);
-    sf.receiver->restore_state(l);
+    sf.sender->checkpoint(io);
+    sf.receiver->checkpoint(io);
   }
 }
 

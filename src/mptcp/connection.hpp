@@ -117,8 +117,7 @@ class MptcpConnection : private transport::SenderObserver {
   /// budget, every subflow's sender/receiver, and pending start-offset
   /// timers. The completion/abort callbacks are not saved — the owner
   /// re-binds them after restore.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   struct Subflow {

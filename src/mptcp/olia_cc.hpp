@@ -28,15 +28,10 @@ class OliaCc final : public transport::RenoCc {
   /// losses (OLIA's inter-loss interval proxy).
   [[nodiscard]] double quality() const;
 
-  void save_state(core::ckpt::Saver& s) const override {
-    RenoCc::save_state(s);
-    s.f64(since_last_loss_);
-    s.f64(between_last_two_);
-  }
-  void restore_state(core::ckpt::Loader& l) override {
-    RenoCc::restore_state(l);
-    since_last_loss_ = l.f64();
-    between_last_two_ = l.f64();
+  void checkpoint(core::ckpt::Io& io) override {
+    RenoCc::checkpoint(io);
+    io.f64(since_last_loss_);
+    io.f64(between_last_two_);
   }
 
  protected:

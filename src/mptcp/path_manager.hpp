@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "net/types.hpp"
 
 namespace xmp::mptcp {
@@ -32,8 +33,8 @@ class PathManager {
   [[nodiscard]] bool can_rehome() const { return used_ < cfg_.max_rehomes; }
   /// Re-homes performed so far.
   [[nodiscard]] int rehomes_used() const { return used_; }
-  /// Checkpoint restore: reinstate a previously consumed budget count.
-  void restore_rehomes_used(int n) { used_ = n; }
+  /// Checkpoint the consumed budget count.
+  void checkpoint(core::ckpt::Io& io) { io.i64(used_); }
 
   /// Consume one budget unit and pick a tag for `subflow` distinct from
   /// `old_tag` and from every tag in `in_use`. Returns false (and picks

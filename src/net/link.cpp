@@ -260,134 +260,98 @@ void Link::set_down(bool down) {
   for (StateListener* l : state_listeners_) l->on_link_state(*this, down_);
 }
 
-void Link::save_state(core::ckpt::Saver& s) const {
-  const bool busy = transmitting();
-  s.b(busy);
-  s.b(down_);
-  s.u64(bytes_sent_);
-  s.time(busy_);
-  s.u64(epoch_);
-  s.u64(offered_);
-  s.u64(delivered_);
-  s.u64(drops_.queue);
-  s.u64(drops_.admin_down);
-  s.u64(drops_.fault);
-  s.u64(drops_.corrupt);
-  s.u64(duplicated_);
-  s.u64(delayed_);
-  s.u64(overmarked_);
-  s.f64(degrade_);
-  queue_->save_state(s);
+void Link::checkpoint(core::ckpt::Io& io) {
+  bool busy = transmitting();
+  io.b(busy);
+  io.b(down_);  // listeners are NOT notified: their state restores separately
+  io.u64(bytes_sent_);
+  io.time(busy_);
+  io.u64(epoch_);
+  io.u64(offered_);
+  io.u64(delivered_);
+  io.u64(drops_.queue);
+  io.u64(drops_.admin_down);
+  io.u64(drops_.fault);
+  io.u64(drops_.corrupt);
+  io.u64(duplicated_);
+  io.u64(delayed_);
+  io.u64(overmarked_);
+  io.f64(degrade_);
+  if (io.loading()) recompute_effective_rate();
+  queue_->checkpoint(io);
 
   // Hold buffer: each parked packet re-arms its release event on restore.
-  s.u64(held_.size());
-  for (const Held& h : held_) {
-    s.event(sched_, h.ev);
-    s.b(h.duplicate);
-    save_packet(s, h.pkt);
-  }
-
-  auto save_fifo = [&](const Ring<InFlight>& q) {
-    s.u64(q.size());
-    for (const InFlight& f : q) {
-      s.i64(f.t_ns);
-      s.u64(f.seq);
-      s.u64(epoch_);
-      save_packet(s, f.pkt);
-    }
-  };
-  save_fifo(in_flight_);
-
-  // Only a completion that has not passed is state; an armed one is
-  // re-armed on restore iff a packet is still waiting.
-  s.u64(busy ? 1 : 0);
-  if (busy) {
-    s.time(tx_end_);
-    s.u64(tx_seq_);
-    s.u64(epoch_);
-  }
-
-  s.u64(remote_in_flight_.size());
-  for (const RemoteInFlight& f : remote_in_flight_) {
-    s.i64(f.deliver_t_ns);
-    s.u64(f.epoch);
-    s.b(f.corrupt);
-  }
-
-  save_fifo(remote_arrivals_);
-}
-
-void Link::restore_state(core::ckpt::Loader& l) {
-  const bool busy = l.b();
-  down_ = l.b();  // listeners are NOT notified: their state restores separately
-  bytes_sent_ = l.u64();
-  busy_ = l.time();
-  epoch_ = l.u64();
-  offered_ = l.u64();
-  delivered_ = l.u64();
-  drops_.queue = l.u64();
-  drops_.admin_down = l.u64();
-  drops_.fault = l.u64();
-  drops_.corrupt = l.u64();
-  duplicated_ = l.u64();
-  delayed_ = l.u64();
-  overmarked_ = l.u64();
-  degrade_ = l.f64();
-  recompute_effective_rate();
-  queue_->restore_state(l);
-
-  const std::uint64_t n_held = l.u64();
-  for (std::uint64_t i = 0; i < n_held && l.ok(); ++i) {
-    const std::uint64_t id = next_held_id_++;
-    const sim::EventId ev = l.event(sched_, [this, id] { release_held(id); });
-    const bool dup = l.b();
-    Packet pkt = load_packet(l);
-    held_.push_back(Held{id, dup, std::move(pkt), ev});
-  }
+  io.seq(held_, [&](Held& h) {
+    if (io.loading()) h.id = next_held_id_++;
+    io.event(sched_, h.ev, [this, id = h.id] { release_held(id); });
+    io.b(h.duplicate);
+    net::checkpoint(io, h.pkt);
+  });
 
   // In-flight FIFOs: keys must be re-armable and deliveries in time order.
   // Entries from before the link last went down (older snapshots kept
   // them) were already counted as lost and are dropped.
-  auto load_fifo = [&](Ring<InFlight>& q, const sim::Scheduler* on) {
-    const std::uint64_t n = l.u64();
-    if (n > 0 && on == nullptr) return l.fail();
-    for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
-      const core::ckpt::EventKey k = l.key(*on);
-      const std::uint64_t epoch = l.u64();
-      Packet pkt = load_packet(l);
-      if (epoch != epoch_) continue;
-      if (!q.empty() && k.t_ns < q.back().t_ns) return l.fail();
-      q.push_back(InFlight{std::move(pkt), k.t_ns, k.seq});
+  auto fifo = [&](Ring<InFlight>& q, const sim::Scheduler* on) {
+    std::uint64_t n = q.size();
+    io.u64(n);
+    if (n > 0 && on == nullptr) return io.fail();
+    // Whether the entry belongs to the current epoch.
+    auto entry = [&](InFlight& f) {
+      core::ckpt::EventKey k{f.t_ns, f.seq};
+      std::uint64_t epoch = epoch_;
+      io.key(*on, k);
+      io.u64(epoch);
+      net::checkpoint(io, f.pkt);
+      f.t_ns = k.t_ns;
+      f.seq = k.seq;
+      return epoch == epoch_;
+    };
+    if (io.saving()) {
+      for (InFlight f : q) entry(f);
+      return;
+    }
+    for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
+      InFlight f{};
+      if (!entry(f)) continue;
+      if (!q.empty() && f.t_ns < q.back().t_ns) return io.fail();
+      q.push_back(std::move(f));
     }
   };
   // Boundary links never use the local FIFO; remote arrivals need the
   // destination shard's engine.
-  load_fifo(in_flight_, remote_ == nullptr ? &sched_ : nullptr);
-  if (!l.ok()) return;
+  fifo(in_flight_, remote_ == nullptr ? &sched_ : nullptr);
+  if (!io.ok()) return;
 
-  const std::uint64_t n_tx = l.u64();
+  // Only a completion that has not passed is state; an armed one is
+  // re-armed on restore iff a packet is still waiting.
+  std::uint64_t n_tx = busy ? 1 : 0;
+  io.u64(n_tx);
   bool live_tx = false;
-  for (std::uint64_t i = 0; i < n_tx && l.ok(); ++i) {
-    const core::ckpt::EventKey k = l.key(sched_);
-    const std::uint64_t epoch = l.u64();
+  for (std::uint64_t i = 0; i < n_tx && io.ok(); ++i) {
+    core::ckpt::EventKey k{tx_end_.ns(), tx_seq_};
+    std::uint64_t epoch = epoch_;
+    io.key(sched_, k);
+    io.u64(epoch);
     if (epoch != epoch_) continue;  // stale completion (older snapshots)
-    if (live_tx) return l.fail();
+    if (live_tx) return io.fail();
     live_tx = true;
     tx_end_ = sim::Time::nanoseconds(k.t_ns);
     tx_seq_ = k.seq;
   }
-  if (busy != live_tx) return l.fail();
+  if (busy != live_tx) return io.fail();
 
-  const std::uint64_t n_remote = l.u64();
-  for (std::uint64_t i = 0; i < n_remote && l.ok(); ++i) {
-    const std::int64_t t_ns = l.i64();
-    const std::uint64_t epoch = l.u64();
-    const bool corrupt = l.b();
-    remote_in_flight_.push_back(RemoteInFlight{t_ns, epoch, corrupt});
+  std::uint64_t n_remote = remote_in_flight_.size();
+  io.u64(n_remote);
+  for (std::uint64_t i = 0; i < n_remote && io.ok(); ++i) {
+    if (io.loading()) remote_in_flight_.push_back(RemoteInFlight{});
+    RemoteInFlight& f = remote_in_flight_[i];
+    io.i64(f.deliver_t_ns);
+    io.u64(f.epoch);
+    io.b(f.corrupt);
   }
 
-  load_fifo(remote_arrivals_, remote_sched_);
-  if (!l.ok()) return;
+  fifo(remote_arrivals_, remote_sched_);
+  if (!io.ok() || io.saving()) return;
 
   if (!in_flight_.empty()) arm_head();
   if (!remote_arrivals_.empty()) arm_remote_head();

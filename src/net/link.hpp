@@ -191,11 +191,10 @@ class Link final {
   /// their delivery keys, and the key of a transmit completion that has
   /// not passed yet. On restore the in-flight heads are re-armed under
   /// their original keys, so dispatch order is unchanged. Restore rejects
-  /// (Loader::fail) keys behind the restored clock or never handed out,
+  /// (Io::fail) keys behind the restored clock or never handed out,
   /// out-of-order deliveries, and arrivals on a link without a destination
   /// scheduler.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void start_transmission();

@@ -77,13 +77,9 @@ class Switch final : public Node {
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t unroutable() const { return unroutable_; }
 
-  void save_state(core::ckpt::Saver& s) const {
-    s.u64(forwarded_);
-    s.u64(unroutable_);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    forwarded_ = l.u64();
-    unroutable_ = l.u64();
+  void checkpoint(core::ckpt::Io& io) {
+    io.u64(forwarded_);
+    io.u64(unroutable_);
   }
 
   [[nodiscard]] std::size_t port_count() const { return ports_.size(); }
@@ -142,13 +138,9 @@ class Host final : public Node {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t undeliverable() const { return undeliverable_; }
 
-  void save_state(core::ckpt::Saver& s) const {
-    s.u64(delivered_);
-    s.u64(undeliverable_);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    delivered_ = l.u64();
-    undeliverable_ = l.u64();
+  void checkpoint(core::ckpt::Io& io) {
+    io.u64(delivered_);
+    io.u64(undeliverable_);
   }
 
  private:

@@ -50,48 +50,26 @@ struct Packet {
   sim::Time ts = sim::Time::zero();
 };
 
-/// Checkpoint serialization of one in-flight/queued packet (field by field
-/// rather than memcpy, so padding bytes never leak into checkpoint files).
-inline void save_packet(core::ckpt::Saver& s, const Packet& p) {
-  s.u64(p.uid);
-  s.u32(p.flow);
-  s.u16(p.subflow);
-  s.u16(p.path_tag);
-  s.u8(static_cast<std::uint8_t>(p.type));
-  s.u8(static_cast<std::uint8_t>(p.ecn));
-  s.u32(p.src);
-  s.u32(p.dst);
-  s.u32(p.size_bytes);
-  s.i64(p.seq);
-  s.i64(p.ack);
-  s.u8(p.ce_echo);
-  s.b(p.ece);
-  s.b(p.cwr);
-  s.b(p.retransmit);
-  s.b(p.corrupt);
-  s.time(p.ts);
-}
-
-inline Packet load_packet(core::ckpt::Loader& l) {
-  Packet p;
-  p.uid = l.u64();
-  p.flow = l.u32();
-  p.subflow = l.u16();
-  p.path_tag = l.u16();
-  p.type = static_cast<PacketType>(l.u8());
-  p.ecn = static_cast<Ecn>(l.u8());
-  p.src = l.u32();
-  p.dst = l.u32();
-  p.size_bytes = l.u32();
-  p.seq = l.i64();
-  p.ack = l.i64();
-  p.ce_echo = l.u8();
-  p.ece = l.b();
-  p.cwr = l.b();
-  p.retransmit = l.b();
-  p.corrupt = l.b();
-  p.ts = l.time();
-  return p;
+/// Checkpoint fields of one in-flight/queued packet (field by field rather
+/// than memcpy, so padding bytes never leak into checkpoint files).
+inline void checkpoint(core::ckpt::Io& io, Packet& p) {
+  io.u64(p.uid);
+  io.u32(p.flow);
+  io.u16(p.subflow);
+  io.u16(p.path_tag);
+  io.u8(p.type);
+  io.u8(p.ecn);
+  io.u32(p.src);
+  io.u32(p.dst);
+  io.u32(p.size_bytes);
+  io.i64(p.seq);
+  io.i64(p.ack);
+  io.u8(p.ce_echo);
+  io.b(p.ece);
+  io.b(p.cwr);
+  io.b(p.retransmit);
+  io.b(p.corrupt);
+  io.time(p.ts);
 }
 
 }  // namespace xmp::net

@@ -64,34 +64,19 @@ bool Queue::dequeue(Packet& out, sim::Time now) {
   return true;
 }
 
-void Queue::save_state(core::ckpt::Saver& s) const {
-  fifo_.save_state(s);
-  s.u64(bytes_);
-  s.u64(counters_.enqueued);
-  s.u64(counters_.dropped);
-  s.u64(counters_.marked);
-  s.b(marking_enabled_);
-  s.f64(occupancy_area_);
-  s.time(last_change_);
-  s.u64(peak_);
-  s.time(last_sample_);
-  s.u64(mark_run_);
-  save_extra(s);
-}
-
-void Queue::restore_state(core::ckpt::Loader& l) {
-  fifo_.restore_state(l);
-  bytes_ = l.u64();
-  counters_.enqueued = l.u64();
-  counters_.dropped = l.u64();
-  counters_.marked = l.u64();
-  marking_enabled_ = l.b();
-  occupancy_area_ = l.f64();
-  last_change_ = l.time();
-  peak_ = l.u64();
-  last_sample_ = l.time();
-  mark_run_ = l.u64();
-  restore_extra(l);
+void Queue::checkpoint(core::ckpt::Io& io) {
+  fifo_.checkpoint(io);
+  io.u64(bytes_);
+  io.u64(counters_.enqueued);
+  io.u64(counters_.dropped);
+  io.u64(counters_.marked);
+  io.b(marking_enabled_);
+  io.f64(occupancy_area_);
+  io.time(last_change_);
+  io.u64(peak_);
+  io.time(last_sample_);
+  io.u64(mark_run_);
+  checkpoint_extra(io);
 }
 
 bool Queue::push_tail(Packet&& p, sim::Time now) {
@@ -175,16 +160,10 @@ bool RedQueue::enqueue(Packet&& p, sim::Time now) {
   return push_tail(std::move(p), now);
 }
 
-void RedQueue::save_extra(core::ckpt::Saver& s) const {
-  s.f64(avg_);
-  s.u64(count_since_mark_);
-  s.u64(rng_state_);
-}
-
-void RedQueue::restore_extra(core::ckpt::Loader& l) {
-  avg_ = l.f64();
-  count_since_mark_ = l.u64();
-  rng_state_ = l.u64();
+void RedQueue::checkpoint_extra(core::ckpt::Io& io) {
+  io.f64(avg_);
+  io.u64(count_since_mark_);
+  io.u64(rng_state_);
 }
 
 std::unique_ptr<Queue> make_queue(const QueueConfig& cfg) {

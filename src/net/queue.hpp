@@ -105,17 +105,21 @@ class PacketRing : public Ring<Packet> {
  public:
   using Ring::Ring;
 
-  void save_state(core::ckpt::Saver& s) const {
-    s.u64(size());
-    for (const Packet& p : *this) save_packet(s, p);
-  }
-
-  /// Refill from a checkpoint; rejects more packets than the cap allows.
-  void restore_state(core::ckpt::Loader& l) {
+  /// Loading refills the ring; more packets than the cap allows fail.
+  void checkpoint(core::ckpt::Io& io) {
+    std::uint64_t n = size();
+    io.u64(n);
+    if (io.saving()) {
+      for (Packet p : *this) net::checkpoint(io, p);
+      return;
+    }
     clear();
-    const std::uint64_t n = l.u64();
-    if (n > max_slots()) return l.fail();
-    for (std::uint64_t i = 0; i < n && l.ok(); ++i) push_back(load_packet(l));
+    if (n > max_slots()) return io.fail();
+    for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
+      Packet p;
+      net::checkpoint(io, p);
+      push_back(std::move(p));
+    }
   }
 };
 
@@ -184,17 +188,15 @@ class Queue {
 
   /// Checkpoint the queued packets, counters and occupancy integral (the
   /// integral feeds results, so it must survive exactly). Disciplines with
-  /// extra state (RED) extend via save_extra/restore_extra.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// extra state (RED) extend via checkpoint_extra.
+  void checkpoint(core::ckpt::Io& io);
 
  protected:
   /// FIFO admission used by subclasses after their drop/mark decision.
   /// `now` feeds the occupancy integral.
   bool push_tail(Packet&& p, sim::Time now);
   virtual void on_dequeue(const Packet& /*p*/, sim::Time /*now*/) {}
-  virtual void save_extra(core::ckpt::Saver& /*s*/) const {}
-  virtual void restore_extra(core::ckpt::Loader& /*l*/) {}
+  virtual void checkpoint_extra(core::ckpt::Io& /*io*/) {}
 
   // --- observability (single predictable branch when disabled) ---
   /// Activity-driven depth sample: piggybacks on enqueue/dequeue, rate-
@@ -292,8 +294,7 @@ class RedQueue final : public Queue {
   void set_random01(double (*fn)(std::uint64_t), std::uint64_t seed);
 
  protected:
-  void save_extra(core::ckpt::Saver& s) const override;
-  void restore_extra(core::ckpt::Loader& l) override;
+  void checkpoint_extra(core::ckpt::Io& io) override;
 
  private:
   double random01();

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "trace/writers.hpp"
@@ -135,59 +137,53 @@ bool is_ckpt_meter(const std::string& name) {
 
 }  // namespace
 
-void MetricsRegistry::save_state(core::ckpt::Saver& s) const {
-  std::lock_guard<std::mutex> lock{mu_};
-  std::uint64_t nc = 0;
-  for (const auto& [name, c] : counters_) {
-    if (!is_ckpt_meter(name)) ++nc;
-  }
-  s.u64(nc);
-  for (const auto& [name, c] : counters_) {
-    if (is_ckpt_meter(name)) continue;
-    s.str(name);
-    s.u64(c->get());
-  }
-  s.u64(gauges_.size());
-  for (const auto& [name, g] : gauges_) {
-    s.str(name);
-    s.f64(g->get());
-  }
-  s.u64(histograms_.size());
-  for (const auto& [name, h] : histograms_) {
-    s.str(name);
-    s.u64(h->count());
-    s.u64(h->sum());
-    s.u64(h->max_seen());
-    for (int b = 0; b < Histogram::kBuckets; ++b) s.u64(h->bucket(b));
-  }
-}
-
-void MetricsRegistry::restore_state(core::ckpt::Loader& l) {
-  const std::uint64_t nc = l.u64();
-  for (std::uint64_t i = 0; i < nc && l.ok(); ++i) {
-    const std::string name = l.str();
-    const std::uint64_t v = l.u64();
-    if (!l.ok()) break;
-    counter(name).set(v);
-  }
-  const std::uint64_t ng = l.u64();
-  for (std::uint64_t i = 0; i < ng && l.ok(); ++i) {
-    const std::string name = l.str();
-    const double v = l.f64();
-    if (!l.ok()) break;
-    gauge(name).set(v);
-  }
-  const std::uint64_t nh = l.u64();
-  for (std::uint64_t i = 0; i < nh && l.ok(); ++i) {
-    const std::string name = l.str();
-    const std::uint64_t count = l.u64();
-    const std::uint64_t sum = l.u64();
-    const std::uint64_t max = l.u64();
+void MetricsRegistry::checkpoint(core::ckpt::Io& io) {
+  // Saving copies every instrument into rows under the lock; loading reads
+  // the rows, then registers them by name.
+  std::vector<std::pair<std::string, std::uint64_t>> counters;
+  std::vector<std::pair<std::string, double>> gauges;
+  struct HistogramRow {
+    std::string name;
+    std::uint64_t count = 0;
+    std::uint64_t sum = 0;
+    std::uint64_t max = 0;
     std::array<std::uint64_t, Histogram::kBuckets> buckets{};
-    for (int b = 0; b < Histogram::kBuckets; ++b) buckets[static_cast<std::size_t>(b)] = l.u64();
-    if (!l.ok()) break;
-    histogram(name).restore(buckets, count, sum, max);
+  };
+  std::vector<HistogramRow> histograms;
+  if (io.saving()) {
+    std::lock_guard<std::mutex> lock{mu_};
+    for (const auto& [name, c] : counters_) {
+      if (!is_ckpt_meter(name)) counters.emplace_back(name, c->get());
+    }
+    for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g->get());
+    for (const auto& [name, h] : histograms_) {
+      HistogramRow& r = histograms.emplace_back();
+      r.name = name;
+      r.count = h->count();
+      r.sum = h->sum();
+      r.max = h->max_seen();
+      for (int b = 0; b < Histogram::kBuckets; ++b) r.buckets[static_cast<std::size_t>(b)] = h->bucket(b);
+    }
   }
+  io.seq(counters, [&](auto& c) {
+    io.str(c.first);
+    io.u64(c.second);
+  });
+  io.seq(gauges, [&](auto& g) {
+    io.str(g.first);
+    io.f64(g.second);
+  });
+  io.seq(histograms, [&](HistogramRow& r) {
+    io.str(r.name);
+    io.u64(r.count);
+    io.u64(r.sum);
+    io.u64(r.max);
+    for (std::uint64_t& n : r.buckets) io.u64(n);
+  });
+  if (io.saving() || !io.ok()) return;
+  for (const auto& [name, v] : counters) counter(name).set(v);
+  for (const auto& [name, v] : gauges) gauge(name).set(v);
+  for (const HistogramRow& r : histograms) histogram(r.name).restore(r.buckets, r.count, r.sum, r.max);
 }
 
 void MetricsRegistry::dump_to_file(const std::string& path) const {

@@ -13,8 +13,7 @@ class JsonWriter;
 }
 
 namespace xmp::core::ckpt {
-class Saver;
-class Loader;
+class Io;
 }  // namespace xmp::core::ckpt
 
 namespace xmp::obs {
@@ -110,10 +109,9 @@ class MetricsRegistry {
   /// Checkpoint every instrument by (sorted) name. Names starting with
   /// "harness.ckpt." are excluded: those meter the checkpoint machinery
   /// itself and are reconstructed from checkpoint-file headers on restore.
-  void save_state(core::ckpt::Saver& s) const;
-  /// Restore by name; unknown names are (re-)registered, so restore works
-  /// whether or not the instrumentation sites have run yet.
-  void restore_state(core::ckpt::Loader& l);
+  /// Loading restores by name; unknown names are (re-)registered, so
+  /// restore works whether or not the instrumentation sites have run yet.
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   mutable std::mutex mu_;

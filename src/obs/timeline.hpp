@@ -47,6 +47,8 @@ enum class EventKind : std::uint8_t {
                 ///< a = bytes, b = checkpoint sim-time µs)
   Impair,       ///< gray-failure impairment applied (id = link, aux = ImpairKind)
 };
+/// The highest EventKind; a restored event above it is malformed.
+inline constexpr EventKind kLastEventKind = EventKind::Impair;
 
 /// Which gray-failure effect an EventKind::Impair records (aux field).
 enum class ImpairKind : std::uint16_t { Delay = 0, Reorder = 1, Duplicate = 2, Overmark = 3 };

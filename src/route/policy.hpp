@@ -83,10 +83,10 @@ class SwitchTable final : public net::Switch::PortSelector {
   [[nodiscard]] std::uint64_t repaths() const { return repaths_; }
 
   /// Checkpoint member liveness, per-member forwarding counts and the
-  /// flow-assignment maps. restore_state() expects a freshly built table
-  /// over the same switch (port group and weights are build-time state).
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// flow-assignment maps (in key order, for stable bytes). Loading
+  /// expects a freshly built table over the same switch (port group and
+  /// weights are build-time state).
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   [[nodiscard]] std::size_t pick_pinned(const net::Packet& p) const;

@@ -74,28 +74,17 @@ void RouteManager::converge(net::Link* link) {
   }
 }
 
-void RouteManager::save_state(core::ckpt::Saver& s) const {
-  s.u64(reroutes_);
-  s.u64(converge_timers_.size());
-  for (const auto& [link, id] : converge_timers_) {
-    s.u32(static_cast<std::uint32_t>(link->id()));
-    s.event(sched_, id);
-  }
-  s.u64(tables_.size());
-  for (const auto& t : tables_) t->save_state(s);
-}
-
-void RouteManager::restore_state(core::ckpt::Loader& l) {
-  reroutes_ = l.u64();
-  const std::uint64_t nt = l.u64();
-  for (std::uint64_t i = 0; i < nt && l.ok(); ++i) {
-    const net::LinkId id = l.u32();
-    if (id >= netw_.links().size()) return l.fail();
-    net::Link* link = &netw_.link(id);
-    converge_timers_.emplace_back(link, l.event(sched_, converge_timer(link)));
-  }
-  if (!l.count(tables_.size())) return;
-  for (std::size_t i = 0; i < tables_.size() && l.ok(); ++i) tables_[i]->restore_state(l);
+void RouteManager::checkpoint(core::ckpt::Io& io) {
+  io.u64(reroutes_);
+  io.seq(converge_timers_, [&](std::pair<net::Link*, sim::EventId>& t) {
+    net::LinkId id = t.first != nullptr ? t.first->id() : 0;
+    io.u32(id);
+    if (id >= netw_.links().size()) return io.fail();
+    t.first = &netw_.link(id);
+    io.event(sched_, t.second, converge_timer(t.first));
+  });
+  if (!io.count(tables_.size())) return;
+  for (std::size_t i = 0; i < tables_.size() && io.ok(); ++i) tables_[i]->checkpoint(io);
 }
 
 std::uint64_t RouteManager::collisions() const {

@@ -51,10 +51,9 @@ class RouteManager final : public net::Link::StateListener {
   [[nodiscard]] std::uint64_t repaths() const;
 
   /// Checkpoint the reroute tally, pending convergence timers and every
-  /// table (in install order). restore_state() expects install_all() to
-  /// have already run on the restoring world.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// table (in install order). Loading expects install_all() to have
+  /// already run on the restoring world.
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void converge(net::Link* link);

@@ -43,7 +43,7 @@ class Rng {
   /// Raw generator state, for checkpoint/restore. A restored stream
   /// continues bit-identically from where the saved one stopped.
   [[nodiscard]] std::array<std::uint64_t, 4> state() const { return {s_[0], s_[1], s_[2], s_[3]}; }
-  void restore_state(const std::array<std::uint64_t, 4>& s) {
+  void set_state(const std::array<std::uint64_t, 4>& s) {
     for (int i = 0; i < 4; ++i) s_[i] = s[i];
   }
 

@@ -34,15 +34,9 @@ class Distribution {
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
   /// Checkpoint the raw samples (exact double bits, insertion order).
-  void save_state(core::ckpt::Saver& s) const {
-    s.u64(samples_.size());
-    for (const double x : samples_) s.f64(x);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    const std::uint64_t n = l.u64();
-    samples_.clear();
-    for (std::uint64_t i = 0; i < n && l.ok(); ++i) samples_.push_back(l.f64());
-    sorted_ = false;
+  void checkpoint(core::ckpt::Io& io) {
+    io.seq(samples_, [&](double& x) { io.f64(x); });
+    if (io.loading()) sorted_ = false;
   }
 
  private:

@@ -78,17 +78,9 @@ void GaugeProbe::tick() {
   timer_ = sched_.schedule_in(interval_, [this] { tick(); });
 }
 
-void GaugeProbe::save_state(core::ckpt::Saver& s) const {
-  s.u64(samples_.size());
-  for (const double x : samples_) s.f64(x);
-  s.opt_event(sched_, timer_);
-}
-
-void GaugeProbe::restore_state(core::ckpt::Loader& l) {
-  const std::uint64_t n = l.u64();
-  samples_.clear();
-  for (std::uint64_t i = 0; i < n && l.ok(); ++i) samples_.push_back(l.f64());
-  timer_ = l.opt_event(sched_, [this] { tick(); });
+void GaugeProbe::checkpoint(core::ckpt::Io& io) {
+  io.seq(samples_, [&](double& x) { io.f64(x); });
+  io.opt_event(sched_, timer_, [this] { tick(); });
 }
 
 void UtilizationWindow::open(const std::vector<net::Link*>& links) {
@@ -99,19 +91,10 @@ void UtilizationWindow::open(const std::vector<net::Link*>& links) {
   opened_at_ = sched_.now();
 }
 
-void UtilizationWindow::save_state(core::ckpt::Saver& s) const {
-  s.time(opened_at_);
-  s.u64(busy_at_open_.size());
-  for (const sim::Time t : busy_at_open_) s.time(t);
-}
-
-void UtilizationWindow::restore_state(core::ckpt::Loader& l,
-                                      const std::vector<net::Link*>& links) {
-  links_ = links;
-  opened_at_ = l.time();
-  const std::uint64_t n = l.u64();
-  busy_at_open_.clear();
-  for (std::uint64_t i = 0; i < n && l.ok(); ++i) busy_at_open_.push_back(l.time());
+void UtilizationWindow::checkpoint(core::ckpt::Io& io, const std::vector<net::Link*>& links) {
+  if (io.loading()) links_ = links;
+  io.time(opened_at_);
+  io.seq(busy_at_open_, [&](sim::Time& t) { io.time(t); });
 }
 
 std::vector<double> UtilizationWindow::close() const {

@@ -86,10 +86,9 @@ class GaugeProbe {
   [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
 
   /// Checkpoint the sample series and the pending tick timer's key.
-  /// restore_state() expects a probe that has NOT been start()ed; it
-  /// re-arms the tick under its original (time, sequence) key.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  /// Loading expects a probe that has NOT been start()ed; it re-arms the
+  /// tick under its original (time, sequence) key.
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void tick();
@@ -113,10 +112,9 @@ class UtilizationWindow {
   /// End the window; returns one utilization value in [0,1] per link.
   [[nodiscard]] std::vector<double> close() const;
 
-  /// Checkpoint the window anchor. restore_state() replaces open(): the
-  /// caller passes the same link set (same order) as the saved run's open().
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l, const std::vector<net::Link*>& links);
+  /// Checkpoint the window anchor. Loading replaces open(): the caller
+  /// passes the same link set (same order) as the saved run's open().
+  void checkpoint(core::ckpt::Io& io, const std::vector<net::Link*>& links);
 
  private:
   sim::Scheduler& sched_;

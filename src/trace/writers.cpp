@@ -28,8 +28,13 @@ bool finish_atomic(std::ofstream& out, const std::string& path) {
 CsvWriter::CsvWriter(const std::string& path) : path_{path}, out_{tmp_path_for(path)} {}
 
 CsvWriter::~CsvWriter() {
+  if (!closed_) close();
+}
+
+bool CsvWriter::close() {
+  closed_ = true;
   if (row_started_) end_row();
-  finish_atomic(out_, path_);
+  return finish_atomic(out_, path_);
 }
 
 void CsvWriter::header(const std::vector<std::string>& columns) {

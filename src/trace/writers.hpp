@@ -22,6 +22,9 @@ class CsvWriter {
   CsvWriter& operator=(const CsvWriter&) = delete;
 
   [[nodiscard]] bool ok() const { return out_.good(); }
+  /// Publish the file now, as the destructor would, and report whether
+  /// every write, the flush and the rename succeeded. Write nothing after.
+  bool close();
 
   void header(const std::vector<std::string>& columns);
 
@@ -38,6 +41,7 @@ class CsvWriter {
   std::string path_;
   std::ofstream out_;
   bool row_started_ = false;
+  bool closed_ = false;
 };
 
 /// Minimal JSON emitter (objects, arrays, scalars) — enough to export

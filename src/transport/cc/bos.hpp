@@ -37,17 +37,11 @@ class BosCc : public CongestionControl {
   [[nodiscard]] bool reduced_state() const { return state_ == State::Reduced; }
   [[nodiscard]] double current_gain() const { return delta_; }
 
-  void save_state(core::ckpt::Saver& s) const override {
-    s.u8(static_cast<std::uint8_t>(state_));
-    s.i64(cwr_seq_);
-    s.f64(adder_);
-    s.f64(delta_);
-  }
-  void restore_state(core::ckpt::Loader& l) override {
-    state_ = static_cast<State>(l.u8());
-    cwr_seq_ = l.i64();
-    adder_ = l.f64();
-    delta_ = l.f64();
+  void checkpoint(core::ckpt::Io& io) override {
+    io.u8(state_);
+    io.i64(cwr_seq_);
+    io.f64(adder_);
+    io.f64(delta_);
   }
 
  protected:

@@ -35,13 +35,9 @@ class D2tcpCc final : public DctcpCc {
   /// nothing is known yet).
   [[nodiscard]] double imminence(const TcpSender& s, sim::Time now) const;
 
-  void save_state(core::ckpt::Saver& s) const override {
-    DctcpCc::save_state(s);
-    s.i64(cwr_seq_);
-  }
-  void restore_state(core::ckpt::Loader& l) override {
-    DctcpCc::restore_state(l);
-    cwr_seq_ = l.i64();
+  void checkpoint(core::ckpt::Io& io) override {
+    DctcpCc::checkpoint(io);
+    io.i64(cwr_seq_);
   }
 
  private:

@@ -30,19 +30,12 @@ class DctcpCc : public CongestionControl {
 
   [[nodiscard]] double alpha() const { return alpha_; }
 
-  void save_state(core::ckpt::Saver& s) const override {
-    s.f64(alpha_);
-    s.i64(window_end_);
-    s.i64(acked_in_window_);
-    s.i64(marked_in_window_);
-    s.i64(cwr_seq_);
-  }
-  void restore_state(core::ckpt::Loader& l) override {
-    alpha_ = l.f64();
-    window_end_ = l.i64();
-    acked_in_window_ = l.i64();
-    marked_in_window_ = l.i64();
-    cwr_seq_ = l.i64();
+  void checkpoint(core::ckpt::Io& io) override {
+    io.f64(alpha_);
+    io.i64(window_end_);
+    io.i64(acked_in_window_);
+    io.i64(marked_in_window_);
+    io.i64(cwr_seq_);
   }
 
  private:

@@ -15,8 +15,7 @@ class RenoCc : public CongestionControl {
   void on_loss(TcpSender& s, bool timeout) override;
   [[nodiscard]] const char* name() const override { return "reno"; }
 
-  void save_state(core::ckpt::Saver& s) const override { s.i64(cwr_seq_); }
-  void restore_state(core::ckpt::Loader& l) override { cwr_seq_ = l.i64(); }
+  void checkpoint(core::ckpt::Io& io) override { io.i64(cwr_seq_); }
 
  protected:
   /// Congestion-avoidance increase for `newly_acked` segments; LIA

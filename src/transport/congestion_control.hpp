@@ -42,8 +42,7 @@ class CongestionControl {
 
   /// Checkpoint hooks: policies with state beyond cwnd/ssthresh (which the
   /// sender owns) serialize it here. Overrides must call their base class.
-  virtual void save_state(core::ckpt::Saver& /*s*/) const {}
-  virtual void restore_state(core::ckpt::Loader& /*l*/) {}
+  virtual void checkpoint(core::ckpt::Io& /*io*/) {}
 
   [[nodiscard]] virtual const char* name() const = 0;
 };

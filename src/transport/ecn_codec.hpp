@@ -78,17 +78,11 @@ class EcnEchoState {
 
   [[nodiscard]] EcnCodec codec() const { return codec_; }
 
-  void save_state(core::ckpt::Saver& s) const {
-    s.b(ece_latched_);
-    s.b(ce_state_);
-    s.b(pending_state_change_);
-    s.u32(ce_pending_);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    ece_latched_ = l.b();
-    ce_state_ = l.b();
-    pending_state_change_ = l.b();
-    ce_pending_ = l.u32();
+  void checkpoint(core::ckpt::Io& io) {
+    io.b(ece_latched_);
+    io.b(ce_state_);
+    io.b(pending_state_change_);
+    io.u32(ce_pending_);
   }
 
  private:

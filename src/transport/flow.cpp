@@ -88,24 +88,14 @@ void Flow::on_source_done() {
   if (on_complete_) on_complete_();
 }
 
-void Flow::save_state(core::ckpt::Saver& s) const {
-  s.b(started_);
-  s.b(finished_);
-  s.time(start_time_);
-  s.time(finish_time_);
-  source_->save_state(s);
-  sender_->save_state(s);
-  receiver_->save_state(s);
-}
-
-void Flow::restore_state(core::ckpt::Loader& l) {
-  started_ = l.b();
-  finished_ = l.b();
-  start_time_ = l.time();
-  finish_time_ = l.time();
-  source_->restore_state(l);
-  sender_->restore_state(l);
-  receiver_->restore_state(l);
+void Flow::checkpoint(core::ckpt::Io& io) {
+  io.b(started_);
+  io.b(finished_);
+  io.time(start_time_);
+  io.time(finish_time_);
+  source_->checkpoint(io);
+  sender_->checkpoint(io);
+  receiver_->checkpoint(io);
 }
 
 std::int64_t Flow::delivered_bytes() const {

@@ -75,8 +75,7 @@ class Flow {
   /// Checkpoint progress plus the source pool, sender, and receiver. The
   /// completion callback is not saved — the owner (FlowManager) re-binds it
   /// after restore from its own record of why the flow exists.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
   [[nodiscard]] TcpSender& sender() { return *sender_; }
   [[nodiscard]] const TcpSender& sender() const { return *sender_; }

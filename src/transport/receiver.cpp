@@ -1,5 +1,6 @@
 #include "transport/receiver.hpp"
 
+#include <vector>
 
 namespace xmp::transport {
 
@@ -96,30 +97,18 @@ void TcpReceiver::arm_delack_timer() {
   });
 }
 
-void TcpReceiver::save_state(core::ckpt::Saver& s) const {
-  s.u16(path_tag_);
-  ecn_.save_state(s);
-  s.i64(rcv_nxt_);
-  s.u64(out_of_order_.size());
-  for (const std::int64_t seq : out_of_order_) s.i64(seq);
-  s.i64(pending_acks_);
-  s.time(pending_ts_);
-  s.u64(acks_sent_);
-  s.u64(duplicates_);
-  s.opt_event(sched_, delack_timer_);
-}
-
-void TcpReceiver::restore_state(core::ckpt::Loader& l) {
-  path_tag_ = l.u16();
-  ecn_.restore_state(l);
-  rcv_nxt_ = l.i64();
-  const std::uint64_t n_ooo = l.u64();
-  for (std::uint64_t i = 0; i < n_ooo && l.ok(); ++i) out_of_order_.insert(l.i64());
-  pending_acks_ = static_cast<int>(l.i64());
-  pending_ts_ = l.time();
-  acks_sent_ = l.u64();
-  duplicates_ = l.u64();
-  delack_timer_ = l.opt_event(sched_, [this] {
+void TcpReceiver::checkpoint(core::ckpt::Io& io) {
+  io.u16(path_tag_);
+  ecn_.checkpoint(io);
+  io.i64(rcv_nxt_);
+  std::vector<std::int64_t> ooo(out_of_order_.begin(), out_of_order_.end());
+  io.seq(ooo, [&](std::int64_t& seq) { io.i64(seq); });
+  if (io.loading()) out_of_order_.insert(ooo.begin(), ooo.end());
+  io.i64(pending_acks_);
+  io.time(pending_ts_);
+  io.u64(acks_sent_);
+  io.u64(duplicates_);
+  io.opt_event(sched_, delack_timer_, [this] {
     delack_timer_ = sim::kInvalidEventId;
     if (pending_acks_ > 0) flush_pending(pending_ts_);
   });

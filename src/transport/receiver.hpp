@@ -50,8 +50,7 @@ class TcpReceiver final : public net::Host::Endpoint {
   /// Checkpoint the reassembly/ack state including the ECN echo machine and
   /// the pending delayed-ack timer's key. The data endpoint registration is
   /// construction-time (the restoring run's constructor already did it).
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void send_ack(sim::Time ts_echo);

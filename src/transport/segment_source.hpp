@@ -61,17 +61,13 @@ class FixedSource final : public SegmentSource {
   /// Checkpoint the pool counters. The completion callback itself is
   /// construction state; when the saved source had already fired it, the
   /// restored callback is disarmed so completion cannot fire twice.
-  void save_state(core::ckpt::Saver& s) const {
-    s.i64(remaining_);
-    s.i64(total_);
-    s.i64(delivered_);
-    s.b(on_done_ != nullptr);
-  }
-  void restore_state(core::ckpt::Loader& l) {
-    remaining_ = l.i64();
-    total_ = l.i64();
-    delivered_ = l.i64();
-    if (!l.b()) on_done_ = nullptr;
+  void checkpoint(core::ckpt::Io& io) {
+    io.i64(remaining_);
+    io.i64(total_);
+    io.i64(delivered_);
+    bool has_done = on_done_ != nullptr;
+    io.b(has_done);
+    if (!has_done) on_done_ = nullptr;
   }
 
  private:

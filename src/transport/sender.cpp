@@ -291,63 +291,37 @@ void TcpSender::cancel_rto() {
   }
 }
 
-void TcpSender::save_state(core::ckpt::Saver& s) const {
-  s.u16(path_tag_);
-  s.f64(cwnd_);
-  s.f64(ssthresh_);
-  s.i64(snd_una_);
-  s.i64(snd_nxt_);
-  s.i64(beg_seq_);
-  s.i64(dupacks_);
-  s.b(in_recovery_);
-  s.i64(recover_);
-  s.i64(gbn_next_);
-  s.i64(gbn_high_);
-  s.time(srtt_);
-  s.time(rttvar_);
-  s.i64(rto_backoff_);
-  s.time(rto_deadline_);
-  s.b(started_);
-  s.b(halted_);
-  s.b(cwr_pending_);
-  s.u64(segments_sent_);
-  s.u64(retransmissions_);
-  s.u64(timeouts_);
-  s.u64(fast_retransmits_);
-  s.u64(ce_echoes_);
-  s.opt_event(sched_, rto_timer_);
-  cc_->save_state(s);
-}
-
-void TcpSender::restore_state(core::ckpt::Loader& l) {
-  path_tag_ = l.u16();
-  cwnd_ = l.f64();
-  ssthresh_ = l.f64();
-  snd_una_ = l.i64();
-  snd_nxt_ = l.i64();
-  beg_seq_ = l.i64();
-  dupacks_ = static_cast<int>(l.i64());
-  in_recovery_ = l.b();
-  recover_ = l.i64();
-  gbn_next_ = l.i64();
-  gbn_high_ = l.i64();
-  srtt_ = l.time();
-  rttvar_ = l.time();
-  rto_backoff_ = static_cast<int>(l.i64());
-  rto_deadline_ = l.time();
-  started_ = l.b();
-  halted_ = l.b();
-  cwr_pending_ = l.b();
-  segments_sent_ = l.u64();
-  retransmissions_ = l.u64();
-  timeouts_ = l.u64();
-  fast_retransmits_ = l.u64();
-  ce_echoes_ = l.u64();
+void TcpSender::checkpoint(core::ckpt::Io& io) {
+  io.u16(path_tag_);
+  io.f64(cwnd_);
+  io.f64(ssthresh_);
+  io.i64(snd_una_);
+  io.i64(snd_nxt_);
+  io.i64(beg_seq_);
+  io.i64(dupacks_);
+  io.b(in_recovery_);
+  io.i64(recover_);
+  io.i64(gbn_next_);
+  io.i64(gbn_high_);
+  io.time(srtt_);
+  io.time(rttvar_);
+  io.i64(rto_backoff_);
+  io.time(rto_deadline_);
+  io.b(started_);
+  io.b(halted_);
+  io.b(cwr_pending_);
+  io.u64(segments_sent_);
+  io.u64(retransmissions_);
+  io.u64(timeouts_);
+  io.u64(fast_retransmits_);
+  io.u64(ce_echoes_);
   // The construction-time registration does not exist for senders (start()
   // registers), so mirror the started side effect without pumping.
-  if (started_) local_.register_endpoint(flow_, subflow_, net::PacketType::Ack, *this);
-  rto_timer_ = l.opt_event(sched_, [this] { on_rto(); });
-  cc_->restore_state(l);
+  if (io.loading() && started_) {
+    local_.register_endpoint(flow_, subflow_, net::PacketType::Ack, *this);
+  }
+  io.opt_event(sched_, rto_timer_, [this] { on_rto(); });
+  cc_->checkpoint(io);
 }
 
 }  // namespace xmp::transport

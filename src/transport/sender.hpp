@@ -116,12 +116,11 @@ class TcpSender final : public net::Host::Endpoint {
   void set_observer(SenderObserver* obs) { observer_ = obs; }
 
   /// Checkpoint the full sender state, including the CC policy's and the
-  /// pending RTO timer's (time, sequence) key. restore_state() expects a
+  /// pending RTO timer's (time, sequence) key. Loading expects a
   /// freshly constructed sender built from the same config: it registers
   /// the ack endpoint (when the saved sender had started) and re-arms the
   /// timer under its original key.
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void transmit_segment(std::int64_t seq, bool retransmit);

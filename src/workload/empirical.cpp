@@ -236,26 +236,14 @@ int EmpiricalTraffic::pick_destination(int src) {
   }
 }
 
-void EmpiricalTraffic::save_state(core::ckpt::Saver& s) const {
-  for (const std::uint64_t w : rng_.state()) s.u64(w);
-  s.b(stopped_);
-  s.u64(poisson_issued_);
-  s.u64(trace_issued_);
-  s.u64(trace_next_);
-  s.opt_event(sched_, arrival_timer_);
-  s.opt_event(sched_, trace_timer_);
-}
-
-void EmpiricalTraffic::restore_state(core::ckpt::Loader& l) {
-  std::array<std::uint64_t, 4> st{};
-  for (auto& w : st) w = l.u64();
-  rng_.restore_state(st);
-  stopped_ = l.b();
-  poisson_issued_ = l.u64();
-  trace_issued_ = l.u64();
-  trace_next_ = static_cast<std::size_t>(l.u64());
-  arrival_timer_ = l.opt_event(sched_, [this] { on_arrival(); });
-  trace_timer_ = l.opt_event(sched_, [this] { on_trace_due(); });
+void EmpiricalTraffic::checkpoint(core::ckpt::Io& io) {
+  io.rng(rng_);
+  io.b(stopped_);
+  io.u64(poisson_issued_);
+  io.u64(trace_issued_);
+  io.u64(trace_next_);
+  io.opt_event(sched_, arrival_timer_, [this] { on_arrival(); });
+  io.opt_event(sched_, trace_timer_, [this] { on_trace_due(); });
 }
 
 }  // namespace xmp::workload

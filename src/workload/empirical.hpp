@@ -104,7 +104,7 @@ class EmpiricalTraffic {
 
   /// Arm the Poisson process (first inter-arrival drawn immediately) and
   /// the explicit-flow walker. Fresh starts only — restores re-arm through
-  /// restore_state().
+  /// checkpoint().
   void start();
   void stop();
 
@@ -116,8 +116,7 @@ class EmpiricalTraffic {
 
   /// Checkpoint the RNG, issue progress, trace cursor and pending timers
   /// (their event keys, so equal-timestamp FIFO order survives).
-  void save_state(core::ckpt::Saver& s) const;
-  void restore_state(core::ckpt::Loader& l);
+  void checkpoint(core::ckpt::Io& io);
 
  private:
   void on_arrival();

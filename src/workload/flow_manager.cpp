@@ -171,98 +171,76 @@ void FlowManager::start_small_flow(net::Host& src, net::Host& dst, int src_idx, 
   smalls_.push_back(Small{rec, std::move(flow)});
 }
 
-void FlowManager::save_state(core::ckpt::Saver& s) const {
-  s.u64(next_id_);
-  s.u64(active_large_.load(std::memory_order_relaxed));
-  s.u64(aborted_large_.load(std::memory_order_relaxed));
+void FlowManager::checkpoint(core::ckpt::Io& io, int n_hosts,
+                             const std::function<net::Host&(int)>& host, const BindFn& bind) {
+  io.u64(next_id_);
+  std::size_t active = active_large_.load(std::memory_order_relaxed);
+  std::size_t aborted = aborted_large_.load(std::memory_order_relaxed);
+  io.u64(active);
+  io.u64(aborted);
+  active_large_.store(active, std::memory_order_relaxed);
+  aborted_large_.store(aborted, std::memory_order_relaxed);
   assert(tags_.size() == records_.size());
-  s.u64(records_.size());
+  std::uint64_t n = records_.size();
+  io.u64(n);
   // Within each kind, object order follows record creation order, so the
   // walk below visits singles_/multis_/smalls_ exactly once each, in order.
   std::size_t si = 0;
   std::size_t mi = 0;
   std::size_t smi = 0;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const FlowRecord& r = records_[i];
-    s.u32(r.id);
-    s.i64(r.src_host);
-    s.i64(r.dst_host);
-    s.i64(r.bytes);
-    s.b(r.large);
-    s.time(r.start);
-    s.time(r.finish);
-    s.b(r.completed);
-    s.b(r.aborted);
-    const CallbackTag& t = tags_[i];
-    s.u8(t.kind);
-    s.i64(t.a);
-    s.i64(t.b);
-    s.i64(t.c);
-    if (r.large && spec_.multipath()) {
-      multis_[mi++].conn->save_state(s);
-    } else if (r.large) {
-      singles_[si++].flow->save_state(s);
-    } else {
-      smalls_[smi++].flow->save_state(s);
+  for (std::size_t i = 0; i < n && io.ok(); ++i) {
+    if (io.loading()) {
+      records_.emplace_back();
+      tags_.emplace_back();
     }
-  }
-}
-
-void FlowManager::restore_state(core::ckpt::Loader& l, int n_hosts,
-                                const std::function<net::Host&(int)>& host, const BindFn& bind) {
-  next_id_ = static_cast<net::FlowId>(l.u64());
-  active_large_.store(l.u64(), std::memory_order_relaxed);
-  aborted_large_.store(l.u64(), std::memory_order_relaxed);
-  const std::uint64_t n = l.u64();
-  for (std::uint64_t i = 0; i < n && l.ok(); ++i) {
-    FlowRecord rec;
-    rec.id = l.u32();
-    const std::int64_t src = l.i64();
-    const std::int64_t dst = l.i64();
-    if (src < 0 || src >= n_hosts || dst < 0 || dst >= n_hosts) {
-      l.fail();  // a CRC-valid payload naming a host this world lacks
-      return;
-    }
-    rec.src_host = static_cast<int>(src);
-    rec.dst_host = static_cast<int>(dst);
-    rec.bytes = l.i64();
-    rec.large = l.b();
-    rec.start = l.time();
-    rec.finish = l.time();
-    rec.completed = l.b();
-    rec.aborted = l.b();
-    CallbackTag tag;
-    tag.kind = l.u8();
-    tag.a = l.i64();
-    tag.b = l.i64();
-    tag.c = l.i64();
-    records_.push_back(rec);
-    tags_.push_back(tag);
-    const std::size_t ridx = records_.size() - 1;
-    std::function<void()> done = bind && tag.kind != CallbackTag::kNone ? bind(tag) : nullptr;
-
-    if (rec.large && spec_.multipath()) {
-      auto conn = std::make_unique<mptcp::MptcpConnection>(
-          sched_for(rec.src_host), sched_for(rec.dst_host), host(rec.src_host),
-          host(rec.dst_host), multi_config(rec.id, rec.bytes));
-      const std::size_t slot = multis_.size();
-      multis_.push_back(LargeMulti{ridx, std::move(conn), std::move(done)});
-      mptcp::MptcpConnection& c = *multis_[slot].conn;
-      c.set_on_complete([this, slot] { finish_multi(slot, /*aborted=*/false); });
-      c.set_on_abort([this, slot] { finish_multi(slot, /*aborted=*/true); });
-      c.restore_state(l);
-    } else {
-      auto flow = std::make_unique<transport::Flow>(
-          sched_for(rec.src_host), sched_for(rec.dst_host), host(rec.src_host),
-          host(rec.dst_host), single_config(rec.id, rec.bytes, rec.large));
-      flow->set_on_complete(
-          [this, ridx, d = std::move(done)]() mutable { finish_record(ridx, d); });
-      flow->restore_state(l);
-      if (rec.large) {
-        singles_.push_back(LargeSingle{ridx, std::move(flow)});
-      } else {
-        smalls_.push_back(Small{ridx, std::move(flow)});
+    FlowRecord& r = records_[i];
+    io.u32(r.id);
+    io.i64(r.src_host);
+    io.i64(r.dst_host);
+    io.i64(r.bytes);
+    io.b(r.large);
+    io.time(r.start);
+    io.time(r.finish);
+    io.b(r.completed);
+    io.b(r.aborted);
+    CallbackTag& t = tags_[i];
+    io.u8(t.kind);
+    io.i64(t.a);
+    io.i64(t.b);
+    io.i64(t.c);
+    if (io.loading()) {
+      // A CRC-valid payload may name a host this world lacks.
+      if (!io.ok() || r.src_host < 0 || r.src_host >= n_hosts || r.dst_host < 0 ||
+          r.dst_host >= n_hosts) {
+        return io.fail();
       }
+      std::function<void()> done = bind && t.kind != CallbackTag::kNone ? bind(t) : nullptr;
+      if (r.large && spec_.multipath()) {
+        auto conn = std::make_unique<mptcp::MptcpConnection>(
+            sched_for(r.src_host), sched_for(r.dst_host), host(r.src_host), host(r.dst_host),
+            multi_config(r.id, r.bytes));
+        const std::size_t slot = multis_.size();
+        conn->set_on_complete([this, slot] { finish_multi(slot, /*aborted=*/false); });
+        conn->set_on_abort([this, slot] { finish_multi(slot, /*aborted=*/true); });
+        multis_.push_back(LargeMulti{i, std::move(conn), std::move(done)});
+      } else {
+        auto flow = std::make_unique<transport::Flow>(
+            sched_for(r.src_host), sched_for(r.dst_host), host(r.src_host), host(r.dst_host),
+            single_config(r.id, r.bytes, r.large));
+        flow->set_on_complete([this, i, d = std::move(done)]() mutable { finish_record(i, d); });
+        if (r.large) {
+          singles_.push_back(LargeSingle{i, std::move(flow)});
+        } else {
+          smalls_.push_back(Small{i, std::move(flow)});
+        }
+      }
+    }
+    if (r.large && spec_.multipath()) {
+      multis_[mi++].conn->checkpoint(io);
+    } else if (r.large) {
+      singles_[si++].flow->checkpoint(io);
+    } else {
+      smalls_[smi++].flow->checkpoint(io);
     }
   }
 }

@@ -90,16 +90,16 @@ class FlowManager {
                         CallbackTag tag = {});
 
   /// Checkpoint every record, tag and live transfer (in creation order).
-  void save_state(core::ckpt::Saver& s) const;
-  /// Rebuild and restore every transfer. `host` maps a topology host index
-  /// in [0, n_hosts) to the Host object; a saved index outside that range
-  /// fails the Loader. `bind` turns a saved CallbackTag back into the
-  /// owning generator's completion callback (null tag -> null callback).
-  /// Expects a freshly constructed manager with the same spec/id_base and,
-  /// in sharded runs, set_schedulers() already applied.
+  /// Loading rebuilds each transfer before restoring it: `host` maps a
+  /// topology host index in [0, n_hosts) to the Host object (a saved index
+  /// outside that range fails the pass), and `bind` turns a saved
+  /// CallbackTag back into the owning generator's completion callback (null
+  /// tag -> null callback); saving uses neither. Loading expects a freshly
+  /// constructed manager with the same spec/id_base and, in sharded runs,
+  /// set_schedulers() already applied.
   using BindFn = std::function<std::function<void()>(const CallbackTag&)>;
-  void restore_state(core::ckpt::Loader& l, int n_hosts,
-                     const std::function<net::Host&(int)>& host, const BindFn& bind);
+  void checkpoint(core::ckpt::Io& io, int n_hosts, const std::function<net::Host&(int)>& host,
+                  const BindFn& bind);
 
   [[nodiscard]] const std::vector<FlowRecord>& records() const { return records_; }
   [[nodiscard]] const SchemeSpec& scheme() const { return spec_; }

@@ -219,13 +219,13 @@ TEST(GrayProcessRng, SaveRestoreRoundTripsMidStream) {
   start_all(a);
   draw_gray(a, 137);  // advance to an arbitrary mid-stream point
 
-  core::ckpt::Saver s;
-  a.save_state(s);
+  core::ckpt::Io s;
+  a.checkpoint(s);
   const auto reference = draw_gray(a, 300);
 
   GrayProcess b{21, 5};  // fresh process, state comes from the snapshot
-  core::ckpt::Loader l{s.data()};
-  b.restore_state(l);
+  core::ckpt::Io l{s.data()};
+  b.checkpoint(l);
   ASSERT_TRUE(l.done());
   EXPECT_EQ(draw_gray(b, 300), reference);
 }
@@ -243,20 +243,20 @@ TEST(LossProcessCkpt, GilbertElliottRoundTripsMidBurst) {
   net::Packet pkt;
   for (int i = 0; i < 80; ++i) (void)a.on_send(pkt);
 
-  core::ckpt::Saver s1;
-  a.save_state(s1);
+  core::ckpt::Io s1;
+  a.checkpoint(s1);
 
   std::vector<net::Link::FaultVerdict> reference;
   for (int i = 0; i < 300; ++i) reference.push_back(a.on_send(pkt));
 
   LossProcess b{m, 9, 4};
-  core::ckpt::Loader l{s1.data()};
-  b.restore_state(l);
+  core::ckpt::Io l{s1.data()};
+  b.checkpoint(l);
   ASSERT_TRUE(l.done());
 
   // Re-saving the restored process must reproduce the snapshot bytes...
-  core::ckpt::Saver s2;
-  b.save_state(s2);
+  core::ckpt::Io s2;
+  b.checkpoint(s2);
   EXPECT_EQ(s1.data(), s2.data());
   // ...and its future verdicts must equal the original's.
   for (int i = 0; i < 300; ++i) {

@@ -99,16 +99,16 @@ TEST(Ring, GrownWrappedRingSavesLikeAFreshOne) {
   PacketRing fresh{100};
   for (std::uint64_t i = 25; i < 70; ++i) fresh.push_back(packet(i));
 
-  core::ckpt::Saver a;
-  core::ckpt::Saver b;
-  grown.save_state(a);
-  fresh.save_state(b);
+  core::ckpt::Io a;
+  core::ckpt::Io b;
+  grown.checkpoint(a);
+  fresh.checkpoint(b);
   EXPECT_EQ(a.data(), b.data());
 
   // And a restore reproduces the same FIFO.
   PacketRing restored{100};
-  core::ckpt::Loader l{a.data()};
-  restored.restore_state(l);
+  core::ckpt::Io l{a.data()};
+  restored.checkpoint(l);
   ASSERT_TRUE(l.done());
   ASSERT_EQ(restored.size(), 45u);
   for (std::uint64_t i = 25; i < 70; ++i) {
@@ -120,11 +120,11 @@ TEST(Ring, GrownWrappedRingSavesLikeAFreshOne) {
 TEST(Ring, RestoreRejectsMoreThanTheCap) {
   PacketRing big{10};
   for (std::uint64_t i = 0; i < 10; ++i) big.push_back(packet(i));
-  core::ckpt::Saver s;
-  big.save_state(s);
+  core::ckpt::Io s;
+  big.checkpoint(s);
   PacketRing small{4};
-  core::ckpt::Loader l{s.data()};
-  small.restore_state(l);
+  core::ckpt::Io l{s.data()};
+  small.checkpoint(l);
   EXPECT_FALSE(l.ok());
   EXPECT_TRUE(small.empty());
 }

@@ -270,14 +270,14 @@ TEST(Sender, IdleAfterEverythingAcked) {
 
 // The RTO timer's checkpointed key restores only onto a clock that can
 // still dispatch it: behind the restored clock, or on a sequence the
-// restored scheduler never handed out, it fails the Loader (the world's
+// restored scheduler never handed out, it fails the pass (the world's
 // "malformed payload" exit 2) instead of arming a timer in the past.
 TEST(Sender, RestoreValidatesTheRtoKey) {
   SenderHarness a;
   a.sender->start();
   a.t.sched.run_until(sim::Time::microseconds(5));  // data out, no acks: RTO armed
-  core::ckpt::Saver s;
-  a.sender->save_state(s);
+  core::ckpt::Io s;
+  a.sender->checkpoint(s);
 
   struct Clock {
     sim::Time now;
@@ -289,8 +289,8 @@ TEST(Sender, RestoreValidatesTheRtoKey) {
                         Clock{a.t.sched.now(), 1, false}}) {
     SenderHarness b;
     b.t.sched.restore_clock(c.now, c.next_seq, 0);
-    core::ckpt::Loader l{s.data()};
-    b.sender->restore_state(l);
+    core::ckpt::Io l{s.data()};
+    b.sender->checkpoint(l);
     EXPECT_EQ(l.done(), c.ok) << "clock " << c.now.ns() << " ns, next_seq " << c.next_seq;
     EXPECT_EQ(b.t.sched.pending(), c.ok ? 1u : 0u);
   }
