@@ -77,10 +77,11 @@
 //
 //   xmpsim verify
 //       Differential validation harness (DESIGN.md §15): runs the same
-//       scenario (any `run` flags) once per leg, each in its own
-//       sub-directory of --dir (default: a fresh temp dir, removed on
-//       success, kept and named on failure; a reused DIR has each leg's
-//       sub-directory emptied first).
+//       scenario (any `run` flags) once per leg, each leg one job of a
+//       campaign in --dir (default: a fresh temp dir, removed on success,
+//       kept and named on failure; a reused DIR has each leg's
+//       sub-directory emptied first). The legs run in parallel, each in
+//       DIR/<leg>/; DIR/sweep_manifest.json records their attempts.
 //       Serial engine legs: serial (--shards=0), serial-ckpt (periodic
 //       snapshots) and serial-kill (SIGKILL mid-run + --restore). Sharded
 //       engine legs, when the scenario can run sharded: shards1..shards4
@@ -115,14 +116,14 @@
 //       fct_summary.json next to sweep_summary.json.
 //       --trace/--trace-csv/--metrics apply per job: "trace.json" becomes
 //       "trace.0.json", "trace.1.json", ... (one file per sweep point).
-//       --checkpoint-every snapshots each job into DIR/ckpt_job_<i>/, and a
+//       --checkpoint-every snapshots each job into its directory, and a
 //       retried job resumes from its newest valid snapshot.
 //
-//       DIR accumulates job_<i>.json result files (each job's summary.json,
-//       as `run --json` writes it), a sweep_manifest.json updated
-//       atomically after every state change, the aggregate
-//       sweep_summary.json, and the harness's own metrics/trace
-//       (harness_metrics.json, harness_trace.json).
+//       DIR accumulates one directory per job, job_<i>/, holding its
+//       summary.json (as `run --json` writes it) and its snapshots; a
+//       sweep_manifest.json updated atomically after every state change;
+//       the aggregate sweep_summary.json; and the harness's own
+//       metrics/trace (harness_metrics.json, harness_trace.json).
 //
 //       xmpsim sweep --resume=DIR picks a campaign back up: jobs already
 //       succeeded are not re-run, and the final summary is byte-identical
@@ -137,19 +138,16 @@
 //       Print Fat-Tree dimensions and delay budget for a given k.
 
 #include <csignal>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -187,11 +185,11 @@ constexpr std::string_view kUsage =
     "          [--json=summary.json] [--drops-csv=drops.csv] [--metrics=metrics.json]\n"
     "          [--trace=timeline.json] [--trace-csv=timeline.csv]\n"
     "          [--trace-filter=cwnd,gain,queue] [--trace-capacity=262144]\n"
-    "  verify  [--dir=DIR] [--checkpoint-every=0.005] + run's scenario flags\n"
+    "  verify  [--dir=DIR] [--checkpoint-every=0.005] + run's scenario flags (legs in DIR/<leg>/)\n"
     "  sweep   --param=mark-k|beta|subflows|queue|seed|load --values=a,b,c\n"
     "          [--schemes=xmp,dctcp,lia,olia] [--jobs=N] + run's flags\n"
     "          [--out=DIR] [--job-timeout=S] [--retries=2] [--backoff=0.5] [--strict]\n"
-    "          [--resume=DIR]\n"
+    "          [--resume=DIR]   (job i runs in DIR/job_<i>/)\n"
     "  fluid   [--capacity-gbps=1] [--flows=3] [--beta=4] [--rtt-us=300]\n"
     "  topo    [--k=8]\n";
 
@@ -623,7 +621,10 @@ int cmd_run(const Args& args) {
   const auto res = core::run_experiment(cfg);
   print_summary(cfg, res);
   // Exit 5 (as a sweep job does) when an output could not be written.
-  bool write_failed = false;
+  for (const std::string& flag : res.unwritten) {
+    std::fprintf(stderr, "xmpsim: run: could not write %s\n", flag.c_str());
+  }
+  bool write_failed = !res.unwritten.empty();
   const auto report = [&write_failed](const char* flag, const std::string& path, bool ok) {
     if (ok) {
       std::printf("wrote %s\n", path.c_str());
@@ -678,34 +679,6 @@ std::string work_dir(const char* cmd, const char* flag, const std::string& dir, 
   return buf.data();
 }
 
-/// Fork a child that runs `xmpsim run <flags>` from inside `dir`, stdout
-/// to out.txt and stderr to err.txt — each leg executes with relative
-/// output paths so the stdout summaries are comparable byte for byte, and
-/// resume notices on stderr never pollute the compared stream.
-pid_t spawn_leg(const std::string& dir, const std::vector<std::string>& flags) {
-  std::fflush(stdout);
-  std::fflush(stderr);
-  const pid_t pid = ::fork();
-  if (pid != 0) return pid;
-  if (::chdir(dir.c_str()) != 0) std::_Exit(127);
-  if (std::freopen("out.txt", "w", stdout) == nullptr) std::_Exit(127);
-  if (std::freopen("err.txt", "w", stderr) == nullptr) std::_Exit(127);
-  const int rc = cmd_run(Args{flags});
-  // _Exit skips stdio teardown, and both files are fully buffered.
-  std::fflush(nullptr);
-  std::_Exit(rc);
-}
-
-int wait_leg(pid_t pid) {
-  int status = 0;
-  while (::waitpid(pid, &status, 0) < 0) {
-    if (errno != EINTR) return -1;
-  }
-  if (WIFEXITED(status)) return WEXITSTATUS(status);
-  if (WIFSIGNALED(status)) return 128 + WTERMSIG(status);
-  return -1;
-}
-
 bool read_all(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -725,7 +698,7 @@ struct VerifyLeg {
   std::string name;
   bool sharded;  ///< engine: sharded, else serial
   bool ckpt;     ///< writes snapshots
-  bool kill;     ///< SIGKILLed after its first snapshot, then resumed with --restore
+  bool kill;     ///< SIGKILLed at its first snapshot, then resumed with --restore
   std::vector<std::string> flags;  ///< engine and checkpoint flags
 };
 
@@ -823,62 +796,60 @@ int cmd_verify(const Args& args) {
     return 1;
   };
 
-  for (const VerifyLeg& leg : legs) {
-    const std::string dir = root + "/" + leg.name;
-    // A reused --dir must not hand this run stale outputs, or stale
-    // snapshots for the kill leg to restore.
+  // One campaign job per leg. Emptying each leg's directory keeps a reused
+  // --dir from handing a kill leg stale snapshots; a config built from the
+  // leg's own flags carries the fingerprint its snapshots do.
+  core::JobManifest manifest;
+  manifest.param = "leg";
+  std::vector<core::CampaignJob> jobs;
+  // No retries: a flaky leg is a failure, never masked by a retry.
+  core::OrchestratorConfig ocfg{.campaign_dir = root, .retries = 0};
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const VerifyLeg& leg = legs[i];
     std::error_code ec;
-    fs::remove_all(dir, ec);
-    fs::create_directories(dir, ec);
-    if (ec) return fail("cannot create " + dir + ": " + ec.message());
+    fs::remove_all(root + "/" + leg.name, ec);
+    jobs.push_back({config_from(Args{make_flags(leg.flags)}, cok), leg.name});  // checked above
+    manifest.jobs.emplace_back().value = core::SweepValue::of_int(static_cast<std::int64_t>(i));
+    if (leg.kill) ocfg.kill_at_snapshot.push_back(i);
     std::string shown;
     for (const auto& f : leg.flags) shown += " " + f;
     std::printf("verify: leg %-11s%s%s\n", leg.name.c_str(), shown.c_str(),
                 leg.kill ? " + SIGKILL mid-run + --restore" : "");
-    const pid_t pid = spawn_leg(dir, make_flags(leg.flags));
-    if (pid < 0) return fail("fork failed");
-    if (!leg.kill) {
-      const int rc = wait_leg(pid);
-      if (rc != 0) {
-        return fail("leg " + leg.name + " exited " + std::to_string(rc) + " (see " + dir +
-                    "/err.txt)");
-      }
-      continue;
-    }
-    // SIGKILLed as soon as the first snapshot is visible (atomic rename:
-    // any ckpt_*.bin on disk is complete), then resumed from the newest
-    // that verifies. The fingerprint is left to the restore, which checks
-    // it against the leg's flags.
-    for (int i = 0; i < 400; ++i) {
-      if (!core::ckpt::newest_valid(dir, 0).empty()) break;
-      if (::kill(pid, 0) != 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(25));
-    }
-    ::kill(pid, SIGKILL);
-    const int rc = wait_leg(pid);
-    const std::string newest = core::ckpt::newest_valid(dir, 0);
-    // The leg runs inside `dir`: --restore takes the file name alone.
-    const std::string snap = newest.substr(newest.find_last_of('/') + 1);
-    if (snap.empty()) {
-      return fail("leg " + leg.name +
+  }
+  // Each leg runs `xmpsim run` inside its directory, stdout to out.txt and
+  // stderr to err.txt: relative output paths keep the stdout summaries
+  // comparable byte for byte, and resume notices stay out of them.
+  const auto leg_body = [&](std::size_t i, const core::ExperimentConfig& eff,
+                            const std::string& dir, int) {
+    if (::chdir(dir.c_str()) != 0) return 127;
+    if (std::freopen("out.txt", "w", stdout) == nullptr) return 127;
+    if (std::freopen("err.txt", "w", stderr) == nullptr) return 127;
+    std::vector<std::string> flags = legs[i].flags;
+    const std::string& snap = eff.checkpoint.restore_path;
+    if (!snap.empty()) flags.push_back("--restore=" + snap.substr(snap.find_last_of('/') + 1));
+    const int rc = cmd_run(Args{make_flags(flags)});
+    std::fflush(nullptr);  // the child leaves by _Exit, and both files are buffered
+    return rc;
+  };
+  const core::CampaignOutcome outcome = core::Orchestrator{ocfg}.run(jobs, manifest, leg_body);
+
+  // The lowest-index failed leg, by what went wrong.
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    const core::JobEntry& j = outcome.jobs[i];
+    if (j.state == core::JobState::Succeeded) continue;
+    const std::string& name = legs[i].name;
+    const std::string dir = root + "/" + name;
+    // The exit code as a shell reports it: "exit N" is N, "signal N" 128 + N.
+    const int n = std::atoi(j.last_error.c_str() + j.last_error.find(' ') + 1);
+    const std::string code = std::to_string(j.last_error.rfind("signal ", 0) == 0 ? 128 + n : n);
+    const std::string see = " (see " + dir + "/err.txt)";
+    if (!legs[i].kill) return fail("leg " + name + " exited " + code + see);
+    if (j.attempts > 1) return fail("leg " + name + " restore exited " + code + see);
+    if (core::ckpt::newest_valid(dir, 0).empty()) {
+      return fail("leg " + name +
                   " wrote no snapshot — raise --duration or lower --checkpoint-every");
     }
-    // rc == 0 means the run beat the signal; the resume below still
-    // re-runs the tail from the last snapshot, which must reproduce the
-    // reference bytes either way.
-    if (rc != 0 && rc != 137) {
-      return fail("leg " + leg.name + " exited " + std::to_string(rc) +
-                  " before the signal (see " + dir + "/err.txt)");
-    }
-    std::vector<std::string> resume = leg.flags;
-    resume.push_back("--restore=" + snap);
-    const pid_t rpid = spawn_leg(dir, make_flags(resume));
-    if (rpid < 0) return fail("fork failed");
-    const int rrc = wait_leg(rpid);
-    if (rrc != 0) {
-      return fail("leg " + leg.name + " restore exited " + std::to_string(rrc) + " (see " + dir +
-                  "/err.txt)");
-    }
+    return fail("leg " + name + " exited " + code + " before the signal" + see);
   }
 
   // The first file that differs between legs a and b, as a message.
@@ -952,7 +923,7 @@ struct SweepSpec {
   std::string param;
   std::vector<core::SweepValue> values;  ///< swept value per grid point
   std::vector<std::string> labels;       ///< scheme per grid point ("" = --scheme)
-  std::vector<core::ExperimentConfig> grid;
+  std::vector<core::CampaignJob> grid;   ///< grid point i runs in DIR/job_<i>
   bool schemes_swept = false;
 };
 
@@ -1072,7 +1043,7 @@ bool build_sweep_grid(const Args& args, SweepSpec& spec) {
       spec.values.push_back(knob != nullptr ? core::SweepValue::of_int(ints[i])
                                             : core::SweepValue::of_real(v));
       spec.labels.push_back(sch);
-      spec.grid.push_back(cfg);
+      spec.grid.push_back({cfg, "job_" + std::to_string(job)});
     }
   }
   return true;
@@ -1115,7 +1086,7 @@ void write_sweep_summary(const std::string& dir, const SweepSpec& spec,
 }
 
 /// Ready-to-plot load-vs-FCT table (`fct_summary.json`). Same discipline as
-/// write_sweep_summary: built ONLY from the salvaged job_<i>.json files, so
+/// write_sweep_summary: built ONLY from the salvaged job_<i>/summary.json files, so
 /// a SIGKILLed-and-resumed campaign emits a byte-identical file.
 void write_fct_summary(const std::string& dir, const SweepSpec& spec,
                        const core::CampaignOutcome& outcome) {
@@ -1131,7 +1102,7 @@ void write_fct_summary(const std::string& dir, const SweepSpec& spec,
     json.kv("index", static_cast<std::uint64_t>(i));
     json.key("value");
     spec.values[i].write(json);
-    json.kv("scheme", spec.labels[i].empty() ? spec.grid[i].scheme.name() : spec.labels[i]);
+    json.kv("scheme", spec.labels[i].empty() ? spec.grid[i].cfg.scheme.name() : spec.labels[i]);
     json.kv("offered_load", r.fct_load);
     json.kv("completed", r.fct_completed);
     json.kv("censored", r.fct_censored);
@@ -1185,7 +1156,7 @@ int cmd_sweep_campaign(const Args& given, const std::string& out, bool resume) {
   ocfg.job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
   ocfg.retries = static_cast<int>(flag_i(args, "retries", 2, 0, 100, ok));
   ocfg.backoff_base_s = flag_d(args, "backoff", 0.5, 0, 3600, ok);
-  ocfg.strict = args.has("strict");
+  const bool strict = args.has("strict");
   if (!ok || !args.finish(kUsage)) return 2;
 
   if (resume) {
@@ -1206,10 +1177,7 @@ int cmd_sweep_campaign(const Args& given, const std::string& out, bool resume) {
     manifest.param = spec.param;
     manifest.argv = given.raw();
     manifest.jobs.resize(spec.grid.size());
-    for (std::size_t i = 0; i < spec.grid.size(); ++i) {
-      manifest.jobs[i].index = i;
-      manifest.jobs[i].value = spec.values[i];
-    }
+    for (std::size_t i = 0; i < spec.grid.size(); ++i) manifest.jobs[i].value = spec.values[i];
   }
   bool ephemeral = false;
   const std::string dir = resume ? out : work_dir("sweep", "out", out, ephemeral);
@@ -1277,12 +1245,12 @@ int cmd_sweep_campaign(const Args& given, const std::string& out, bool resume) {
   }
   std::fprintf(stderr, "xmpsim: %zu of %zu jobs incomplete after retries%s\n",
                outcome.incomplete.size(), spec.grid.size(),
-               ocfg.strict ? "" : " (salvaged the rest; --strict to fail)");
+               strict ? "" : " (salvaged the rest; --strict to fail)");
   if (ephemeral) {
     std::fprintf(stderr, "xmpsim: sweep: campaign kept in %s (--resume=%s re-runs the rest)\n",
                  dir.c_str(), dir.c_str());
   }
-  return ocfg.strict ? 1 : 0;
+  return strict ? 1 : 0;
 }
 
 int cmd_sweep(const Args& args) {

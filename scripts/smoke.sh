@@ -4,7 +4,8 @@
 #
 #   1. verify rows: `xmpsim verify` runs a scenario on every engine leg it
 #      supports and byte-compares the results within each engine
-#      (DESIGN.md §15); then content asserts on kept legs' summary.json;
+#      (DESIGN.md §15); then content asserts on kept legs' summary.json,
+#      and on the flip row's manifest: both kill legs resumed from a snapshot;
 #   2. checks verify cannot do: the routing policy x fault matrix, the
 #      checkpoint count across engines, SIGTERM -> exit 143 + restore under
 #      --invariants, trace validation, campaign kill/resume for a seed and
@@ -90,6 +91,12 @@ for row in "${verify_rows[@]}"; do
   echo "-- verify $name"
   "$bin" verify "${argv[@]}" --dir="$tmp/$name" || fail "verify $name"
   for leg in $legs; do json_check "$tmp/$name/$leg/summary.json" "$checks"; done
+  if [ "$name" = flip ]; then
+    # Each kill leg was SIGKILLed at a snapshot and resumed from one.
+    json_check "$tmp/$name/sweep_manifest.json" "
+      [j['attempts'] for j in jobs if j['dir'].endswith('-kill')] == [2, 2];
+      all(j['lineage'][1].startswith('ckpt_') for j in jobs if j['dir'].endswith('-kill'))"
+  fi
   rm -rf "${tmp:?}/$name"
 done
 

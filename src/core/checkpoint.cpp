@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -183,9 +184,11 @@ std::string newest_valid(const std::string& dir, std::uint64_t expect_fingerprin
     if (name.size() <= 9 || name.compare(0, 5, "ckpt_") != 0 ||
         name.compare(name.size() - 4, 4, ".bin") != 0)
       continue;
-    const std::string digits = name.substr(5, name.size() - 9);
-    if (digits.empty() || digits.find_first_not_of("0123456789") != std::string::npos) continue;
-    candidates.emplace_back(std::stoull(digits), entry.path().string());
+    const char* last = name.data() + name.size() - 4;
+    std::uint64_t seq = 0;  // digits only, that a uint64 holds: a crafted name is skipped
+    const auto [end, err] = std::from_chars(name.data() + 5, last, seq);
+    if (err != std::errc{} || end != last) continue;
+    candidates.emplace_back(seq, entry.path().string());
   }
   // Newest first: the first candidate that verifies wins, older good
   // snapshots stay on disk as further fallbacks.

@@ -286,6 +286,9 @@ struct ExperimentResults {
   std::uint64_t invariant_checks = 0;
   std::vector<std::string> invariant_violations;
 
+  /// "--flag=PATH" of each trace, metrics or FCT export that was not written.
+  std::vector<std::string> unwritten;
+
   /// Sharded-engine accounting (zeroed in serial runs). Every field is a
   /// function of the logical shard structure only — independent of the
   /// worker count — so it belongs in deterministic summary output.

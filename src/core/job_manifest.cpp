@@ -87,7 +87,7 @@ bool JobManifest::save(const std::string& dir, std::string* error) const {
       j.value.write_exact(json);
       json.kv("state", job_state_name(j.state));
       json.kv("attempts", static_cast<std::int64_t>(j.attempts));
-      json.kv("result", j.result_file);
+      json.kv("dir", j.dir);
       json.kv("error", j.last_error);
       if (!j.lineage.empty()) {
         json.key("lineage");
@@ -153,7 +153,7 @@ bool JobManifest::load(const std::string& dir, JobManifest& out, std::string* er
       return fail("job missing or unknown state");
     }
     if (jv.has("attempts")) j.attempts = static_cast<int>(jv.at("attempts").number);
-    if (jv.has("result")) j.result_file = jv.at("result").str;
+    if (jv.has("dir")) j.dir = jv.at("dir").str;
     if (jv.has("error")) j.last_error = jv.at("error").str;
     if (jv.has("lineage") && jv.at("lineage").is_array()) {
       for (const auto& l : jv.at("lineage").array) {

@@ -42,7 +42,7 @@ struct SweepValue {
   }
 };
 
-/// Lifecycle of one sweep job inside a campaign (DESIGN.md §10):
+/// Lifecycle of one job inside a campaign (DESIGN.md §10):
 ///
 ///   Pending ──spawn──▶ Running ──exit 0 + result──▶ Succeeded
 ///                         │
@@ -65,8 +65,8 @@ struct JobEntry {
   SweepValue value;         ///< swept parameter value of this grid point
   JobState state = JobState::Pending;
   int attempts = 0;         ///< child processes spawned so far for this job
-  std::string result_file;  ///< campaign-dir-relative result JSON ("job_<i>.json")
-  std::string last_error;   ///< "", "exit N", "signal N", "timeout", "missing result"
+  std::string dir;          ///< the job's directory, campaign-relative (informational)
+  std::string last_error;   ///< "exit N", "signal N", "timeout", "missing result", ...
   /// Checkpoint lineage, one entry per spawned attempt: "fresh" for a clean
   /// start, or the ckpt_<seq>.bin file the attempt resumed from. Empty when
   /// the campaign runs without --checkpoint-every.
@@ -78,7 +78,7 @@ struct JobEntry {
 /// every job-state transition, so a campaign killed at any instant — even
 /// SIGKILL mid-write — leaves a consistent manifest behind. On
 /// `xmpsim sweep --resume <dir>` the stored argv rebuilds the grid,
-/// Succeeded jobs with a parseable result file are skipped, and everything
+/// Succeeded jobs with a parseable summary.json are skipped, and everything
 /// else re-runs from Pending.
 struct JobManifest {
   static constexpr int kVersion = 1;

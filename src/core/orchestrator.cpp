@@ -4,6 +4,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -26,13 +27,17 @@ std::chrono::nanoseconds dur_s(double s) {
   return std::chrono::nanoseconds{static_cast<std::int64_t>(s * 1e9)};
 }
 
+constexpr std::chrono::milliseconds kPoll{2};  ///< granularity of the reap/watchdog loop
+
+/// Why the parent SIGKILLed a child, if it did.
+enum class Kill : std::uint8_t { None, Watchdog, Planned };
+
 /// One live child process the reap loop is responsible for.
 struct RunningChild {
   pid_t pid = -1;
   std::size_t job = 0;
   Clock::time_point start;
-  Clock::time_point deadline;  ///< only meaningful when has_deadline
-  bool has_deadline = false;
+  Clock::time_point deadline;  ///< the watchdog's; time_point::max() when off
 };
 
 }  // namespace
@@ -44,32 +49,42 @@ Orchestrator::Orchestrator(OrchestratorConfig cfg) : cfg_{std::move(cfg)} {
   }
 }
 
-CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
-                                  JobManifest& manifest, const ChildFn& child) {
+CampaignOutcome Orchestrator::run(const std::vector<CampaignJob>& grid, JobManifest& manifest,
+                                  const ChildFn& child) {
   if (manifest.jobs.size() != grid.size()) {
     throw std::invalid_argument("Orchestrator: manifest has " +
                                 std::to_string(manifest.jobs.size()) + " jobs for a grid of " +
                                 std::to_string(grid.size()));
   }
+  const auto job_dir = [&](std::size_t i) { return cfg_.campaign_dir + "/" + grid[i].dir; };
+  const auto summary = [&](std::size_t i) { return job_dir(i) + "/summary.json"; };
+  const auto planned_first = [&](std::size_t i) {
+    const auto& k = cfg_.kill_at_snapshot;
+    return manifest.jobs[i].attempts == 1 && std::find(k.begin(), k.end(), i) != k.end();
+  };
+  const auto has_snapshot = [&](std::size_t i) {
+    return !ckpt::newest_valid(job_dir(i), 0).empty();
+  };
   const ChildFn body =
       child ? child
             : ChildFn{[](std::size_t i, const ExperimentConfig& c, const std::string& p, int) {
                 return run_sweep_job(i, c, p);
               }};
 
-  obs::MetricsRegistry* m = cfg_.metrics;
-  obs::Counter* c_spawns = m != nullptr ? &m->counter("harness.spawns") : nullptr;
-  obs::Counter* c_retries = m != nullptr ? &m->counter("harness.retries") : nullptr;
-  obs::Counter* c_timeouts = m != nullptr ? &m->counter("harness.timeouts") : nullptr;
-  obs::Counter* c_exits = m != nullptr ? &m->counter("harness.exits_nonzero") : nullptr;
-  obs::Counter* c_crashes = m != nullptr ? &m->counter("harness.crashes") : nullptr;
-  obs::Counter* c_succeeded = m != nullptr ? &m->counter("harness.jobs_succeeded") : nullptr;
-  obs::Counter* c_exhausted = m != nullptr ? &m->counter("harness.jobs_exhausted") : nullptr;
-  obs::Counter* c_salvaged = m != nullptr ? &m->counter("harness.results_salvaged") : nullptr;
-  obs::Counter* c_resumed = m != nullptr ? &m->counter("harness.jobs_resumed") : nullptr;
-  obs::Counter* c_ckpt_restores = m != nullptr ? &m->counter("harness.ckpt.restores") : nullptr;
-  obs::Counter* c_ckpt_fallbacks = m != nullptr ? &m->counter("harness.ckpt.fallbacks") : nullptr;
-  obs::Histogram* h_attempt_ms = m != nullptr ? &m->histogram("harness.attempt_ms") : nullptr;
+  obs::MetricsRegistry scratch;
+  obs::MetricsRegistry& m = cfg_.metrics != nullptr ? *cfg_.metrics : scratch;
+  obs::Counter& c_spawns = m.counter("harness.spawns");
+  obs::Counter& c_retries = m.counter("harness.retries");
+  obs::Counter& c_timeouts = m.counter("harness.timeouts");
+  obs::Counter& c_exits = m.counter("harness.exits_nonzero");
+  obs::Counter& c_crashes = m.counter("harness.crashes");
+  obs::Counter& c_succeeded = m.counter("harness.jobs_succeeded");
+  obs::Counter& c_exhausted = m.counter("harness.jobs_exhausted");
+  obs::Counter& c_salvaged = m.counter("harness.results_salvaged");
+  obs::Counter& c_resumed = m.counter("harness.jobs_resumed");
+  obs::Counter& c_ckpt_restores = m.counter("harness.ckpt.restores");
+  obs::Counter& c_ckpt_fallbacks = m.counter("harness.ckpt.fallbacks");
+  obs::Histogram& h_attempt_ms = m.histogram("harness.attempt_ms");
 
   const auto t0 = Clock::now();
   const auto trace_now = [&] {
@@ -80,19 +95,21 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
   CampaignOutcome out;
   out.results.resize(grid.size());
 
-  // Resume pass: keep Succeeded jobs whose result file still parses;
+  // Resume pass: keep Succeeded jobs whose summary still parses;
   // everything else (including jobs that were Running when a previous
-  // campaign process died) starts over from Pending.
+  // campaign process died) starts over from Pending. The directory names
+  // are the caller's, never the manifest's.
   for (std::size_t i = 0; i < grid.size(); ++i) {
     JobEntry& j = manifest.jobs[i];
-    j.result_file = job_result_file(i);
+    j.index = i;
+    j.dir = grid[i].dir;
     if (j.state == JobState::Succeeded) {
       JobResult r;
-      if (load_job_result(cfg_.campaign_dir + "/" + j.result_file, r)) {
+      if (load_job_result(summary(i), r)) {
         r.value = j.value;
         out.results[i] = r;
-        if (c_resumed != nullptr) c_resumed->inc();
-        if (c_salvaged != nullptr) c_salvaged->inc();
+        c_resumed.inc();
+        c_salvaged.inc();
         continue;
       }
     }
@@ -111,6 +128,7 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
   }
 
   std::vector<Clock::time_point> ready(grid.size(), t0);  // earliest next spawn per job
+  std::vector<int> free_attempts(grid.size(), 0);         // planned kills: not retries
   std::vector<RunningChild> running;
 
   const auto runnable = [&](std::size_t i) {
@@ -128,79 +146,68 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
   };
 
   // Handle one finished attempt of `job` (waitpid status `st`); decides
-  // Succeeded / Failed-with-backoff / Exhausted and persists the manifest.
-  const auto settle = [&](std::size_t job, int st, bool timed_out, Clock::time_point started) {
+  // Succeeded / Failed-with-backoff / Exhausted / planned resume and
+  // persists the manifest.
+  const auto settle = [&](std::size_t job, int st, Kill kill, Clock::time_point started) {
+    using Code = obs::JobOutcomeCode;
     JobEntry& j = manifest.jobs[job];
     const int attempt = j.attempts;  // 1-based count of spawns so far
-    if (h_attempt_ms != nullptr) {
-      const auto ms =
-          std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - started).count();
-      h_attempt_ms->add(static_cast<std::uint64_t>(ms));
+    const auto id = static_cast<std::uint32_t>(job);
+    h_attempt_ms.add(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() - started).count()));
+    const auto failed = [&](std::string error, obs::Counter& c, Code code, int aux) {
+      j.last_error = std::move(error);
+      c.inc();
+      if (cfg_.tracer != nullptr) cfg_.tracer->job_outcome(trace_now(), id, code, attempt, aux);
+    };
+    const bool exit0 = WIFEXITED(st) && WEXITSTATUS(st) == 0;
+
+    // A planned kill, or a marked first attempt that finished before the
+    // kill landed: one more attempt, at once, resumes from the snapshot.
+    if (planned_first(job) && (kill == Kill::Planned || exit0) && has_snapshot(job)) {
+      j.state = JobState::Pending;
+      free_attempts[job] = 1;
+      manifest.save(cfg_.campaign_dir);
+      return;
     }
 
-    // A clean exit 0 wins even if the watchdog fired in the race window
-    // between the last poll and the kill.
-    if (WIFEXITED(st) && WEXITSTATUS(st) == 0) {
-      JobResult r;
-      std::string perr;
-      if (load_job_result(cfg_.campaign_dir + "/" + j.result_file, r, &perr)) {
-        r.value = j.value;
-        out.results[job] = r;
-        j.state = JobState::Succeeded;
-        j.last_error.clear();
-        if (c_succeeded != nullptr) c_succeeded->inc();
-        if (c_salvaged != nullptr) c_salvaged->inc();
-        if (cfg_.tracer != nullptr) {
-          cfg_.tracer->job_outcome(trace_now(), static_cast<std::uint32_t>(job),
-                                   obs::JobOutcomeCode::Ok, attempt, 0);
-        }
-        manifest.save(cfg_.campaign_dir);
-        return;
-      }
-      j.last_error = "missing result";
-      if (c_exits != nullptr) c_exits->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_outcome(trace_now(), static_cast<std::uint32_t>(job),
-                                 obs::JobOutcomeCode::MissingResult, attempt, 0);
-      }
-    } else if (timed_out) {
-      j.last_error = "timeout";
-      if (c_timeouts != nullptr) c_timeouts->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_outcome(trace_now(), static_cast<std::uint32_t>(job),
-                                 obs::JobOutcomeCode::Timeout, attempt, SIGKILL);
-      }
+    JobResult r;
+    if (exit0 && planned_first(job)) {
+      // A marked job that finished without a snapshot has nothing to resume.
+      failed("no snapshot", c_exits, Code::MissingResult, 0);
+    } else if (exit0 && load_job_result(summary(job), r)) {
+      // A clean exit 0 wins even if the watchdog fired in the race window
+      // between the last poll and the kill.
+      r.value = j.value;
+      out.results[job] = r;
+      j.state = JobState::Succeeded;
+      j.last_error.clear();
+      c_succeeded.inc();
+      c_salvaged.inc();
+      if (cfg_.tracer != nullptr) cfg_.tracer->job_outcome(trace_now(), id, Code::Ok, attempt, 0);
+      manifest.save(cfg_.campaign_dir);
+      return;
+    } else if (exit0) {
+      failed("missing result", c_exits, Code::MissingResult, 0);
+    } else if (kill == Kill::Watchdog) {
+      failed("timeout", c_timeouts, Code::Timeout, SIGKILL);
     } else if (WIFSIGNALED(st)) {
-      j.last_error = "signal " + std::to_string(WTERMSIG(st));
-      if (c_crashes != nullptr) c_crashes->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_outcome(trace_now(), static_cast<std::uint32_t>(job),
-                                 obs::JobOutcomeCode::Signal, attempt, WTERMSIG(st));
-      }
+      failed("signal " + std::to_string(WTERMSIG(st)), c_crashes, Code::Signal, WTERMSIG(st));
     } else {
       const int code = WIFEXITED(st) ? WEXITSTATUS(st) : -1;
-      j.last_error = "exit " + std::to_string(code);
-      if (c_exits != nullptr) c_exits->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_outcome(trace_now(), static_cast<std::uint32_t>(job),
-                                 obs::JobOutcomeCode::Exit, attempt, code);
-      }
+      failed("exit " + std::to_string(code), c_exits, Code::Exit, code);
     }
 
-    if (j.attempts > cfg_.retries) {
+    if (j.attempts > cfg_.retries + free_attempts[job]) {
       j.state = JobState::Exhausted;
-      if (c_exhausted != nullptr) c_exhausted->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_exhausted(trace_now(), static_cast<std::uint32_t>(job), j.attempts);
-      }
+      c_exhausted.inc();
+      if (cfg_.tracer != nullptr) cfg_.tracer->job_exhausted(trace_now(), id, j.attempts);
     } else {
       j.state = JobState::Failed;
       const double backoff = retry_backoff_s(cfg_.backoff_base_s, j.attempts - 1, job);
       ready[job] = Clock::now() + dur_s(backoff);
-      if (c_retries != nullptr) c_retries->inc();
-      if (cfg_.tracer != nullptr) {
-        cfg_.tracer->job_retry(trace_now(), static_cast<std::uint32_t>(job), j.attempts, backoff);
-      }
+      c_retries.inc();
+      if (cfg_.tracer != nullptr) cfg_.tracer->job_retry(trace_now(), id, j.attempts, backoff);
     }
     manifest.save(cfg_.campaign_dir);
   };
@@ -221,30 +228,29 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
       j.state = JobState::Running;
       ++j.attempts;
 
-      // Checkpoint-aware retry: every attempt of a checkpointing job writes
-      // into the campaign's per-job directory; a retry resumes from the
-      // newest snapshot that still verifies (CRC + fingerprint), falling
-      // back through older ones — or a fresh start — when the newest is
-      // truncated or bit-flipped. The lineage column makes the decision
-      // auditable per attempt in sweep_manifest.json.
-      ExperimentConfig eff = grid[pick];
+      // Every attempt runs in the job's directory. Checkpoint-aware retry:
+      // a checkpointing job's snapshots land there too, and a retry resumes
+      // from the newest snapshot that still verifies (CRC + fingerprint),
+      // falling back through older ones — or a fresh start — when the
+      // newest is truncated or bit-flipped. The lineage column makes the
+      // decision auditable per attempt in sweep_manifest.json.
+      const std::string dir = job_dir(pick);
+      std::error_code ec;
+      std::filesystem::create_directories(dir, ec);
+      ExperimentConfig eff = grid[pick].cfg;
+      eff.checkpoint.dir = dir;
       if (eff.checkpoint.every > sim::Time::zero()) {
-        const std::string ckpt_dir =
-            cfg_.campaign_dir + "/ckpt_job_" + std::to_string(pick);
-        std::error_code ec;
-        std::filesystem::create_directories(ckpt_dir, ec);
-        eff.checkpoint.dir = ckpt_dir;
         std::string resumed_from = "fresh";
         // A retry within this campaign process (attempts > 1) or a job that
         // already ran in a resumed campaign (non-empty lineage) prefers the
         // newest snapshot it left behind.
         if (j.attempts > 1 || !j.lineage.empty()) {
           const std::uint64_t fp = ckpt::config_fingerprint(eff);
-          const std::string best = ckpt::newest_valid(ckpt_dir, fp, /*verbose=*/true);
+          const std::string best = ckpt::newest_valid(dir, fp, /*verbose=*/true);
           if (!best.empty()) {
             eff.checkpoint.restore_path = best;
             resumed_from = best.substr(best.find_last_of('/') + 1);
-            if (c_ckpt_restores != nullptr) c_ckpt_restores->inc();
+            c_ckpt_restores.inc();
             ckpt::Header h;
             if (cfg_.tracer != nullptr && ckpt::probe_file(best, fp, h)) {
               std::error_code fec;
@@ -252,16 +258,16 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
               cfg_.tracer->ckpt_restore(trace_now(), h.seq, fec ? 0 : sz,
                                         sim::Time::nanoseconds(h.t_ns).us());
             }
-          } else if (c_ckpt_fallbacks != nullptr) {
+          } else {
             // A prior attempt ran but left no usable snapshot: fresh start.
-            c_ckpt_fallbacks->inc();
+            c_ckpt_fallbacks.inc();
           }
         }
         j.lineage.push_back(resumed_from);
       }
 
       manifest.save(cfg_.campaign_dir);
-      if (c_spawns != nullptr) c_spawns->inc();
+      c_spawns.inc();
       if (cfg_.tracer != nullptr) {
         cfg_.tracer->job_spawn(trace_now(), static_cast<std::uint32_t>(pick), j.attempts);
       }
@@ -275,7 +281,7 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
         // the parent's state (manifest, tracer, stdio) is not ours to touch.
         int code = 125;
         try {
-          code = body(pick, eff, cfg_.campaign_dir + "/" + j.result_file, j.attempts - 1);
+          code = body(pick, eff, dir, j.attempts - 1);
         } catch (...) {
           code = 125;
         }
@@ -284,46 +290,46 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
       if (pid < 0) {
         // fork failed (EAGAIN/ENOMEM): count it as a failed attempt so the
         // campaign backs off instead of spinning.
-        settle(pick, 0x7f00 /* synthetic "exit 127" */, false, Clock::now());
+        settle(pick, 0x7f00 /* synthetic "exit 127" */, Kill::None, Clock::now());
         continue;
       }
-      RunningChild rc;
-      rc.pid = pid;
-      rc.job = pick;
-      rc.start = Clock::now();
-      rc.has_deadline = cfg_.job_timeout_s > 0;
-      if (rc.has_deadline) rc.deadline = rc.start + dur_s(cfg_.job_timeout_s);
-      running.push_back(rc);
+      const auto now = Clock::now();
+      running.push_back({pid, pick, now,
+                         cfg_.job_timeout_s > 0 ? now + dur_s(cfg_.job_timeout_s)
+                                                : Clock::time_point::max()});
     }
 
     if (running.empty()) {
       if (!unsettled()) break;           // campaign quiescent: all terminal
-      std::this_thread::sleep_for(dur_s(cfg_.poll_interval_s));  // backoff wait
+      std::this_thread::sleep_for(kPoll);  // backoff wait
       continue;
     }
 
     // Reap phase: non-blocking wait on every child; SIGKILL watchdog
-    // overruns and reap them synchronously.
+    // overruns and planned kills whose snapshot is on disk (published by
+    // an atomic rename, so complete), and reap them synchronously.
     bool reaped = false;
     for (auto it = running.begin(); it != running.end();) {
       int st = 0;
       const pid_t r = ::waitpid(it->pid, &st, WNOHANG);
-      bool timed_out = false;
+      Kill kill = Kill::None;
       if (r == 0) {
-        if (it->has_deadline && Clock::now() > it->deadline) {
-          ::kill(it->pid, SIGKILL);
-          ::waitpid(it->pid, &st, 0);
-          timed_out = true;
+        if (Clock::now() > it->deadline) {
+          kill = Kill::Watchdog;
+        } else if (planned_first(it->job) && has_snapshot(it->job)) {
+          kill = Kill::Planned;
         } else {
           ++it;
           continue;
         }
+        ::kill(it->pid, SIGKILL);
+        ::waitpid(it->pid, &st, 0);
       }
-      settle(it->job, st, timed_out, it->start);
+      settle(it->job, st, kill, it->start);
       it = running.erase(it);
       reaped = true;
     }
-    if (!reaped) std::this_thread::sleep_for(dur_s(cfg_.poll_interval_s));
+    if (!reaped) std::this_thread::sleep_for(kPoll);
   }
 
   out.jobs = manifest.jobs;
@@ -333,12 +339,15 @@ CampaignOutcome Orchestrator::run(const std::vector<ExperimentConfig>& grid,
   return out;
 }
 
-std::string job_result_file(std::size_t index) { return "job_" + std::to_string(index) + ".json"; }
-
-int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path) {
+int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& job_dir) {
   try {
     const ExperimentResults res = run_experiment(cfg);
-    if (!export_summary_json(cfg, res, result_path)) return 5;
+    for (const std::string& flag : res.unwritten) {
+      std::fprintf(stderr, "job %zu: could not write %s\n", index, flag.c_str());
+    }
+    if (!export_summary_json(cfg, res, job_dir + "/summary.json") || !res.unwritten.empty()) {
+      return 5;
+    }
     return res.invariant_violations.empty() ? 0 : 3;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "job %zu: %s\n", index, e.what());

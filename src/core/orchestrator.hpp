@@ -17,30 +17,30 @@ class TimelineTracer;
 
 namespace xmp::core {
 
-/// Knobs of one resilient sweep campaign.
+/// Knobs of one resilient campaign.
 struct OrchestratorConfig {
-  std::string campaign_dir;     ///< manifest + per-job result files live here
+  std::string campaign_dir;     ///< the manifest and every job's directory live here
   unsigned workers = 0;         ///< concurrent child processes; 0 = hardware cores
   double job_timeout_s = 0.0;   ///< wall-clock watchdog per attempt; 0 = none
   int retries = 2;              ///< extra attempts after a failed first run
   double backoff_base_s = 0.5;  ///< exponential backoff base (see retry_backoff_s)
-  bool strict = false;          ///< caller policy: incomplete campaign = failure
+
+  /// Planned kills (DESIGN.md §10): each listed job's first attempt is
+  /// SIGKILLed once its directory holds a valid snapshot, and one more
+  /// attempt, which costs no retry, resumes from the newest one.
+  std::vector<std::size_t> kill_at_snapshot;
 
   /// Optional harness observability. Counters land under "harness.*"; the
   /// tracer gets job-lifecycle events (cat::kHarness) stamped with
   /// wall-clock time since the campaign started.
   obs::MetricsRegistry* metrics = nullptr;
   obs::TimelineTracer* tracer = nullptr;
-
-  /// Granularity of the reap/watchdog loop. Only tests tune this.
-  double poll_interval_s = 0.002;
 };
 
-/// The numbers salvaged from one job's result file (job_<i>.json, the
-/// run's own summary.json as export_summary_json writes it), written by the
-/// child and parsed back by the parent. The aggregate sweep table is built
-/// *only* from these files — never from in-memory state — so a resumed
-/// campaign aggregates byte-identically to an uninterrupted one.
+/// The numbers salvaged from one job's summary.json (export_summary_json's),
+/// written by the child and parsed back by the parent. The aggregate sweep
+/// table is built *only* from these files — never from in-memory state — so
+/// a resumed campaign aggregates byte-identically to an uninterrupted one.
 struct JobResult {
   SweepValue value;  ///< swept parameter value (filled from the manifest)
   double goodput_mbps = 0.0;
@@ -76,15 +76,23 @@ struct CampaignOutcome {
   [[nodiscard]] bool complete() const { return incomplete.empty(); }
 };
 
-/// Crash-isolated sweep campaign driver: every `xmpsim sweep` runs through
-/// it (in --out=DIR, or in a temporary directory).
+/// One campaign job: its config and its directory, relative to the
+/// campaign's. The caller names it, also on resume (never the manifest).
+struct CampaignJob {
+  ExperimentConfig cfg;
+  std::string dir;
+};
+
+/// Crash-isolated campaign driver, and the only code that forks: every
+/// `xmpsim sweep` and every `xmpsim verify` leg runs through it.
 ///
-/// Each grid point runs in a forked child process: a segfault, OOM kill,
-/// std::terminate or runaway loop in one job can never take down the
-/// campaign or its siblings. The parent is a single-threaded reap loop —
-/// spawn up to `workers` children, waitpid(WNOHANG) each, SIGKILL any that
-/// outlive the watchdog, and respawn failures after a deterministic
-/// exponential backoff — which sidesteps every fork-vs-threads hazard.
+/// Each job runs in a forked child process in its own directory: a
+/// segfault, OOM kill, std::terminate or runaway loop in one job can never
+/// take down the campaign or its siblings. The parent is a single-threaded
+/// reap loop — spawn up to `workers` children, reap each without blocking,
+/// SIGKILL any that outlive the watchdog or reach a planned kill, and
+/// respawn failures after a deterministic exponential backoff — which
+/// sidesteps every fork-vs-threads hazard.
 ///
 /// The manifest is rewritten atomically after every state transition, so
 /// SIGKILLing the *campaign* at any instant leaves a resumable directory.
@@ -94,16 +102,16 @@ class Orchestrator {
   /// becomes the child's exit status. The default body is run_sweep_job().
   /// Tests substitute hostile bodies (hang, abort, exit non-zero).
   using ChildFn = std::function<int(std::size_t index, const ExperimentConfig& cfg,
-                                    const std::string& result_path, int attempt)>;
+                                    const std::string& job_dir, int attempt)>;
 
   explicit Orchestrator(OrchestratorConfig cfg);
 
   /// Run the campaign to quiescence: every job ends Succeeded or Exhausted.
-  /// `manifest.jobs` must have one entry per grid config (index and value
-  /// filled in). Entries already Succeeded with a parseable result file are
+  /// `manifest.jobs` must have one entry per job, its value filled in.
+  /// Entries already Succeeded whose summary.json still parses are
   /// skipped — that is what makes --resume cheap; all other states are
   /// reset to Pending and re-run.
-  CampaignOutcome run(const std::vector<ExperimentConfig>& grid, JobManifest& manifest,
+  CampaignOutcome run(const std::vector<CampaignJob>& grid, JobManifest& manifest,
                       const ChildFn& child = {});
 
  private:
@@ -111,13 +119,10 @@ class Orchestrator {
 };
 
 /// Default child body: run_experiment(cfg), then export_summary_json to
-/// `result_path` (atomically). Returns 0, or 3 when invariant checking
-/// found violations, 4 on an exception, 5 when the result file cannot be
-/// written.
-int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& result_path);
-
-/// Result-file name for grid point `index`: "job_<index>.json".
-[[nodiscard]] std::string job_result_file(std::size_t index);
+/// `job_dir`/summary.json (atomically). Returns 0, or 3 when invariant
+/// checking found violations, 4 on an exception, 5 when the summary or one
+/// of the run's trace, metrics or FCT files cannot be written.
+int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::string& job_dir);
 
 /// Parse a result file written by run_sweep_job. `value` is left at 0 (the
 /// manifest owns it). Returns false and sets *error on a missing or

@@ -701,18 +701,24 @@ void World::collect(sim::Time end_time, std::uint64_t events) {
   }
 }
 
-void World::export_obs() const {
+void World::export_obs() {
+  const ObsConfig& o = cfg.obs;
+  const auto note = [this](const char* flag, const std::string& path, bool written) {
+    if (!written) res.unwritten.push_back(std::string{"--"} + flag + "=" + path);
+  };
   if (tracer) {
     // One export path for both engines: the control stream first (it wins
     // equal-timestamp ties), then the shard streams in shard order.
     std::vector<const obs::TimelineTracer*> streams{tracer.get()};
     for (const auto& t : shard_tracers) streams.push_back(t.get());
-    const auto merged = obs::TimelineTracer::merged(streams);
-    if (!cfg.obs.trace_json.empty()) merged->export_chrome_json(cfg.obs.trace_json);
-    if (!cfg.obs.trace_csv.empty()) merged->export_csv(cfg.obs.trace_csv);
+    const auto all = obs::TimelineTracer::merged(streams);
+    if (!o.trace_json.empty()) note("trace", o.trace_json, all->export_chrome_json(o.trace_json));
+    if (!o.trace_csv.empty()) note("trace-csv", o.trace_csv, all->export_csv(o.trace_csv));
   }
-  if (registry && !cfg.obs.metrics_json.empty()) registry->dump_to_file(cfg.obs.metrics_json);
-  if (!cfg.obs.fct_csv.empty()) export_fct_csv(res, cfg.obs.fct_csv);
+  if (registry && !o.metrics_json.empty()) {
+    note("metrics", o.metrics_json, registry->dump_to_file(o.metrics_json));
+  }
+  if (!o.fct_csv.empty()) note("fct-csv", o.fct_csv, export_fct_csv(res, o.fct_csv));
 }
 
 }  // namespace xmp::core

@@ -89,8 +89,8 @@ class World {
   /// Fill `res`; the run ended at `end_time` after `events` dispatches.
   void collect(sim::Time end_time, std::uint64_t events);
   /// The trace, metrics and FCT exports (after collect(): they must not
-  /// observe the run).
-  void export_obs() const;
+  /// observe the run). Each one that fails lands in res.unwritten.
+  void export_obs();
 
   const ExperimentConfig& cfg;
   sim::Scheduler& sched;          ///< the control strand (serial: the only one)

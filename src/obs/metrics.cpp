@@ -186,11 +186,12 @@ void MetricsRegistry::checkpoint(core::ckpt::Io& io) {
   for (const HistogramRow& r : histograms) histogram(r.name).restore(r.buckets, r.count, r.sum, r.max);
 }
 
-void MetricsRegistry::dump_to_file(const std::string& path) const {
+bool MetricsRegistry::dump_to_file(const std::string& path) const {
   trace::JsonWriter json{path};
   json.begin_object();
   dump(json);
   json.end_object();
+  return json.close();
 }
 
 SimMetrics::SimMetrics(MetricsRegistry& reg)

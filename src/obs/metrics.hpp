@@ -103,8 +103,9 @@ class MetricsRegistry {
   /// Serialize every instrument, grouped by kind, names sorted — the
   /// stable order makes metric dumps diffable across runs.
   void dump(trace::JsonWriter& json) const;
-  /// dump() to a fresh JSON file (one top-level object).
-  void dump_to_file(const std::string& path) const;
+  /// dump() to a fresh JSON file (one top-level object); returns whether
+  /// the file was published.
+  bool dump_to_file(const std::string& path) const;
 
   /// Checkpoint every instrument by (sorted) name. Names starting with
   /// "harness.ckpt." are excluded: those meter the checkpoint machinery

@@ -153,7 +153,7 @@ bool TimelineTracer::parse_filter(const std::string& filter, std::uint32_t& mask
   return true;
 }
 
-void TimelineTracer::export_csv(const std::string& path) const {
+bool TimelineTracer::export_csv(const std::string& path) const {
   trace::CsvWriter csv{path};
   csv.header({"t_ns", "kind", "id", "subflow", "aux", "a", "b"});
   for_each([&](const TimelineEvent& e) {
@@ -166,6 +166,7 @@ void TimelineTracer::export_csv(const std::string& path) const {
         .field(e.b);
     csv.end_row();
   });
+  return csv.close();
 }
 
 namespace {
@@ -187,7 +188,7 @@ void event_common(trace::JsonWriter& json, const char* name, const char* ph, std
 
 }  // namespace
 
-void TimelineTracer::export_chrome_json(const std::string& path) const {
+bool TimelineTracer::export_chrome_json(const std::string& path) const {
   // Pass 1: discover the tracks so every process/thread can be named.
   std::map<std::uint32_t, std::set<std::uint8_t>> flow_subflows;
   std::set<std::uint32_t> links;
@@ -531,6 +532,7 @@ void TimelineTracer::export_chrome_json(const std::string& path) const {
 
   json.end_array();
   json.end_object();
+  return json.close();
 }
 
 std::unique_ptr<TimelineTracer> TimelineTracer::merged(

@@ -267,13 +267,14 @@ class TimelineTracer {
   }
 
   // --- export ---
-  /// Flat CSV: t_ns,kind,id,subflow,aux,a,b — one row per event.
-  void export_csv(const std::string& path) const;
+  /// Flat CSV: t_ns,kind,id,subflow,aux,a,b — one row per event. Both
+  /// exports return whether the file was published.
+  bool export_csv(const std::string& path) const;
   /// Chrome trace-event JSON (the Perfetto-compatible legacy format):
   /// counter tracks for cwnd/srtt/gain (per flow process, one series per
   /// subflow), qlen (per link process) and the scheduler; instant events
   /// for marks, drops, faults, deaths and flow lifecycle.
-  void export_chrome_json(const std::string& path) const;
+  bool export_chrome_json(const std::string& path) const;
 
   /// Deterministically merge several tracers' retained events into one
   /// tracer (for export). Each input stream is time-ordered on its own;

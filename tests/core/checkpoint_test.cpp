@@ -588,6 +588,21 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
   EXPECT_EQ(ckpt::newest_valid(dir, fp), "");
 }
 
+// A snapshot name whose seq no uint64 holds is skipped, never thrown on:
+// the good snapshot next to it still wins.
+TEST(Checkpoint, NewestValidSkipsASeqThatDoesNotFit) {
+  const std::string dir = fresh_dir("bigseq");
+  auto cfg = small_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = dir;
+  const auto full = run_experiment(cfg);
+  ASSERT_GE(full.ckpt.written, 1u);
+  const std::string good = dir + "/" + ckpt::file_name(full.ckpt.written);
+  std::filesystem::copy_file(good, dir + "/ckpt_99999999999999999999999.bin");
+  std::filesystem::copy_file(good, dir + "/ckpt_18446744073709551616.bin");  // 2^64
+  EXPECT_EQ(ckpt::newest_valid(dir, ckpt::config_fingerprint(cfg)), good);
+}
+
 TEST(Checkpoint, CadenceSameInBothEngines) {
   // A horizon that is a multiple of the cadence: both engines write at 1,
   // 2 and 3 ms, and neither at the horizon itself (boundaries lie strictly

@@ -1,9 +1,6 @@
 #include "core/job_manifest.hpp"
 
 #include <gtest/gtest.h>
-
-#include "core/orchestrator.hpp"
-
 #include <unistd.h>
 
 #include <cmath>
@@ -36,7 +33,7 @@ JobManifest sample_manifest() {
     j.value = SweepValue::of_int(5 * static_cast<std::int64_t>(i + 1));
     j.state = i == 0 ? JobState::Succeeded : JobState::Failed;
     j.attempts = static_cast<int>(i + 1);
-    j.result_file = job_result_file(i);
+    j.dir = "job_" + std::to_string(i);
     j.last_error = i == 0 ? "" : "signal 11";
     m.jobs.push_back(j);
   }
@@ -59,7 +56,7 @@ TEST(JobManifest, RoundTripsThroughDisk) {
     EXPECT_EQ(out.jobs[i].value, in.jobs[i].value);
     EXPECT_EQ(out.jobs[i].state, in.jobs[i].state);
     EXPECT_EQ(out.jobs[i].attempts, in.jobs[i].attempts);
-    EXPECT_EQ(out.jobs[i].result_file, in.jobs[i].result_file);
+    EXPECT_EQ(out.jobs[i].dir, in.jobs[i].dir);
     EXPECT_EQ(out.jobs[i].last_error, in.jobs[i].last_error);
   }
 }

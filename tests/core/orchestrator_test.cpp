@@ -29,12 +29,17 @@ struct TempDir {
   std::string path;
 };
 
+/// `n` jobs of config `cfg` in job_<i>/, as a sweep names them.
+std::vector<CampaignJob> grid_of(std::size_t n, const ExperimentConfig& cfg) {
+  std::vector<CampaignJob> grid;
+  for (std::size_t i = 0; i < n; ++i) grid.push_back({cfg, "job_" + std::to_string(i)});
+  return grid;
+}
+
 /// The orchestrator never looks inside the configs — the injected child
 /// body does all the work — so empty configs keep these tests fast and
 /// independent of simulator timing.
-std::vector<ExperimentConfig> dummy_grid(std::size_t n) {
-  return std::vector<ExperimentConfig>(n);
-}
+std::vector<CampaignJob> dummy_grid(std::size_t n) { return grid_of(n, ExperimentConfig{}); }
 
 JobManifest fresh_manifest(std::size_t n) {
   JobManifest m;
@@ -50,8 +55,8 @@ JobManifest fresh_manifest(std::size_t n) {
 
 /// Child body that writes a well-formed result file and exits 0: a run's
 /// summary.json, cut down to the keys load_job_result reads.
-int write_result_and_succeed(std::size_t index, const std::string& result_path) {
-  trace::JsonWriter json{result_path};
+int write_result_and_succeed(std::size_t index, const std::string& job_dir) {
+  trace::JsonWriter json{job_dir + "/summary.json"};
   json.begin_object();
   json.key("summary");
   json.begin_object();
@@ -91,7 +96,6 @@ OrchestratorConfig fast_cfg(const std::string& dir) {
   cfg.workers = 2;
   cfg.retries = 2;
   cfg.backoff_base_s = 0.01;  // keep retry waits test-sized
-  cfg.poll_interval_s = 0.001;
   return cfg;
 }
 
@@ -289,7 +293,7 @@ TEST(Orchestrator, ResumeRerunsAJobWhoseResultIsNotARunSummary) {
         });
     ASSERT_TRUE(outcome.complete());
   }
-  write_old_job_file(dir.path + "/" + job_result_file(0));
+  write_old_job_file(dir.path + "/job_0/summary.json");
 
   JobManifest manifest;
   ASSERT_TRUE(JobManifest::load(dir.path, manifest));
@@ -308,6 +312,46 @@ TEST(Orchestrator, ResumeRerunsAJobWhoseResultIsNotARunSummary) {
   EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
   EXPECT_EQ(outcome.results[0]->events, 1000u);
   EXPECT_EQ(outcome.results[0]->completed_flows, 3u);
+}
+
+// The manifest on disk names each job's directory, but only for the
+// reader: a resume resolves every job in the directory its caller names.
+// Here the stored name points at a valid summary that is not job 0's, and
+// job 0's own summary is gone, so job 0 runs again.
+TEST(Orchestrator, ResumeUsesTheCallersJobDirectories) {
+  const TempDir dir{"names"};
+  {
+    Orchestrator orch{fast_cfg(dir.path)};
+    auto manifest = fresh_manifest(2);
+    ASSERT_TRUE(orch.run(dummy_grid(2), manifest,
+                         [](std::size_t i, const ExperimentConfig&, const std::string& d, int) {
+                           return write_result_and_succeed(i, d);
+                         })
+                    .complete());
+  }
+  std::filesystem::create_directories(dir.path + "/elsewhere");
+  write_result_and_succeed(55, dir.path + "/elsewhere");
+  std::filesystem::remove(dir.path + "/job_0/summary.json");
+  JobManifest manifest;
+  ASSERT_TRUE(JobManifest::load(dir.path, manifest));
+  EXPECT_EQ(manifest.jobs[0].dir, "job_0");
+  manifest.jobs[0].dir = "elsewhere";
+  ASSERT_TRUE(manifest.save(dir.path));
+  ASSERT_TRUE(JobManifest::load(dir.path, manifest));
+
+  obs::MetricsRegistry metrics;
+  auto cfg = fast_cfg(dir.path);
+  cfg.metrics = &metrics;
+  const auto outcome = Orchestrator{cfg}.run(
+      dummy_grid(2), manifest,
+      [&dir](std::size_t i, const ExperimentConfig&, const std::string& d, int) {
+        if (i != 0 || d != dir.path + "/job_0") return 77;
+        return write_result_and_succeed(i, d);
+      });
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
+  EXPECT_EQ(outcome.jobs[0].dir, "job_0");
+  EXPECT_DOUBLE_EQ(outcome.results[0]->goodput_mbps, 100.0);
 }
 
 TEST(Orchestrator, ManifestGridSizeMismatchThrows) {
@@ -357,8 +401,8 @@ TEST(LoadJobResult, ReadsTheSummaryRunSweepJobWrites) {
   cfg.duration = sim::Time::seconds(0.02);
   cfg.seed = 3;
 
-  const std::string path = dir.path + "/" + job_result_file(0);
-  ASSERT_EQ(run_sweep_job(0, cfg, path), 0);
+  const std::string path = dir.path + "/summary.json";
+  ASSERT_EQ(run_sweep_job(0, cfg, dir.path), 0);
   JobResult r;
   ASSERT_TRUE(load_job_result(path, r, &err)) << err;
 
@@ -387,6 +431,102 @@ TEST(LoadJobResult, ReadsTheSummaryRunSweepJobWrites) {
   }
   // The size CDF stops at 1 MB: the >10M bin is empty.
   EXPECT_TRUE(saw_empty_bin);
+}
+
+// --- planned kills and the checkpoint-aware retry, on real runs ----------
+
+/// A tiny checkpointed k=4 permutation: snapshots every 2 ms of 60 ms.
+ExperimentConfig checkpointed_perm() {
+  ExperimentConfig cfg;
+  cfg.fat_tree_k = 4;
+  cfg.pattern = Pattern::Permutation;
+  cfg.permutation_rounds = 1;
+  cfg.duration = sim::Time::seconds(0.06);
+  cfg.seed = 11;
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  return cfg;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+// Job 0 is marked: its first attempt is SIGKILLed at its first snapshot
+// (or finishes first), and one more attempt resumes from the newest valid
+// snapshot through the checkpoint-aware retry, at no cost to the retry
+// budget. Its summary is byte for byte that of job 1, the same config run
+// once without a kill.
+TEST(Orchestrator, PlannedKillResumesFromTheNewestSnapshot) {
+  const TempDir dir{"planned"};
+  obs::MetricsRegistry metrics;
+  auto cfg = fast_cfg(dir.path);
+  cfg.retries = 0;
+  cfg.kill_at_snapshot = {0};
+  cfg.metrics = &metrics;
+  auto manifest = fresh_manifest(2);
+  const auto outcome = Orchestrator{cfg}.run(grid_of(2, checkpointed_perm()), manifest);
+
+  ASSERT_TRUE(outcome.complete());
+  const JobEntry& killed = outcome.jobs[0];
+  EXPECT_EQ(killed.state, JobState::Succeeded);
+  EXPECT_EQ(killed.attempts, 2);
+  ASSERT_EQ(killed.lineage.size(), 2u);
+  EXPECT_EQ(killed.lineage[0], "fresh");
+  EXPECT_EQ(killed.lineage[1].rfind("ckpt_", 0), 0u) << killed.lineage[1];
+  EXPECT_EQ(outcome.jobs[1].attempts, 1);
+  EXPECT_EQ(outcome.jobs[1].lineage, std::vector<std::string>{"fresh"});
+  EXPECT_EQ(metrics.counter("harness.ckpt.restores").get(), 1u);
+  EXPECT_EQ(metrics.counter("harness.retries").get(), 0u);
+  EXPECT_EQ(metrics.counter("harness.crashes").get(), 0u);
+  EXPECT_EQ(metrics.counter("harness.exits_nonzero").get(), 0u);
+
+  const std::string a = slurp(dir.path + "/job_0/summary.json");
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(a, slurp(dir.path + "/job_1/summary.json"));
+}
+
+// A marked job whose first attempt writes no snapshot has nothing to
+// resume from: it fails on that attempt, with no second one.
+TEST(Orchestrator, PlannedKillWithoutASnapshotFails) {
+  const TempDir dir{"nosnap"};
+  obs::MetricsRegistry metrics;
+  auto cfg = fast_cfg(dir.path);
+  cfg.retries = 0;
+  cfg.kill_at_snapshot = {0};
+  cfg.metrics = &metrics;
+  ExperimentConfig run = checkpointed_perm();
+  run.duration = sim::Time::seconds(0.005);
+  run.checkpoint.every = sim::Time::seconds(1.0);  // no boundary before the horizon
+  auto manifest = fresh_manifest(1);
+  const auto outcome = Orchestrator{cfg}.run(grid_of(1, run), manifest);
+
+  EXPECT_FALSE(outcome.complete());
+  EXPECT_EQ(outcome.jobs[0].state, JobState::Exhausted);
+  EXPECT_EQ(outcome.jobs[0].attempts, 1);
+  EXPECT_EQ(outcome.jobs[0].last_error, "no snapshot");
+  EXPECT_EQ(outcome.jobs[0].lineage, std::vector<std::string>{"fresh"});
+  EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
+  EXPECT_EQ(metrics.counter("harness.ckpt.restores").get(), 0u);
+}
+
+TEST(Orchestrator, NoRetriesRunsAFailingJobOnce) {
+  const TempDir dir{"once"};
+  obs::MetricsRegistry metrics;
+  auto cfg = fast_cfg(dir.path);
+  cfg.retries = 0;
+  cfg.metrics = &metrics;
+  auto manifest = fresh_manifest(1);
+  const auto outcome =
+      Orchestrator{cfg}.run(dummy_grid(1), manifest,
+                            [](std::size_t, const ExperimentConfig&, const std::string&, int) {
+                              return 1;
+                            });
+  EXPECT_EQ(outcome.jobs[0].state, JobState::Exhausted);
+  EXPECT_EQ(outcome.jobs[0].attempts, 1);
+  EXPECT_EQ(outcome.jobs[0].last_error, "exit 1");
+  EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
+  EXPECT_EQ(metrics.counter("harness.retries").get(), 0u);
 }
 
 }  // namespace
