@@ -803,7 +803,9 @@ int cmd_verify(const Args& args) {
   manifest.param = "leg";
   std::vector<core::CampaignJob> jobs;
   // No retries: a flaky leg is a failure, never masked by a retry.
-  core::OrchestratorConfig ocfg{.campaign_dir = root, .retries = 0};
+  core::OrchestratorConfig ocfg;
+  ocfg.campaign_dir = root;
+  ocfg.retries = 0;
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const VerifyLeg& leg = legs[i];
     std::error_code ec;
@@ -815,6 +817,13 @@ int cmd_verify(const Args& args) {
     for (const auto& f : leg.flags) shown += " " + f;
     std::printf("verify: leg %-11s%s%s\n", leg.name.c_str(), shown.c_str(),
                 leg.kill ? " + SIGKILL mid-run + --restore" : "");
+  }
+  // The checkpointed legs take several times as long as a plain one (they
+  // write a traced snapshot every few milliseconds; a kill leg then
+  // resumes), so they start first, instead of trailing the campaign: last
+  // leg first, i.e. sharded before serial and kill before checkpoint.
+  for (std::size_t i = legs.size(); i-- > 0;) {
+    if (legs[i].ckpt) ocfg.spawn_first.push_back(i);
   }
   // Each leg runs `xmpsim run` inside its directory, stdout to out.txt and
   // stderr to err.txt: relative output paths keep the stdout summaries

@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -47,6 +49,64 @@ void BM_SchedulerTimerChurn(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 10000);
 }
 BENCHMARK(BM_SchedulerTimerChurn);
+
+/// A shard's event queue as perm_k8 drives it, in the classic "hold" model:
+/// every dispatched event schedules one successor, so the pending count
+/// stays at the argument. The delay mix is that of a recorded perm_k8 op
+/// stream: 54% of schedules land 8-16 us ahead (serialization plus
+/// propagation), 18% 256-512 ns ahead, 5.5% at zero delay, and the other
+/// 22.5% spread log-uniformly over 0.5-8 us. One event in 29 (3.4%) also
+/// cancels a ~1 ms retransmission timer and re-arms it; an eighth of the
+/// pending events are such timers. Reports the cost of one event.
+class HoldModel {
+ public:
+  explicit HoldModel(int pending) {
+    sim::Rng rng{160};
+    for (std::int64_t& d : delays_) {
+      const double u = rng.uniform01();
+      if (u < 0.54) {
+        d = rng.uniform_int(8'000, 16'000);
+      } else if (u < 0.72) {
+        d = rng.uniform_int(256, 512);
+      } else if (u < 0.775) {
+        d = 0;
+      } else {
+        d = static_cast<std::int64_t>(512.0 * std::pow(8'000.0 / 512.0, rng.uniform01()));
+      }
+    }
+    timers_.resize(static_cast<std::size_t>(pending / 8));
+    for (std::size_t i = 0; i < timers_.size(); ++i) rearm(i);
+    for (int i = static_cast<int>(timers_.size()); i < pending; ++i) hold();
+  }
+
+  sim::Scheduler sched;
+
+ private:
+  static constexpr std::size_t kOps = 4096;
+
+  void hold() {
+    const std::int64_t d = delays_[op_ % kOps];
+    sched.schedule_in(sim::Time::nanoseconds(d), [this] { hold(); });
+    if (++op_ % 29 == 0 && !timers_.empty()) rearm(next_timer_++ % timers_.size());
+  }
+  void rearm(std::size_t i) {
+    sched.cancel(timers_[i]);
+    const auto rto = sim::Time::nanoseconds(1'000'000 + static_cast<std::int64_t>(i % 64) * 977);
+    timers_[i] = sched.schedule_in(rto, [this, i] { rearm(i); });
+  }
+
+  std::array<std::int64_t, kOps> delays_{};
+  std::vector<sim::EventId> timers_;
+  std::size_t op_ = 0;
+  std::size_t next_timer_ = 0;
+};
+
+void BM_SchedulerHold(benchmark::State& state) {
+  HoldModel m{static_cast<int>(state.range(0))};
+  for (auto _ : state) m.sched.step_one();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SchedulerHold)->Arg(160);
 
 void BM_EcnQueueEnqueueDequeue(benchmark::State& state) {
   net::EcnThresholdQueue q{100, 10};

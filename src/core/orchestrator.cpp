@@ -213,14 +213,18 @@ CampaignOutcome Orchestrator::run(const std::vector<CampaignJob>& grid, JobManif
   };
 
   for (;;) {
-    // Spawn phase: fill free worker slots with the lowest-index ready job.
+    // Spawn phase: fill free worker slots with the first ready job of
+    // spawn_first, else the lowest-index ready job.
     while (running.size() < cfg_.workers) {
       std::size_t pick = grid.size();
-      for (std::size_t i = 0; i < grid.size(); ++i) {
-        if (runnable(i)) {
+      for (std::size_t i : cfg_.spawn_first) {
+        if (i < grid.size() && runnable(i)) {
           pick = i;
           break;
         }
+      }
+      for (std::size_t i = 0; i < grid.size() && pick == grid.size(); ++i) {
+        if (runnable(i)) pick = i;
       }
       if (pick == grid.size()) break;
 

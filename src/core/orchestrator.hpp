@@ -30,6 +30,11 @@ struct OrchestratorConfig {
   /// attempt, which costs no retry, resumes from the newest one.
   std::vector<std::size_t> kill_at_snapshot;
 
+  /// Jobs to spawn ahead of every other ready job, in the listed order; the
+  /// rest follow by index. Listing the longest jobs first keeps them off
+  /// the campaign's tail.
+  std::vector<std::size_t> spawn_first;
+
   /// Optional harness observability. Counters land under "harness.*"; the
   /// tracer gets job-lifecycle events (cat::kHarness) stamped with
   /// wall-clock time since the campaign started.

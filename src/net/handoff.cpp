@@ -10,7 +10,11 @@ namespace xmp::net {
 
 ShardFabric::ShardFabric(int n_shards) : n_{n_shards} {
   scheds_.reserve(static_cast<std::size_t>(n_));
-  for (int i = 0; i < n_; ++i) scheds_.push_back(std::make_unique<sim::Scheduler>());
+  pools_.reserve(static_cast<std::size_t>(n_));
+  for (int i = 0; i < n_; ++i) {
+    scheds_.push_back(std::make_unique<sim::Scheduler>());
+    pools_.push_back(std::make_unique<FifoPool>());
+  }
   channels_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
   for (HandoffChannel& ch : channels_) ch.write_ = &write_;
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/fifo.hpp"
 #include "net/packet.hpp"
 #include "net/types.hpp"
 #include "sim/scheduler.hpp"
@@ -47,9 +48,9 @@ class HandoffChannel {
   std::int64_t min_delay_ns_ = std::numeric_limits<std::int64_t>::max();
 };
 
-/// The sharded substrate of one experiment: a private Scheduler per logical
-/// shard, the (src, dst) handoff-channel matrix, and the lookahead bound
-/// derived from the slowest-coupling pair of shards.
+/// The sharded substrate of one experiment: a private Scheduler and FIFO
+/// pool per logical shard, the (src, dst) handoff-channel matrix, and the
+/// lookahead bound derived from the slowest-coupling pair of shards.
 ///
 /// Logical shards are a property of the *topology* (one per Fat-Tree pod /
 /// leaf), never of the worker-thread count, so results cannot depend on how
@@ -63,6 +64,10 @@ class ShardFabric {
 
   [[nodiscard]] int n_shards() const { return n_; }
   [[nodiscard]] sim::Scheduler& sched(int shard) { return *scheds_.at(static_cast<std::size_t>(shard)); }
+  /// Node storage of every packet FIFO the shard pushes and pops; touched
+  /// only by the thread running the shard (or with every shard quiesced).
+  /// It must outlive the links built on it.
+  [[nodiscard]] FifoPool& pool(int shard) { return *pools_.at(static_cast<std::size_t>(shard)); }
   [[nodiscard]] HandoffChannel& channel(int src, int dst) {
     return channels_.at(static_cast<std::size_t>(src * n_ + dst));
   }
@@ -112,6 +117,7 @@ class ShardFabric {
  private:
   int n_;
   std::vector<std::unique_ptr<sim::Scheduler>> scheds_;
+  std::vector<std::unique_ptr<FifoPool>> pools_;
   std::vector<HandoffChannel> channels_;  ///< n*n, row-major [src][dst]
   std::uint8_t write_ = 0;               ///< which buffer pushes go to
   std::int64_t min_cross_delay_ns_ = std::numeric_limits<std::int64_t>::max();

@@ -26,14 +26,17 @@ void note_impair(sim::Time t, LinkId link, obs::ImpairKind kind) {
 }  // namespace
 
 Link::Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time prop_delay,
-           std::unique_ptr<Queue> queue, PacketSink& sink)
+           std::unique_ptr<Queue> queue, PacketSink& sink, FifoPool* pool)
     : sched_{sched},
       id_{id},
       rate_bps_{rate_bps},
       effective_rate_bps_{rate_bps},
       prop_delay_{prop_delay},
       queue_{std::move(queue)},
-      sink_{sink} {
+      sink_{sink},
+      in_flight_{pool_or_own(pool, own_pool_)},
+      remote_in_flight_{pool_or_own(pool, own_pool_)},
+      remote_arrivals_{pool_or_own(pool, own_pool_)} {
   assert(rate_bps_ > 0);
   assert(queue_ != nullptr);
   queue_->set_owner(id_);  // label this queue's trace events with the link id
@@ -291,7 +294,7 @@ void Link::checkpoint(core::ckpt::Io& io) {
   // In-flight FIFOs: keys must be re-armable and deliveries in time order.
   // Entries from before the link last went down (older snapshots kept
   // them) were already counted as lost and are dropped.
-  auto fifo = [&](Ring<InFlight>& q, const sim::Scheduler* on) {
+  auto fifo = [&](Fifo<InFlight>& q, const sim::Scheduler* on) {
     std::uint64_t n = q.size();
     io.u64(n);
     if (n > 0 && on == nullptr) return io.fail();
@@ -342,12 +345,19 @@ void Link::checkpoint(core::ckpt::Io& io) {
 
   std::uint64_t n_remote = remote_in_flight_.size();
   io.u64(n_remote);
-  for (std::uint64_t i = 0; i < n_remote && io.ok(); ++i) {
-    if (io.loading()) remote_in_flight_.push_back(RemoteInFlight{});
-    RemoteInFlight& f = remote_in_flight_[i];
+  auto mirror = [&](RemoteInFlight& f) {
     io.i64(f.deliver_t_ns);
     io.u64(f.epoch);
     io.b(f.corrupt);
+  };
+  if (io.saving()) {
+    for (RemoteInFlight f : remote_in_flight_) mirror(f);
+  } else {
+    for (std::uint64_t i = 0; i < n_remote && io.ok(); ++i) {
+      RemoteInFlight f{};
+      mirror(f);
+      remote_in_flight_.push_back(std::move(f));
+    }
   }
 
   fifo(remote_arrivals_, remote_sched_);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "net/fifo.hpp"
 #include "net/packet.hpp"
 #include "net/queue.hpp"
 #include "sim/scheduler.hpp"
@@ -47,6 +48,10 @@ struct LinkDropCounters {
 /// completion's key has passed, in every engine and phase. Both reserve
 /// their scheduler sequence numbers when the transmission starts, so
 /// dispatch order is that of eagerly scheduled events (DESIGN.md §6).
+///
+/// Its FIFOs hold their entries on `pool`, the sending shard's FIFO pool
+/// (a private pool when null); a boundary link's arrivals move to the
+/// destination shard's pool in set_remote_handoff().
 class Link final {
  public:
   /// Verdict of a fault hook on one packet offered to the link. The action
@@ -92,7 +97,7 @@ class Link final {
   };
 
   Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time prop_delay,
-       std::unique_ptr<Queue> queue, PacketSink& sink);
+       std::unique_ptr<Queue> queue, PacketSink& sink, FifoPool* pool = nullptr);
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -173,11 +178,14 @@ class Link final {
   // --- sharded (conservative-sync) boundary mode ---
   /// Make this a shard-boundary link: transmitted packets go to `ch`
   /// instead of the local in-flight FIFO and are delivered on the
-  /// destination shard's scheduler `dst` after the barrier drain. Wired
-  /// once at topology construction (net::Network); never in serial runs.
-  void set_remote_handoff(HandoffChannel* ch, sim::Scheduler* dst) {
+  /// destination shard's scheduler `dst` after the barrier drain; they wait
+  /// for delivery on that shard's `dst_pool`. Wired once at topology
+  /// construction (net::Network), while the link is empty; never in serial
+  /// runs.
+  void set_remote_handoff(HandoffChannel* ch, sim::Scheduler* dst, FifoPool& dst_pool) {
     remote_ = ch;
     remote_sched_ = dst;
+    remote_arrivals_.set_pool(dst_pool);
   }
   [[nodiscard]] bool is_boundary() const { return remote_ != nullptr; }
 
@@ -230,18 +238,18 @@ class Link final {
   PacketSink& sink_;
   FaultHook* fault_hook_ = nullptr;
   std::vector<StateListener*> state_listeners_;
+  std::unique_ptr<FifoPool> own_pool_;  ///< only without a shard's pool
 
   /// Packets serialized onto the wire, awaiting delivery at the sink, each
   /// with the (time, sequence) key its delivery reserved. Propagation delay
   /// is constant, so deliveries are FIFO and only the head's event is armed
-  /// (head_ev_); set_down() empties the FIFO, so every entry is live. Like
-  /// every link FIFO, it allocates nothing until a packet uses it.
+  /// (head_ev_); set_down() empties the FIFO, so every entry is live.
   struct InFlight {
     Packet pkt;
     std::int64_t t_ns;
     std::uint64_t seq;
   };
-  Ring<InFlight> in_flight_;
+  Fifo<InFlight> in_flight_;
   sim::EventId head_ev_ = sim::kInvalidEventId;
 
   /// Completion key of the latest transmission; (0, 0) — always passed —
@@ -286,12 +294,13 @@ class Link final {
     std::uint64_t epoch;
     bool corrupt;  ///< attribution on set_down: corrupt, not admin_down
   };
-  Ring<RemoteInFlight> remote_in_flight_;
+  Fifo<RemoteInFlight> remote_in_flight_;
 
   /// dst-consumed FIFO of drained packets awaiting delivery, keyed like
   /// in_flight_; only the head's event is armed, on remote_sched_. Grows
-  /// in the destination's barrier drain, i.e. on its worker thread.
-  Ring<InFlight> remote_arrivals_;
+  /// in the destination's barrier drain, i.e. on its worker thread, which
+  /// is why it lives on the destination shard's pool.
+  Fifo<InFlight> remote_arrivals_;
   sim::EventId remote_head_ev_ = sim::kInvalidEventId;
 
   bool down_ = false;

@@ -22,15 +22,17 @@ Switch& Network::add_switch() {
 
 Link& Network::make_link(int src_shard, int dst_shard, PacketSink& to, std::int64_t rate_bps,
                          sim::Time prop_delay, const QueueConfig& qcfg) {
+  FifoPool& pool = pool_for(src_shard);
   auto l = std::make_unique<Link>(sched_for(src_shard), static_cast<LinkId>(links_.size()),
-                                  rate_bps, prop_delay, make_queue(qcfg), to);
+                                  rate_bps, prop_delay, make_queue(qcfg, &pool), to, &pool);
   Link& ref = *l;
   links_.push_back(std::move(l));
   link_shard_.push_back(src_shard);
   ingress_[&to].push_back(&ref);
   if (fabric_ != nullptr && src_shard != dst_shard) {
     fabric_->note_cross_link(src_shard, dst_shard, prop_delay, ref.id());
-    ref.set_remote_handoff(&fabric_->channel(src_shard, dst_shard), &fabric_->sched(dst_shard));
+    ref.set_remote_handoff(&fabric_->channel(src_shard, dst_shard), &fabric_->sched(dst_shard),
+                           fabric_->pool(dst_shard));
   }
   return ref;
 }

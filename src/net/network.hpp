@@ -22,6 +22,10 @@ namespace xmp::net {
 /// whose endpoints live in different shards becomes a boundary link wired
 /// through the fabric's handoff channels. Without a fabric all of this is
 /// inert and construction is byte-identical to the serial engine.
+///
+/// Every link FIFO and queue takes its nodes from the FIFO pool of the
+/// shard that pushes and pops it: the fabric's per-shard pools, or the
+/// network's own pool in a serial run.
 class Network {
  public:
   explicit Network(sim::Scheduler& sched) : sched_{sched} {}
@@ -94,8 +98,12 @@ class Network {
   [[nodiscard]] sim::Scheduler& sched_for(int shard) {
     return fabric_ != nullptr ? fabric_->sched(shard) : sched_;
   }
+  [[nodiscard]] FifoPool& pool_for(int shard) {
+    return fabric_ != nullptr ? fabric_->pool(shard) : pool_;
+  }
 
   sim::Scheduler& sched_;
+  FifoPool pool_;  ///< the serial engine's; declared before links_ (outlives them)
   ShardFabric* fabric_ = nullptr;
   int current_shard_ = 0;
   std::vector<int> node_shard_;  ///< by NodeId

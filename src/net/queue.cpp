@@ -65,7 +65,20 @@ bool Queue::dequeue(Packet& out, sim::Time now) {
 }
 
 void Queue::checkpoint(core::ckpt::Io& io) {
-  fifo_.checkpoint(io);
+  // The packets in FIFO order; loading more than the cap fails.
+  std::uint64_t n = fifo_.size();
+  io.u64(n);
+  if (io.saving()) {
+    for (Packet p : fifo_) net::checkpoint(io, p);
+  } else {
+    fifo_.clear();
+    if (n > capacity_) io.fail();
+    for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
+      Packet p;
+      net::checkpoint(io, p);
+      fifo_.push_back(std::move(p));
+    }
+  }
   io.u64(bytes_);
   io.u64(counters_.enqueued);
   io.u64(counters_.dropped);
@@ -166,14 +179,14 @@ void RedQueue::checkpoint_extra(core::ckpt::Io& io) {
   io.u64(rng_state_);
 }
 
-std::unique_ptr<Queue> make_queue(const QueueConfig& cfg) {
+std::unique_ptr<Queue> make_queue(const QueueConfig& cfg, FifoPool* pool) {
   switch (cfg.kind) {
     case QueueConfig::Kind::DropTail:
-      return std::make_unique<DropTailQueue>(cfg.capacity_packets);
+      return std::make_unique<DropTailQueue>(cfg.capacity_packets, pool);
     case QueueConfig::Kind::EcnThreshold:
-      return std::make_unique<EcnThresholdQueue>(cfg.capacity_packets, cfg.mark_threshold);
+      return std::make_unique<EcnThresholdQueue>(cfg.capacity_packets, cfg.mark_threshold, pool);
     case QueueConfig::Kind::Red:
-      return std::make_unique<RedQueue>(cfg.capacity_packets, cfg.red);
+      return std::make_unique<RedQueue>(cfg.capacity_packets, cfg.red, pool);
   }
   return nullptr;  // unreachable
 }

@@ -1,127 +1,14 @@
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <memory>
 
+#include "net/fifo.hpp"
 #include "net/packet.hpp"
 #include "obs/hooks.hpp"
 #include "sim/time.hpp"
 
 namespace xmp::net {
-
-/// Growable FIFO ring buffer.
-///
-/// Allocates nothing until its first push, then starts at kInitialSlots
-/// and doubles whenever it is full, but never beyond `max_slots`. Most
-/// FIFOs in a run stay empty or short — XMP's marking rule keeps queues
-/// near K=10 (paper §2.1), and a link's in-flight FIFO holds only what one
-/// propagation delay covers — so memory follows occupancy, not capacity.
-/// Growth moves the contents to the front of the new buffer; the physical
-/// layout is invisible to FIFO behavior.
-template <class T>
-class Ring {
- public:
-  static constexpr std::size_t kInitialSlots = 8;
-  static constexpr std::size_t kUnbounded = static_cast<std::size_t>(-1);
-
-  explicit Ring(std::size_t max_slots = kUnbounded) : max_{max_slots} {}
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-  [[nodiscard]] bool empty() const { return count_ == 0; }
-  /// Slots allocated (0 until the first push; at most max_slots()).
-  [[nodiscard]] std::size_t capacity() const { return cap_; }
-  [[nodiscard]] std::size_t max_slots() const { return max_; }
-
-  /// The i-th element from the front.
-  [[nodiscard]] T& operator[](std::size_t i) { return buf_[slot(i)]; }
-  [[nodiscard]] const T& operator[](std::size_t i) const { return buf_[slot(i)]; }
-  [[nodiscard]] T& front() { return buf_[head_]; }
-  [[nodiscard]] const T& back() const { return (*this)[count_ - 1]; }
-
-  /// Front-to-back iteration (read-only).
-  class const_iterator {
-   public:
-    const_iterator(const Ring* r, std::size_t i) : r_{r}, i_{i} {}
-    const T& operator*() const { return (*r_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const Ring* r_;
-    std::size_t i_;
-  };
-  [[nodiscard]] const_iterator begin() const { return {this, 0}; }
-  [[nodiscard]] const_iterator end() const { return {this, count_}; }
-
-  void push_back(T&& v) {
-    if (count_ == cap_) grow();
-    buf_[slot(count_)] = std::move(v);
-    ++count_;
-  }
-
-  void pop_front() {
-    assert(count_ > 0);
-    if (++head_ == cap_) head_ = 0;
-    --count_;
-  }
-
-  /// Empty the ring; the allocated slots are kept for reuse.
-  void clear() {
-    head_ = 0;
-    count_ = 0;
-  }
-
- private:
-  [[nodiscard]] std::size_t slot(std::size_t i) const {
-    const std::size_t at = head_ + i;
-    return at >= cap_ ? at - cap_ : at;
-  }
-
-  void grow() {
-    assert(cap_ < max_ && "push into a ring that is full at its cap");
-    const std::size_t n = std::min(cap_ == 0 ? kInitialSlots : 2 * cap_, max_);
-    auto next = std::make_unique<T[]>(n);
-    for (std::size_t i = 0; i < count_; ++i) next[i] = std::move((*this)[i]);
-    buf_ = std::move(next);
-    cap_ = n;
-    head_ = 0;
-  }
-
-  std::unique_ptr<T[]> buf_;
-  std::size_t cap_ = 0;
-  std::size_t max_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-};
-
-/// A queue's packet FIFO: a Ring capped at the queue's capacity, plus its
-/// checkpoint encoding (the packets in FIFO order).
-class PacketRing : public Ring<Packet> {
- public:
-  using Ring::Ring;
-
-  /// Loading refills the ring; more packets than the cap allows fail.
-  void checkpoint(core::ckpt::Io& io) {
-    std::uint64_t n = size();
-    io.u64(n);
-    if (io.saving()) {
-      for (Packet p : *this) net::checkpoint(io, p);
-      return;
-    }
-    clear();
-    if (n > max_slots()) return io.fail();
-    for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
-      Packet p;
-      net::checkpoint(io, p);
-      push_back(std::move(p));
-    }
-  }
-};
 
 /// Counters shared by every queue discipline.
 struct QueueCounters {
@@ -135,10 +22,12 @@ struct QueueCounters {
 /// `enqueue` may modify the packet (ECN marking) and returns false when the
 /// packet is dropped. Queues count both packets and bytes; capacity is
 /// expressed in packets, matching the paper ("queue size of 100 packets").
+/// The packets live on `pool`, the owning shard's FIFO pool; a queue built
+/// without one (unit tests, micro-benches) owns a private pool.
 class Queue {
  public:
-  explicit Queue(std::size_t capacity_packets)
-      : capacity_{capacity_packets}, fifo_{capacity_packets} {}
+  explicit Queue(std::size_t capacity_packets, FifoPool* pool = nullptr)
+      : capacity_{capacity_packets}, fifo_{pool_or_own(pool, own_pool_)} {}
   virtual ~Queue() = default;
 
   Queue(const Queue&) = delete;
@@ -153,8 +42,6 @@ class Queue {
   [[nodiscard]] std::size_t len_packets() const { return fifo_.size(); }
   [[nodiscard]] std::size_t len_bytes() const { return bytes_; }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  /// Packet slots the FIFO has allocated so far (never above capacity()).
-  [[nodiscard]] std::size_t ring_slots() const { return fifo_.capacity(); }
   [[nodiscard]] const QueueCounters& counters() const { return counters_; }
 
   /// Time-weighted average occupancy (packets) over [0, now] — the paper's
@@ -220,7 +107,8 @@ class Queue {
   }
 
   std::size_t capacity_;
-  PacketRing fifo_;
+  std::unique_ptr<FifoPool> own_pool_;  ///< only without a shard's pool
+  Fifo<Packet> fifo_;
   std::size_t bytes_ = 0;
   QueueCounters counters_;
   bool marking_enabled_ = true;
@@ -256,8 +144,9 @@ class DropTailQueue final : public Queue {
 /// overflow), which is how the paper's plain-TCP small flows coexist.
 class EcnThresholdQueue final : public Queue {
  public:
-  EcnThresholdQueue(std::size_t capacity_packets, std::size_t mark_threshold)
-      : Queue{capacity_packets}, k_{mark_threshold} {}
+  EcnThresholdQueue(std::size_t capacity_packets, std::size_t mark_threshold,
+                    FifoPool* pool = nullptr)
+      : Queue{capacity_packets, pool}, k_{mark_threshold} {}
 
   bool enqueue(Packet&& p, sim::Time now) override;
 
@@ -283,8 +172,8 @@ class RedQueue final : public Queue {
     bool ecn = true;         ///< mark ECT packets instead of dropping
   };
 
-  RedQueue(std::size_t capacity_packets, const Params& params)
-      : Queue{capacity_packets}, p_{params} {}
+  RedQueue(std::size_t capacity_packets, const Params& params, FifoPool* pool = nullptr)
+      : Queue{capacity_packets, pool}, p_{params} {}
 
   bool enqueue(Packet&& p, sim::Time now) override;
 
@@ -317,7 +206,9 @@ struct QueueConfig {
   RedQueue::Params red;             ///< for Red
 };
 
-/// Build a queue from a declarative config.
-[[nodiscard]] std::unique_ptr<Queue> make_queue(const QueueConfig& cfg);
+/// Build a queue from a declarative config, its packets on `pool` (a
+/// private pool when null).
+[[nodiscard]] std::unique_ptr<Queue> make_queue(const QueueConfig& cfg,
+                                                FifoPool* pool = nullptr);
 
 }  // namespace xmp::net

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -527,6 +528,25 @@ TEST(Orchestrator, NoRetriesRunsAFailingJobOnce) {
   EXPECT_EQ(outcome.jobs[0].last_error, "exit 1");
   EXPECT_EQ(metrics.counter("harness.spawns").get(), 1u);
   EXPECT_EQ(metrics.counter("harness.retries").get(), 0u);
+}
+
+TEST(Orchestrator, SpawnFirstJobsStartAheadOfTheRest) {
+  const TempDir dir{"first"};
+  auto cfg = fast_cfg(dir.path);
+  cfg.workers = 1;  // one child at a time: spawn order is run order
+  cfg.spawn_first = {3, 1, 7};  // an index past the grid is ignored
+  auto manifest = fresh_manifest(4);
+  const std::string log = dir.path + "/order.txt";
+  const auto outcome = Orchestrator{cfg}.run(
+      dummy_grid(4), manifest,
+      [&log](std::size_t i, const ExperimentConfig&, const std::string& path, int) {
+        std::ofstream{log, std::ios::app} << i << "\n";
+        return write_result_and_succeed(i, path);
+      });
+  EXPECT_TRUE(outcome.complete());
+  std::ifstream in{log};
+  const std::string order{std::istreambuf_iterator<char>{in}, {}};
+  EXPECT_EQ(order, "3\n1\n0\n2\n");
 }
 
 }  // namespace

@@ -420,11 +420,14 @@ class HandoffWorld {
         if (src == dst) continue;
         for (int l = 0; l < 2; ++l, ++id) {
           sinks_.push_back(std::make_unique<Sink>(fabric.sched(dst), arrivals_[dst]));
+          net::FifoPool* pool = &fabric.pool(src);
           links_.push_back(std::make_unique<net::Link>(fabric.sched(src), id, 1'000'000'000,
-                                                       kDelay, net::make_queue(q), *sinks_.back()));
+                                                       kDelay, net::make_queue(q, pool),
+                                                       *sinks_.back(), pool));
           link_src_.push_back(src);
           fabric.note_cross_link(src, dst, kDelay, id);
-          links_.back()->set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst));
+          links_.back()->set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst),
+                                            fabric.pool(dst));
         }
       }
     }
