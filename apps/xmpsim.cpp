@@ -35,7 +35,7 @@
 //       --shards=N runs the sharded conservative-sync engine on N worker
 //       threads (one logical shard per pod regardless of N, so every N —
 //       including 1 — produces identical results). Permutation pattern
-//       only; incompatible with --hybrid and --rehome.
+//       only; incompatible with --hybrid.
 //       --coexist=SCHEME splits the senders of a --pattern=random run
 //       between --scheme and SCHEME (the paper's Table 2).
 //       --checkpoint-every=T writes a verified snapshot (ckpt_<seq>.bin in
@@ -562,13 +562,11 @@ void print_summary(const core::ExperimentConfig& cfg, const core::ExperimentResu
   std::printf("\n");
   if (res.sharded) {
     std::printf("sharded: %d logical shards, lookahead %.1f us, %llu epochs, %llu barriers, "
-                "%llu handoff pkts, %llu micro-steps, %llu replays\n",
+                "%llu handoff pkts\n",
                 res.shard.logical_shards, res.shard.lookahead_us,
                 static_cast<unsigned long long>(res.shard.epochs),
                 static_cast<unsigned long long>(res.shard.barriers),
-                static_cast<unsigned long long>(res.shard.handoff_packets),
-                static_cast<unsigned long long>(res.shard.micro_steps),
-                static_cast<unsigned long long>(res.shard.replays));
+                static_cast<unsigned long long>(res.shard.handoff_packets));
   }
   // Lineage-cumulative totals: a resumed run inherits its ancestors'
   // counts, so this line is byte-identical to an uninterrupted run's.

@@ -339,8 +339,8 @@ BENCHMARK(BM_FatTreePermutationRound)->Unit(benchmark::kMillisecond);
 void BM_ShardedEpoch(benchmark::State& state) {
   // The sharded conservative-sync engine: a horizon-bounded permutation
   // slice on a k-pod Fat-Tree where no flow completes inside the window,
-  // so every iteration runs pure parallel epochs (no sync-gate micro-steps,
-  // no replays) — the steady-state regime that dominates 1000-host runs.
+  // so every iteration runs epochs with no round end — the steady-state
+  // regime that dominates 1000-host runs.
   // range(0) = fat_tree_k, range(1) = worker threads (--shards). Results
   // are bit-identical across the worker axis; only events/s may move.
   // Three workers split the k pods unevenly (3/3/2 at k=8), as perm_k8 in

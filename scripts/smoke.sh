@@ -81,7 +81,7 @@ verify_rows=(
   "websearch | serial         | fct['completed'] > 0  | --workload=configs/workloads/websearch.wl --load=0.3 --k=4 --duration=0.05 --seed=11"
   "random    |                |                       | --pattern=random --scheme=xmp --k=4 --duration=0.05 --seed=11"
   "coexist   | serial         | summary['avg_goodput_b_mbps'] > 0 | --pattern=random --scheme=xmp --subflows=2 --coexist=dctcp --k=4 --duration=0.05 --seed=11"
-  "rehome    | serial         | routing['path_rehomes'] > 0 | $rehome"
+  "rehome    | serial shards1 | routing['path_rehomes'] > 0 | $rehome"
   "incast    |                |                       | --pattern=incast --scheme=xmp --k=4 --duration=0.05 --seed=11"
 )
 for row in "${verify_rows[@]}"; do
@@ -269,7 +269,6 @@ echo "== 3. reject rows =="
 reject_rows=(
   "--shards requires --pattern=permutation                 | run --pattern=random --scheme=xmp --k=4 --duration=0.01 --shards=2"
   "--coexist=dctcp has no effect on this run               | run $perm --coexist=dctcp --duration=0.01"
-  "--shards is incompatible with --rehome                  | run $perm --faults=down,link=40,at=0.005 --rehome=1 --duration=0.01 --shards=2"
   "--hybrid-bg=10 has no effect on this run                | run --hybrid-bg=10 --duration=0.01"
   "--hybrid requires --scheme=xmp                          | run --hybrid --scheme=tcp --duration=0.01"
   "--hybrid is incompatible with --shards                  | run --hybrid --scheme=xmp --subflows=2 --shards=2 --duration=0.01"

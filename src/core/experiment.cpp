@@ -1,7 +1,6 @@
 #include "core/experiment.hpp"
 
 #include <atomic>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -69,14 +68,13 @@ double ExperimentResults::job_completion_over_ms(double threshold_ms) const {
 // always a quiescent point in a serial DES.
 ExperimentResults run_experiment(const ExperimentConfig& cfg) {
   if (cfg.shards > 0) return run_experiment_sharded(cfg);
-  const std::optional<RestoreImage> image = read_restore_image(cfg);
   sim::Scheduler sched;
   World w{cfg, sched, nullptr};
   if (w.perm) w.perm->set_on_done([&sched] { sched.stop(); });
-  if (image) {
-    w.apply_restore(image->h, image->payload);
-  } else {
+  if (cfg.checkpoint.restore_path.empty()) {
     w.start();
+  } else {
+    w.restore();
   }
 
   const std::atomic<bool>* stop_flag = cfg.checkpoint.stop_requested;

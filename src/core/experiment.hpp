@@ -296,10 +296,8 @@ struct ExperimentResults {
     int logical_shards = 0;       ///< fixed by the topology (k for a Fat-Tree)
     double lookahead_us = 0.0;    ///< min cross-shard propagation delay
     std::uint64_t epochs = 0;     ///< conservative windows executed
-    std::uint64_t barriers = 0;   ///< synchronisation points (incl. serial segments)
+    std::uint64_t barriers = 0;   ///< synchronisation points
     std::uint64_t handoff_packets = 0;  ///< packets crossing shard boundaries
-    std::uint64_t micro_steps = 0;      ///< events run one-at-a-time in serial segments
-    std::uint64_t replays = 0;          ///< attempts discarded by the round-flip gate
   };
   ShardStats shard;
   bool sharded = false;

@@ -180,8 +180,6 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
     json.kv("epochs", results.shard.epochs);
     json.kv("barriers", results.shard.barriers);
     json.kv("handoff_packets", results.shard.handoff_packets);
-    json.kv("micro_steps", results.shard.micro_steps);
-    json.kv("replays", results.shard.replays);
     json.end_object();
   }
 

@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,18 +39,6 @@
 
 namespace xmp::core {
 
-/// A verified checkpoint file held in memory. A sharded run reads it once
-/// and restores every attempt (round-flip replays included) from it.
-struct RestoreImage {
-  ckpt::Header h;
-  std::string payload;
-};
-
-/// Read and verify cfg.checkpoint.restore_path; nullopt when none is set.
-/// A file that fails verification ends the process with a one-line
-/// "restore failed" diagnostic and exit 2.
-[[nodiscard]] std::optional<RestoreImage> read_restore_image(const ExperimentConfig& cfg);
-
 class World {
  public:
   /// Build the world on `control` (the only scheduler of a serial run).
@@ -77,9 +64,11 @@ class World {
   /// Publish the next ckpt_<seq>.bin now (a quiescent point). A failed
   /// write is reported on stderr and the run continues.
   void write_checkpoint();
-  /// Restore from a verified image instead of start(); a malformed payload
-  /// ends the process with "restore failed: ...: malformed payload", exit 2.
-  void apply_restore(const ckpt::Header& h, const std::string& payload);
+  /// Restore from cfg.checkpoint.restore_path instead of start(). A file
+  /// that fails verification ends the process with a one-line "restore
+  /// failed" diagnostic and exit 2, and so does a malformed payload
+  /// ("restore failed: ...: malformed payload").
+  void restore();
 
   /// The checkpoint cadence: the next absolute multiple of
   /// cfg.checkpoint.every after `now` that lies strictly before the

@@ -91,6 +91,7 @@ void Engine::push_coupling(LinkState& ls, std::size_t link_index) {
   const bool burst = ls.p_mark >= 1.0 || static_cast<double>(phase) < burst_ticks;
   ls.link->queue().set_fluid_marking(burst);
   ls.link->set_fluid_share(std::min(cfg_.max_fluid_share, ls.fluid_share));
+  ls.link->set_fluid_busy(sim::Time::seconds(ls.fluid_busy_s));
 }
 
 void Engine::tick() {
@@ -171,6 +172,7 @@ void Engine::tick() {
     const double served = std::min(backlog, c_fluid * dt);
     ls.q_fluid = std::min(backlog - served, ls.capacity_packets);
     ls.fluid_rate_sps = served / dt;
+    ls.fluid_busy_s += served / ls.capacity_sps;  // utilization counts fluid load
     // Per-round marking probability: a linear ramp of width `span` packets
     // above K. In equilibrium q settles at K + span·p*, which makes the
     // emergent p* coincide with the §2 closed form p = S/(C+S).
@@ -288,6 +290,7 @@ void Engine::checkpoint(core::ckpt::Io& io) {
     io.f64(ls.q_fluid);
     io.f64(ls.p_mark);
     io.f64(ls.fluid_rate_sps);
+    io.f64(ls.fluid_busy_s);
     io.f64(ls.fluid_share);
     io.f64(ls.pkt_drain_sps);
     io.f64(ls.pkt_arrival_sps);

@@ -191,6 +191,7 @@ class Engine {
     double q_fluid = 0.0;          ///< virtual fluid backlog, packets
     double p_mark = 0.0;           ///< per-round marking probability
     double fluid_rate_sps = 0.0;   ///< fluid throughput through this link
+    double fluid_busy_s = 0.0;     ///< transmitter time the fluid load took up
     /// Fluid fraction of the link's service capacity under proportional
     /// FIFO sharing of fluid and measured packet arrivals (see tick()).
     double fluid_share = 0.0;
@@ -203,10 +204,10 @@ class Engine {
   };
 
   void tick();
-  /// Push the marking duty-cycle phase / bandwidth share into the net-layer
-  /// objects (after every tick and after a restore). The burst phase is a
-  /// pure function of stats_.ticks and the link index, so it checkpoints
-  /// for free and is staggered across links.
+  /// Push the marking duty-cycle phase, bandwidth share and fluid busy time
+  /// into the net-layer objects (after every tick and after a restore). The
+  /// burst phase is a pure function of stats_.ticks and the link index, so
+  /// it checkpoints for free and is staggered across links.
   void push_coupling(LinkState& ls, std::size_t link_index);
   void promote(int agg_index);
 

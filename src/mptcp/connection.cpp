@@ -256,9 +256,8 @@ bool MptcpConnection::try_rehome(int idx) {
   }
   std::uint16_t tag = 0;
   if (!path_mgr_.pick_new_tag(cfg_.id, idx, sf.sender->path_tag(), in_use, tag)) return false;
-  // Acks must follow the data onto the new path, or the reverse direction
-  // keeps blackholing.
-  sf.receiver->set_path_tag(tag);
+  // The receiver acks on the tag of the data it last received, so acks
+  // follow the data onto the new path without a write to its side.
   sf.sender->rehome(tag);
   if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
     tr->path_rehome(sched_.now(), cfg_.id, static_cast<std::uint8_t>(idx), tag,

@@ -64,13 +64,6 @@ std::uint64_t ShardFabric::drain_into(int dst) {
   return handed_off;
 }
 
-std::uint64_t ShardFabric::drain_all() {
-  flip();
-  std::uint64_t handed_off = 0;
-  for (int dst = 0; dst < n_; ++dst) handed_off += drain_into(dst);
-  return handed_off;
-}
-
 std::uint64_t ShardFabric::total_dispatched() const {
   std::uint64_t sum = 0;
   for (const auto& s : scheds_) sum += s->dispatched();

@@ -106,11 +106,6 @@ class ShardFabric {
   /// Returns the number of packets handed off.
   std::uint64_t drain_into(int dst);
 
-  /// flip(), then drain_into() for every destination in ascending order:
-  /// the fixed (dst_shard, src_shard, post-order) merge order. Must only
-  /// run while all shards are quiesced.
-  std::uint64_t drain_all();
-
   /// Sum of events dispatched across all shard schedulers.
   [[nodiscard]] std::uint64_t total_dispatched() const;
 

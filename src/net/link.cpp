@@ -127,7 +127,9 @@ void Link::start_transmission() {
   if (!queue_->dequeue(p, sched_.now())) return;
 
   const sim::Time tx = sim::transmission_time(p.size_bytes, effective_rate_bps_);
-  busy_ += tx;
+  // A fluid share stretches the serialization; the stretch is the fluid
+  // load's time, which the hybrid engine credits through set_fluid_busy().
+  busy_ += fluid_share_ > 0.0 ? sim::Time::seconds(tx.sec() * (1.0 - fluid_share_)) : tx;
   bytes_sent_ += p.size_bytes;
   const std::int64_t deliver_t_ns = (sched_.now() + tx + prop_delay_).ns();
 

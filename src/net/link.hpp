@@ -133,6 +133,10 @@ class Link final {
     recompute_effective_rate();
   }
   [[nodiscard]] double fluid_share() const { return fluid_share_; }
+  /// Hybrid-engine coupling: transmitter time the fluid load has taken up
+  /// so far, counted in busy_time(). Not checkpointed, like the share: the
+  /// hybrid engine keeps the total and re-applies it after a restore.
+  void set_fluid_busy(sim::Time t) { fluid_busy_ = t; }
 
   /// Gray failure: slow drain. Serialization runs at `factor` x the nominal
   /// rate (factor in (0, 1]; 1.0 restores full capacity). Composes with the
@@ -151,8 +155,9 @@ class Link final {
 
   /// Total bytes fully transmitted onto the wire.
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-  /// Cumulative time the transmitter was busy.
-  [[nodiscard]] sim::Time busy_time() const { return busy_; }
+  /// Cumulative time the transmitter was busy: packet serialization plus,
+  /// in hybrid runs, the fluid load's share.
+  [[nodiscard]] sim::Time busy_time() const { return busy_ + fluid_busy_; }
 
   // --- conservation accounting (stats::probes, faults::InvariantChecker) ---
   /// Packets ever offered via send().
@@ -232,6 +237,7 @@ class Link final {
   /// are bit-identical to the seed.
   std::int64_t effective_rate_bps_;
   double fluid_share_ = 0.0;
+  sim::Time fluid_busy_ = sim::Time::zero();
   double degrade_ = 1.0;  ///< slow-drain capacity multiplier (1 = healthy)
   sim::Time prop_delay_;
   std::unique_ptr<Queue> queue_;

@@ -490,7 +490,7 @@ bool TimelineTracer::export_chrome_json(const std::string& path) const {
         break;
 
       case EventKind::ShardEpoch:
-        event_common(json, e.aux != 0 ? "epoch (serial)" : "epoch", "i", kSchedPid, e.t_ns);
+        event_common(json, "epoch", "i", kSchedPid, e.t_ns);
         json.kv("s", "g");
         json.key("args");
         json.begin_object();

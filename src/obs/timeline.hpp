@@ -38,8 +38,8 @@ enum class EventKind : std::uint8_t {
   JobRetry,     ///< failed job scheduled for respawn (id = job, a = attempt,
                 ///< b = backoff seconds)
   JobExhausted, ///< job gave up after its last retry (id = job, a = attempts)
-  ShardEpoch,   ///< sharded engine released a parallel epoch (id = epoch
-                ///< index, a = epoch end µs, aux: 1 = serial/micro-stepped)
+  ShardEpoch,   ///< sharded engine released an epoch (id = epoch index,
+                ///< a = epoch end µs)
   ShardBarrier, ///< sharded engine completed a barrier (id = epoch index,
                 ///< a = handoff packets drained at this barrier)
   CkptWrite,    ///< checkpoint published (id = checkpoint seq, a = bytes)
@@ -213,8 +213,8 @@ class TimelineTracer {
            static_cast<double>(attempts), 0.0);
   }
   // Sharded-engine epoch lifecycle (t is simulated time of the boundary).
-  void shard_epoch(sim::Time t, std::uint32_t epoch, double end_us, bool serial) {
-    record(EventKind::ShardEpoch, cat::kHarness, t, epoch, 0, serial ? 1 : 0, end_us, 0.0);
+  void shard_epoch(sim::Time t, std::uint32_t epoch, double end_us) {
+    record(EventKind::ShardEpoch, cat::kHarness, t, epoch, 0, 0, end_us, 0.0);
   }
   void shard_barrier(sim::Time t, std::uint32_t epoch, std::uint64_t drained) {
     record(EventKind::ShardBarrier, cat::kHarness, t, epoch, 0, 0,

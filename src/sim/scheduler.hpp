@@ -70,8 +70,7 @@ class alignas(64) Scheduler {
   void run_before(Time bound);
 
   /// Dispatch exactly one event (the earliest pending), advancing the clock
-  /// to its timestamp. Returns false if no event is pending. Serial
-  /// micro-stepping across shards is built from this.
+  /// to its timestamp. Returns false if no event is pending.
   bool step_one();
 
   /// Timestamp of the earliest pending event, or Time::infinity() if none.

@@ -24,6 +24,7 @@ TcpReceiver::~TcpReceiver() {
 }
 
 void TcpReceiver::handle(net::Packet p) {
+  path_tag_ = p.path_tag;
   // ECN bookkeeping first; DCTCP may require flushing the delayed ack with
   // the previous CE state before this packet is absorbed.
   if (ecn_.on_data(p)) {

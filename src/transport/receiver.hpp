@@ -33,9 +33,8 @@ class TcpReceiver final : public net::Host::Endpoint {
 
   void handle(net::Packet p) override;
 
-  /// Re-tag outgoing acks (mptcp::PathManager re-homed the subflow; acks
-  /// must follow the data onto the surviving path).
-  void set_path_tag(std::uint16_t tag) { path_tag_ = tag; }
+  /// The tag acks go out on: the last data segment's, so acks follow the
+  /// data onto the path a re-homed sender moved it to.
   [[nodiscard]] std::uint16_t path_tag() const { return path_tag_; }
   [[nodiscard]] net::FlowId flow() const { return flow_; }
   [[nodiscard]] std::uint16_t subflow() const { return subflow_; }

@@ -149,9 +149,9 @@ class FlowManager {
   net::FlowId next_id_;
   std::function<sim::Scheduler&(int)> sched_lookup_;
   // Concurrent finishes on different shards touch disjoint records_ rows but
-  // share these tallies; new_record/push_back only ever run in the serial
-  // (barrier / micro-step) phase, so the vector itself never reallocates
-  // under a parallel reader.
+  // share these tallies; in a sharded run new_record/push_back only run on
+  // the control strand (at start or at a barrier), so the vector itself
+  // never reallocates under a parallel reader.
   std::atomic<std::size_t> active_large_{0};
   std::atomic<std::size_t> aborted_large_{0};
 

@@ -20,6 +20,7 @@ void PermutationTraffic::start_round() {
   }
 
   outstanding_.store(n, std::memory_order_relaxed);
+  latest_done_ns_.store(0, std::memory_order_relaxed);
   for (int src = 0; src < n; ++src) {
     const int dst = perm[src];
     const std::int64_t bytes = rng_.uniform_int(cfg_.min_bytes, cfg_.max_bytes);
@@ -30,15 +31,25 @@ void PermutationTraffic::start_round() {
 }
 
 void PermutationTraffic::on_flow_done() {
-  if (outstanding_.fetch_sub(1, std::memory_order_relaxed) > 1) return;
-  if (parallel_phase_.load(std::memory_order_relaxed)) {
-    // Last flow of the round finished inside a parallel epoch. The flip
-    // fans out to every shard, so it cannot run here: flag the engine,
-    // which discards this attempt and replays the epoch serially (where
-    // this callback fires again, taking the branch below).
-    deferred_done_.store(true, std::memory_order_relaxed);
-    return;
+  // The dispatching scheduler's clock is the completion instant; in a
+  // sharded run `sched_` is the control strand, whose clock lags inside an
+  // epoch.
+  const sim::Scheduler* cs = sim::current_scheduler();
+  const std::int64_t t = (cs != nullptr ? cs->now() : sched_.now()).ns();
+  std::int64_t latest = latest_done_ns_.load(std::memory_order_relaxed);
+  while (latest < t &&
+         !latest_done_ns_.compare_exchange_weak(latest, t, std::memory_order_relaxed)) {
   }
+  // acq_rel: the completion that reaches zero sees every earlier one's
+  // latest_done_ns_ update, whichever shard made it.
+  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) > 1) return;
+  const sim::Time at =
+      sim::Time::nanoseconds(latest_done_ns_.load(std::memory_order_relaxed)) + cfg_.round_gap;
+  round_end_ = sched_.schedule_at(at, [this] { end_round(); });
+}
+
+void PermutationTraffic::end_round() {
+  round_end_ = sim::kInvalidEventId;
   ++completed_rounds_;
   if (completed_rounds_ < cfg_.rounds) {
     start_round();

@@ -14,12 +14,22 @@ namespace xmp::workload {
 /// The paper's Permutation pattern (§5.2.1): every host sends one large
 /// flow to a distinct random host (a random permutation with no fixed
 /// point); when *all* flows of the round finish, a new permutation starts.
+///
+/// A round ends with an event on `sched` (the control strand of a sharded
+/// run), `round_gap` after the round's latest completion. The completion
+/// that takes the round's outstanding count to zero schedules it, on
+/// whichever thread finishes that flow; the event then starts the next
+/// round or ends the run (DESIGN.md §11, "Round ends on the control
+/// strand").
 class PermutationTraffic {
  public:
   struct Config {
     std::int64_t min_bytes = 2'000'000;   ///< paper: 64 MB (scaled 32x down)
     std::int64_t max_bytes = 16'000'000;  ///< paper: 512 MB (scaled 32x down)
     int rounds = 2;
+    /// From a round's latest completion to its round-end event. World sets
+    /// the Fat-Tree core-link delay, which is also the sharded lookahead.
+    sim::Time round_gap = sim::Time::zero();
   };
 
   PermutationTraffic(sim::Scheduler& sched, topo::HostPool& topo, FlowManager& flows,
@@ -30,34 +40,23 @@ class PermutationTraffic {
 
   [[nodiscard]] bool done() const { return completed_rounds_ >= cfg_.rounds; }
   [[nodiscard]] int completed_rounds() const { return completed_rounds_; }
+  [[nodiscard]] sim::Time round_gap() const { return cfg_.round_gap; }
 
-  /// Fires when the configured number of rounds has completed.
+  /// Fires (from the last round-end event) when the configured number of
+  /// rounds has completed.
   void set_on_done(std::function<void()> fn) { on_done_ = std::move(fn); }
 
-  // --- Sharded-engine sync gate -------------------------------------------
-  // A round flip (start_round / on_done_) touches every shard, so it must
-  // run in a serial context. The engine marks parallel epochs; if the last
-  // flow of a round completes inside one, the flip is *deferred* and the
-  // flag tells the engine to replay that epoch serially.
-
-  /// Flows of the current round still in flight.
-  [[nodiscard]] int pending_flows() const { return outstanding_.load(std::memory_order_relaxed); }
-  /// Engine hook: bracket parallel epoch execution.
-  void set_parallel_phase(bool on) { parallel_phase_.store(on, std::memory_order_relaxed); }
-  /// True once a round completion was deferred (the round did NOT flip; the
-  /// engine must replay from a serial context). Sticky for the attempt.
-  [[nodiscard]] bool deferred_done() const {
-    return deferred_done_.load(std::memory_order_relaxed);
-  }
-
-  /// Checkpoint the RNG and round progress. The parallel-phase flags are
-  /// transient per-epoch state, always clear at a quiescent point.
+  /// Checkpoint the RNG, round progress and the pending round-end event.
   void checkpoint(core::ckpt::Io& io) {
     io.rng(rng_);
     io.i64(completed_rounds_);
     int outstanding = outstanding_.load(std::memory_order_relaxed);
     io.i64(outstanding);
     outstanding_.store(outstanding, std::memory_order_relaxed);
+    std::int64_t latest = latest_done_ns_.load(std::memory_order_relaxed);
+    io.i64(latest);
+    latest_done_ns_.store(latest, std::memory_order_relaxed);
+    io.opt_event(sched_, round_end_, [this] { end_round(); });
   }
   /// Completion-callback target for flows re-bound after a restore.
   void restored_flow_done() { on_flow_done(); }
@@ -65,6 +64,7 @@ class PermutationTraffic {
  private:
   void start_round();
   void on_flow_done();
+  void end_round();
 
   sim::Scheduler& sched_;
   topo::HostPool& topo_;
@@ -72,9 +72,11 @@ class PermutationTraffic {
   sim::Rng rng_;
   Config cfg_;
   int completed_rounds_ = 0;
+  // Flows of different shards finish concurrently inside an epoch; both
+  // counters are atomics for that reason alone.
   std::atomic<int> outstanding_{0};
-  std::atomic<bool> parallel_phase_{false};
-  std::atomic<bool> deferred_done_{false};
+  std::atomic<std::int64_t> latest_done_ns_{0};  ///< the round's latest completion
+  sim::EventId round_end_ = sim::kInvalidEventId;
   std::function<void()> on_done_;
 };
 

@@ -115,6 +115,26 @@ ExperimentConfig delay_cfg() {
   return cfg;
 }
 
+/// A two-round permutation whose snapshot `seq` (at a multiple of `every`)
+/// falls between round one's last completion and its round-end event, 40 us
+/// later: serial 8.44 ms at every=2.11 ms, sharded 8.32 ms at 2.08 ms.
+ExperimentConfig round_end_cfg(int shards) {
+  auto cfg = small_cfg(shards);
+  cfg.permutation_rounds = 2;
+  cfg.checkpoint.every = sim::Time::microseconds(shards == 0 ? 2'110 : 2'080);
+  return cfg;
+}
+constexpr std::uint64_t kRoundEndSeq = 4;
+
+/// Cut at `t`, the run has finished every flow it started (round one) and
+/// not yet started round two: its round end is pending.
+bool round_end_pending(const ExperimentResults& cut, sim::Time) {
+  for (const auto& f : cut.flows) {
+    if (!f.completed) return false;
+  }
+  return !cut.flows.empty();
+}
+
 /// A websearch-style workload on the k=4 tree: Poisson arrivals from a
 /// small size CDF plus two explicit (trace) flows, at 1 ms and 30 ms.
 ExperimentConfig workload_cfg() {
@@ -213,6 +233,7 @@ std::vector<ResumeCase> serial_resume_cases() {
                      }
                      return trace && poisson;
                    }});
+  cases.push_back({"round_end", round_end_cfg(0), kRoundEndSeq, &round_end_pending});
   cases.push_back({"delay", delay_cfg(), 2, [](const ExperimentResults& cut, sim::Time) {
                      for (const auto& row : cut.link_drops) {
                        if (row.link == 5 && row.delayed > 0) return true;
@@ -267,32 +288,49 @@ TEST(Checkpoint, SerialResumeMatchesUninterrupted) {
 }
 
 TEST(Checkpoint, ShardedResumeMatchesUninterrupted) {
-  const std::string dir_a = fresh_dir("shard_a");
-  const std::string dir_b = fresh_dir("shard_b");
+  auto plain = small_cfg(/*shards=*/2);
+  plain.checkpoint.every = sim::Time::seconds(0.002);
+  struct Case {
+    const char* name;
+    ExperimentConfig cfg;
+    std::uint64_t restore_seq;
+  };
+  for (const Case& c : {Case{"plain", plain, 1}, Case{"round_end", round_end_cfg(2), kRoundEndSeq}}) {
+    SCOPED_TRACE(c.name);
+    const std::string dir_a = fresh_dir(std::string{"shard_a_"} + c.name);
+    const std::string dir_b = fresh_dir(std::string{"shard_b_"} + c.name);
 
-  auto cfg = small_cfg(/*shards=*/2);
-  cfg.checkpoint.every = sim::Time::seconds(0.002);
-  cfg.checkpoint.dir = dir_a;
-  const auto full = run_experiment(cfg);
-  ASSERT_GE(full.ckpt.written, 2u);
+    auto cfg = c.cfg;
+    cfg.checkpoint.dir = dir_a;
+    const auto full = run_experiment(cfg);
+    ASSERT_GT(full.ckpt.written, c.restore_seq);
+    const std::string snap = dir_a + "/" + ckpt::file_name(c.restore_seq);
+    if (c.restore_seq == kRoundEndSeq) {
+      ckpt::Header h;
+      std::string err;
+      ASSERT_TRUE(ckpt::probe_file(snap, ckpt::config_fingerprint(cfg), h, &err)) << err;
+      auto cut = c.cfg;
+      cut.checkpoint = CheckpointConfig{};
+      cut.duration = sim::Time::nanoseconds(h.t_ns);
+      ASSERT_TRUE(round_end_pending(run_experiment(cut), cut.duration));
+    }
 
-  auto cfg2 = small_cfg(/*shards=*/2);
-  cfg2.checkpoint.every = cfg.checkpoint.every;
-  cfg2.checkpoint.dir = dir_b;
-  cfg2.checkpoint.restore_path = dir_a + "/" + ckpt::file_name(1);
-  const auto resumed = run_experiment(cfg2);
+    auto cfg2 = c.cfg;
+    cfg2.checkpoint.dir = dir_b;
+    cfg2.checkpoint.restore_path = snap;
+    const auto resumed = run_experiment(cfg2);
 
-  EXPECT_TRUE(resumed.ckpt.restored);
-  expect_same_results(full, resumed);
-  EXPECT_EQ(full.shard.epochs, resumed.shard.epochs);
-  EXPECT_EQ(full.shard.barriers, resumed.shard.barriers);
-  EXPECT_EQ(full.shard.micro_steps, resumed.shard.micro_steps);
-  EXPECT_EQ(full.ckpt.written, resumed.ckpt.written);
-  for (std::uint64_t s = 2; s <= full.ckpt.written; ++s) {
-    const std::string a = slurp(dir_a + "/" + ckpt::file_name(s));
-    const std::string b = slurp(dir_b + "/" + ckpt::file_name(s));
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "sharded checkpoint " << s << " diverged after restore";
+    EXPECT_TRUE(resumed.ckpt.restored);
+    expect_same_results(full, resumed);
+    EXPECT_EQ(full.shard.epochs, resumed.shard.epochs);
+    EXPECT_EQ(full.shard.barriers, resumed.shard.barriers);
+    EXPECT_EQ(full.ckpt.written, resumed.ckpt.written);
+    for (std::uint64_t s = c.restore_seq + 1; s <= full.ckpt.written; ++s) {
+      const std::string a = slurp(dir_a + "/" + ckpt::file_name(s));
+      const std::string b = slurp(dir_b + "/" + ckpt::file_name(s));
+      ASSERT_FALSE(a.empty());
+      EXPECT_EQ(a, b) << "sharded checkpoint " << s << " diverged after restore";
+    }
   }
 }
 
@@ -354,9 +392,9 @@ TEST(Checkpoint, ShardedRestoreThenSaveReproducesThePayload) {
   expect_restore_then_save_reproduces(cfg, 2);
 }
 
-// The v4 layout, pinned: snapshot 1 of a traced k=4 permutation, serial and
-// sharded. A field moved, added or dropped under format v4 changes these
-// and would make existing v4 files misparse; such a change must bump
+// The v5 layout, pinned: snapshot 1 of a traced k=4 permutation, serial and
+// sharded. A field moved, added or dropped under format v5 changes these
+// and would make existing v5 files misparse; such a change must bump
 // kFormatVersion instead.
 TEST(Checkpoint, GoldenSnapshotBytes) {
   struct Golden {
@@ -364,7 +402,7 @@ TEST(Checkpoint, GoldenSnapshotBytes) {
     std::size_t payload_bytes;
     std::uint32_t crc;
   };
-  for (const Golden& g : {Golden{0, 199269, 3725275397u}, Golden{2, 203611, 2517598746u}}) {
+  for (const Golden& g : {Golden{0, 199270, 792358160u}, Golden{2, 203612, 1096271026u}}) {
     SCOPED_TRACE(g.shards);
     const auto cfg = traced_cfg(g.shards, fresh_dir("golden_" + std::to_string(g.shards)));
     ASSERT_GE(run_experiment(cfg).ckpt.written, 1u);
@@ -438,6 +476,47 @@ TEST(Checkpoint, RejectsCheckerTickBehindTheClock) {
     if (field == 0) {
       const std::int64_t zero = 0;  // before the snapshot's 4 ms
       std::memcpy(&bad[t_at], &zero, 8);
+    } else {
+      const std::uint64_t never = ~std::uint64_t{0};
+      std::memcpy(&bad[t_at + 8], &never, 8);
+    }
+    const std::string path = cfg.checkpoint.dir + "/mutated.bin";
+    ASSERT_TRUE(ckpt::write_file(path, h, bad));
+    auto restore = cfg;
+    restore.checkpoint = CheckpointConfig{};
+    restore.checkpoint.restore_path = path;
+    EXPECT_EXIT((void)run_experiment(restore), ::testing::ExitedWithCode(2),
+                "restore failed: .*malformed payload");
+  }
+}
+
+// The pending round end is validated like every other key: one behind the
+// restored clock, or one never handed out, is a malformed payload.
+TEST(Checkpoint, RejectsRoundEndBehindTheClock) {
+  auto cfg = round_end_cfg(0);
+  cfg.checkpoint.dir = fresh_dir("round_end_key");
+  ASSERT_GE(run_experiment(cfg).ckpt.written, kRoundEndSeq);
+  ckpt::Header h;
+  std::string payload;
+  std::string err;
+  ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(kRoundEndSeq),
+                              ckpt::config_fingerprint(cfg), h, payload, &err))
+      << err;
+  // WKLD: tag, rng state (4 x u64), completed rounds, outstanding flows and
+  // latest completion (i64 each), armed flag, then the key (t_ns, seq).
+  const std::size_t wkld = payload.find("WKLD");
+  ASSERT_NE(wkld, std::string::npos);
+  const std::size_t armed_at = wkld + 4 + 32 + 24;
+  ASSERT_EQ(payload[armed_at], 1);
+  const std::size_t t_at = armed_at + 1;
+  std::int64_t end_ns = 0;
+  std::memcpy(&end_ns, &payload[t_at], 8);
+  ASSERT_GT(end_ns, h.t_ns) << "WKLD walk lost sync";
+  for (const int field : {0, 1}) {
+    std::string bad = payload;
+    if (field == 0) {
+      const std::int64_t behind = h.t_ns - 1;
+      std::memcpy(&bad[t_at], &behind, 8);
     } else {
       const std::uint64_t never = ~std::uint64_t{0};
       std::memcpy(&bad[t_at + 8], &never, 8);
@@ -564,8 +643,8 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
   EXPECT_FALSE(ckpt::probe_file(newest, fp, h, &err));
   EXPECT_NE(err.find("version"), std::string::npos) << err;
 
-  // The previous format (v3 lacked the coexistence and checker state):
-  // rejected the same way.
+  // The previous format (v4 lacked the pending round end and the fluid
+  // busy time): rejected the same way.
   {
     std::string bad = pristine;
     bad[4] = static_cast<char>(ckpt::kFormatVersion - 1);

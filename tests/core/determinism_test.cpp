@@ -56,7 +56,8 @@ TEST(Determinism, GoldenPermutationFingerprint) {
   const auto r = run_experiment(golden_cfg(Pattern::Permutation, false));
   // Counts only events that do work: a link arms one delivery (its FIFO
   // head) and a transmit completion only when a packet waits (DESIGN.md §6).
-  EXPECT_EQ(r.events_dispatched, 51869u);
+  // The run ends at its round-end event, 40 us after the last completion.
+  EXPECT_EQ(r.events_dispatched, 51870u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 470.51053371378657);
@@ -65,10 +66,10 @@ TEST(Determinism, GoldenPermutationFingerprint) {
   EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.36338550000000003);
   EXPECT_EQ(r.rtt_by_category[2].count(), 22u);
   EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.61462127272727285);
-  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.36892674989532981);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.828602557758916);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.92202427396947428);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0084073599999999991);
+  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.36717980528827943);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.82467895295098115);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.91765829797711951);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0084473599999999992);
 }
 
 TEST(Determinism, GoldenRandomCoexistFingerprint) {

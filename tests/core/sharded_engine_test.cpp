@@ -21,6 +21,7 @@
 #include <array>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -80,8 +81,6 @@ void expect_identical(const ExperimentResults& a, const ExperimentResults& b) {
   EXPECT_EQ(a.shard.epochs, b.shard.epochs);
   EXPECT_EQ(a.shard.barriers, b.shard.barriers);
   EXPECT_EQ(a.shard.handoff_packets, b.shard.handoff_packets);
-  EXPECT_EQ(a.shard.micro_steps, b.shard.micro_steps);
-  EXPECT_EQ(a.shard.replays, b.shard.replays);
 }
 
 // Flowlet routing reads the dispatching shard's clock per packet, and the
@@ -128,40 +127,68 @@ TEST(ShardedEngine, PoolWidthClampedToLogicalShards) {
   expect_identical(r1, r512);
 }
 
-// A round flip runs as a serial segment of global micro-steps. Each step
-// first aligns every shard clock on its time, so the flows the flip starts
-// on other shards schedule from the flip instant; this two-round run pins
-// that trajectory, and runs in every build type (a Debug build asserts on
-// any event scheduled behind a clock).
+// A round end is a control event at a barrier, where every shard clock
+// stands at its time, so the flows the next round starts on every shard
+// schedule from it; this two-round run pins that trajectory, and runs in
+// every build type (a Debug build asserts on any event scheduled behind a
+// clock).
 TEST(ShardedEngine, GoldenRoundFlipFingerprint) {
   auto cfg = sharded_cfg(2);
   cfg.permutation_rounds = 2;
   const auto r = run_experiment(cfg);
-  EXPECT_EQ(r.events_dispatched, 102338u);
+  EXPECT_EQ(r.events_dispatched, 102340u);
   EXPECT_EQ(r.goodput.count(), 32u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 476.00423761153473);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.01808032);
-  EXPECT_EQ(r.shard.epochs, 448u);
-  EXPECT_EQ(r.shard.barriers, 450u);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.018160320000000001);
+  EXPECT_EQ(r.shard.epochs, 456u);
+  EXPECT_EQ(r.shard.barriers, 456u);
   EXPECT_EQ(r.shard.handoff_packets, 13209u);
-  EXPECT_EQ(r.shard.micro_steps, 9u);
 }
 
-// Two round completions inside one parallel epoch: the flip is deferred,
-// the attempt discarded and replayed with that epoch pinned serial. The
-// replay must land on the same results whatever the worker count.
-TEST(ShardedEngine, ReplayedRoundFlipIsWorkerCountInvariant) {
-  auto mk = [](int shards) {
-    auto cfg = sharded_cfg(shards);
-    cfg.permutation_rounds = 3;
-    cfg.duration = sim::Time::seconds(0.2);
-    cfg.seed = 7;
-    return cfg;
-  };
-  const auto r1 = run_experiment(mk(1));
-  EXPECT_GE(r1.shard.replays, 1u);
-  expect_identical(r1, run_experiment(mk(2)));
-  expect_identical(r1, run_experiment(mk(4)));
+// Round ends on the control strand. The round end must be timed from the
+// round's latest completion, on the clock of the shard that ran it,
+// whatever the worker count: each later round's first flow starts exactly
+// one core-link delay (40 us) after the previous round's latest finish, in
+// both engines. At seed 7 the last round's final two flows finish 1.6 us
+// apart, inside one epoch. At seed 91 the first round's final two finish
+// 5 us apart on shards 3 and 1; one worker runs shard 1 first, so the
+// completion that takes the round to zero is the earlier one.
+template <std::uint64_t Seed>
+ExperimentConfig three_round_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.permutation_rounds = 3;
+  cfg.duration = sim::Time::seconds(0.2);
+  cfg.seed = Seed;
+  return cfg;
+}
+
+/// Every round's first start is the previous round's latest finish + 40 us.
+void expect_rounds_follow_by_one_core_hop(const ExperimentResults& r, int rounds) {
+  const std::size_t n_hosts = 16;  // k=4
+  ASSERT_EQ(r.flows.size(), n_hosts * static_cast<std::size_t>(rounds));
+  std::int64_t prev_latest = -1;
+  for (int round = 0; round < rounds; ++round) {
+    std::int64_t first_start = INT64_MAX;
+    std::int64_t latest = 0;
+    for (std::size_t i = n_hosts * round; i < n_hosts * (round + 1); ++i) {
+      ASSERT_TRUE(r.flows[i].completed) << "round " << round << " flow " << i;
+      first_start = std::min(first_start, r.flows[i].start.ns());
+      latest = std::max(latest, r.flows[i].finish.ns());
+    }
+    if (prev_latest >= 0) {
+      EXPECT_EQ(first_start - prev_latest, 40'000) << "round " << round;
+    }
+    prev_latest = latest;
+  }
+  EXPECT_EQ(r.sim_duration.ns() - prev_latest, 40'000) << "run end";
+}
+
+TEST(ShardedEngine, RoundEndsFollowTheLatestCompletion) {
+  for (ExperimentConfig (*make)(int) : {&three_round_cfg<7>, &three_round_cfg<91>}) {
+    SCOPED_TRACE(make(0).seed);
+    expect_rounds_follow_by_one_core_hop(same_across_workers(make), 3);
+    expect_rounds_follow_by_one_core_hop(run_experiment(make(0)), 3);
+  }
 }
 
 TEST(ShardedEngine, GoldenShardedFingerprint) {
@@ -169,24 +196,22 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_TRUE(r.sharded);
   EXPECT_EQ(r.shard.logical_shards, 4);
   EXPECT_DOUBLE_EQ(r.shard.lookahead_us, 40.0);
-  EXPECT_EQ(r.events_dispatched, 51665u);
+  EXPECT_EQ(r.events_dispatched, 51666u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
   EXPECT_DOUBLE_EQ(r.goodput.mean(), 483.20222212422357);
   EXPECT_DOUBLE_EQ(r.goodput.percentile(50), 491.68590638081946);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0083177600000000004);
-  EXPECT_EQ(r.shard.epochs, 205u);
-  EXPECT_EQ(r.shard.barriers, 206u);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0083577600000000005);
+  EXPECT_EQ(r.shard.epochs, 209u);
+  EXPECT_EQ(r.shard.barriers, 209u);
   EXPECT_EQ(r.shard.handoff_packets, 6562u);
-  EXPECT_EQ(r.shard.micro_steps, 4u);
-  EXPECT_EQ(r.shard.replays, 0u);
   EXPECT_EQ(r.rtt_by_category[1].count(), 2u);
   EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.37936899999999996);
   EXPECT_EQ(r.rtt_by_category[2].count(), 22u);
   EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.62665386363636355);
-  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.3728936636786826);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.84078766398645788);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.95095674797060759);
+  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.37110900528371243);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.83676367830614906);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.94640549620951064);
 }
 
 // The serial engine's golden constants (determinism_test.cpp) pin its
@@ -481,13 +506,22 @@ class HandoffWorld {
   std::vector<int> link_src_;  ///< source shard of links_[l]
 };
 
+/// The reference drain: flip(), then drain_into() for every destination in
+/// ascending order, with every shard quiesced.
+std::uint64_t drain_all(net::ShardFabric& fabric) {
+  fabric.flip();
+  std::uint64_t handed_off = 0;
+  for (int dst = 0; dst < fabric.n_shards(); ++dst) handed_off += fabric.drain_into(dst);
+  return handed_off;
+}
+
 // Destinations drain independently: any order of drain_into calls (here
 // reversed, and concurrently on a worker pool) reserves the same
-// per-destination (t, seq) keys as drain_all, so deliveries come out in
-// the same order.
+// per-destination (t, seq) keys as the reference drain, so deliveries come
+// out in the same order.
 TEST(ShardFabric, DrainIntoMatchesDrainAllInAnyDestinationOrder) {
   HandoffWorld ref;
-  EXPECT_EQ(ref.fabric.drain_all(), 36u);  // 6 pairs x 2 links x 3 packets
+  EXPECT_EQ(drain_all(ref.fabric), 36u);  // 6 pairs x 2 links x 3 packets
   const auto ref_seqs = ref.next_seqs();
   const auto ref_arrivals = ref.deliver();
 
@@ -533,9 +567,9 @@ TEST(ShardFabric, PushesDuringADrainWaitForTheNextFlip) {
   };
 
   HandoffWorld ref;
-  EXPECT_EQ(ref.fabric.drain_all(), 36u);
+  EXPECT_EQ(drain_all(ref.fabric), 36u);
   for (int s = 0; s < HandoffWorld::kShards; ++s) second_epoch(ref, s);
-  EXPECT_EQ(ref.fabric.drain_all(), 36u);
+  EXPECT_EQ(drain_all(ref.fabric), 36u);
   const auto ref_seqs = ref.next_seqs();
   const auto ref_arrivals = ref.deliver();
 
@@ -550,7 +584,7 @@ TEST(ShardFabric, PushesDuringADrainWaitForTheNextFlip) {
   // Only the first burst drained: 2 sources x 2 links x 3 packets each.
   EXPECT_EQ(per_dst, (std::array<std::uint64_t, HandoffWorld::kShards>{12, 12, 12}));
   for (int s = 0; s < HandoffWorld::kShards; ++s) EXPECT_EQ(overlapped.fabric.parked_by(s), 12u);
-  EXPECT_EQ(overlapped.fabric.drain_all(), 36u);
+  EXPECT_EQ(drain_all(overlapped.fabric), 36u);
   EXPECT_EQ(overlapped.next_seqs(), ref_seqs);
   EXPECT_EQ(overlapped.deliver(), ref_arrivals);
   for (const auto& a : ref_arrivals) {

@@ -25,6 +25,7 @@
 #include "core/experiment.hpp"
 #include "model/fluid.hpp"
 #include "net/types.hpp"
+#include "stats/probes.hpp"
 #include "topo/pinned.hpp"
 #include "transport/flow.hpp"
 #include "util/fixtures.hpp"
@@ -143,6 +144,36 @@ TEST(HybridCoupling, PacketFlowGetsRealShareAndCapacityIsConserved) {
   EXPECT_LT(pkt_sps, kGbpsInSegments / 2.0)
       << "packet flow ignored the fluid traffic's queue";
   EXPECT_GT(fluid_sps, kGbpsInSegments / 2.0);
+}
+
+// Utilization counts the fluid load: one aggregate whose window is pinned
+// at 10 segments, on the path {bottleneck 0, bottleneck 1} with no queue,
+// runs at 10 / base RTT segments per second; the links it crosses report
+// that rate over their capacity, and the link it does not cross stays idle.
+TEST(HybridCoupling, FluidLoadCountsInLinkUtilization) {
+  Engine::Config cfg;
+  cfg.min_window = 10.0;
+  cfg.max_window = 10.0;
+  FluidBed bed{0, 3, cfg};
+  FluidAggregate agg;
+  FluidSubflowState sf;
+  sf.path = bed.eng->add_path({0, 1});
+  sf.base_rtt_s = kBaseRtt;
+  agg.subflows.push_back(sf);
+  bed.eng->add_aggregate(std::move(agg));
+
+  stats::UtilizationWindow util{bed.sched};
+  util.open({&bed.tb->bottleneck(0), &bed.tb->bottleneck(1), &bed.tb->bottleneck(2)});
+  bed.eng->start();
+  bed.sched.run_until(sim::Time::seconds(0.1));
+
+  const double rate_sps = 10.0 / kBaseRtt;
+  ASSERT_NEAR(bed.eng->link_fluid_rate_sps(0), rate_sps, 1e-6 * rate_sps);
+  const std::vector<double> u = util.close();
+  ASSERT_EQ(u.size(), 3u);
+  EXPECT_NEAR(u[0], rate_sps / kGbpsInSegments, 1e-6);
+  EXPECT_NEAR(u[1], rate_sps / kGbpsInSegments, 1e-6);
+  EXPECT_EQ(u[2], 0.0);
 }
 
 TEST(HybridCoupling, TrashShiftsMultipathAggregateOffCongestedLink) {
