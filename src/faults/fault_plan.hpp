@@ -11,7 +11,7 @@ namespace xmp::faults {
 
 /// Stochastic per-link loss / corruption process. All randomness is drawn
 /// from a per-link xoshiro stream seeded by (fault seed, link id), so a
-/// (plan, seed) pair replays bit-identically regardless of traffic.
+/// (plan, seed) pair reproduces bit-identically regardless of traffic.
 struct LossModel {
   enum class Kind : std::uint8_t {
     Bernoulli,       ///< i.i.d. loss with probability `p_loss`
