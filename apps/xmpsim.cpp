@@ -28,14 +28,16 @@
 //       --trace writes a Chrome trace-event JSON (open it in Perfetto or
 //       chrome://tracing); --metrics dumps the run's counters/histograms.
 //       --trace-capacity sizes each tracer ring (events; the oldest are
-//       dropped first): one ring serially, k+1 with --shards (one per pod
-//       plus the control strand), merged at export.
+//       dropped first): one per logical shard plus one for the control
+//       strand, merged at export.
 //       Observation never perturbs the simulation: a traced run produces
 //       the same summary, byte for byte, as an untraced one.
-//       --shards=N runs the sharded conservative-sync engine on N worker
-//       threads (one logical shard per pod regardless of N, so every N —
-//       including 1 — produces identical results). Permutation pattern
-//       only; incompatible with --hybrid.
+//       --shards=N runs the conservative-sync epoch loop on N worker
+//       threads (0, the default, and 1 run it inline). The logical shards
+//       never depend on N, so every N produces identical results: one per
+//       pod for a --pattern=permutation run, one for every other traffic
+//       source (random, incast, --workload, --hybrid), where a wider N
+//       adds nothing.
 //       --coexist=SCHEME splits the senders of a --pattern=random run
 //       between --scheme and SCHEME (the paper's Table 2).
 //       --checkpoint-every=T writes a verified snapshot (ckpt_<seq>.bin in
@@ -82,16 +84,15 @@
 //       kept and named on failure; a reused DIR has each leg's
 //       sub-directory emptied first). The legs run in parallel, each in
 //       DIR/<leg>/; DIR/sweep_manifest.json records their attempts.
-//       Serial engine legs: serial (--shards=0), serial-ckpt (periodic
-//       snapshots) and serial-kill (SIGKILL mid-run + --restore). Sharded
-//       engine legs, when the scenario can run sharded: shards1..shards4
-//       (--shards=1..4), shards-ckpt and shards-kill (at --shards=1).
-//       Within each engine, summary.json, flows.csv, drops.csv (and fct.csv
-//       for a --workload run) must be byte-identical across all legs, and
-//       trace.csv/metrics.json/out.txt across legs with the same checkpoint
-//       flags — checkpointing legitimately adds CkptWrite trace events,
-//       harness.ckpt.* meters and a "checkpoints:" line. Nothing is compared
-//       across engines (they differ in equal-timestamp tie order). Exit 0 =
+//       Legs: shards1..shardsN (--shards=1..N, N the worker count
+//       --shards=4 gets: 4 for a k=4 permutation, 1 where the run has one
+//       logical shard), shards-ckpt (periodic snapshots) and shards-kill
+//       (SIGKILL mid-run + --restore), both at --shards=1. summary.json,
+//       flows.csv, drops.csv (and fct.csv for a --workload run) must be
+//       byte-identical across all legs, and trace.csv/metrics.json/out.txt
+//       across legs with the same checkpoint flags — checkpointing
+//       legitimately adds CkptWrite trace events, harness.ckpt.* meters and
+//       a "checkpoints:" line. Exit 0 =
 //       all legs agree, 1 = divergence (the differing file and legs are
 //       named), 2 = bad flags. The harness owns --shards, --checkpoint-dir,
 //       --restore and every output path; --checkpoint-every only sets the
@@ -180,7 +181,7 @@ constexpr std::string_view kUsage =
     "          [--hybrid-promote-bytes=N] [--hybrid-tick=US]\n"
     "          [--routing=pinned|ecmp|wcmp|flowlet] [--flowlet-gap=100]\n"
     "          [--reroute-delay=0.001] [--faults=PLAN] [--fault-seed=1] [--dead-after=3]\n"
-    "          [--rehome=0] [--invariants] [--shards=N] [--checkpoint-every=SIMTIME]\n"
+    "          [--rehome=0] [--invariants] [--shards=WORKERS] [--checkpoint-every=SIMTIME]\n"
     "          [--checkpoint-dir=DIR] [--restore=FILE] [--csv=flows.csv]\n"
     "          [--json=summary.json] [--drops-csv=drops.csv] [--metrics=metrics.json]\n"
     "          [--trace=timeline.json] [--trace-csv=timeline.csv]\n"
@@ -450,14 +451,6 @@ core::ExperimentConfig config_from(const Args& args, bool& ok) {
     ok = false;
   }
   cfg.checkpoint.restore_path = args.get("restore", "");
-
-  // The sharded engine covers a precise subset of the feature set
-  // (DESIGN.md §11); everything outside it is an up-front one-line reject,
-  // never an engine assert.
-  if (const std::string why = core::sharded_refusal(cfg); !why.empty()) {
-    std::fprintf(stderr, "xmpsim: %s\n", why.c_str());
-    ok = false;
-  }
   return cfg;
 }
 
@@ -560,14 +553,12 @@ void print_summary(const core::ExperimentConfig& cfg, const core::ExperimentResu
     std::printf(", subflow rehomes %llu", static_cast<unsigned long long>(res.path_rehomes));
   }
   std::printf("\n");
-  if (res.sharded) {
-    std::printf("sharded: %d logical shards, lookahead %.1f us, %llu epochs, %llu barriers, "
-                "%llu handoff pkts\n",
-                res.shard.logical_shards, res.shard.lookahead_us,
-                static_cast<unsigned long long>(res.shard.epochs),
-                static_cast<unsigned long long>(res.shard.barriers),
-                static_cast<unsigned long long>(res.shard.handoff_packets));
-  }
+  std::printf("sharded: %d logical shards, lookahead %.1f us, %llu epochs, %llu barriers, "
+              "%llu handoff pkts\n",
+              res.shard.logical_shards, res.shard.lookahead_us,
+              static_cast<unsigned long long>(res.shard.epochs),
+              static_cast<unsigned long long>(res.shard.barriers),
+              static_cast<unsigned long long>(res.shard.handoff_packets));
   // Lineage-cumulative totals: a resumed run inherits its ancestors'
   // counts, so this line is byte-identical to an uninterrupted run's.
   if (res.ckpt.written > 0) {
@@ -690,14 +681,12 @@ bool read_all(const std::string& path, std::string& out) {
 }
 
 /// One verify leg: `xmpsim run` with the scenario plus `flags`, in its own
-/// sub-directory. Legs are byte-compared only against legs of the same
-/// engine, which differ from the other engine in equal-timestamp tie order.
+/// sub-directory.
 struct VerifyLeg {
   std::string name;
-  bool sharded;  ///< engine: sharded, else serial
   bool ckpt;     ///< writes snapshots
   bool kill;     ///< SIGKILLed at its first snapshot, then resumed with --restore
-  std::vector<std::string> flags;  ///< engine and checkpoint flags
+  std::vector<std::string> flags;  ///< worker and checkpoint flags
 };
 
 int cmd_verify(const Args& args) {
@@ -741,37 +730,27 @@ int cmd_verify(const Args& args) {
   core::ExperimentConfig cfg = config_from(checked, cok);
   if (!cok || !checked.finish(kUsage)) return 2;
   const bool workload = cfg.pattern == core::Pattern::Workload;
-  cfg.shards = 1;
-  const bool can_shard = core::sharded_refusal(cfg).empty();
 
-  // Legs per engine (DESIGN.md §15): plain runs first, then a checkpointed
-  // run and a killed-and-restored one.
-  const std::string ckpt_every = "--checkpoint-every=" + args.get("checkpoint-every", "0.005");
+  // Legs (DESIGN.md §15): plain runs on 1..4 workers, as far as the run has
+  // logical shards to spread (on k=4, --shards=3 splits the four unevenly:
+  // 2/1/1), then a checkpointed run and a killed-and-restored one.
+  cfg.shards = 4;
   std::vector<VerifyLeg> legs;
-  auto add_ckpt_legs = [&](bool sharded, const std::string& engine_flag) {
-    const std::string prefix = sharded ? "shards" : "serial";
-    const std::vector<std::string> flags = {engine_flag, ckpt_every, "--checkpoint-dir=."};
-    legs.push_back({prefix + "-ckpt", sharded, true, false, flags});
-    legs.push_back({prefix + "-kill", sharded, true, true, flags});
-  };
-  legs.push_back({"serial", false, false, false, {"--shards=0"}});
-  add_ckpt_legs(false, "--shards=0");
-  if (can_shard) {
-    // 1-4 workers: on k=4, --shards=3 splits the four logical shards
-    // unevenly (2/1/1).
-    for (int n = 1; n <= 4; ++n) {
-      legs.push_back({"shards" + std::to_string(n), true, false, false,
-                      {"--shards=" + std::to_string(n)}});
-    }
-    add_ckpt_legs(true, "--shards=1");
+  for (int n = 1; n <= core::worker_count(cfg); ++n) {
+    legs.push_back({"shards" + std::to_string(n), false, false, {"--shards=" + std::to_string(n)}});
   }
+  const std::vector<std::string> ckpt_flags = {
+      "--shards=1", "--checkpoint-every=" + args.get("checkpoint-every", "0.005"),
+      "--checkpoint-dir=."};
+  legs.push_back({"shards-ckpt", true, false, ckpt_flags});
+  legs.push_back({"shards-kill", true, true, ckpt_flags});
 
   bool ephemeral = false;
   const std::string root = work_dir("verify", "dir", args.get("dir", ""), ephemeral);
   if (root.empty()) return 2;
 
-  // Every result file must be identical across all legs of an engine.
-  // trace.csv, metrics.json and stdout only between legs with the same
+  // Every result file must be identical across all legs; trace.csv,
+  // metrics.json and stdout only between legs with the same
   // checkpoint flags: checkpointing legitimately adds CkptWrite timeline
   // events, harness.ckpt.* meters and a "checkpoints:" stdout line.
   std::vector<std::string> outputs = {"--json=summary.json", "--csv=flows.csv",
@@ -819,7 +798,7 @@ int cmd_verify(const Args& args) {
   // The checkpointed legs take several times as long as a plain one (they
   // write a traced snapshot every few milliseconds; a kill leg then
   // resumes), so they start first, instead of trailing the campaign: last
-  // leg first, i.e. sharded before serial and kill before checkpoint.
+  // leg first, i.e. kill before checkpoint.
   for (std::size_t i = legs.size(); i-- > 0;) {
     if (legs[i].ckpt) ocfg.spawn_first.push_back(i);
   }
@@ -875,14 +854,12 @@ int cmd_verify(const Args& args) {
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const VerifyLeg& leg = legs[i];
     names += (i == 0 ? "" : ", ") + leg.name;
-    // Each leg against its engine's first leg, and against the engine's
-    // first leg with the same checkpoint flags.
-    const VerifyLeg* first = nullptr;
+    // Each leg against the first leg, and against the first leg with the
+    // same checkpoint flags.
+    const VerifyLeg* first = i > 0 ? &legs[0] : nullptr;
     const VerifyLeg* peer = nullptr;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (legs[j].sharded != leg.sharded) continue;
-      if (first == nullptr) first = &legs[j];
-      if (peer == nullptr && legs[j].ckpt == leg.ckpt) peer = &legs[j];
+    for (std::size_t j = 0; j < i && peer == nullptr; ++j) {
+      if (legs[j].ckpt == leg.ckpt) peer = &legs[j];
     }
     std::string err;
     if (first != nullptr) err = compare(*first, leg, result_files);
@@ -890,7 +867,7 @@ int cmd_verify(const Args& args) {
     if (!err.empty()) return fail(err);
   }
 
-  std::printf("verify: PASS — %s agree byte for byte within each engine\n", names.c_str());
+  std::printf("verify: PASS — %s agree byte for byte\n", names.c_str());
   if (ephemeral) {
     std::error_code ec;
     fs::remove_all(root, ec);

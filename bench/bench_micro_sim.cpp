@@ -307,7 +307,7 @@ void BM_WorldBuild(benchmark::State& state) {
   for (auto _ : state) {
     sim::Scheduler control;
     net::ShardFabric fabric{cfg.fat_tree_k};
-    core::World world{cfg, control, &fabric};
+    core::World world{cfg, control, fabric};
     world.start();
     benchmark::DoNotOptimize(world.all_links.size());
   }

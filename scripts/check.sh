@@ -15,7 +15,7 @@
 # Every build mode also runs a chaos soak (tests/faults/chaos_soak_test.cpp)
 # at a CHAOS_RUNS volume sized to the preset's sanitizer overhead. The
 # default and all modes finish with the CLI smoke (scripts/smoke.sh:
-# `xmpsim verify` over every engine leg, kill/resume, rejects).
+# `xmpsim verify` over every worker-count leg, kill/resume, rejects).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +56,7 @@ run_smoke() {
   scripts/smoke.sh build
 }
 
-# The sharded engine's worker pool under ThreadSanitizer: exactly the tests
+# The epoch loop's worker pool under ThreadSanitizer: exactly the tests
 # labeled "shard" (tests/core/sharded_engine_test.cpp), on top of the tsan
 # preset's name-filtered suite.
 run_shard_tsan() {

@@ -2,12 +2,13 @@
 # End-to-end CLI smoke: three tables, each row one line, plus the checks
 # `xmpsim verify` cannot express.
 #
-#   1. verify rows: `xmpsim verify` runs a scenario on every engine leg it
-#      supports and byte-compares the results within each engine
-#      (DESIGN.md §15); then content asserts on kept legs' summary.json,
-#      and on the flip row's manifest: both kill legs resumed from a snapshot;
+#   1. verify rows: `xmpsim verify` runs a scenario on every worker count
+#      its logical shards allow, checkpointed and killed + restored, and
+#      byte-compares the results of every leg (DESIGN.md §15); then content
+#      asserts on kept legs' summary.json, and on the flip row's manifest:
+#      the kill leg resumed from a snapshot;
 #   2. checks verify cannot do: the routing policy x fault matrix, the
-#      checkpoint count across engines, SIGTERM -> exit 143 + restore under
+#      checkpoint count across worker counts, SIGTERM -> exit 143 + restore under
 #      --invariants, trace validation, campaign kill/resume for a seed and
 #      an FCT sweep, a sweep without --out (the same campaign in a temp dir
 #      under TMPDIR) and the resume of a load no JSON double would round;
@@ -74,14 +75,14 @@ echo "== 1. verify rows =="
 verify_rows=(
   "one       | shards1        | 'sharding' in s       | $perm --rounds=1 --duration=0.05"
   "flip      | shards1        | 'sharding' in s       | $perm --rounds=2 --duration=0.3"
-  "gray      | serial shards1 | $imp                  | $perm --rounds=1 --duration=0.05 --faults=$gray"
-  "mixed     | serial shards1 | $inv                  | $perm --rounds=1 --duration=0.05 --routing=ecmp --faults=$mixed --invariants"
-  "flowlet   | serial shards1 | routing['flowlet_repaths'] > 0 | $perm --rounds=1 --duration=0.05 --routing=flowlet"
-  "hybrid    | serial         | $band                 | $hybrid"
-  "websearch | serial         | fct['completed'] > 0  | --workload=configs/workloads/websearch.wl --load=0.3 --k=4 --duration=0.05 --seed=11"
+  "gray      | shards1        | $imp                  | $perm --rounds=1 --duration=0.05 --faults=$gray"
+  "mixed     | shards1        | $inv                  | $perm --rounds=1 --duration=0.05 --routing=ecmp --faults=$mixed --invariants"
+  "flowlet   | shards1        | routing['flowlet_repaths'] > 0 | $perm --rounds=1 --duration=0.05 --routing=flowlet"
+  "hybrid    | shards1        | $band                 | $hybrid"
+  "websearch | shards1        | fct['completed'] > 0  | --workload=configs/workloads/websearch.wl --load=0.3 --k=4 --duration=0.05 --seed=11"
   "random    |                |                       | --pattern=random --scheme=xmp --k=4 --duration=0.05 --seed=11"
-  "coexist   | serial         | summary['avg_goodput_b_mbps'] > 0 | --pattern=random --scheme=xmp --subflows=2 --coexist=dctcp --k=4 --duration=0.05 --seed=11"
-  "rehome    | serial shards1 | routing['path_rehomes'] > 0 | $rehome"
+  "coexist   | shards1        | summary['avg_goodput_b_mbps'] > 0 | --pattern=random --scheme=xmp --subflows=2 --coexist=dctcp --k=4 --duration=0.05 --seed=11"
+  "rehome    | shards1        | routing['path_rehomes'] > 0 | $rehome"
   "incast    |                |                       | --pattern=incast --scheme=xmp --k=4 --duration=0.05 --seed=11"
 )
 for row in "${verify_rows[@]}"; do
@@ -92,9 +93,9 @@ for row in "${verify_rows[@]}"; do
   "$bin" verify "${argv[@]}" --dir="$tmp/$name" || fail "verify $name"
   for leg in $legs; do json_check "$tmp/$name/$leg/summary.json" "$checks"; done
   if [ "$name" = flip ]; then
-    # Each kill leg was SIGKILLed at a snapshot and resumed from one.
+    # The kill leg was SIGKILLed at a snapshot and resumed from one.
     json_check "$tmp/$name/sweep_manifest.json" "
-      [j['attempts'] for j in jobs if j['dir'].endswith('-kill')] == [2, 2];
+      [j['attempts'] for j in jobs if j['dir'].endswith('-kill')] == [2];
       all(j['lineage'][1].startswith('ckpt_') for j in jobs if j['dir'].endswith('-kill'))"
   fi
   rm -rf "${tmp:?}/$name"
@@ -119,9 +120,10 @@ for policy in pinned ecmp wcmp flowlet; do
   done
 done
 
-echo "-- same checkpoint count in both engines"
+echo "-- same checkpoint count at every worker count"
 # Boundaries lie strictly before a horizon that is a multiple of the
-# cadence: both engines write at 1, 2 and 3 ms, neither at the horizon.
+# cadence: one inline worker and two workers both write at 1, 2 and 3 ms,
+# neither at the horizon.
 cadence=(--pattern=permutation --scheme=xmp --k=4 --rounds=1 --duration=0.004
          --checkpoint-every=0.001)
 for shards in 0 2; do
@@ -130,7 +132,7 @@ for shards in 0 2; do
     | grep -o 'checkpoints: [0-9]* written' > "$tmp/cadence-$shards.txt"
 done
 cmp -s "$tmp/cadence-0.txt" "$tmp/cadence-2.txt" ||
-  fail "checkpoint count: serial $(cat "$tmp/cadence-0.txt"), --shards=2 $(cat "$tmp/cadence-2.txt")"
+  fail "checkpoint count: --shards=0 $(cat "$tmp/cadence-0.txt"), --shards=2 $(cat "$tmp/cadence-2.txt")"
 snap="$(newest_ckpt "$tmp/cadence-0")"
 # One flipped payload byte: the CRC check must reject it (reject rows).
 bad="$tmp/bad.bin"
@@ -267,11 +269,9 @@ EOF
 echo "== 3. reject rows =="
 # diagnostic (grep -E)                                   | argv
 reject_rows=(
-  "--shards requires --pattern=permutation                 | run --pattern=random --scheme=xmp --k=4 --duration=0.01 --shards=2"
   "--coexist=dctcp has no effect on this run               | run $perm --coexist=dctcp --duration=0.01"
   "--hybrid-bg=10 has no effect on this run                | run --hybrid-bg=10 --duration=0.01"
   "--hybrid requires --scheme=xmp                          | run --hybrid --scheme=tcp --duration=0.01"
-  "--hybrid is incompatible with --shards                  | run --hybrid --scheme=xmp --subflows=2 --shards=2 --duration=0.01"
   "--pattern=stride has no effect on this run              | run --hybrid --scheme=xmp --subflows=2 --pattern=stride --duration=0.01"
   "bad --hybrid-bg=0                                       | run --hybrid --scheme=xmp --subflows=2 --hybrid-bg=0 --duration=0.01"
   "--faults=.* has no effect on this run                   | run --hybrid --faults=$gray"

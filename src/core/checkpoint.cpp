@@ -256,10 +256,6 @@ std::uint64_t config_fingerprint(const ExperimentConfig& cfg) {
     f.mix(cfg.workload->content_hash());
     f.mix_d(cfg.offered_load > 0.0 ? cfg.offered_load : cfg.workload->default_load);
   }
-  // Sharded runs use a different (documented) equal-timestamp tie order, so
-  // a serial checkpoint must not restore into a sharded run or vice versa —
-  // but the worker count itself is identity-neutral.
-  f.mix(cfg.shards > 0);
   // Hybrid runs carry a HYBR section whose shape is a function of these
   // knobs; covering them rejects a non-hybrid snapshot in a hybrid world
   // (and any hybrid-population mismatch) at the header check.

@@ -297,11 +297,11 @@ bool probe_file(const std::string& path, std::uint64_t expect_fingerprint, Heade
                                        bool verbose = false);
 
 /// Hash of the determinism-relevant parts of an ExperimentConfig: workload,
-/// topology, scheme, routing, faults, seeds, and whether the sharded engine
-/// runs (its equal-timestamp tie order differs from serial). Observability
-/// outputs, invariant checking and the checkpoint settings themselves are
-/// deliberately excluded so `xmpsim run --restore` can add --trace /
-/// --invariants to a checkpoint taken without them.
+/// topology, scheme, routing, faults and seeds. The worker count is left
+/// out (results do not depend on it), and so are the observability
+/// outputs, invariant checking and the checkpoint settings themselves, so
+/// `xmpsim run --restore` can add --trace / --invariants to a checkpoint
+/// taken without them.
 [[nodiscard]] std::uint64_t config_fingerprint(const ExperimentConfig& cfg);
 
 }  // namespace xmp::core::ckpt

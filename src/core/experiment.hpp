@@ -39,8 +39,8 @@ struct ObsConfig {
   /// CSV, atomic-writer published. Workload runs only; per-job in sweeps.
   std::string fct_csv;
   std::uint32_t categories = obs::cat::kAll;  ///< --trace-filter mask
-  /// Events per tracer ring. A sharded run keeps k+1 rings (one per pod
-  /// plus the control strand), merged at export.
+  /// Events per tracer ring. A run keeps one ring per logical shard plus
+  /// one for the control strand, merged at export.
   std::size_t capacity = 1u << 18;
 
   [[nodiscard]] bool tracing() const { return !trace_json.empty() || !trace_csv.empty(); }
@@ -60,8 +60,8 @@ struct CheckpointConfig {
   /// Resume from this checkpoint file instead of starting fresh.
   std::string restore_path;
   /// External stop flag (SIGTERM handler). When it flips, the run halts at
-  /// the next inter-event point, writes a final checkpoint (if a dir is
-  /// configured) and returns with ckpt.interrupted set.
+  /// the next epoch barrier (at most one epoch of simulated time later),
+  /// writes a final checkpoint and returns with ckpt.interrupted set.
   const std::atomic<bool>* stop_requested = nullptr;
 
   [[nodiscard]] bool enabled() const {
@@ -73,8 +73,8 @@ struct CheckpointConfig {
 /// replaces its traffic pattern with `bg_flows` fluid background aggregates
 /// (per-RTT BOS/TraSh ODEs on the run's scheme) plus `fg_flows`
 /// packet-accurate foreground flows, coupled through shared queue state.
-/// Requires an XMP scheme (the fluid model implements the §2 dynamics), the
-/// serial engine, and no fault plan / coexistence / explicit pattern.
+/// Requires an XMP scheme (the fluid model implements the §2 dynamics) and
+/// no fault plan / coexistence / explicit pattern.
 struct HybridConfig {
   bool enabled = false;
   int bg_flows = 1000;            ///< fluid background aggregates
@@ -142,13 +142,10 @@ struct ExperimentConfig {
   /// Run the opt-in InvariantChecker probe alongside the experiment.
   bool check_invariants = false;
 
-  /// Worker threads for the sharded conservative-sync engine; 0 runs the
-  /// serial event loop (the default, byte-for-byte the legacy behavior). Any
-  /// value >= 1 selects the sharded engine: the fabric is partitioned into
-  /// one *logical* shard per pod (fixed by the topology, never by this
-  /// knob), so results are bit-identical across every `shards` value.
-  /// Sharded runs support the Permutation pattern only, without the hybrid
-  /// engine or subflow re-homing (the serial engine covers those).
+  /// Worker threads of the epoch loop (DESIGN.md §11), clamped to
+  /// [1, logical_shards(cfg)]: 0 and 1 both run every shard inline on the
+  /// calling thread. The logical shards are fixed by the config, never by
+  /// this knob, so results are bit-identical across every `shards` value.
   int shards = 0;
 
   /// Hybrid fluid/packet engine (inactive by default).
@@ -289,18 +286,17 @@ struct ExperimentResults {
   /// "--flag=PATH" of each trace, metrics or FCT export that was not written.
   std::vector<std::string> unwritten;
 
-  /// Sharded-engine accounting (zeroed in serial runs). Every field is a
-  /// function of the logical shard structure only — independent of the
-  /// worker count — so it belongs in deterministic summary output.
+  /// Epoch-loop accounting. Every field is a function of the logical shard
+  /// structure only — independent of the worker count — so it belongs in
+  /// deterministic summary output.
   struct ShardStats {
-    int logical_shards = 0;       ///< fixed by the topology (k for a Fat-Tree)
-    double lookahead_us = 0.0;    ///< min cross-shard propagation delay
+    int logical_shards = 0;       ///< logical_shards(cfg)
+    double lookahead_us = 0.0;    ///< epoch length: min cross-shard link delay
     std::uint64_t epochs = 0;     ///< conservative windows executed
     std::uint64_t barriers = 0;   ///< synchronisation points
     std::uint64_t handoff_packets = 0;  ///< packets crossing shard boundaries
   };
   ShardStats shard;
-  bool sharded = false;
 
   /// Checkpoint accounting (zeroed when checkpointing is off). `written` and
   /// `bytes` are lineage-cumulative: a restored run inherits the totals of
@@ -327,30 +323,19 @@ struct ExperimentResults {
 };
 
 /// One self-contained Fat-Tree evaluation run. Builds the topology, the
-/// workload and the scheme from the config, runs to completion, and
-/// collects the paper's metrics. cfg.shards == 0 runs the serial event
-/// loop; >= 1 dispatches to run_experiment_sharded. Both engines build,
-/// checkpoint, collect and export the same world (src/core/world.hpp); only
-/// their run loops differ.
+/// workload and the scheme from the config (src/core/world.hpp), runs the
+/// conservative-sync epoch loop over logical_shards(cfg) shards on
+/// worker_count(cfg) threads, and collects the paper's metrics.
 [[nodiscard]] ExperimentResults run_experiment(const ExperimentConfig& cfg);
 
-/// The sharded conservative-sync engine behind run_experiment when
-/// cfg.shards >= 1 (exposed for tests; run_experiment dispatches here): the
-/// epoch loop over the shared world, with its epoch accounting.
-/// Precondition (asserted; the CLI rejects it with a diagnostic):
-/// sharded_refusal(cfg) is empty.
-[[nodiscard]] ExperimentResults run_experiment_sharded(const ExperimentConfig& cfg);
+/// Logical shards of a run: one per pod for a non-hybrid Permutation,
+/// whose workload is ported to per-pod shards; one for every other traffic
+/// source, which keeps the whole fabric on one scheduler.
+[[nodiscard]] int logical_shards(const ExperimentConfig& cfg);
 
-/// Worker threads run_experiment_sharded uses: cfg.shards clamped to the
-/// logical shard count (one per pod), since a worker beyond it owns no
+/// Worker threads run_experiment uses: cfg.shards clamped to
+/// [1, logical_shards(cfg)], since a worker beyond the shard count owns no
 /// shard.
-[[nodiscard]] int sharded_pool_width(const ExperimentConfig& cfg);
-
-/// Why `cfg` cannot run as configured on the sharded engine, as a one-line
-/// diagnostic ("--shards is incompatible with --rehome"), or "" when it
-/// can. Always "" for cfg.shards == 0. The sharded engine runs Permutation
-/// patterns only, without hybrid or subflow re-homing. Checkpointing has no
-/// such predicate: every feature saves and restores its state.
-[[nodiscard]] std::string sharded_refusal(const ExperimentConfig& cfg);
+[[nodiscard]] int worker_count(const ExperimentConfig& cfg);
 
 }  // namespace xmp::core

@@ -170,18 +170,16 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
   json.kv("path_rehomes", results.path_rehomes);
   json.end_object();
 
-  if (results.sharded) {
-    // Every field is a function of the logical shard structure, never of
-    // the worker count, so the block is safe in byte-compared output.
-    json.key("sharding");
-    json.begin_object();
-    json.kv("logical_shards", static_cast<std::int64_t>(results.shard.logical_shards));
-    json.kv("lookahead_us", results.shard.lookahead_us);
-    json.kv("epochs", results.shard.epochs);
-    json.kv("barriers", results.shard.barriers);
-    json.kv("handoff_packets", results.shard.handoff_packets);
-    json.end_object();
-  }
+  // Every field is a function of the logical shard structure, never of the
+  // worker count, so the block is safe in byte-compared output.
+  json.key("sharding");
+  json.begin_object();
+  json.kv("logical_shards", static_cast<std::int64_t>(results.shard.logical_shards));
+  json.kv("lookahead_us", results.shard.lookahead_us);
+  json.kv("epochs", results.shard.epochs);
+  json.kv("barriers", results.shard.barriers);
+  json.kv("handoff_packets", results.shard.handoff_packets);
+  json.end_object();
 
   if (results.fct.enabled()) {
     // FCT-slowdown block (empirical workloads): exact nearest-rank

@@ -12,7 +12,7 @@
 
 namespace xmp::core {
 
-/// Persistent barrier-synchronised worker pool: the sharded engine's epoch
+/// Persistent barrier-synchronised worker pool: the event engine's epoch
 /// fan-out, and the benches' fan-out of independent experiment configs.
 ///
 /// Every shard (task index) has an *owner*: worker (s % width). A worker

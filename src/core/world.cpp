@@ -29,8 +29,8 @@ std::unique_ptr<obs::TimelineTracer> make_tracer(const ExperimentConfig& cfg) {
 
 /// The fabric must be attached before the topology is built: link
 /// construction records the cross-shard links and their delays.
-net::Network& attach(net::Network& netw, net::ShardFabric* fabric) {
-  if (fabric != nullptr) netw.set_shard_fabric(fabric);
+net::Network& attach(net::Network& netw, net::ShardFabric& fabric) {
+  netw.set_shard_fabric(&fabric);
   return netw;
 }
 
@@ -85,7 +85,7 @@ void trace_ring(ckpt::Io& io, obs::TimelineTracer* t) {
 // a WorkerPool each get their own observers) and is strictly passive:
 // nothing reads the tracer or registry, so a run with observation produces
 // byte-identical results to one without.
-World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::ShardFabric* fab)
+World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::ShardFabric& fab)
     : cfg{cfg_in},
       sched{control},
       fabric{fab},
@@ -101,7 +101,7 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
       rtt_tick{control, cfg_in.rtt_sample_interval, [this] { return sample_rtts(); }},
       util{control} {
   if (tracer) {
-    for (int s = 0; fabric != nullptr && s < fabric->n_shards(); ++s) {
+    for (int s = 0; s < fabric.n_shards(); ++s) {
       shard_tracers.push_back(make_tracer(cfg));
     }
     for (int l = 0; l < 3; ++l) {
@@ -118,15 +118,15 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
   // so fault-free default runs stay byte-identical) ---
   routes.install_all();
 
-  if (fabric != nullptr) {
-    flows_a.set_schedulers([this](int host) -> sim::Scheduler& {
-      return fabric->sched(netw.shard_of(tree.host(host)));
-    });
-  }
+  const auto host_sched = [this](int host) -> sim::Scheduler& {
+    return fabric.sched(netw.shard_of(tree.host(host)));
+  };
+  flows_a.set_schedulers(host_sched);
   if (cfg.scheme_b) {
     // Disjoint id space: flow ids are endpoint demux keys at the hosts.
     flows_b = std::make_unique<workload::FlowManager>(sched, *cfg.scheme_b,
                                                       net::FlowId{1} << 24);
+    flows_b->set_schedulers(host_sched);
   }
 
   // --- fault injection (no-op when the plan is empty). arm() is deferred:
@@ -196,6 +196,10 @@ double World::sample_rtts() {
 // rng.split() draws happen here, identically); start() is deferred so a
 // restore can rebuild their state instead.
 void World::build_workload() {
+  // Permutation round ends are control events. Every other generator has
+  // no per-pod port yet and runs on shard 0, the only shard its run has.
+  assert(cfg.pattern == Pattern::Permutation || fabric.n_shards() == 1);
+  sim::Scheduler& gen = cfg.pattern == Pattern::Permutation ? sched : fabric.sched(0);
   workload::RandomTraffic::Config rand_cfg;
   rand_cfg.min_bytes = cfg.rand_min_bytes;
   rand_cfg.max_bytes = cfg.rand_max_bytes;
@@ -206,7 +210,7 @@ void World::build_workload() {
       pc.max_bytes = cfg.perm_max_bytes;
       pc.rounds = cfg.permutation_rounds;
       pc.round_gap = tree.config().core_delay;
-      perm = std::make_unique<workload::PermutationTraffic>(sched, tree, flows_a, rng.split(), pc);
+      perm = std::make_unique<workload::PermutationTraffic>(gen, tree, flows_a, rng.split(), pc);
       break;
     }
     case Pattern::Random: {
@@ -217,18 +221,17 @@ void World::build_workload() {
         for (int h = 0; h < tree.n_hosts(); ++h) {
           (h % 2 == 0 ? rc.senders : rc_b.senders).push_back(h);
         }
-        rand_b =
-            std::make_unique<workload::RandomTraffic>(sched, tree, *flows_b, rng.split(), rc_b);
+        rand_b = std::make_unique<workload::RandomTraffic>(gen, tree, *flows_b, rng.split(), rc_b);
       }
-      rand_a = std::make_unique<workload::RandomTraffic>(sched, tree, flows_a, rng.split(), rc);
+      rand_a = std::make_unique<workload::RandomTraffic>(gen, tree, flows_a, rng.split(), rc);
       break;
     }
     case Pattern::Incast: {
-      incast = std::make_unique<workload::IncastTraffic>(sched, tree, flows_a, rng.split(),
-                                                         cfg.incast);
+      incast =
+          std::make_unique<workload::IncastTraffic>(gen, tree, flows_a, rng.split(), cfg.incast);
       workload::RandomTraffic::Config rc = rand_cfg;
       rc.exclude_same_rack = true;  // paper footnote 8
-      incast_bg = std::make_unique<workload::RandomTraffic>(sched, tree, flows_a, rng.split(), rc);
+      incast_bg = std::make_unique<workload::RandomTraffic>(gen, tree, flows_a, rng.split(), rc);
       break;
     }
     case Pattern::Workload: {
@@ -241,7 +244,7 @@ void World::build_workload() {
       ec.span = spec.span;
       ec.mice_threshold = spec.mice_threshold;
       ec.trace = &spec.flows;
-      emp = std::make_unique<workload::EmpiricalTraffic>(sched, tree, flows_a, rng.split(), ec);
+      emp = std::make_unique<workload::EmpiricalTraffic>(gen, tree, flows_a, rng.split(), ec);
       break;
     }
   }
@@ -373,20 +376,20 @@ std::function<void()> World::bind(const workload::CallbackTag& tag,
   }
 }
 
-// Sections in order: SCHD, SHRD (0 shards when serial), LNKS, SWCH, HOST,
-// RTEM, FLTC, FLWA, WKLD, HYBR, PROB, INVC, SHST (zeros when serial), OBSV.
+// Sections in order: SCHD, SHRD, LNKS, SWCH, HOST, RTEM, FLTC, FLWA, WKLD,
+// HYBR, PROB, INVC, SHST, OBSV.
 bool World::checkpoint(ckpt::Io& io, sim::Time at) {
-  const int n_shards = fabric != nullptr ? fabric->n_shards() : 0;
+  const int n_shards = fabric.n_shards();
   io.tag("SCHD");
   clock(io, sched);
   io.tag("SHRD");
   io.count(static_cast<std::uint64_t>(n_shards));
-  for (int sh = 0; sh < n_shards && io.ok(); ++sh) clock(io, fabric->sched(sh));
+  for (int sh = 0; sh < n_shards && io.ok(); ++sh) clock(io, fabric.sched(sh));
   if (io.loading()) {
     // Snapshots are only taken with every clock aligned at the header's
     // time, inside the horizon.
     for (int sh = 0; sh < n_shards && io.ok(); ++sh) {
-      if (fabric->sched(sh).now() != sched.now()) io.fail();
+      if (fabric.sched(sh).now() != sched.now()) io.fail();
     }
     if (sched.now() != at || sched.now() < sim::Time::zero() || sched.now() > cfg.duration) {
       io.fail();
@@ -702,8 +705,8 @@ void World::export_obs() {
     if (!written) res.unwritten.push_back(std::string{"--"} + flag + "=" + path);
   };
   if (tracer) {
-    // One export path for both engines: the control stream first (it wins
-    // equal-timestamp ties), then the shard streams in shard order.
+    // The control stream first (it wins equal-timestamp ties), then the
+    // shard streams in shard order.
     std::vector<const obs::TimelineTracer*> streams{tracer.get()};
     for (const auto& t : shard_tracers) streams.push_back(t.get());
     const auto all = obs::TimelineTracer::merged(streams);

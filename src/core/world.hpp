@@ -1,12 +1,11 @@
 #pragma once
 
-// The world of one experiment run, shared by the serial and the sharded
-// engine (DESIGN.md §11, §12): observers, fabric, routing, workload and
-// probes, plus what both engines do around their run loops — fresh start,
-// checkpoint save/restore, result collection and export. Nothing here
-// branches on which engine built it: a component the run does not use (the
-// generators of other patterns, the hybrid engine, the invariant checker,
-// the shard fabric of a serial run) is null. Internal to xmp_core.
+// The world of one experiment run (DESIGN.md §11, §12): observers, fabric,
+// routing, workload and probes, plus what the epoch loop does around its
+// run — fresh start, checkpoint save/restore, result collection and
+// export. A component the run does not use (the generators of other
+// patterns, the hybrid engine, the invariant checker) is null. Internal to
+// xmp_core.
 
 #include <array>
 #include <cstdint>
@@ -41,10 +40,10 @@ namespace xmp::core {
 
 class World {
  public:
-  /// Build the world on `control` (the only scheduler of a serial run).
-  /// With a fabric, the topology is partitioned into its shards and every
-  /// flow endpoint lands on its host's shard scheduler.
-  World(const ExperimentConfig& cfg, sim::Scheduler& control, net::ShardFabric* fabric);
+  /// Build the world: control services on `control`, the topology
+  /// partitioned into the fabric's shards, every flow endpoint on its
+  /// host's shard scheduler.
+  World(const ExperimentConfig& cfg, sim::Scheduler& control, net::ShardFabric& fabric);
   ~World();
 
   World(const World&) = delete;
@@ -54,7 +53,7 @@ class World {
   /// checker, workload, hybrid foreground and fluid tick, probes.
   void start();
 
-  /// The checkpoint payload, one layout for both engines (DESIGN.md §12).
+  /// The checkpoint payload (DESIGN.md §12).
   /// A loading pass fails on clocks that differ from `at` (the header time;
   /// a saving pass passes the clock's own) or from each other, or lie
   /// outside [0, horizon]. True when the pass succeeded (and, loading,
@@ -82,8 +81,8 @@ class World {
   void export_obs();
 
   const ExperimentConfig& cfg;
-  sim::Scheduler& sched;          ///< the control strand (serial: the only one)
-  net::ShardFabric* const fabric;  ///< null in serial runs
+  sim::Scheduler& sched;    ///< the control strand
+  net::ShardFabric& fabric;
 
   // --- observers, declared before the network so its construction is
   // observed: the control tracer plus one per shard, merged at export, and
@@ -116,9 +115,9 @@ class World {
   stats::UtilizationWindow util;
   std::vector<net::Link*> all_links;  ///< every link, grouped by layer
   std::array<std::pair<std::size_t, std::size_t>, 3> layer_ranges;
-  /// The sharded engine's epoch accounting (res.shard's counters and the
-  /// next epoch's trace id) is checkpointed as SHST, so a resumed run's
-  /// summary matches an uninterrupted one. All zero in serial runs.
+  /// The epoch accounting (res.shard's counters and the next epoch's trace
+  /// id) is checkpointed as SHST, so a resumed run's summary matches an
+  /// uninterrupted one.
   std::uint32_t next_epoch = 0;
 
  private:

@@ -172,7 +172,11 @@ void Engine::tick() {
     const double served = std::min(backlog, c_fluid * dt);
     ls.q_fluid = std::min(backlog - served, ls.capacity_packets);
     ls.fluid_rate_sps = served / dt;
-    ls.fluid_busy_s += served / ls.capacity_sps;  // utilization counts fluid load
+    // Utilization counts fluid load, but only in the part of the tick the
+    // measured packet drain left free: `served` follows the smoothed drain,
+    // which lags a burst, and both together must not exceed the tick.
+    const double pkt_busy_s = drained_bytes * 8.0 / static_cast<double>(ls.link->rate_bps());
+    ls.fluid_busy_s += std::min(served / ls.capacity_sps, std::max(0.0, dt - pkt_busy_s));
     // Per-round marking probability: a linear ramp of width `span` packets
     // above K. In equilibrium q settles at K + span·p*, which makes the
     // emergent p* coincide with the §2 closed form p = S/(C+S).

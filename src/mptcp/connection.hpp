@@ -67,7 +67,7 @@ class MptcpConnection : private transport::SenderObserver {
   /// Sharded variant: senders, source pool and start-offset timers live on
   /// the source host's shard scheduler; receivers (delayed-ACK timers) on
   /// the destination's. With the same scheduler twice this is exactly the
-  /// serial constructor.
+  /// one-scheduler constructor.
   MptcpConnection(sim::Scheduler& src_sched, sim::Scheduler& dst_sched, net::Host& src,
                   net::Host& dst, const Config& cfg);
 

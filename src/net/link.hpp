@@ -185,8 +185,8 @@ class Link final {
   /// instead of the local in-flight FIFO and are delivered on the
   /// destination shard's scheduler `dst` after the barrier drain; they wait
   /// for delivery on that shard's `dst_pool`. Wired once at topology
-  /// construction (net::Network), while the link is empty; never in serial
-  /// runs.
+  /// construction (net::Network), while the link is empty; never in a
+  /// one-shard run.
   void set_remote_handoff(HandoffChannel* ch, sim::Scheduler* dst, FifoPool& dst_pool) {
     remote_ = ch;
     remote_sched_ = dst;

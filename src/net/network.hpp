@@ -20,12 +20,12 @@ namespace xmp::net {
 /// begin_shard(s) before creating a shard's nodes; every link is owned by
 /// its *sender's* shard (its queue and transmitter run there), and a link
 /// whose endpoints live in different shards becomes a boundary link wired
-/// through the fabric's handoff channels. Without a fabric all of this is
-/// inert and construction is byte-identical to the serial engine.
+/// through the fabric's handoff channels. Without a fabric (testbeds) all
+/// of this is inert and every link runs on the network's one scheduler.
 ///
 /// Every link FIFO and queue takes its nodes from the FIFO pool of the
 /// shard that pushes and pops it: the fabric's per-shard pools, or the
-/// network's own pool in a serial run.
+/// network's own pool without a fabric.
 class Network {
  public:
   explicit Network(sim::Scheduler& sched) : sched_{sched} {}
@@ -35,10 +35,11 @@ class Network {
 
   /// Enable shard-aware construction (call before building the topology).
   void set_shard_fabric(ShardFabric* fabric) { fabric_ = fabric; }
-  [[nodiscard]] bool sharded() const { return fabric_ != nullptr; }
 
-  /// Nodes created from here on belong to logical shard `s`.
-  void begin_shard(int s) { current_shard_ = s; }
+  /// Nodes created from here on belong to logical shard `s`. A fabric with
+  /// fewer shards than the topology's partition folds it: shard s lands on
+  /// s mod n_shards, so a one-shard fabric holds every node.
+  void begin_shard(int s) { current_shard_ = fabric_ != nullptr ? s % fabric_->n_shards() : s; }
 
   /// Logical shard of a node (0 when construction was not sharded).
   [[nodiscard]] int shard_of(const Node& n) const {
@@ -91,7 +92,7 @@ class Network {
  private:
   /// Create a link owned by `src_shard`'s scheduler delivering into `to`;
   /// cross-shard pairs are registered with the fabric and flipped into
-  /// boundary mode. The serial path (`fabric_ == nullptr`) is untouched.
+  /// boundary mode.
   Link& make_link(int src_shard, int dst_shard, PacketSink& to, std::int64_t rate_bps,
                   sim::Time prop_delay, const QueueConfig& qcfg);
 
@@ -103,7 +104,7 @@ class Network {
   }
 
   sim::Scheduler& sched_;
-  FifoPool pool_;  ///< the serial engine's; declared before links_ (outlives them)
+  FifoPool pool_;  ///< used without a fabric; declared before links_ (outlives them)
   ShardFabric* fabric_ = nullptr;
   int current_shard_ = 0;
   std::vector<int> node_shard_;  ///< by NodeId

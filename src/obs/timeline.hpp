@@ -38,9 +38,9 @@ enum class EventKind : std::uint8_t {
   JobRetry,     ///< failed job scheduled for respawn (id = job, a = attempt,
                 ///< b = backoff seconds)
   JobExhausted, ///< job gave up after its last retry (id = job, a = attempts)
-  ShardEpoch,   ///< sharded engine released an epoch (id = epoch index,
+  ShardEpoch,   ///< the engine released an epoch (id = epoch index,
                 ///< a = epoch end µs)
-  ShardBarrier, ///< sharded engine completed a barrier (id = epoch index,
+  ShardBarrier, ///< the engine completed a barrier (id = epoch index,
                 ///< a = handoff packets drained at this barrier)
   CkptWrite,    ///< checkpoint published (id = checkpoint seq, a = bytes)
   CkptRestore,  ///< run resumed from a checkpoint (id = checkpoint seq,

@@ -192,7 +192,7 @@ void Scheduler::run() {
   stopped_ = false;
   Time t;
   EventCallback cb;
-  while (!stopped_ && !external_stop() && pop_next(std::numeric_limits<std::int64_t>::max(), t, cb)) {
+  while (!stopped_ && pop_next(std::numeric_limits<std::int64_t>::max(), t, cb)) {
     dispatch(t, cb);
   }
 }
@@ -202,14 +202,13 @@ void Scheduler::run_until(Time t) {
   stopped_ = false;
   Time et;
   EventCallback cb;
-  while (!stopped_ && !external_stop() && pop_next(t.ns(), et, cb)) {
+  while (!stopped_ && pop_next(t.ns(), et, cb)) {
     dispatch(et, cb);
   }
   // Advance the clock to the horizon only on a quiet completion; a stop()
-  // (or an external stop request) freezes time at the last dispatched event
-  // (so measurement windows stay tight, and an emergency checkpoint lands
-  // at a well-defined quiescent point).
-  if (!stopped_ && !external_stop() && now_ <= t) {
+  // freezes time at the last dispatched event (so measurement windows stay
+  // tight).
+  if (!stopped_ && now_ <= t) {
     now_ = t;
     // Everything up to and including `t` has run: every key at `t` handed
     // out so far has passed.
@@ -223,7 +222,7 @@ void Scheduler::run_before(Time bound) {
   Time et;
   EventCallback cb;
   // pop_next's bound is inclusive; the epoch boundary itself is excluded.
-  while (!stopped_ && !external_stop() && pop_next(bound.ns() - 1, et, cb)) {
+  while (!stopped_ && pop_next(bound.ns() - 1, et, cb)) {
     dispatch(et, cb);
   }
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -33,7 +32,7 @@ inline constexpr EventId kInvalidEventId = 0;
 ///
 /// Dispatch order is defined purely by the (time, sequence) key.
 ///
-/// Cache-line aligned: the sharded engine gives each worker thread its own
+/// Cache-line aligned: the epoch loop gives each worker thread its own
 /// schedulers and writes their clock and counters on every event, so two
 /// shards' schedulers must never share a line (false sharing there cost
 /// ~25% of a k=8 run, depending on where the allocator placed them).
@@ -88,20 +87,8 @@ class alignas(64) Scheduler {
   }
 
   /// Request the run loop to return after the current event.
+  /// run()/run_until()/run_before() clear the request on entry.
   void stop() { stopped_ = true; }
-
-  /// Whether the last run loop exited via stop() (as opposed to draining or
-  /// reaching its horizon). run()/run_until()/run_before() clear this flag
-  /// on entry. The segmented checkpoint loop uses it to distinguish "the
-  /// workload stopped the run" from "the checkpoint boundary was reached".
-  [[nodiscard]] bool stopped() const { return stopped_; }
-
-  /// Install an external stop flag (e.g. set by a SIGTERM handler) checked
-  /// between events; when it becomes true the run loop returns after the
-  /// current event, leaving the clock at that event's time. Unlike stop(),
-  /// this does NOT set stopped(), so callers can tell the two apart. The
-  /// flag object must outlive the scheduler; nullptr detaches.
-  void set_external_stop(const std::atomic<bool>* flag) { stop_flag_ = flag; }
 
   // --- checkpoint/restore support (core/checkpoint) -----------------------
   //
@@ -207,10 +194,6 @@ class alignas(64) Scheduler {
   /// checkpointed one.
   void insert_entry(std::uint32_t idx, Time t, std::uint64_t seq);
 
-  [[nodiscard]] bool external_stop() const {
-    return stop_flag_ != nullptr && stop_flag_->load(std::memory_order_relaxed);
-  }
-
   /// Remove the earliest event with time <= `bound_ns`, moving its deadline
   /// and callback out and recording its key as the last dispatched one.
   /// Returns false when no such event exists.
@@ -229,7 +212,6 @@ class alignas(64) Scheduler {
   std::uint64_t last_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   bool stopped_ = false;
-  const std::atomic<bool>* stop_flag_ = nullptr;
 };
 
 namespace detail {

@@ -51,7 +51,7 @@ class Flow {
   /// Sharded variant: the sender (and its timers) live on the source
   /// host's shard scheduler, the receiver (and its delayed-ACK timer) on
   /// the destination's. With the same scheduler twice this is exactly the
-  /// serial constructor.
+  /// one-scheduler constructor.
   Flow(sim::Scheduler& src_sched, sim::Scheduler& dst_sched, net::Host& src, net::Host& dst,
        const Config& cfg);
 

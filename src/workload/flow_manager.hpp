@@ -63,10 +63,10 @@ class FlowManager {
   FlowManager(sim::Scheduler& sched, SchemeSpec spec, net::FlowId id_base = 1)
       : sched_{sched}, spec_{spec}, next_id_{id_base} {}
 
-  /// Sharded runs: resolve the shard scheduler owning topology host `i`.
-  /// When set, new transfers place their sender on the source host's
-  /// scheduler and their receiver on the destination's; unset keeps every
-  /// endpoint on the constructor scheduler (the serial path, untouched).
+  /// Resolve the shard scheduler owning topology host `i`. When set, new
+  /// transfers place their sender on the source host's scheduler and their
+  /// receiver on the destination's; unset (testbeds) keeps every endpoint
+  /// on the constructor scheduler.
   void set_schedulers(std::function<sim::Scheduler&(int host_idx)> fn) {
     sched_lookup_ = std::move(fn);
   }
@@ -95,7 +95,7 @@ class FlowManager {
   /// outside that range fails the pass), and `bind` turns a saved
   /// CallbackTag back into the owning generator's completion callback (null
   /// tag -> null callback); saving uses neither. Loading expects a freshly
-  /// constructed manager with the same spec/id_base and, in sharded runs,
+  /// constructed manager with the same spec/id_base and, where it was set,
   /// set_schedulers() already applied.
   using BindFn = std::function<std::function<void()>(const CallbackTag&)>;
   void checkpoint(core::ckpt::Io& io, int n_hosts, const std::function<net::Host&(int)>& host,
@@ -138,7 +138,7 @@ class FlowManager {
   void finish_record(std::size_t idx, std::function<void()>& on_done);
   void finish_multi(std::size_t slot, bool aborted);
   /// Local simulated time: the scheduler currently dispatching (sharded
-  /// completions land on the endpoint's shard), else the serial scheduler.
+  /// completions land on the endpoint's shard), else the constructor's.
   [[nodiscard]] sim::Time now_time() const;
   [[nodiscard]] sim::Scheduler& sched_for(int host_idx) const {
     return sched_lookup_ ? sched_lookup_(host_idx) : sched_;
@@ -149,9 +149,10 @@ class FlowManager {
   net::FlowId next_id_;
   std::function<sim::Scheduler&(int)> sched_lookup_;
   // Concurrent finishes on different shards touch disjoint records_ rows but
-  // share these tallies; in a sharded run new_record/push_back only run on
-  // the control strand (at start or at a barrier), so the vector itself
-  // never reallocates under a parallel reader.
+  // share these tallies; with several shards new_record/push_back only run
+  // on the control strand (at start or at a barrier), and a one-shard run
+  // has one thread, so the vector never reallocates under a parallel
+  // reader.
   std::atomic<std::size_t> active_large_{0};
   std::atomic<std::size_t> aborted_large_{0};
 

@@ -31,9 +31,8 @@ void PermutationTraffic::start_round() {
 }
 
 void PermutationTraffic::on_flow_done() {
-  // The dispatching scheduler's clock is the completion instant; in a
-  // sharded run `sched_` is the control strand, whose clock lags inside an
-  // epoch.
+  // The dispatching scheduler's clock is the completion instant; `sched_`
+  // is the control strand, whose clock lags inside an epoch.
   const sim::Scheduler* cs = sim::current_scheduler();
   const std::int64_t t = (cs != nullptr ? cs->now() : sched_.now()).ns();
   std::int64_t latest = latest_done_ns_.load(std::memory_order_relaxed);

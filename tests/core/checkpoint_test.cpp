@@ -105,11 +105,21 @@ ExperimentConfig hybrid_cfg() {
   return cfg;
 }
 
-/// A delay window from 1 ms to 70 ms: at the 4 ms snapshot packets sit in
-/// link 5's hold buffer, its fault channel is active and the window's end
-/// is a pending plan timer.
-ExperimentConfig delay_cfg() {
+/// small_cfg's scheme on the random pattern: one logical shard, so every
+/// link is an intra-shard link keyed on shard 0's clock.
+ExperimentConfig one_shard_cfg() {
   auto cfg = small_cfg();
+  cfg.pattern = Pattern::Random;
+  cfg.rand_min_bytes = 250'000;
+  cfg.rand_max_bytes = 1'000'000;
+  return cfg;
+}
+
+/// A delay window from 1 ms to 70 ms on a one-shard run: at the 4 ms
+/// snapshot packets sit in link 5's hold buffer, its fault channel is
+/// active and the window's end is a pending plan timer.
+ExperimentConfig delay_cfg() {
+  auto cfg = one_shard_cfg();
   cfg.checkpoint.every = sim::Time::seconds(0.002);
   cfg.fault_plan = plan("delay,link=5,at=0.001,dt=1e-4,jitter=5e-5,until=0.07");
   return cfg;
@@ -117,11 +127,11 @@ ExperimentConfig delay_cfg() {
 
 /// A two-round permutation whose snapshot `seq` (at a multiple of `every`)
 /// falls between round one's last completion and its round-end event, 40 us
-/// later: serial 8.44 ms at every=2.11 ms, sharded 8.32 ms at 2.08 ms.
+/// later: 8.32 ms at every=2.08 ms.
 ExperimentConfig round_end_cfg(int shards) {
   auto cfg = small_cfg(shards);
   cfg.permutation_rounds = 2;
-  cfg.checkpoint.every = sim::Time::microseconds(shards == 0 ? 2'110 : 2'080);
+  cfg.checkpoint.every = sim::Time::microseconds(2'080);
   return cfg;
 }
 constexpr std::uint64_t kRoundEndSeq = 4;
@@ -355,9 +365,8 @@ void expect_restore_then_save_reproduces(const ExperimentConfig& cfg, std::uint6
                               ckpt::config_fingerprint(cfg), h, payload, &err))
       << err;
   sim::Scheduler control;
-  std::unique_ptr<net::ShardFabric> fabric;
-  if (cfg.shards > 0) fabric = std::make_unique<net::ShardFabric>(cfg.fat_tree_k);
-  World w{cfg, control, fabric.get()};
+  net::ShardFabric fabric{logical_shards(cfg)};
+  World w{cfg, control, fabric};
   ckpt::Io l{payload};
   ASSERT_TRUE(w.checkpoint(l, sim::Time::nanoseconds(h.t_ns)));
   ckpt::Io s;
@@ -392,29 +401,21 @@ TEST(Checkpoint, ShardedRestoreThenSaveReproducesThePayload) {
   expect_restore_then_save_reproduces(cfg, 2);
 }
 
-// The v5 layout, pinned: snapshot 1 of a traced k=4 permutation, serial and
-// sharded. A field moved, added or dropped under format v5 changes these
-// and would make existing v5 files misparse; such a change must bump
-// kFormatVersion instead.
+// The v5 layout, pinned: snapshot 1 of a traced k=4 permutation (four
+// logical shards, at any worker count). A field moved, added or dropped
+// under format v5 changes these and would make existing v5 files misparse;
+// such a change must bump kFormatVersion instead.
 TEST(Checkpoint, GoldenSnapshotBytes) {
-  struct Golden {
-    int shards;
-    std::size_t payload_bytes;
-    std::uint32_t crc;
-  };
-  for (const Golden& g : {Golden{0, 199270, 792358160u}, Golden{2, 203612, 1096271026u}}) {
-    SCOPED_TRACE(g.shards);
-    const auto cfg = traced_cfg(g.shards, fresh_dir("golden_" + std::to_string(g.shards)));
-    ASSERT_GE(run_experiment(cfg).ckpt.written, 1u);
-    ckpt::Header h;
-    std::string payload;
-    std::string err;
-    ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(1),
-                                ckpt::config_fingerprint(cfg), h, payload, &err))
-        << err;
-    EXPECT_EQ(payload.size(), g.payload_bytes);
-    EXPECT_EQ(ckpt::crc32(payload.data(), payload.size()), g.crc);
-  }
+  const auto cfg = traced_cfg(0, fresh_dir("golden"));
+  ASSERT_GE(run_experiment(cfg).ckpt.written, 1u);
+  ckpt::Header h;
+  std::string payload;
+  std::string err;
+  ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(1),
+                              ckpt::config_fingerprint(cfg), h, payload, &err))
+      << err;
+  EXPECT_EQ(payload.size(), 203612u);
+  EXPECT_EQ(ckpt::crc32(payload.data(), payload.size()), 1096271026u);
 }
 
 // --invariants is outside the config fingerprint. A snapshot with checker
@@ -683,10 +684,10 @@ TEST(Checkpoint, NewestValidSkipsASeqThatDoesNotFit) {
 }
 
 TEST(Checkpoint, CadenceSameInBothEngines) {
-  // A horizon that is a multiple of the cadence: both engines write at 1,
-  // 2 and 3 ms, and neither at the horizon itself (boundaries lie strictly
-  // before it). Flows of 2 MB and more cannot finish in 4 ms, so neither
-  // run ends early.
+  // A horizon that is a multiple of the cadence: one inline worker and two
+  // workers both write at 1, 2 and 3 ms, and neither at the horizon itself
+  // (boundaries lie strictly before it). Flows of 2 MB and more cannot
+  // finish in 4 ms, so neither run ends early.
   std::uint64_t written[2] = {};
   for (const int shards : {0, 2}) {
     auto cfg = small_cfg(shards);
@@ -779,10 +780,11 @@ class NullSink final : public net::PacketSink {
   void receive(net::Packet /*p*/) override {}
 };
 
-/// Where the event keys of one serial link's LNKS entry live. The entry
-/// ends with: in-flight (count + t, seq, epoch, packet each), transmit
-/// completion (count + t, seq, epoch), remote mirror (count), remote
-/// arrivals (count); serial links have empty remote sections.
+/// Where the event keys of one intra-shard link's LNKS entry live. The
+/// entry ends with: in-flight (count + t, seq, epoch, packet each),
+/// transmit completion (count + t, seq, epoch), remote mirror (count),
+/// remote arrivals (count); an intra-shard link's remote sections are
+/// empty.
 struct LinkEntry {
   static constexpr std::size_t kPacketBytes = 59;  // save_packet()
   static constexpr std::size_t kFlightBytes = 24 + kPacketBytes;
@@ -804,19 +806,23 @@ struct SnapshotLinks {
   std::vector<LinkEntry> links;
 };
 
-/// Walk a serial snapshot's LNKS section by restoring each entry into a
-/// throwaway link (the queue kind does not matter: none of the experiment's
-/// queues carries extra state).
+/// Walk a one-shard snapshot's LNKS section by restoring each entry into a
+/// throwaway link on the shard's clock (the queue kind does not matter:
+/// none of the experiment's queues carries extra state).
 SnapshotLinks walk_links(const std::string& payload) {
   SnapshotLinks out;
   ckpt::Io l{payload};
-  l.tag("SCHD");
-  l.time(out.now);
-  l.u64(out.next_seq);
   std::uint64_t disp = 0;
-  l.u64(disp);
+  auto clock = [&] {
+    l.time(out.now);
+    l.u64(out.next_seq);
+    l.u64(disp);
+  };
+  l.tag("SCHD");
+  clock();  // the control strand's, overwritten by the shard's below
   l.tag("SHRD");
-  EXPECT_TRUE(l.count(0)) << "a serial snapshot has no shard clocks";
+  EXPECT_TRUE(l.count(1)) << "not a one-shard snapshot";
+  clock();
   l.tag("LNKS");
   std::uint64_t n = 0;
   l.u64(n);
@@ -855,7 +861,7 @@ class LinkRestoreValidation : public ::testing::Test {
   void SetUp() override {
     dir_ = fresh_dir("lnks_" + std::string{
                          ::testing::UnitTest::GetInstance()->current_test_info()->name()});
-    auto cfg = small_cfg();
+    auto cfg = one_shard_cfg();
     cfg.checkpoint.every = sim::Time::seconds(0.002);
     cfg.checkpoint.dir = dir_;
     const auto full = run_experiment(cfg);
@@ -877,7 +883,7 @@ class LinkRestoreValidation : public ::testing::Test {
   void restore(const std::string& payload) {
     const std::string path = dir_ + "/mutated.bin";
     ASSERT_TRUE(ckpt::write_file(path, header_, payload));
-    auto cfg = small_cfg();
+    auto cfg = one_shard_cfg();
     cfg.checkpoint.restore_path = path;
     const auto r = run_experiment(cfg);
     EXPECT_TRUE(r.ckpt.restored);
@@ -940,8 +946,8 @@ TEST_F(LinkRestoreValidation, RejectsRemoteArrivalOnSerialLink) {
 
 // ---------------------------------------------------------------------------
 // Validated clocks: snapshots are only taken with every clock aligned at the
-// header's time, inside the horizon. A sharded snapshot that breaks any of
-// that must end in "malformed payload", exit 2, in release builds too.
+// header's time, inside the horizon. A snapshot that breaks any of that
+// must end in "malformed payload", exit 2, in release builds too.
 // ---------------------------------------------------------------------------
 
 class ClockRestoreValidation : public ::testing::Test {
@@ -1036,7 +1042,9 @@ std::uint64_t get_u64(const std::string& p, std::size_t at) {
 
 class KeyRestoreValidation : public ::testing::Test {
  protected:
-  /// Run serial `cfg` with checkpoints and load its snapshot `seq`.
+  /// Run `cfg` with checkpoints and load its snapshot `seq`; keys are
+  /// validated against the control clock unless use_shard_clock() is
+  /// called.
   void snapshot(ExperimentConfig cfg, std::uint64_t seq) {
     dir_ = fresh_dir("keys_" + std::string{
                          ::testing::UnitTest::GetInstance()->current_test_info()->name()});
@@ -1050,6 +1058,15 @@ class KeyRestoreValidation : public ::testing::Test {
     // SCHD: tag, clock (t, next_seq, dispatched).
     now_ = get_i64(payload_, 4);
     next_seq_ = get_u64(payload_, 12);
+  }
+
+  /// Validate keys against shard 0's clock, where a one-shard run's
+  /// generators schedule. SHRD: tag, shard count, then one clock per shard.
+  void use_shard_clock() {
+    ASSERT_EQ(payload_.compare(28, 4, "SHRD"), 0);
+    ASSERT_EQ(get_u64(payload_, 32), 1u);
+    ASSERT_EQ(get_i64(payload_, 40), now_);
+    next_seq_ = get_u64(payload_, 48);
   }
 
   /// Offset of the first byte after section tag `tag`.
@@ -1222,6 +1239,7 @@ TEST_F(KeyRestoreValidation, RejectsFlowletEntryOnUnknownMember) {
 
 TEST_F(KeyRestoreValidation, RejectsBadWorkloadTimerKeys) {
   snapshot(workload_cfg(), 2);
+  use_shard_clock();
   // WKLD (workload runs have no other generator): RNG state, stopped flag,
   // three progress counters, then the arrival and trace timers.
   const std::size_t arrival = section("WKLD") + 32 + 1 + 24;

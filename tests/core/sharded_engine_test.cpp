@@ -1,17 +1,9 @@
-// The sharded conservative-sync engine (run_experiment_sharded).
+// The conservative-sync epoch loop (run_experiment), the one engine.
 //
 // The load-bearing property is *worker-count invariance*: logical shards
-// are fixed by the topology, so --shards=1, 2 and 4 must produce identical
-// results, bit for bit — the golden fingerprint below pins the trajectory
-// the same way determinism_test.cpp pins the serial engine's.
-//
-// The sharded trajectory is NOT byte-identical to the serial engine's:
-// conservative synchronisation preserves every packet timestamp but not
-// the serial engine's insertion-order tie-break among equal-timestamp
-// events (cross-shard deliveries are enqueued at the barrier, giving them
-// a different heap sequence number than an in-epoch schedule would). The
-// two engines therefore follow statistically equivalent but distinct
-// sample paths; MatchesSerialAggregates bounds the distance.
+// are fixed by the config (one per pod for a Permutation, one for every
+// other traffic source), so --shards=0, 1, 2 and 4 must produce identical
+// results, bit for bit — the golden fingerprints below pin the trajectory.
 
 #include "core/experiment.hpp"
 
@@ -33,10 +25,12 @@
 #include "core/checkpoint.hpp"
 #include "core/mini_json.hpp"
 #include "core/worker_pool.hpp"
+#include "faults/fault_plan.hpp"
 #include "net/handoff.hpp"
 #include "net/link.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
+#include "workload/traffic_matrix.hpp"
 
 namespace xmp::core {
 namespace {
@@ -98,9 +92,10 @@ ExperimentConfig flowlet_checked_cfg(int shards) {
   return cfg;
 }
 
-/// Runs `make(1..4)`, expects identical results, and returns the first.
+/// Runs `make(0..4)`, expects identical results, and returns the first.
 ExperimentResults same_across_workers(ExperimentConfig (*make)(int)) {
   auto r1 = run_experiment(make(1));
+  expect_identical(r1, run_experiment(make(0)));  // one inline worker
   expect_identical(r1, run_experiment(make(2)));
   expect_identical(r1, run_experiment(make(3)));  // uneven 2/1/1 split of 4 shards
   expect_identical(r1, run_experiment(make(4)));
@@ -116,12 +111,21 @@ TEST(ShardedEngine, WorkerCountInvariance) {
 }
 
 // --shards beyond the logical shard count (4 pods at k=4) would only add
-// helpers that own no shard; the pool is clamped to the shard count.
+// helpers that own no shard; the pool is clamped to the shard count, and
+// --shards=0 means one inline worker, never one per hardware thread.
 TEST(ShardedEngine, PoolWidthClampedToLogicalShards) {
-  EXPECT_EQ(sharded_pool_width(sharded_cfg(1)), 1);
-  EXPECT_EQ(sharded_pool_width(sharded_cfg(3)), 3);
-  EXPECT_EQ(sharded_pool_width(sharded_cfg(4)), 4);
-  EXPECT_EQ(sharded_pool_width(sharded_cfg(512)), 4);
+  EXPECT_EQ(worker_count(sharded_cfg(0)), 1);
+  EXPECT_EQ(worker_count(sharded_cfg(1)), 1);
+  EXPECT_EQ(worker_count(sharded_cfg(3)), 3);
+  EXPECT_EQ(worker_count(sharded_cfg(4)), 4);
+  EXPECT_EQ(worker_count(sharded_cfg(512)), 4);
+  auto random = sharded_cfg(3);
+  random.pattern = Pattern::Random;
+  EXPECT_EQ(logical_shards(random), 1);
+  EXPECT_EQ(worker_count(random), 1);
+  auto hybrid = sharded_cfg(3);
+  hybrid.hybrid.enabled = true;
+  EXPECT_EQ(logical_shards(hybrid), 1);
   const auto r1 = run_experiment(sharded_cfg(1));
   const auto r512 = run_experiment(sharded_cfg(512));
   expect_identical(r1, r512);
@@ -148,11 +152,11 @@ TEST(ShardedEngine, GoldenRoundFlipFingerprint) {
 // Round ends on the control strand. The round end must be timed from the
 // round's latest completion, on the clock of the shard that ran it,
 // whatever the worker count: each later round's first flow starts exactly
-// one core-link delay (40 us) after the previous round's latest finish, in
-// both engines. At seed 7 the last round's final two flows finish 1.6 us
-// apart, inside one epoch. At seed 91 the first round's final two finish
-// 5 us apart on shards 3 and 1; one worker runs shard 1 first, so the
-// completion that takes the round to zero is the earlier one.
+// one core-link delay (40 us) after the previous round's latest finish. At
+// seed 7 the last round's final two flows finish 1.6 us apart, inside one
+// epoch. At seed 91 the first round's final two finish 5 us apart on shards
+// 3 and 1; one worker runs shard 1 first, so the completion that takes the
+// round to zero is the earlier one.
 template <std::uint64_t Seed>
 ExperimentConfig three_round_cfg(int shards) {
   auto cfg = sharded_cfg(shards);
@@ -187,13 +191,11 @@ TEST(ShardedEngine, RoundEndsFollowTheLatestCompletion) {
   for (ExperimentConfig (*make)(int) : {&three_round_cfg<7>, &three_round_cfg<91>}) {
     SCOPED_TRACE(make(0).seed);
     expect_rounds_follow_by_one_core_hop(same_across_workers(make), 3);
-    expect_rounds_follow_by_one_core_hop(run_experiment(make(0)), 3);
   }
 }
 
 TEST(ShardedEngine, GoldenShardedFingerprint) {
   const auto r = run_experiment(sharded_cfg(2));
-  EXPECT_TRUE(r.sharded);
   EXPECT_EQ(r.shard.logical_shards, 4);
   EXPECT_DOUBLE_EQ(r.shard.lookahead_us, 40.0);
   EXPECT_EQ(r.events_dispatched, 51666u);
@@ -214,27 +216,115 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.94640549620951064);
 }
 
-// The serial engine's golden constants (determinism_test.cpp) pin its
-// trajectory; the sharded engine must land on the same physics even though
-// its equal-timestamp tie-breaks differ. Flow population and byte totals
-// are exact; rate statistics agree to a few percent.
-TEST(ShardedEngine, MatchesSerialAggregates) {
-  auto serial_cfg = sharded_cfg(0);
-  serial_cfg.shards = 0;
-  const auto s = run_experiment(serial_cfg);
-  const auto p = run_experiment(sharded_cfg(2));
-  ASSERT_EQ(s.flows.size(), p.flows.size());
-  ASSERT_EQ(s.goodput.count(), p.goodput.count());
-  for (std::size_t i = 0; i < s.flows.size(); ++i) {
-    EXPECT_EQ(s.flows[i].bytes, p.flows[i].bytes);
-    EXPECT_EQ(s.flows[i].src_host, p.flows[i].src_host);
-    EXPECT_EQ(s.flows[i].dst_host, p.flows[i].dst_host);
-    EXPECT_EQ(s.flows[i].completed, p.flows[i].completed);
+// --- traffic without a per-pod port: one logical shard ---------------------
+// Random, incast, workload and hybrid runs keep the whole fabric on one
+// shard, so --shards only sizes a pool the clamp holds at one worker: every
+// worker count must give the same run, control events (faults, routes, the
+// fluid tick) included.
+
+ExperimentConfig random_coexist_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.pattern = Pattern::Random;
+  cfg.scheme_b = workload::SchemeSpec{};
+  cfg.scheme_b->kind = workload::SchemeSpec::Kind::Dctcp;
+  cfg.rand_min_bytes = 250'000;
+  cfg.rand_max_bytes = 750'000;
+  cfg.duration = sim::Time::seconds(0.04);
+  return cfg;
+}
+
+ExperimentConfig incast_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.pattern = Pattern::Incast;
+  cfg.rand_min_bytes = 250'000;
+  cfg.rand_max_bytes = 750'000;
+  cfg.duration = sim::Time::seconds(0.04);
+  return cfg;
+}
+
+/// Websearch-style: Poisson arrivals from a small size CDF at load 0.5,
+/// plus one explicit flow.
+ExperimentConfig websearch_cfg(int shards) {
+  static const std::shared_ptr<const workload::WorkloadSpec> spec = [] {
+    const std::string dir = ::testing::TempDir() + "xmp_one_shard_wl";
+    std::filesystem::create_directories(dir);
+    std::ofstream{dir + "/sizes.cdf"} << "1000 0\n10000 0.5\n100000 0.8\n2000000 1\n";
+    std::ofstream{dir + "/web.wl"} << "nodes 16\ncdf sizes.cdf\nload 0.5\nspan any\n"
+                                      "flow 0 8 50000 0.001\n";
+    auto s = std::make_shared<workload::WorkloadSpec>();
+    std::string err;
+    EXPECT_TRUE(workload::WorkloadSpec::parse_file(dir + "/web.wl", *s, &err)) << err;
+    return s;
+  }();
+  auto cfg = sharded_cfg(shards);
+  cfg.pattern = Pattern::Workload;
+  cfg.workload = spec;
+  cfg.duration = sim::Time::seconds(0.04);
+  return cfg;
+}
+
+ExperimentConfig hybrid_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.hybrid.enabled = true;
+  cfg.hybrid.bg_flows = 200;
+  cfg.hybrid.bg_bytes = 2'000'000;
+  cfg.hybrid.promote_bytes = 256'000;
+  cfg.hybrid.fg_flows = 2;
+  cfg.hybrid.fg_bytes = 500'000;
+  cfg.duration = sim::Time::seconds(0.02);
+  return cfg;
+}
+
+/// Every gray kind at once on distinct links, with reroutes and failover.
+ExperimentConfig random_gray_cfg(int shards) {
+  auto cfg = sharded_cfg(shards);
+  cfg.pattern = Pattern::Random;
+  cfg.rand_min_bytes = 250'000;
+  cfg.rand_max_bytes = 750'000;
+  cfg.duration = sim::Time::seconds(0.04);
+  cfg.scheme.dead_after_rtos = 3;
+  std::string err;
+  EXPECT_TRUE(faults::FaultPlan::parse(
+      "degrade,link=2,at=0.01,factor=0.4,until=0.03;"
+      "delay,link=5,at=0.005,dt=1e-4,jitter=5e-5,until=0.04;"
+      "reorder,link=7,at=0.01,p=0.05,dt=2e-4;duplicate,link=9,at=0,p=0.02;"
+      "overmark,link=11,at=0.02,p=0.3;down,link=14,at=0.015,until=0.035",
+      cfg.fault_plan, &err))
+      << err;
+  return cfg;
+}
+
+TEST(ShardedEngine, OneShardSourcesAreWorkerCountInvariant) {
+  for (ExperimentConfig (*make)(int) :
+       {&random_coexist_cfg, &incast_cfg, &websearch_cfg, &hybrid_cfg, &random_gray_cfg}) {
+    const auto r0 = run_experiment(make(0));
+    SCOPED_TRACE(r0.flows.size());
+    EXPECT_EQ(r0.shard.logical_shards, 1);
+    EXPECT_EQ(r0.shard.handoff_packets, 0u);
+    EXPECT_FALSE(r0.flows.empty());
+    for (const int shards : {1, 3}) {
+      const auto r = run_experiment(make(shards));
+      expect_identical(r0, r);
+      EXPECT_EQ(r0.goodput_b.mean(), r.goodput_b.mean());
+      EXPECT_EQ(r0.jobs.size(), r.jobs.size());
+      EXPECT_EQ(r0.avg_job_completion_ms(), r.avg_job_completion_ms());
+      EXPECT_EQ(r0.fct.completed, r.fct.completed);
+      EXPECT_EQ(r0.fct.slowdown_all.mean(), r.fct.slowdown_all.mean());
+      EXPECT_EQ(r0.hybrid.ticks, r.hybrid.ticks);
+      EXPECT_EQ(r0.hybrid.fluid_bytes, r.hybrid.fluid_bytes);
+      EXPECT_EQ(r0.drops.duplicated, r.drops.duplicated);
+      EXPECT_EQ(r0.drops.delayed, r.drops.delayed);
+      EXPECT_EQ(r0.drops.overmarked, r.drops.overmarked);
+    }
   }
-  EXPECT_NEAR(p.goodput.mean() / s.goodput.mean(), 1.0, 0.05);
-  EXPECT_NEAR(p.sim_duration.sec() / s.sim_duration.sec(), 1.0, 0.05);
-  EXPECT_EQ(s.drops.queue, 0u);
-  EXPECT_EQ(p.drops.queue, 0u);
+  // Each source did what it is there for.
+  EXPECT_GT(run_experiment(random_coexist_cfg(0)).goodput_b.count(), 0u);
+  EXPECT_GT(run_experiment(incast_cfg(0)).jobs.size(), 0u);
+  EXPECT_GT(run_experiment(websearch_cfg(0)).fct.completed, 0u);
+  EXPECT_GT(run_experiment(hybrid_cfg(0)).hybrid.ticks, 0u);
+  const auto gray = run_experiment(random_gray_cfg(0));
+  EXPECT_GT(gray.drops.duplicated + gray.drops.delayed + gray.drops.overmarked, 0u);
+  EXPECT_GT(gray.drops.admin_down + gray.drops.fault, 0u);
 }
 
 // Control events landing exactly on epoch boundaries: with the RTT probe

@@ -511,7 +511,7 @@ TEST(GrayFleet, GrayFaultedExperimentReplaysBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-link impairment columns (--drops-csv) in both engines: the gray plan
+// Per-link impairment columns (--drops-csv) at one and two workers: the gray plan
 // of scripts/gray_diff.sh must show up in every column, and each column
 // must sum over links to the fleet-wide total.
 // ---------------------------------------------------------------------------
@@ -558,13 +558,13 @@ void expect_impairment_columns_add_up(const core::ExperimentResults& r) {
 
 TEST(GrayFleet, PerLinkImpairmentColumnsMatchTotalsSerial) {
   const auto r = gray_diff_run(0);
-  EXPECT_FALSE(r.sharded);
+  EXPECT_EQ(r.shard.logical_shards, 4);  // one per pod, on one inline worker
   expect_impairment_columns_add_up(r);
 }
 
 TEST(GrayFleet, PerLinkImpairmentColumnsMatchTotalsSharded) {
   const auto r = gray_diff_run(2);
-  EXPECT_TRUE(r.sharded);
+  EXPECT_EQ(r.shard.logical_shards, 4);
   expect_impairment_columns_add_up(r);
 }
 

@@ -176,6 +176,47 @@ TEST(HybridCoupling, FluidLoadCountsInLinkUtilization) {
   EXPECT_EQ(u[2], 0.0);
 }
 
+// Fluid and packet busy time share one transmitter: an aggregate pinned at
+// 100 segments over 450 us (~2.7x the link rate) next to four packet flows
+// must not push the link's utilization past 1. The fluid credit per tick is
+// capped by what the tick's measured packet drain left free, not by the
+// smoothed drain, which lags the packet flows' bursts (1.0013 without it).
+TEST(HybridCoupling, OverloadedLinkUtilizationStaysAtMostOne) {
+  Engine::Config cfg;
+  cfg.min_window = 100.0;
+  cfg.max_window = 100.0;
+  FluidBed bed{0, 1, cfg};
+  FluidAggregate agg;
+  FluidSubflowState sf;
+  sf.path = 0;
+  sf.base_rtt_s = kBaseRtt;
+  agg.subflows.push_back(sf);
+  bed.eng->add_aggregate(std::move(agg));
+  std::vector<std::unique_ptr<transport::Flow>> pkts;
+  for (int i = 0; i < 4; ++i) {
+    auto pair = bed.tb->add_pair({0});
+    transport::Flow::Config fc;
+    fc.id = static_cast<net::FlowId>(1 + i);
+    fc.size_bytes = 1'000'000'000'000LL;
+    fc.cc.kind = transport::CcConfig::Kind::Bos;
+    fc.path_tag = 0;
+    fc.path_tag_explicit = true;
+    pkts.push_back(std::make_unique<transport::Flow>(bed.sched, *pair.src, *pair.dst, fc));
+  }
+
+  stats::UtilizationWindow util{bed.sched};
+  util.open({&bed.tb->bottleneck(0)});
+  for (auto& f : pkts) f->start();
+  bed.eng->start();
+  bed.sched.run_until(sim::Time::seconds(0.05));
+
+  for (const auto& f : pkts) ASSERT_GT(f->sender().delivered_segments(), 0u);
+  const std::vector<double> u = util.close();
+  ASSERT_EQ(u.size(), 1u);
+  EXPECT_GT(u[0], 0.99);
+  EXPECT_LE(u[0], 1.0);
+}
+
 TEST(HybridCoupling, TrashShiftsMultipathAggregateOffCongestedLink) {
   // One 2-subflow aggregate over private-ish links {0, 1}, with 3
   // single-path aggregates crowding link 0 — the engine's per-tick TraSh
