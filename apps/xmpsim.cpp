@@ -94,9 +94,11 @@
 //       legitimately adds CkptWrite trace events, harness.ckpt.* meters and
 //       a "checkpoints:" line. Exit 0 =
 //       all legs agree, 1 = divergence (the differing file and legs are
-//       named), 2 = bad flags. The harness owns --shards, --checkpoint-dir,
+//       named, or a leg the --job-timeout=S watchdog killed: "timed out"),
+//       2 = bad flags. The harness owns --shards, --checkpoint-dir,
 //       --restore and every output path; --checkpoint-every only sets the
-//       snapshot cadence of the checkpoint legs (default 0.005).
+//       snapshot cadence of the checkpoint legs (default 0.005), and
+//       --job-timeout bounds each leg attempt's wall time (default 0: none).
 //
 //   xmpsim fluid
 //       Closed-form BOS equilibrium on a single bottleneck (paper §2.1).
@@ -186,7 +188,8 @@ constexpr std::string_view kUsage =
     "          [--json=summary.json] [--drops-csv=drops.csv] [--metrics=metrics.json]\n"
     "          [--trace=timeline.json] [--trace-csv=timeline.csv]\n"
     "          [--trace-filter=cwnd,gain,queue] [--trace-capacity=262144]\n"
-    "  verify  [--dir=DIR] [--checkpoint-every=0.005] + run's scenario flags (legs in DIR/<leg>/)\n"
+    "  verify  [--dir=DIR] [--checkpoint-every=0.005] [--job-timeout=S] + run's scenario flags\n"
+    "          (legs in DIR/<leg>/)\n"
     "  sweep   --param=mark-k|beta|subflows|queue|seed|load --values=a,b,c\n"
     "          [--schemes=xmp,dctcp,lia,olia] [--jobs=N] + run's flags\n"
     "          [--out=DIR] [--job-timeout=S] [--retries=2] [--backoff=0.5] [--strict]\n"
@@ -706,6 +709,7 @@ int cmd_verify(const Args& args) {
   }
   // Validated here; the checkpoint legs pass the value through as given.
   (void)flag_d(args, "checkpoint-every", 0.005, 1e-6, 3600, ok);
+  const double job_timeout_s = flag_d(args, "job-timeout", 0.0, 0, 86400, ok);
   if (!ok) return 2;
 
   // Scenario flags (verify's own removed), shared by every leg. Legs run
@@ -713,7 +717,10 @@ int cmd_verify(const Args& args) {
   const std::string workload_flag = "--workload=";
   std::vector<std::string> scenario;
   for (const auto& a : args.raw()) {
-    if (a.rfind("--dir=", 0) == 0 || a.rfind("--checkpoint-every=", 0) == 0) continue;
+    if (a.rfind("--dir=", 0) == 0 || a.rfind("--checkpoint-every=", 0) == 0 ||
+        a.rfind("--job-timeout=", 0) == 0) {
+      continue;
+    }
     std::error_code ec;
     const fs::path abs = a.rfind(workload_flag, 0) == 0
                              ? fs::absolute(a.substr(workload_flag.size()), ec)
@@ -783,6 +790,7 @@ int cmd_verify(const Args& args) {
   core::OrchestratorConfig ocfg;
   ocfg.campaign_dir = root;
   ocfg.retries = 0;
+  ocfg.job_timeout_s = job_timeout_s;
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const VerifyLeg& leg = legs[i];
     std::error_code ec;
@@ -829,6 +837,9 @@ int cmd_verify(const Args& args) {
     const int n = std::atoi(j.last_error.c_str() + j.last_error.find(' ') + 1);
     const std::string code = std::to_string(j.last_error.rfind("signal ", 0) == 0 ? 128 + n : n);
     const std::string see = " (see " + dir + "/err.txt)";
+    if (j.last_error == "timeout") {
+      return fail("leg " + name + " timed out (--job-timeout=" + args.get("job-timeout", "") + ")");
+    }
     if (!legs[i].kill) return fail("leg " + name + " exited " + code + see);
     if (j.attempts > 1) return fail("leg " + name + " restore exited " + code + see);
     if (core::ckpt::newest_valid(dir, 0).empty()) {

@@ -49,7 +49,7 @@ Outcome run_case(int beta, int mark_k, int n_flows, double sim_s) {
   }
 
   stats::GaugeProbe queue{sched, sim::Time::microseconds(100), [&] {
-    return static_cast<double>(testbed.bottleneck(0).queue().len_packets());
+    return static_cast<double>(testbed.bottleneck(0).queued());
   }};
   stats::UtilizationWindow util{sched};
   // Skip the slow-start transient.

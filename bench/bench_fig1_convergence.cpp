@@ -23,10 +23,10 @@ namespace {
 struct Result {
   double jain = 0.0;
   double utilization = 0.0;
+  std::vector<bench::RateSeries> rates;  ///< per flow, over the whole run
 };
 
-Result run_case(bool dctcp, int mark_threshold, double interval_s, double bin_s, bool print,
-                bool print_table = false) {
+Result run_case(bool dctcp, int mark_threshold, double interval_s, double bin_s) {
   sim::Scheduler sched;
   net::Network network{sched};
 
@@ -101,15 +101,8 @@ Result run_case(bool dctcp, int mark_threshold, double interval_s, double bin_s,
 
   sched.run_until(T * 7);
 
-  if (print) {
-    if (print_table) {
-      bench::print_rate_series(
-          {"Flow1", "Flow2", "Flow3", "Flow4"},
-          {probes[0].get(), probes[1].get(), probes[2].get(), probes[3].get()}, 1e9);
-    }
-    bench::print_rate_chart({"Flow1", "Flow2", "Flow3", "Flow4"},
-                            {probes[0].get(), probes[1].get(), probes[2].get(), probes[3].get()},
-                            1e9);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    res.rates.push_back(bench::series_of("Flow" + std::to_string(i + 1), *probes[i]));
   }
   return res;
 }
@@ -140,10 +133,12 @@ int main(int argc, char** argv) {
       {"(d) Halving cwnd, K=20", false, 20},
   };
 
+  std::vector<Result> results;
+  for (const auto& c : cases) results.push_back(run_case(c.dctcp, c.k, interval, bin));
+
   std::printf("%-26s %18s %18s\n", "case", "Jain(4 flows)", "bottleneck util");
-  for (const auto& c : cases) {
-    const Result r = run_case(c.dctcp, c.k, interval, bin, false);
-    std::printf("%-26s %18.3f %18.3f\n", c.name, r.jain, r.utilization);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::printf("%-26s %18.3f %18.3f\n", cases[i].name, results[i].jain, results[i].utilization);
   }
   std::printf("\npaper shape: halving stays fair (Jain ~1) at both K; DCTCP may\n"
               "converge unfairly after churn; utilization stays high for K=10,20\n"
@@ -151,9 +146,10 @@ int main(int argc, char** argv) {
 
   // The figure itself: per-flow normalized rate over time. The numeric
   // table version is behind --series.
-  for (const auto& c : cases) {
-    std::printf("\n--- %s ---\n", c.name);
-    run_case(c.dctcp, c.k, interval, bin, true, series);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::printf("\n--- %s ---\n", cases[i].name);
+    if (series) bench::print_rate_series(results[i].rates, 1e9);
+    bench::print_rate_chart(results[i].rates, 1e9);
   }
   return 0;
 }

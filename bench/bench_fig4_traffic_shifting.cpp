@@ -26,10 +26,10 @@ struct PhaseAverages {
   // phase 0 = no background, 1 = background on DN1, 2 = background on DN2.
   double sf1[3] = {0, 0, 0};
   double sf2[3] = {0, 0, 0};
+  std::vector<bench::RateSeries> rates;  ///< Flow 2's subflows over the whole run
 };
 
-PhaseAverages run_case(int beta, double phase_s, double bin_s, bool print,
-                       bool print_table = false) {
+PhaseAverages run_case(int beta, double phase_s, double bin_s) {
   sim::Scheduler sched;
   net::Network network{sched};
 
@@ -117,12 +117,7 @@ PhaseAverages run_case(int beta, double phase_s, double bin_s, bool print,
                   kBottleneck;
   }
 
-  if (print) {
-    if (print_table) {
-      bench::print_rate_series({"Flow2-1", "Flow2-2"}, {r1.get(), r2.get()}, kBottleneck);
-    }
-    bench::print_rate_chart({"Flow2-1", "Flow2-2"}, {r1.get(), r2.get()}, kBottleneck);
-  }
+  avg.rates = {bench::series_of("Flow2-1", *r1), bench::series_of("Flow2-2", *r2)};
   return avg;
 }
 
@@ -141,8 +136,13 @@ int main(int argc, char** argv) {
   std::printf("phase length: %.1fs (paper: 10s); 300 Mbps bottlenecks, K=15, RTT~1.8ms\n\n",
               phase);
 
-  for (int beta : {4, 6}) {
-    const auto avg = run_case(beta, phase, bin, false);
+  const int betas[] = {4, 6};
+  std::vector<PhaseAverages> results;
+  for (int beta : betas) results.push_back(run_case(beta, phase, bin));
+
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const int beta = betas[i];
+    const PhaseAverages& avg = results[i];
     std::printf("beta=%d  normalized avg rate of Flow 2's subflows per phase:\n", beta);
     std::printf("  %-28s %10s %10s\n", "phase", "Flow2-1", "Flow2-2");
     std::printf("  %-28s %10.3f %10.3f\n", "no background", avg.sf1[0], avg.sf2[0]);
@@ -157,9 +157,10 @@ int main(int argc, char** argv) {
               "compensates; beta=6 shifts less effectively than beta=4 (Fig. 4b).\n");
 
   // The figure itself (numeric table behind --series).
-  for (int beta : {4, 6}) {
-    std::printf("\n--- beta=%d subflow rates over time ---\n", beta);
-    run_case(beta, phase, bin, true, series);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::printf("\n--- beta=%d subflow rates over time ---\n", betas[i]);
+    if (series) bench::print_rate_series(results[i].rates, kBottleneck);
+    bench::print_rate_chart(results[i].rates, kBottleneck);
   }
   return 0;
 }

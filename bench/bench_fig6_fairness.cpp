@@ -23,9 +23,12 @@ constexpr std::int64_t kUnbounded = 1'000'000'000'000LL;
 struct CaseResult {
   double share[4] = {0, 0, 0, 0};  // normalized per-flow rate, steady window
   double jain = 0.0;
+  std::vector<bench::RateSeries> rates;  ///< per subflow, only when probed
 };
 
-CaseResult run_case(int beta, double unit_s, double bin_s, bool print) {
+/// `probe`: also record every subflow's rate series (the probes only read,
+/// so the shares and Jain index do not depend on it).
+CaseResult run_case(int beta, double unit_s, double bin_s, bool probe) {
   sim::Scheduler sched;
   net::Network network{sched};
 
@@ -122,7 +125,7 @@ CaseResult run_case(int beta, double unit_s, double bin_s, bool print) {
 
   std::vector<std::unique_ptr<stats::RateProbe>> probes;
   std::vector<std::string> names;
-  if (print) {
+  if (probe) {
     for (int i = 0; i < 3; ++i) {
       probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s),
                                          flow1.subflow_sender(i)));
@@ -144,10 +147,8 @@ CaseResult run_case(int beta, double unit_s, double bin_s, bool print) {
 
   sched.run_until(U * 6);
 
-  if (print) {
-    std::vector<const stats::RateProbe*> ptrs;
-    for (const auto& p : probes) ptrs.push_back(p.get());
-    bench::print_rate_series(names, ptrs, kBottleneck);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    res.rates.push_back(bench::series_of(names[i], *probes[i]));
   }
   return res;
 }
@@ -167,18 +168,21 @@ int main(int argc, char** argv) {
   std::printf("time unit: %.1fs (paper: 5s); 300 Mbps bottleneck, K=15, RTT~1.8ms\n\n", unit);
   std::printf("%-8s %10s %10s %10s %10s %10s\n", "case", "Flow1(3sf)", "Flow2(2sf)", "Flow3",
               "Flow4", "Jain");
-  for (int beta : {4, 6}) {
-    const auto r = run_case(beta, unit, bin, false);
-    std::printf("beta=%-3d %10.3f %10.3f %10.3f %10.3f %10.3f\n", beta, r.share[0], r.share[1],
-                r.share[2], r.share[3], r.jain);
+  const int betas[] = {4, 6};
+  std::vector<CaseResult> results;
+  for (int beta : betas) results.push_back(run_case(beta, unit, bin, series));
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const CaseResult& r = results[i];
+    std::printf("beta=%-3d %10.3f %10.3f %10.3f %10.3f %10.3f\n", betas[i], r.share[0],
+                r.share[1], r.share[2], r.share[3], r.jain);
   }
   std::printf("\npaper shape: with beta=4 all flows get ~1/4 of the link regardless of\n"
               "subflow count; fairness declines with beta=6 (Fig. 6b).\n");
 
   if (series) {
-    for (int beta : {4, 6}) {
-      std::printf("\n--- beta=%d per-subflow rate series ---\n", beta);
-      run_case(beta, unit, bin, true);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      std::printf("\n--- beta=%d per-subflow rate series ---\n", betas[i]);
+      bench::print_rate_series(results[i].rates, kBottleneck);
     }
   }
   return 0;

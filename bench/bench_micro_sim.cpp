@@ -196,8 +196,8 @@ void BM_LinkForwarding(benchmark::State& state) {
   // The link + switch layer alone: packets cross three 1 Gbps links and two
   // switches (source -> s1 -> s2 -> sink) at a fixed offered load (percent
   // of line rate, arg 0), injected in bursts of four so that queues build
-  // and drain. No transport: every event is a link delivery, a transmit
-  // completion, or the injector.
+  // and drain. No transport: every event is a link delivery or the
+  // injector (transmissions start lazily, so events/hop is 1).
   constexpr int kPackets = 20000;
   constexpr int kBurst = 4;
   constexpr int kHops = 3;
@@ -278,6 +278,44 @@ void BM_SwitchReceive(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SwitchReceive)->ArgName("up")->Arg(0)->Arg(1);
+
+void BM_HostReceive(benchmark::State& state) {
+  // One demultiplexing decision at a host holding `n` endpoints: n/4
+  // flows of two subflows, a data and an ack side each, as MPTCP-2
+  // senders and receivers register them. 1024 hosts (a k=16 tree), and
+  // consecutive packets go to hosts far apart, so lookups miss the cache
+  // the way a run's deliveries do.
+  constexpr int kHosts = 1024;
+  const int n = static_cast<int>(state.range(0));
+  struct Counter final : net::Host::Endpoint {
+    std::uint64_t got = 0;
+    void handle(net::Packet /*p*/) override { ++got; }
+  };
+  std::vector<std::unique_ptr<net::Host>> hosts;
+  Counter ep;
+  std::vector<net::Packet> packets;
+  for (int h = 0; h < kHosts; ++h) {
+    hosts.push_back(std::make_unique<net::Host>(static_cast<net::NodeId>(h)));
+    for (int i = 0; i < n; ++i) {
+      net::Packet p;
+      p.dst = static_cast<net::NodeId>(h);
+      p.flow = static_cast<net::FlowId>(100 + h * n + i / 4);
+      p.subflow = static_cast<std::uint16_t>((i / 2) % 2);
+      p.type = i % 2 == 0 ? net::PacketType::Data : net::PacketType::Ack;
+      hosts.back()->register_endpoint(p.flow, p.subflow, p.type, ep);
+      packets.push_back(p);
+    }
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const net::Packet& p = packets[i];
+    hosts[p.dst]->receive(p);
+    i = (i + 7919) % packets.size();  // prime stride: every packet, hosts far apart
+  }
+  benchmark::DoNotOptimize(ep.got);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostReceive)->Arg(4)->Arg(64);
 
 void BM_FatTreeConstruction(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));

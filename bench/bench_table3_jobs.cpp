@@ -10,7 +10,11 @@
 // with >10% of jobs beyond 300 ms; CDF jumps ~200 ms apart (TCP incast
 // collapse); more subflows -> slightly more second-collapse jobs.
 //
-// Usage: bench_table3_jobs [--k=8] [--duration=1.2] [--seed=1] [--quick]
+// Usage: bench_table3_jobs [--k=8] [--duration=1.2] [--seed=1] [--quick] [--jobs=N]
+//
+// The five scheme rows are independent experiments, fanned across a
+// core::WorkerPool (--jobs, default: hardware cores); stdout is identical
+// at every width.
 
 #include <map>
 
@@ -25,6 +29,7 @@ int main(int argc, char** argv) {
   const bool quick = args.has("quick");
   const double duration = cli::flag_d(args, "duration", quick ? 0.3 : 1.2, 1e-3, 3600, ok);
   const auto seed = static_cast<std::uint64_t>(cli::flag_i(args, "seed", 1, 0, INT64_MAX, ok));
+  const std::int64_t jobs = cli::flag_i(args, "jobs", 0, 0, 4096, ok);  // 0 = hardware cores
   if (!ok || !args.finish()) return 2;
 
   bench::print_banner("bench_table3_jobs",
@@ -45,7 +50,7 @@ int main(int argc, char** argv) {
       {"XMP-4", workload::SchemeSpec::Kind::Xmp, 4, 109, 0.002},
   };
 
-  std::map<std::string, core::ExperimentResults> results;
+  std::vector<core::ExperimentConfig> grid;
   for (const auto& r : rows) {
     core::ExperimentConfig cfg;
     cfg.scheme.kind = r.kind;
@@ -58,9 +63,12 @@ int main(int argc, char** argv) {
       cfg.rand_min_bytes /= 4;
       cfg.rand_max_bytes /= 4;
     }
-    results[r.name] = core::run_experiment(cfg);
-    std::fprintf(stderr, "  [done] %-6s: %zu jobs\n", r.name, results[r.name].jobs.size());
+    grid.push_back(cfg);
   }
+  const auto ordered =
+      bench::run_grid(grid, jobs, [&](std::size_t i) { return std::string{rows[i].name}; });
+  std::map<std::string, core::ExperimentResults> results;
+  for (std::size_t i = 0; i < ordered.size(); ++i) results[rows[i].name] = ordered[i];
 
   std::printf("\nTable 3: Average Job Completion Time -- measured (paper)\n");
   std::printf("%-8s %18s %18s %10s\n", "scheme", "avg (ms)", ">300ms", "jobs");

@@ -10,6 +10,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cli.hpp"
@@ -48,22 +49,31 @@ inline std::vector<core::ExperimentResults> run_grid(
   return results;
 }
 
+/// One probed rate series, kept after the world that probed it is gone.
+struct RateSeries {
+  std::string name;
+  std::vector<double> rates;     ///< per interval, in segments per second
+  std::vector<sim::Time> times;  ///< end of each interval
+};
+
+inline RateSeries series_of(std::string name, const stats::RateProbe& p) {
+  return RateSeries{std::move(name), p.rates(), p.timestamps()};
+}
+
 /// Print one normalized-rate time series table: one row per sample time,
 /// one column per series.
-inline void print_rate_series(const std::vector<std::string>& names,
-                              const std::vector<const stats::RateProbe*>& probes,
-                              double normalize_to_bps) {
+inline void print_rate_series(const std::vector<RateSeries>& series, double normalize_to_bps) {
   std::printf("%8s", "t(s)");
-  for (const auto& n : names) std::printf(" %10s", n.c_str());
+  for (const auto& s : series) std::printf(" %10s", s.name.c_str());
   std::printf("\n");
   std::size_t rows = 0;
-  for (const auto* p : probes) rows = std::max(rows, p->rates().size());
+  for (const auto& s : series) rows = std::max(rows, s.rates.size());
   for (std::size_t i = 0; i < rows; ++i) {
-    if (probes[0]->timestamps().size() <= i) break;
-    std::printf("%8.1f", probes[0]->timestamps()[i].sec());
-    for (const auto* p : probes) {
-      if (i < p->rates().size()) {
-        const double bps = p->rates()[i] * net::kMssBytes * 8;
+    if (series[0].times.size() <= i) break;
+    std::printf("%8.1f", series[0].times[i].sec());
+    for (const auto& s : series) {
+      if (i < s.rates.size()) {
+        const double bps = s.rates[i] * net::kMssBytes * 8;
         std::printf(" %10.3f", bps / normalize_to_bps);
       } else {
         std::printf(" %10s", "-");
@@ -73,22 +83,20 @@ inline void print_rate_series(const std::vector<std::string>& names,
   }
 }
 
-/// Render rate probes as an ASCII "figure" (normalized rate vs time).
-inline void print_rate_chart(const std::vector<std::string>& names,
-                             const std::vector<const stats::RateProbe*>& probes,
-                             double normalize_to_bps) {
+/// Render rate series as an ASCII "figure" (normalized rate vs time).
+inline void print_rate_chart(const std::vector<RateSeries>& series, double normalize_to_bps) {
   static const char glyphs[] = "*o+x#@%&";
-  std::vector<stats::AsciiChart::Series> series;
-  for (std::size_t i = 0; i < probes.size(); ++i) {
+  std::vector<stats::AsciiChart::Series> chart;
+  for (std::size_t i = 0; i < series.size(); ++i) {
     stats::AsciiChart::Series s;
-    s.name = names[i];
+    s.name = series[i].name;
     s.glyph = glyphs[i % (sizeof glyphs - 1)];
-    for (double r : probes[i]->rates()) s.values.push_back(r * net::kMssBytes * 8 / normalize_to_bps);
-    series.push_back(std::move(s));
+    for (double r : series[i].rates) s.values.push_back(r * net::kMssBytes * 8 / normalize_to_bps);
+    chart.push_back(std::move(s));
   }
   stats::AsciiChart::Options opts;
   opts.y_label = "normalized rate";
-  std::fputs(stats::AsciiChart::render(series, opts).c_str(), stdout);
+  std::fputs(stats::AsciiChart::render(chart, opts).c_str(), stdout);
 }
 
 /// Build a RateProbe over a sender's delivered segments.

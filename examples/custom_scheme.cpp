@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
   sender.start();
 
   stats::GaugeProbe queue{sched, sim::Time::milliseconds(1), [&] {
-    return static_cast<double>(testbed.bottleneck(0).queue().len_packets());
+    return static_cast<double>(testbed.bottleneck(0).queued());
   }};
   queue.start();
 

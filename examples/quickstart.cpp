@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     return static_cast<double>(xmp_flow.subflow_sender(1).delivered_segments());
   }};
   stats::GaugeProbe queue0{sched, sim::Time::milliseconds(1), [&] {
-    return static_cast<double>(testbed.bottleneck(0).queue().len_packets());
+    return static_cast<double>(testbed.bottleneck(0).queued());
   }};
 
   xmp_flow.start();

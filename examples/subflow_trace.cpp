@@ -71,8 +71,8 @@ int main(int argc, char** argv) {
     std::printf("%.3f,%.1f,%.1f,%zu,%zu,%.1f,%.1f\n", sched.now().sec(),
                 static_cast<double>(d0 - last0) * net::kMssBytes * 8 / dt.sec() / 1e6,
                 static_cast<double>(d1 - last1) * net::kMssBytes * 8 / dt.sec() / 1e6,
-                testbed.bottleneck(0).queue().len_packets(),
-                testbed.bottleneck(1).queue().len_packets(), conn.subflow_sender(0).cwnd(),
+                testbed.bottleneck(0).queued(),
+                testbed.bottleneck(1).queued(), conn.subflow_sender(0).cwnd(),
                 conn.subflow_sender(1).cwnd());
     last0 = d0;
     last1 = d1;

@@ -71,6 +71,8 @@ inv='summary["invariant_checks"] > 0; summary["invariant_violations"] == 0'
 rehome="--pattern=permutation --scheme=xmp --subflows=2 --k=4 --rounds=4 --duration=1.0 --seed=7 --faults=down,link=40,at=0.05;down,link=44,at=0.05;down,link=8,at=0.05 --reroute-delay=60 --dead-after=2 --rehome=4 --checkpoint-every=0.05"
 
 echo "== 1. verify rows =="
+# Watchdog per leg attempt: a hung leg fails its row instead of the script.
+leg_timeout=300
 # name     | legs the asserts read | asserts                 | scenario
 verify_rows=(
   "one       | shards1        | 'sharding' in s       | $perm --rounds=1 --duration=0.05"
@@ -90,7 +92,7 @@ for row in "${verify_rows[@]}"; do
   read -r name <<< "$name"
   read -r -a argv <<< "$flags"
   echo "-- verify $name"
-  "$bin" verify "${argv[@]}" --dir="$tmp/$name" || fail "verify $name"
+  "$bin" verify "${argv[@]}" --job-timeout="$leg_timeout" --dir="$tmp/$name" || fail "verify $name"
   for leg in $legs; do json_check "$tmp/$name/$leg/summary.json" "$checks"; done
   if [ "$name" = flip ]; then
     # The kill leg was SIGKILLed at a snapshot and resumed from one.

@@ -29,16 +29,19 @@
 // executing events strictly before the epoch boundary in parallel: a packet
 // another shard sends during the same epoch cannot arrive earlier than
 // epoch_start + L, so nothing a shard runs inside the window can be
-// invalidated. A one-shard fabric has no cross-shard links; its epochs take
-// the core-link delay, the k-shard value, so snapshots and stop requests
-// are served at the same barriers. Each shard's inbound packets are drained
-// in a fixed (src, FIFO) order per destination and its clock advanced to
-// the boundary: by the workers in a drain phase at the barrier, or, when
-// nothing needs a quiesced fabric before the next epoch, by each shard's
-// next epoch task before it runs (a deferred drain: one pool.run per
-// epoch). Then the control strand (RTT probe, fault plan, route manager,
-// invariant checker, hybrid fluid tick, Permutation round ends) runs with
-// the whole fabric quiesced.
+// invalidated. Links start transmissions lazily (DESIGN.md §6), so each
+// shard's task ends with a sweep of its boundary links that starts every
+// transmission due before the boundary: all of them are handed off at
+// this barrier. A one-shard fabric has no cross-shard links; its epochs
+// take the core-link delay, the k-shard value, so snapshots and stop
+// requests are served at the same barriers. Each shard's inbound packets
+// are drained in a fixed (src, FIFO) order per destination and its clock
+// advanced to the boundary: by the workers in a drain phase at the
+// barrier, or, when nothing needs a quiesced fabric before the next epoch,
+// by each shard's next epoch task before it runs (a deferred drain: one
+// pool.run per epoch). Then the control strand (RTT probe, fault plan,
+// route manager, invariant checker, hybrid fluid tick, Permutation round
+// ends) runs with the whole fabric quiesced.
 //
 // A round end is a control event at least L after the completion that
 // scheduled it, so it lands on a barrier like any other control event and
@@ -181,6 +184,7 @@ ExperimentResults run_experiment(const ExperimentConfig& cfg) {
         sched.advance_clock_to(start);
       }
       sched.run_before(b);
+      fabric.settle_boundary(s, b);
       parked[static_cast<std::size_t>(s)] = fabric.parked_by(s);
     });
 

@@ -562,7 +562,7 @@ void World::collect(sim::Time end_time, std::uint64_t events) {
   for (int l = 0; l < 3; ++l) {
     for (std::size_t i = layer_ranges[l].first; i < layer_ranges[l].second; ++i) {
       if (!utils.empty()) res.utilization_by_layer[l].add(utils[i]);
-      res.queue_occupancy_by_layer[l].add(all_links[i]->queue().mean_occupancy(sched.now()));
+      res.queue_occupancy_by_layer[l].add(all_links[i]->mean_occupancy(sched.now()));
     }
   }
 

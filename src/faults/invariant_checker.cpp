@@ -83,9 +83,10 @@ void InvariantChecker::check_link(const net::Link& l) {
   ++checks_run_;
   // Duplication manufactures packets inside the link, so clones join the
   // offered side; the gray hold buffer is one more place a live packet can
-  // legitimately sit.
-  const std::uint64_t accounted = l.delivered() + l.drops().total() +
-                                  l.queue().len_packets() + l.live_in_flight() + l.held();
+  // legitimately sit. queued() and live_in_flight() are the settled
+  // view: reading them starts no transmission.
+  const std::uint64_t accounted =
+      l.delivered() + l.drops().total() + l.queued() + l.live_in_flight() + l.held();
   if (l.offered() + l.duplicated() != accounted) {
     char buf[256];
     std::snprintf(buf, sizeof buf,
@@ -94,7 +95,7 @@ void InvariantChecker::check_link(const net::Link& l) {
                   l.id(), static_cast<unsigned long long>(l.offered()),
                   static_cast<unsigned long long>(l.duplicated()),
                   static_cast<unsigned long long>(l.delivered()),
-                  static_cast<unsigned long long>(l.drops().total()), l.queue().len_packets(),
+                  static_cast<unsigned long long>(l.drops().total()), l.queued(),
                   l.live_in_flight(), l.held());
     fail(buf);
   }

@@ -97,6 +97,9 @@ void Engine::push_coupling(LinkState& ls, std::size_t link_index) {
 void Engine::tick() {
   const double dt = cfg_.tick.sec();
   ++stats_.ticks;
+  // The tick reads and re-rates its links: start what is due first, so the
+  // queue lengths and byte counts below are the settled ones.
+  for (LinkState& ls : links_) ls.link->settle();
 
   // Pass 0: per-path queueing delay from the state at tick entry. The
   // effective RTT a fluid subflow experiences is its zero-load RTT plus the

@@ -16,6 +16,7 @@ ShardFabric::ShardFabric(int n_shards) : n_{n_shards} {
     pools_.push_back(std::make_unique<FifoPool>());
   }
   channels_.resize(static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_));
+  boundary_.resize(static_cast<std::size_t>(n_));
   for (HandoffChannel& ch : channels_) ch.write_ = &write_;
 }
 
@@ -28,9 +29,17 @@ void ShardFabric::note_cross_link(int src_shard, int dst_shard, sim::Time prop_d
                  static_cast<unsigned long long>(id), src_shard, dst_shard);
     std::exit(2);
   }
-  HandoffChannel& ch = channel(src_shard, dst_shard);
-  if (prop_delay.ns() < ch.min_delay_ns_) ch.min_delay_ns_ = prop_delay.ns();
   if (prop_delay.ns() < min_cross_delay_ns_) min_cross_delay_ns_ = prop_delay.ns();
+}
+
+void ShardFabric::add_boundary_link(int src_shard, int dst_shard, Link& link) {
+  note_cross_link(src_shard, dst_shard, link.prop_delay(), link.id());
+  link.set_remote_handoff(&channel(src_shard, dst_shard), &sched(dst_shard), pool(dst_shard));
+  boundary_.at(static_cast<std::size_t>(src_shard)).push_back(&link);
+}
+
+void ShardFabric::settle_boundary(int src, sim::Time b) {
+  for (Link* l : boundary_[static_cast<std::size_t>(src)]) l->settle_before(b);
 }
 
 void ShardFabric::flip() {

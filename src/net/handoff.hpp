@@ -37,15 +37,21 @@ class HandoffChannel {
  public:
   void push(RemotePacket&& rp) { bufs_[*write_].push_back(std::move(rp)); }
 
-  /// Minimum propagation delay over the boundary links feeding this
-  /// channel; recorded once per link at topology-construction time.
-  [[nodiscard]] std::int64_t min_delay_ns() const { return min_delay_ns_; }
+  /// Visit the packets `link` parked here, in both buffers: on the wire
+  /// and not yet drained. Only while every shard is quiesced.
+  template <class F>
+  void for_each_parked(const Link* link, F&& f) const {
+    for (const auto& buf : bufs_) {
+      for (const RemotePacket& rp : buf) {
+        if (rp.link == link) f(rp);
+      }
+    }
+  }
 
  private:
   friend class ShardFabric;
   std::array<std::vector<RemotePacket>, 2> bufs_;
   const std::uint8_t* write_ = nullptr;  ///< the fabric's write index
-  std::int64_t min_delay_ns_ = std::numeric_limits<std::int64_t>::max();
 };
 
 /// The sharded substrate of one experiment: a private Scheduler and FIFO
@@ -73,10 +79,22 @@ class ShardFabric {
   }
 
   /// Record a boundary link during topology construction: maintains the
-  /// per-pair and global minimum propagation delay. A zero cross-shard
+  /// minimum cross-shard propagation delay. A zero cross-shard
   /// delay would make the conservative lookahead zero (epochs could never
   /// advance), so it is rejected with a one-line diagnostic and exit 2.
   void note_cross_link(int src_shard, int dst_shard, sim::Time prop_delay, LinkId id);
+
+  /// Make `link`, sent on by `src_shard` into `dst_shard`, a boundary link:
+  /// note_cross_link(), wire it to channel (src, dst), and add it to the
+  /// source's end-of-epoch sweep. Links are added in link-id order.
+  void add_boundary_link(int src_shard, int dst_shard, Link& link);
+
+  /// End-of-epoch sweep of shard `src`, after its run_before(b) and on the
+  /// thread that ran it: every boundary link it sends on, in link-id order,
+  /// starts the transmissions due before `b`, which parks them in their
+  /// channels. A packet started at t >= epoch start arrives at or after
+  /// b, so the barrier drain still delivers it in time.
+  void settle_boundary(int src, sim::Time b);
 
   /// Conservative-sync lookahead: the minimum cross-shard propagation
   /// delay. Events a shard executes strictly before `epoch_start +
@@ -114,6 +132,7 @@ class ShardFabric {
   std::vector<std::unique_ptr<sim::Scheduler>> scheds_;
   std::vector<std::unique_ptr<FifoPool>> pools_;
   std::vector<HandoffChannel> channels_;  ///< n*n, row-major [src][dst]
+  std::vector<std::vector<Link*>> boundary_;  ///< by source shard, link-id order
   std::uint8_t write_ = 0;               ///< which buffer pushes go to
   std::int64_t min_cross_delay_ns_ = std::numeric_limits<std::int64_t>::max();
 };

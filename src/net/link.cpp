@@ -35,7 +35,6 @@ Link::Link(sim::Scheduler& sched, LinkId id, std::int64_t rate_bps, sim::Time pr
       queue_{std::move(queue)},
       sink_{sink},
       in_flight_{pool_or_own(pool, own_pool_)},
-      remote_in_flight_{pool_or_own(pool, own_pool_)},
       remote_arrivals_{pool_or_own(pool, own_pool_)} {
   assert(rate_bps_ > 0);
   assert(queue_ != nullptr);
@@ -87,27 +86,30 @@ void Link::send(Packet p) {
 }
 
 void Link::enqueue_for_tx(Packet&& p, bool dup) {
+  const sim::Time now = sched_.now();
+  // Departures due by now leave first, so ECN marking and tail drops see
+  // exactly the packets still waiting.
+  settle();
+  // tx_end_ lies ahead while anything waits. Otherwise an idle
+  // transmitter (tx_end_ behind the clock) takes the packet at once.
+  if (tx_end_ < now) tx_end_ = now;
   Packet clone;
   if (dup) clone = p;  // copy before the move below
-  if (!queue_->enqueue(std::move(p), sched_.now())) {  // tail drop
+  if (!queue_->enqueue(std::move(p), now)) {  // tail drop
     ++drops_.queue;
-    note_drop(sched_.now(), id_, obs::DropCause::Queue);
+    note_drop(now, id_, obs::DropCause::Queue);
   }
   if (dup) {
     // The clone is an extra packet the link manufactured: it enters the
     // conservation law on the offered side (duplicated_), then lives and
     // dies exactly like any other packet.
     ++duplicated_;
-    if (!queue_->enqueue(std::move(clone), sched_.now())) {
+    if (!queue_->enqueue(std::move(clone), now)) {
       ++drops_.queue;
-      note_drop(sched_.now(), id_, obs::DropCause::Queue);
+      note_drop(now, id_, obs::DropCause::Queue);
     }
   }
-  if (!transmitting()) {
-    start_transmission();
-  } else if (tx_ev_ == sim::kInvalidEventId && queue_->len_packets() > 0) {
-    arm_tx();  // a packet now waits for the transmitter
-  }
+  settle();  // an idle transmitter starts the head now
 }
 
 void Link::release_held(std::uint64_t id) {
@@ -122,49 +124,52 @@ void Link::release_held(std::uint64_t id) {
   assert(!"release for a hold entry that no longer exists");
 }
 
-void Link::start_transmission() {
+void Link::start_next() {
+  const sim::Time start = tx_end_;
   Packet p;
-  if (!queue_->dequeue(p, sched_.now())) return;
-
+  (void)queue_->dequeue(p, start);
+  // The rate in force at the start: every rate change settles first.
   const sim::Time tx = sim::transmission_time(p.size_bytes, effective_rate_bps_);
-  // A fluid share stretches the serialization; the stretch is the fluid
-  // load's time, which the hybrid engine credits through set_fluid_busy().
-  busy_ += fluid_share_ > 0.0 ? sim::Time::seconds(tx.sec() * (1.0 - fluid_share_)) : tx;
+  busy_ += packet_busy(tx);
   bytes_sent_ += p.size_bytes;
-  const std::int64_t deliver_t_ns = (sched_.now() + tx + prop_delay_).ns();
+  tx_end_ = start + tx;
+  const std::int64_t deliver_t_ns = (tx_end_ + prop_delay_).ns();
 
   if (remote_ != nullptr) {
     // Shard-boundary link: hand the packet to the cross-shard channel; the
-    // barrier drain schedules its delivery on the destination shard. The
-    // src-owned mirror keeps conservation accounting (set_down,
-    // live_in_flight) working without touching destination-shard state.
-    while (!remote_in_flight_.empty() &&
-           remote_in_flight_.front().deliver_t_ns + remote_->min_delay_ns() <
-               sched_.now().ns()) {
-      remote_in_flight_.pop_front();  // certainly delivered (see header)
-    }
-    remote_in_flight_.push_back(RemoteInFlight{deliver_t_ns, epoch_, p.corrupt});
+    // barrier drain schedules its delivery on the destination shard.
+    ++remote_handed_;
     remote_->push(RemotePacket{this, std::move(p), deliver_t_ns, epoch_});
   } else {
     // Deliver to the sink after serialization + propagation. The packet
-    // rides in the in-flight FIFO, so the event captures only `this`.
+    // rides in the in-flight FIFO, so the event captures only `this`. Its
+    // key is reserved now, when the start is triggered; the delivery is
+    // never earlier than the trigger (the predecessor's delivery, at
+    // start + prop, is one).
     in_flight_.push_back(InFlight{std::move(p), deliver_t_ns, sched_.reserve_seq()});
     if (in_flight_.size() == 1) arm_head();
   }
-  // Transmitter frees up after serialization only. The completion needs an
-  // event only if a packet is waiting by then (enqueue_for_tx arms it late).
-  tx_end_ = sched_.now() + tx;
-  tx_seq_ = sched_.reserve_seq();
-  if (queue_->len_packets() > 0) arm_tx();
 }
 
-void Link::arm_tx() {
-  tx_ev_ = sched_.arm_at(tx_end_, tx_seq_, [this] { complete_tx(); });
+Link::Due Link::due(sim::Time t) const {
+  Due d;
+  sim::Time start = tx_end_;
+  for (const Packet& p : queue_->packets()) {
+    if (start > t) break;
+    const sim::Time tx = sim::transmission_time(p.size_bytes, effective_rate_bps_);
+    ++d.packets;
+    d.bytes += p.size_bytes;
+    d.busy += packet_busy(tx);
+    d.area += static_cast<std::uint64_t>((t - start).ns());
+    start += tx;
+  }
+  return d;
 }
 
-void Link::complete_tx() {
-  tx_ev_ = sim::kInvalidEventId;
-  start_transmission();
+double Link::mean_occupancy(sim::Time now) const {
+  if (now <= sim::Time::zero()) return 0.0;
+  return static_cast<double>(queue_->occupancy_area(now) - due(now).area) /
+         static_cast<double>(now.ns());
 }
 
 void Link::arm_head() {
@@ -190,6 +195,7 @@ void Link::accept_remote_arrival(Packet&& pkt, std::int64_t deliver_t_ns, std::u
 void Link::remote_deliver_head() {
   Packet pkt = std::move(remote_arrivals_.front().pkt);
   remote_arrivals_.pop_front();
+  ++remote_landed_;
   if (!remote_arrivals_.empty()) arm_remote_head();
   // Running on the destination shard's engine: its clock, not sched_'s
   // (the source shard's), is the delivery time.
@@ -207,6 +213,7 @@ void Link::deliver_head() {
   Packet pkt = std::move(in_flight_.front().pkt);
   in_flight_.pop_front();
   if (!in_flight_.empty()) arm_head();
+  settle();  // the successor's start is due by now (prop >= 0)
   if (pkt.corrupt) {
     ++drops_.corrupt;  // failed checksum at the receiving end
     note_drop(sched_.now(), id_, obs::DropCause::Corrupt);
@@ -219,6 +226,7 @@ void Link::deliver_head() {
 
 void Link::set_down(bool down) {
   if (down == down_) return;
+  settle();  // transmissions due by now started before the link closed
   down_ = down;
   if (auto* tr = obs::tracer(); tr != nullptr) [[unlikely]] {
     tr->link_state(sched_.now(), id_, down_);
@@ -231,25 +239,26 @@ void Link::set_down(bool down) {
     for (const InFlight& f : in_flight_) ++(f.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
     in_flight_.clear();
     sched_.cancel(head_ev_);
-    // Boundary mode: faults apply at barriers, where every event with
-    // t < now has run, so mirror entries with deliver_t < now were
-    // delivered and the rest are lost in flight. Their parked deliveries
-    // are dropped here and still-channelled ones at the drain (stale
-    // epoch), without double counting.
-    while (!remote_in_flight_.empty() && remote_in_flight_.front().deliver_t_ns < sched_.now().ns()) {
-      remote_in_flight_.pop_front();
+    // Boundary mode: faults apply at barriers, with every shard quiesced.
+    // What is still on the wire is parked at the destination or, not yet
+    // drained, in the channel: both are lost. Parked deliveries are dropped
+    // here and channelled ones at the drain (stale epoch), without double
+    // counting.
+    if (remote_ != nullptr) {
+      remote_->for_each_parked(this, [this](const RemotePacket& rp) {
+        if (rp.link_epoch == epoch_) ++(rp.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
+      });
     }
-    for (const RemoteInFlight& f : remote_in_flight_) {
-      if (f.epoch == epoch_) ++(f.corrupt ? drops_.corrupt : drops_.admin_down);
+    for (const InFlight& f : remote_arrivals_) {
+      ++(f.pkt.corrupt ? drops_.corrupt : drops_.admin_down);
     }
     remote_arrivals_.clear();
     if (remote_sched_ != nullptr) remote_sched_->cancel(remote_head_ev_);
     ++epoch_;  // invalidates cross-shard packets still in the channel
+    remote_handed_ = 0;
+    remote_landed_ = 0;
     // The transmitter is idle at once (a reopened link restarts now).
-    sched_.cancel(tx_ev_);
-    tx_ev_ = sim::kInvalidEventId;
     tx_end_ = sim::Time::zero();
-    tx_seq_ = 0;
     Packet discard;
     while (queue_->dequeue(discard, sched_.now())) {
       ++(discard.corrupt ? drops_.corrupt : drops_.admin_down);  // flushed on closure
@@ -266,8 +275,6 @@ void Link::set_down(bool down) {
 }
 
 void Link::checkpoint(core::ckpt::Io& io) {
-  bool busy = transmitting();
-  io.b(busy);
   io.b(down_);  // listeners are NOT notified: their state restores separately
   io.u64(bytes_sent_);
   io.time(busy_);
@@ -282,7 +289,9 @@ void Link::checkpoint(core::ckpt::Io& io) {
   io.u64(delayed_);
   io.u64(overmarked_);
   io.f64(degrade_);
+  io.f64(fluid_share_);
   if (io.loading()) recompute_effective_rate();
+  io.time(tx_end_);
   queue_->checkpoint(io);
 
   // Hold buffer: each parked packet re-arms its release event on restore.
@@ -294,22 +303,17 @@ void Link::checkpoint(core::ckpt::Io& io) {
   });
 
   // In-flight FIFOs: keys must be re-armable and deliveries in time order.
-  // Entries from before the link last went down (older snapshots kept
-  // them) were already counted as lost and are dropped.
+  // set_down() empties both, so every entry belongs to the current epoch.
   auto fifo = [&](Fifo<InFlight>& q, const sim::Scheduler* on) {
     std::uint64_t n = q.size();
     io.u64(n);
     if (n > 0 && on == nullptr) return io.fail();
-    // Whether the entry belongs to the current epoch.
     auto entry = [&](InFlight& f) {
       core::ckpt::EventKey k{f.t_ns, f.seq};
-      std::uint64_t epoch = epoch_;
       io.key(*on, k);
-      io.u64(epoch);
       net::checkpoint(io, f.pkt);
       f.t_ns = k.t_ns;
       f.seq = k.seq;
-      return epoch == epoch_;
     };
     if (io.saving()) {
       for (InFlight f : q) entry(f);
@@ -317,7 +321,7 @@ void Link::checkpoint(core::ckpt::Io& io) {
     }
     for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
       InFlight f{};
-      if (!entry(f)) continue;
+      entry(f);
       if (!q.empty() && f.t_ns < q.back().t_ns) return io.fail();
       q.push_back(std::move(f));
     }
@@ -325,60 +329,32 @@ void Link::checkpoint(core::ckpt::Io& io) {
   // Boundary links never use the local FIFO; remote arrivals need the
   // destination shard's engine.
   fifo(in_flight_, remote_ == nullptr ? &sched_ : nullptr);
-  if (!io.ok()) return;
 
-  // Only a completion that has not passed is state; an armed one is
-  // re-armed on restore iff a packet is still waiting.
-  std::uint64_t n_tx = busy ? 1 : 0;
-  io.u64(n_tx);
-  bool live_tx = false;
-  for (std::uint64_t i = 0; i < n_tx && io.ok(); ++i) {
-    core::ckpt::EventKey k{tx_end_.ns(), tx_seq_};
-    std::uint64_t epoch = epoch_;
-    io.key(sched_, k);
-    io.u64(epoch);
-    if (epoch != epoch_) continue;  // stale completion (older snapshots)
-    if (live_tx) return io.fail();
-    live_tx = true;
-    tx_end_ = sim::Time::nanoseconds(k.t_ns);
-    tx_seq_ = k.seq;
-  }
-  if (busy != live_tx) return io.fail();
-
-  std::uint64_t n_remote = remote_in_flight_.size();
-  io.u64(n_remote);
-  auto mirror = [&](RemoteInFlight& f) {
-    io.i64(f.deliver_t_ns);
-    io.u64(f.epoch);
-    io.b(f.corrupt);
-  };
-  if (io.saving()) {
-    for (RemoteInFlight f : remote_in_flight_) mirror(f);
-  } else {
-    for (std::uint64_t i = 0; i < n_remote && io.ok(); ++i) {
-      RemoteInFlight f{};
-      mirror(f);
-      remote_in_flight_.push_back(std::move(f));
-    }
-  }
+  io.u64(remote_handed_);
+  io.u64(remote_landed_);
 
   fifo(remote_arrivals_, remote_sched_);
   if (!io.ok() || io.saving()) return;
 
+  // A queued packet needs a trigger. On a local link that is the delivery
+  // of the transmission ahead of it, at tx_end_ + prop; a boundary link's
+  // end-of-epoch sweep started everything due before the snapshot's
+  // barrier.
+  if (queue_->len_packets() > 0) {
+    const bool triggered = remote_ == nullptr
+                               ? !in_flight_.empty() && in_flight_.back().t_ns >= tx_end_.ns()
+                               : tx_end_ >= sched_.now();
+    if (!triggered) return io.fail();
+  }
   if (!in_flight_.empty()) arm_head();
   if (!remote_arrivals_.empty()) arm_remote_head();
-  if (live_tx && queue_->len_packets() > 0) arm_tx();
 }
 
 std::size_t Link::live_in_flight() const {
-  std::size_t n = in_flight_.size();
-  // Boundary mode (probed only at quiesced instants, where everything with
-  // t <= now has been dispatched): mirror entries still ahead of the clock
-  // are on the wire.
-  for (const RemoteInFlight& f : remote_in_flight_) {
-    if (f.epoch == epoch_ && f.deliver_t_ns > sched_.now().ns()) ++n;
-  }
-  return n;
+  // Boundary mode (probed only at quiesced instants): handed off and not
+  // yet at the sink end, whichever side of the barrier a delivery at
+  // exactly now falls on.
+  return in_flight_.size() + due().packets + (remote_handed_ - remote_landed_);
 }
 
 }  // namespace xmp::net

@@ -41,13 +41,19 @@ struct LinkDropCounters {
 /// propagation` after transmission starts. The link keeps utilization
 /// statistics (busy time, bytes) used for the paper's Figure 11.
 ///
-/// Event economy: deliveries leave in FIFO order, so only the in-flight
-/// head has a delivery event armed (the next one is armed when it fires).
-/// A transmission's completion event is armed only once a packet is queued
-/// behind it; otherwise the transmitter is simply idle from the moment the
-/// completion's key has passed, in every engine and phase. Both reserve
-/// their scheduler sequence numbers when the transmission starts, so
-/// dispatch order is that of eagerly scheduled events (DESIGN.md §6).
+/// Event economy: one event per packet hop, its delivery. Deliveries
+/// leave in FIFO order, so only the in-flight head has its event armed
+/// (the next one is armed when it fires). Transmissions start lazily: a
+/// FIFO queue's next departure is fixed once the previous transmission
+/// starts, so a queued packet leaves the queue at its virtual start time
+/// (the previous transmission's end) the first time anything needs it: the
+/// next send(), the head delivery, the end-of-epoch sweep of a boundary
+/// link (settle_before()), or a barrier-time mutation (set_down,
+/// set_fluid_share, set_degrade). With propagation >= 0 the head delivery
+/// always comes at or after its successor's start, so no queued packet is
+/// left without a trigger. Accessors that report transmitter state
+/// (bytes_sent, busy_time, queued, live_in_flight, mean_occupancy) read the
+/// settled view without starting anything (DESIGN.md §6).
 ///
 /// Its FIFOs hold their entries on `pool`, the sending shard's FIFO pool
 /// (a private pool when null); a boundary link's arrivals move to the
@@ -126,9 +132,12 @@ class Link final {
   /// by fluid-modelled background traffic. Packet serialization slows down by
   /// 1/(1-share), so packet-accurate flows experience the reduced residual
   /// bandwidth without any fluid packet existing. Clamped to [0, 0.95] by the
-  /// caller; not checkpointed — the hybrid engine re-applies it after a
-  /// restore, exactly as it re-derives it every fluid tick.
+  /// caller. A change settles the link first, so transmissions already due
+  /// keep their timing; checkpointed, so the hybrid engine's re-apply after
+  /// a restore changes nothing.
   void set_fluid_share(double share) {
+    if (share == fluid_share_) return;
+    settle();
     fluid_share_ = share;
     recompute_effective_rate();
   }
@@ -140,24 +149,45 @@ class Link final {
 
   /// Gray failure: slow drain. Serialization runs at `factor` x the nominal
   /// rate (factor in (0, 1]; 1.0 restores full capacity). Composes with the
-  /// hybrid fluid share; packets already serializing keep their old timing.
-  /// Checkpointed — unlike the fluid share, nothing re-derives it on restore.
+  /// hybrid fluid share; a change settles the link first, so transmissions
+  /// already due keep their old timing. Checkpointed.
   void set_degrade(double factor) {
+    if (factor == degrade_) return;
+    settle();
     degrade_ = factor;
     recompute_effective_rate();
   }
   [[nodiscard]] double degrade() const { return degrade_; }
   [[nodiscard]] sim::Time prop_delay() const { return prop_delay_; }
+  /// The egress queue. Its raw length still counts transmissions that are
+  /// due but not started; queued() is the settled count.
   [[nodiscard]] const Queue& queue() const { return *queue_; }
   [[nodiscard]] Queue& queue() { return *queue_; }
   [[nodiscard]] PacketSink& sink() { return sink_; }
   [[nodiscard]] const PacketSink& sink() const { return sink_; }
 
-  /// Total bytes fully transmitted onto the wire.
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
+  // --- settled views: what the link holds once every transmission due by
+  // the link's clock has started; reading them starts nothing. ---
+  /// Total bytes put onto the wire.
+  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_ + due().bytes; }
   /// Cumulative time the transmitter was busy: packet serialization plus,
   /// in hybrid runs, the fluid load's share.
-  [[nodiscard]] sim::Time busy_time() const { return busy_ + fluid_busy_; }
+  [[nodiscard]] sim::Time busy_time() const { return busy_ + due().busy + fluid_busy_; }
+  /// Packets waiting for the transmitter.
+  [[nodiscard]] std::size_t queued() const { return queue_->len_packets() - due().packets; }
+  /// The queue's time-averaged occupancy over [0, now], `now` at or
+  /// before the link's clock.
+  [[nodiscard]] double mean_occupancy(sim::Time now) const;
+
+  /// Start every transmission due by the link's clock (inclusive): a
+  /// departure at `now` leaves before an arrival at `now`.
+  void settle() { settle_before(sched_.now() + sim::Time::nanoseconds(1)); }
+  /// Start every transmission due strictly before `b`: the end-of-epoch
+  /// sweep of a boundary link (ShardFabric::settle_boundary), run after
+  /// the epoch's events so every start it makes lands in its channel.
+  void settle_before(sim::Time b) {
+    while (tx_end_ < b && queue_->len_packets() > 0) start_next();
+  }
 
   // --- conservation accounting (stats::probes, faults::InvariantChecker) ---
   /// Packets ever offered via send().
@@ -166,7 +196,8 @@ class Link final {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] const LinkDropCounters& drops() const { return drops_; }
   /// In-flight packets that will still reach the sink (stale-epoch entries
-  /// were already counted as a drop when the link went down).
+  /// were already counted as a drop when the link went down); a settled
+  /// view, like queued().
   [[nodiscard]] std::size_t live_in_flight() const;
   /// Packets parked in the gray-failure hold buffer, awaiting release.
   [[nodiscard]] std::size_t held() const { return held_.size(); }
@@ -200,25 +231,39 @@ class Link final {
   /// counted by set_down().
   void accept_remote_arrival(Packet&& pkt, std::int64_t deliver_t_ns, std::uint64_t epoch);
 
-  /// Checkpoint the link: queue contents, counters, in-flight packets with
-  /// their delivery keys, and the key of a transmit completion that has
-  /// not passed yet. On restore the in-flight heads are re-armed under
-  /// their original keys, so dispatch order is unchanged. Restore rejects
+  /// Checkpoint the link as it stands, unsettled: queue contents,
+  /// counters, the transmitter's end time, and in-flight packets with their
+  /// delivery keys. On restore the in-flight heads are re-armed under their
+  /// original keys, so dispatch order is unchanged. Restore rejects
   /// (Io::fail) keys behind the restored clock or never handed out,
-  /// out-of-order deliveries, and arrivals on a link without a destination
-  /// scheduler.
+  /// out-of-order deliveries, arrivals on a link without a destination
+  /// scheduler, and a queued packet nothing would start.
   void checkpoint(core::ckpt::Io& io);
 
  private:
-  void start_transmission();
-  void complete_tx();
+  /// Transmissions due but not started at `t`: what settling at `t` would
+  /// move out of the queue.
+  struct Due {
+    std::size_t packets = 0;
+    std::uint64_t bytes = 0;
+    sim::Time busy = sim::Time::zero();  ///< what their starts add to busy_
+    std::uint64_t area = 0;  ///< Σ (t - start): occupancy their departures remove
+  };
+  [[nodiscard]] Due due(sim::Time t) const;
+  [[nodiscard]] Due due() const { return due(sched_.now()); }
+
+  /// Dequeue the head at its virtual start, tx_end_, and put it on the wire.
+  void start_next();
+  /// Transmitter time a serialization of `tx` counts as packet-busy: a
+  /// fluid share's stretch is the fluid load's time, which the hybrid
+  /// engine credits through set_fluid_busy().
+  [[nodiscard]] sim::Time packet_busy(sim::Time tx) const {
+    return fluid_share_ > 0.0 ? sim::Time::seconds(tx.sec() * (1.0 - fluid_share_)) : tx;
+  }
   void deliver_head();
   void remote_deliver_head();
   void arm_head();
   void arm_remote_head();
-  void arm_tx();
-  /// A transmission is on the wire until its completion key has passed.
-  [[nodiscard]] bool transmitting() const { return !sched_.passed(tx_end_, tx_seq_); }
   /// Enqueue for transmission after the verdict's entry effects; `dup`
   /// materializes the clone right behind the original.
   void enqueue_for_tx(Packet&& p, bool dup);
@@ -258,17 +303,15 @@ class Link final {
   Fifo<InFlight> in_flight_;
   sim::EventId head_ev_ = sim::kInvalidEventId;
 
-  /// Completion key of the latest transmission; (0, 0) — always passed —
-  /// when idle. tx_ev_ is its armed event, only while a packet waits.
+  /// End of the latest transmission started: the transmitter is free from
+  /// then on. While the queue is not empty its head starts exactly here.
   sim::Time tx_end_ = sim::Time::zero();
-  std::uint64_t tx_seq_ = 0;
-  sim::EventId tx_ev_ = sim::kInvalidEventId;
 
   /// Gray-failure hold buffer: packets parked at link *entry* (before the
   /// egress queue) by a Delay/Reorder verdict. Entries are id-keyed so the
   /// release event captures 16 bytes; release re-enters the normal enqueue
   /// path, which is why held packets never perturb the in-flight FIFO or
-  /// the boundary-mode mirrors. set_down() cancels the release events and
+  /// the boundary-mode state. set_down() cancels the release events and
   /// accounts the contents, so the buffer only ever holds live packets.
   struct Held {
     std::uint64_t id;
@@ -281,26 +324,19 @@ class Link final {
 
   // --- boundary-mode state. Thread ownership is partitioned: the source
   // shard writes offered_/queue_/busy_/bytes_sent_/drops_.{queue,fault},
-  // the transmit-completion key and remote_in_flight_; the destination
-  // shard writes delivered_, drops_.corrupt, remote_arrivals_ and
+  // tx_end_ and remote_handed_; the destination
+  // shard writes delivered_, drops_.corrupt, remote_landed_, remote_arrivals_ and
   // remote_head_ev_ (also in its barrier drain, on its own thread); epoch_/down_/
   // drops_.admin_down change only at barriers with every shard quiesced.
   // Distinct members, so no two threads ever touch the same word. ---
   HandoffChannel* remote_ = nullptr;
   sim::Scheduler* remote_sched_ = nullptr;  ///< destination shard's engine
 
-  /// src-owned conservation mirror of packets handed to the channel; lets
-  /// set_down() count still-propagating cross-shard packets as admin_down
-  /// exactly like the serial in_flight_ FIFO. Pruned lazily: an entry is
-  /// certainly delivered once deliver_t + pair_min_delay < now, because
-  /// the destination clock can lag the source clock by at most one epoch
-  /// (= at most the pair's min propagation delay).
-  struct RemoteInFlight {
-    std::int64_t deliver_t_ns;
-    std::uint64_t epoch;
-    bool corrupt;  ///< attribution on set_down: corrupt, not admin_down
-  };
-  Fifo<RemoteInFlight> remote_in_flight_;
+  /// Packets of the current epoch handed to the channel (src-owned) and,
+  /// of those, the ones that reached the sink end (dst-owned): their
+  /// difference is live_in_flight()'s boundary part. set_down() zeroes both.
+  std::uint64_t remote_handed_ = 0;
+  std::uint64_t remote_landed_ = 0;
 
   /// dst-consumed FIFO of drained packets awaiting delivery, keyed like
   /// in_flight_; only the head's event is armed, on remote_sched_. Grows

@@ -30,9 +30,7 @@ Link& Network::make_link(int src_shard, int dst_shard, PacketSink& to, std::int6
   link_shard_.push_back(src_shard);
   ingress_[&to].push_back(&ref);
   if (fabric_ != nullptr && src_shard != dst_shard) {
-    fabric_->note_cross_link(src_shard, dst_shard, prop_delay, ref.id());
-    ref.set_remote_handoff(&fabric_->channel(src_shard, dst_shard), &fabric_->sched(dst_shard),
-                           fabric_->pool(dst_shard));
+    fabric_->add_boundary_link(src_shard, dst_shard, ref);
   }
   return ref;
 }

@@ -54,21 +54,46 @@ void Host::send(Packet p) {
 }
 
 void Host::receive(Packet p) {
-  const auto it = endpoints_.find(key(p.flow, p.subflow, p.type));
-  if (it == endpoints_.end()) {
+  Endpoint* ep = slots_.empty() ? nullptr : slots_[probe(key(p.flow, p.subflow, p.type))].ep;
+  if (ep == nullptr) {
     ++undeliverable_;
     return;
   }
   ++delivered_;
-  it->second->handle(std::move(p));
+  ep->handle(std::move(p));
 }
 
 void Host::register_endpoint(FlowId flow, std::uint16_t subflow, PacketType type, Endpoint& ep) {
-  endpoints_[key(flow, subflow, type)] = &ep;
+  if ((endpoints_ + 1) * 2 > slots_.size()) grow();
+  Slot& s = slots_[probe(key(flow, subflow, type))];
+  if (s.ep == nullptr) ++endpoints_;
+  s = Slot{key(flow, subflow, type), &ep};
 }
 
 void Host::unregister_endpoint(FlowId flow, std::uint16_t subflow, PacketType type) {
-  endpoints_.erase(key(flow, subflow, type));
+  if (slots_.empty()) return;
+  std::size_t hole = probe(key(flow, subflow, type));
+  if (slots_[hole].ep == nullptr) return;
+  --endpoints_;
+  // Backward shift: move later members of the probe run into the hole
+  // unless that would put them before their home slot.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (hole + 1) & mask; slots_[j].ep != nullptr; j = (j + 1) & mask) {
+    const std::size_t h = home(slots_[j].key);
+    const bool stays = hole < j ? hole < h && h <= j : hole < h || h <= j;
+    if (stays) continue;
+    slots_[hole] = slots_[j];
+    hole = j;
+  }
+  slots_[hole] = Slot{};
+}
+
+void Host::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.empty() ? 8 : old.size() * 2, Slot{});
+  for (const Slot& s : old) {
+    if (s.ep != nullptr) slots_[probe(s.key)] = s;
+  }
 }
 
 }  // namespace xmp::net

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -149,8 +148,29 @@ class Host final : public Node {
            static_cast<std::uint64_t>(type == PacketType::Ack);
   }
 
+  /// Demultiplexing table: open addressing with linear probing over a
+  /// power-of-two array of slots, at most half full, erased by backward
+  /// shift (no tombstones). A host holds a few endpoints on the
+  /// permutation runs and up to ~85 under websearch at load 0.6 (k=4),
+  /// so lookups hash instead of scanning.
+  struct Slot {
+    std::uint64_t key = 0;
+    Endpoint* ep = nullptr;  ///< nullptr: empty slot
+  };
+  [[nodiscard]] std::size_t home(std::uint64_t k) const {
+    return static_cast<std::size_t>(mix64(k)) & (slots_.size() - 1);
+  }
+  /// Index of `k`'s slot, or of the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(std::uint64_t k) const {
+    std::size_t i = home(k);
+    while (slots_[i].ep != nullptr && slots_[i].key != k) i = (i + 1) & (slots_.size() - 1);
+    return i;
+  }
+  void grow();
+
   Link* uplink_ = nullptr;
-  std::unordered_map<std::uint64_t, Endpoint*> endpoints_;
+  std::vector<Slot> slots_;  ///< empty, or a power of two in size
+  std::size_t endpoints_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t undeliverable_ = 0;
 };

@@ -39,17 +39,19 @@ void Queue::note_gap_slow() {
 
 void Queue::advance_occupancy_clock(sim::Time now) {
   if (now > last_change_) {
-    occupancy_area_ +=
-        static_cast<double>(fifo_.size()) * static_cast<double>((now - last_change_).ns());
+    occupancy_area_ = occupancy_area(now);
     last_change_ = now;
   }
 }
 
+std::uint64_t Queue::occupancy_area(sim::Time now) const {
+  if (now <= last_change_) return occupancy_area_;
+  return occupancy_area_ + fifo_.size() * static_cast<std::uint64_t>((now - last_change_).ns());
+}
+
 double Queue::mean_occupancy(sim::Time now) const {
   if (now <= sim::Time::zero()) return 0.0;
-  const double tail = static_cast<double>(fifo_.size()) *
-                      static_cast<double>((now - last_change_).ns());
-  return (occupancy_area_ + tail) / static_cast<double>(now.ns());
+  return static_cast<double>(occupancy_area(now)) / static_cast<double>(now.ns());
 }
 
 bool Queue::dequeue(Packet& out, sim::Time now) {
@@ -84,7 +86,7 @@ void Queue::checkpoint(core::ckpt::Io& io) {
   io.u64(counters_.dropped);
   io.u64(counters_.marked);
   io.b(marking_enabled_);
-  io.f64(occupancy_area_);
+  io.u64(occupancy_area_);
   io.time(last_change_);
   io.u64(peak_);
   io.time(last_sample_);

@@ -48,6 +48,10 @@ class Queue {
   /// "level of link buffer occupancy", measured exactly rather than by
   /// polling. `now` must be monotone across calls (simulation time).
   [[nodiscard]] double mean_occupancy(sim::Time now) const;
+  /// The integral behind mean_occupancy(): sum of len * dt over [0, now],
+  /// in packet-nanoseconds. Integer, so splitting an interval anywhere
+  /// leaves it unchanged.
+  [[nodiscard]] std::uint64_t occupancy_area(sim::Time now) const;
   /// Largest instantaneous occupancy ever observed.
   [[nodiscard]] std::size_t peak_occupancy() const { return peak_; }
 
@@ -68,6 +72,10 @@ class Queue {
   /// exactly as it re-derives it every fluid tick.
   void set_fluid_marking(bool on) { fluid_marking_ = on; }
   [[nodiscard]] bool fluid_marking() const { return fluid_marking_; }
+
+  /// The queued packets, head first (a link's lazy transmitter reads their
+  /// sizes to time the transmissions it has not started yet).
+  [[nodiscard]] const Fifo<Packet>& packets() const { return fifo_; }
 
   /// Observability only: the link this queue drains (labels trace events).
   void set_owner(std::uint32_t link_id) { owner_ = link_id; }
@@ -121,7 +129,7 @@ class Queue {
   void note_gap_slow();
 
   // Occupancy integral: Σ len · dt, in packet·nanoseconds.
-  double occupancy_area_ = 0.0;
+  std::uint64_t occupancy_area_ = 0;
   sim::Time last_change_ = sim::Time::zero();
   std::size_t peak_ = 0;
 

@@ -1,5 +1,6 @@
 #include "obs/timeline.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <map>
 #include <set>
@@ -549,32 +550,28 @@ std::unique_ptr<TimelineTracer> TimelineTracer::merged(
   mc.categories = cat::kAll;
   auto out = std::make_unique<TimelineTracer>(mc);
 
-  // Each stream is already time-ordered, so a single stable pick of the
-  // earliest head is a k-way merge keyed (t_ns, stream, position): equal
-  // timestamps resolve by stream order (caller puts the control strand
-  // first), then by position within the stream.
-  struct Cursor {
-    const TimelineTracer* stream;
-    std::size_t next;
-    [[nodiscard]] bool more() const { return stream != nullptr && next < stream->size(); }
-    [[nodiscard]] const TimelineEvent& head() const { return stream->at(next); }
+  // Order by (t_ns, stream, position): a stable sort by time of every
+  // event listed stream by stream. Equal timestamps resolve by stream order
+  // (caller puts the control strand first), then by position within the
+  // stream. A stream is time-ordered except for the queue samples a link's
+  // lazy transmission start takes at its virtual start time (DESIGN.md
+  // §6), which the sort puts in place.
+  struct Ref {
+    std::int64_t t_ns;
+    const TimelineEvent* e;
   };
-  std::vector<Cursor> cursors;
-  cursors.reserve(streams.size());
+  std::vector<Ref> refs;
+  refs.reserve(total);
   for (const TimelineTracer* s : streams) {
-    cursors.push_back({s, 0});
     if (s == nullptr) continue;
+    for (std::size_t i = 0; i < s->size(); ++i) refs.push_back({s->at(i).t_ns, &s->at(i)});
     for (const auto& [id, name] : s->flow_names_) out->flow_names_[id] = name;
     for (const auto& [id, name] : s->link_names_) out->link_names_[id] = name;
   }
-  for (;;) {
-    Cursor* best = nullptr;
-    for (Cursor& c : cursors) {
-      if (c.more() && (best == nullptr || c.head().t_ns < best->head().t_ns)) best = &c;
-    }
-    if (best == nullptr) break;
-    const TimelineEvent& e = best->head();
-    ++best->next;
+  std::stable_sort(refs.begin(), refs.end(),
+                   [](const Ref& a, const Ref& b) { return a.t_ns < b.t_ns; });
+  for (const Ref& r : refs) {
+    const TimelineEvent& e = *r.e;
     out->record(e.kind, category_of(e.kind), sim::Time::nanoseconds(e.t_ns), e.id, e.subflow,
                 e.aux, e.a, e.b);
   }

@@ -277,8 +277,8 @@ class TimelineTracer {
   bool export_chrome_json(const std::string& path) const;
 
   /// Deterministically merge several tracers' retained events into one
-  /// tracer (for export). Each input stream is time-ordered on its own;
-  /// the merge orders by (t_ns, stream index, position within stream), so
+  /// tracer (for export). The merge orders by (t_ns, stream index,
+  /// position within stream), so
   /// the result depends only on stream contents and order — never on how
   /// many threads produced them. Track-name maps are unioned (later
   /// streams win on collision). The result has capacity == total events

@@ -127,11 +127,11 @@ ExperimentConfig delay_cfg() {
 
 /// A two-round permutation whose snapshot `seq` (at a multiple of `every`)
 /// falls between round one's last completion and its round-end event, 40 us
-/// later: 8.32 ms at every=2.08 ms.
+/// later: 8.44 ms at every=2.11 ms (round one ends at 8.40032 ms).
 ExperimentConfig round_end_cfg(int shards) {
   auto cfg = small_cfg(shards);
   cfg.permutation_rounds = 2;
-  cfg.checkpoint.every = sim::Time::microseconds(2'080);
+  cfg.checkpoint.every = sim::Time::microseconds(2'110);
   return cfg;
 }
 constexpr std::uint64_t kRoundEndSeq = 4;
@@ -401,9 +401,9 @@ TEST(Checkpoint, ShardedRestoreThenSaveReproducesThePayload) {
   expect_restore_then_save_reproduces(cfg, 2);
 }
 
-// The v5 layout, pinned: snapshot 1 of a traced k=4 permutation (four
+// The v6 layout, pinned: snapshot 1 of a traced k=4 permutation (four
 // logical shards, at any worker count). A field moved, added or dropped
-// under format v5 changes these and would make existing v5 files misparse;
+// under format v6 changes these and would make existing v6 files misparse;
 // such a change must bump kFormatVersion instead.
 TEST(Checkpoint, GoldenSnapshotBytes) {
   const auto cfg = traced_cfg(0, fresh_dir("golden"));
@@ -414,8 +414,8 @@ TEST(Checkpoint, GoldenSnapshotBytes) {
   ASSERT_TRUE(ckpt::read_file(cfg.checkpoint.dir + "/" + ckpt::file_name(1),
                               ckpt::config_fingerprint(cfg), h, payload, &err))
       << err;
-  EXPECT_EQ(payload.size(), 203612u);
-  EXPECT_EQ(ckpt::crc32(payload.data(), payload.size()), 1096271026u);
+  EXPECT_EQ(payload.size(), 199733u);
+  EXPECT_EQ(ckpt::crc32(payload.data(), payload.size()), 2695414147u);
 }
 
 // --invariants is outside the config fingerprint. A snapshot with checker
@@ -644,8 +644,8 @@ TEST(Checkpoint, CorruptionRejectedWithFallback) {
   EXPECT_FALSE(ckpt::probe_file(newest, fp, h, &err));
   EXPECT_NE(err.find("version"), std::string::npos) << err;
 
-  // The previous format (v4 lacked the pending round end and the fluid
-  // busy time): rejected the same way.
+  // The previous format (v5 kept a transmit-completion key per link
+  // instead of the transmitter's end time): rejected the same way.
   {
     std::string bad = pristine;
     bad[4] = static_cast<char>(ckpt::kFormatVersion - 1);
@@ -780,23 +780,27 @@ class NullSink final : public net::PacketSink {
   void receive(net::Packet /*p*/) override {}
 };
 
-/// Where the event keys of one intra-shard link's LNKS entry live. The
-/// entry ends with: in-flight (count + t, seq, epoch, packet each),
-/// transmit completion (count + t, seq, epoch), remote mirror (count),
+/// Where the fields of one intra-shard link's LNKS entry live. The entry
+/// starts with the down flag, thirteen u64 counters, the degrade factor
+/// and fluid share, then the transmitter's end time; it ends with:
+/// in-flight (count + t, seq, packet each), the handed and landed counts,
 /// remote arrivals (count); an intra-shard link's remote sections are
 /// empty.
 struct LinkEntry {
   static constexpr std::size_t kPacketBytes = 59;  // save_packet()
-  static constexpr std::size_t kFlightBytes = 24 + kPacketBytes;
+  static constexpr std::size_t kFlightBytes = 16 + kPacketBytes;
+  static constexpr std::size_t kTxEnd = 1 + 13 * 8 + 2 * 8;
+  std::size_t begin = 0;
   std::size_t end = 0;
-  std::size_t n_flight = 0;
+  std::size_t n_flight = 0;   ///< packets in the in-flight FIFO
+  std::size_t n_queued = 0;   ///< packets in the queue, started or not
+  std::size_t n_waiting = 0;  ///< of those, not due yet
   std::size_t n_held = 0;
-  bool busy = false;
 
+  [[nodiscard]] std::size_t tx_end() const { return begin + kTxEnd; }
   [[nodiscard]] std::size_t arrivals_count() const { return end - 8; }
-  [[nodiscard]] std::size_t tx_count() const { return end - 16 - 8 - (busy ? 24 : 0); }
   [[nodiscard]] std::size_t flight(std::size_t k) const {
-    return tx_count() - kFlightBytes * n_flight + kFlightBytes * k;
+    return end - 24 - kFlightBytes * n_flight + kFlightBytes * k;
   }
 };
 
@@ -836,10 +840,13 @@ SnapshotLinks walk_links(const std::string& payload) {
     net::Link link{sched, static_cast<net::LinkId>(i), 1'000'000'000, sim::Time::zero(),
                    net::make_queue(q), sink};
     LinkEntry e;
-    e.busy = payload[l.offset()] != 0;  // the entry's first field
+    e.begin = l.offset();
     link.checkpoint(l);
     e.end = l.offset();
-    e.n_flight = link.live_in_flight();
+    e.n_queued = link.queue().len_packets();
+    e.n_waiting = link.queued();
+    // live_in_flight() counts the due packets too.
+    e.n_flight = link.live_in_flight() - (e.n_queued - e.n_waiting);
     e.n_held = link.held();
     out.links.push_back(e);
   }
@@ -872,22 +879,23 @@ class LinkRestoreValidation : public ::testing::Test {
         << err;
     snap_ = walk_links(payload_);
     for (std::size_t i = 0; i < snap_.links.size(); ++i) {
-      if (snap_.links[i].busy && busy_ < 0) busy_ = static_cast<int>(i);
+      if (snap_.links[i].n_queued > 0 && queued_ < 0) queued_ = static_cast<int>(i);
       if (snap_.links[i].n_flight >= 2 && flying_ < 0) flying_ = static_cast<int>(i);
     }
-    ASSERT_GE(busy_, 0) << "snapshot has no transmitting link";
+    ASSERT_GE(queued_, 0) << "snapshot has no link with a queued packet";
     ASSERT_GE(flying_, 0) << "snapshot has no link with two packets in flight";
   }
 
-  /// Publish `payload` (fresh CRC) and restore from it.
-  void restore(const std::string& payload) {
+  /// Publish `payload` (fresh CRC) under `header` and restore from it.
+  void restore(const std::string& payload, const ckpt::Header& header) {
     const std::string path = dir_ + "/mutated.bin";
-    ASSERT_TRUE(ckpt::write_file(path, header_, payload));
+    ASSERT_TRUE(ckpt::write_file(path, header, payload));
     auto cfg = one_shard_cfg();
     cfg.checkpoint.restore_path = path;
     const auto r = run_experiment(cfg);
     EXPECT_TRUE(r.ckpt.restored);
   }
+  void restore(const std::string& payload) { restore(payload, header_); }
 
   void expect_rejected(const std::string& payload) {
     EXPECT_EXIT(restore(payload), ::testing::ExitedWithCode(2),
@@ -898,7 +906,7 @@ class LinkRestoreValidation : public ::testing::Test {
   ckpt::Header header_;
   std::string payload_;
   SnapshotLinks snap_;
-  int busy_ = -1;
+  int queued_ = -1;
   int flying_ = -1;
 };
 
@@ -910,11 +918,16 @@ TEST_F(LinkRestoreValidation, RejectsDeliveryBeforeRestoredClock) {
   expect_rejected(bad);
 }
 
-TEST_F(LinkRestoreValidation, RejectsCompletionBeforeRestoredClock) {
-  const LinkEntry& e = snap_.links[busy_];
+// A queued packet starts when the transmission ahead of it is delivered,
+// at the transmitter's end plus the propagation delay. A transmitter that
+// frees up after that delivery leaves the packet with no trigger at all.
+TEST_F(LinkRestoreValidation, RejectsQueuedPacketWithoutTrigger) {
+  const LinkEntry& e = snap_.links[queued_];
+  ASSERT_GE(e.n_flight, 1u);
+  const std::int64_t last_delivery = get_i64(payload_, e.flight(e.n_flight - 1));
+  ASSERT_GE(last_delivery, get_i64(payload_, e.tx_end()));
   std::string bad = payload_;
-  ASSERT_EQ(get_i64(bad, e.tx_count()), 1);
-  put_i64(bad, e.tx_count() + 8, snap_.now.ns() - 1);
+  put_i64(bad, e.tx_end(), last_delivery + 1);
   expect_rejected(bad);
 }
 
@@ -942,6 +955,54 @@ TEST_F(LinkRestoreValidation, RejectsRemoteArrivalOnSerialLink) {
   put_u64(entry, 8, 1);
   bad.insert(e.end, entry);
   expect_rejected(bad);
+}
+
+// Format v5 kept a transmit-completion key per link and no transmitter end
+// time: its LNKS entries would misparse, so the header check refuses it
+// before the payload is read, with one line and exit 2.
+TEST_F(LinkRestoreValidation, RejectsFormatV5Snapshot) {
+  ckpt::Header v5 = header_;
+  v5.version = 5;
+  EXPECT_EXIT(restore(payload_, v5), ::testing::ExitedWithCode(2),
+              "restore failed: checkpoint .*: format version 5 \\(expected 6\\)");
+}
+
+// Transmissions start lazily, so a snapshot can hold a queue whose head is
+// due (its start lies before the snapshot time) while nothing has started
+// it yet: the delivery ahead of it comes later. A run killed there and
+// resumed must start it exactly where the uninterrupted run does.
+TEST(Checkpoint, ResumeFromAMidBurstSnapshotMatchesUninterrupted) {
+  const std::string dir_a = fresh_dir("midburst_a");
+  const std::string dir_b = fresh_dir("midburst_b");
+  auto cfg = one_shard_cfg();
+  cfg.checkpoint.every = sim::Time::seconds(0.002);
+  cfg.checkpoint.dir = dir_a;
+  const auto full = run_experiment(cfg);
+  std::uint64_t seq = 0;
+  for (std::uint64_t s = 1; s < full.ckpt.written && seq == 0; ++s) {
+    ckpt::Header h;
+    std::string payload;
+    std::string err;
+    ASSERT_TRUE(ckpt::read_file(dir_a + "/" + ckpt::file_name(s), ckpt::config_fingerprint(cfg),
+                                h, payload, &err))
+        << err;
+    for (const LinkEntry& e : walk_links(payload).links) {
+      if (e.n_waiting < e.n_queued) seq = s;
+    }
+  }
+  ASSERT_GT(seq, 0u) << "no snapshot holds a due transmission that has not started";
+
+  auto resume = one_shard_cfg();
+  resume.checkpoint.every = cfg.checkpoint.every;
+  resume.checkpoint.dir = dir_b;
+  resume.checkpoint.restore_path = dir_a + "/" + ckpt::file_name(seq);
+  const auto resumed = run_experiment(resume);
+  EXPECT_TRUE(resumed.ckpt.restored);
+  expect_same_results(full, resumed);
+  for (std::uint64_t s = seq + 1; s <= full.ckpt.written; ++s) {
+    EXPECT_EQ(slurp(dir_a + "/" + ckpt::file_name(s)), slurp(dir_b + "/" + ckpt::file_name(s)))
+        << "checkpoint " << s << " diverged after restore";
+  }
 }
 
 // ---------------------------------------------------------------------------

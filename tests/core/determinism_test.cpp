@@ -57,19 +57,19 @@ TEST(Determinism, SameSeedSameTrajectory) {
 
 TEST(Determinism, GoldenRandomCoexistFingerprint) {
   const auto r = run_experiment(golden_cfg(Pattern::Random, true));
-  EXPECT_EQ(r.events_dispatched, 494790u);
-  EXPECT_EQ(r.flows.size(), 146u);
-  EXPECT_EQ(r.goodput.count(), 72u);
-  EXPECT_DOUBLE_EQ(r.goodput.mean(), 415.91802734746858);
-  EXPECT_DOUBLE_EQ(r.goodput.percentile(50), 374.32499354060803);
-  EXPECT_EQ(r.goodput_b.count(), 58u);
-  EXPECT_DOUBLE_EQ(r.goodput_b.mean(), 339.70831575294449);
-  EXPECT_EQ(r.rtt_by_category[0].count(), 3u);
-  EXPECT_EQ(r.rtt_by_category[1].count(), 34u);
-  EXPECT_EQ(r.rtt_by_category[2].count(), 328u);
-  EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.67494507926829295);
-  EXPECT_DOUBLE_EQ(r.utilization_by_layer[1].mean(), 0.33621168750000002);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[2].mean(), 0.46782806249999992);
+  EXPECT_EQ(r.events_dispatched, 315198u);
+  EXPECT_EQ(r.flows.size(), 147u);
+  EXPECT_EQ(r.goodput.count(), 75u);
+  EXPECT_DOUBLE_EQ(r.goodput.mean(), 435.13721804004757);
+  EXPECT_DOUBLE_EQ(r.goodput.percentile(50), 430.68833652007646);
+  EXPECT_EQ(r.goodput_b.count(), 56u);
+  EXPECT_DOUBLE_EQ(r.goodput_b.mean(), 337.82016270928472);
+  EXPECT_EQ(r.rtt_by_category[0].count(), 9u);
+  EXPECT_EQ(r.rtt_by_category[1].count(), 28u);
+  EXPECT_EQ(r.rtt_by_category[2].count(), 324u);
+  EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.6841366358024682);
+  EXPECT_DOUBLE_EQ(r.utilization_by_layer[1].mean(), 0.33914906249999993);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[2].mean(), 0.45755184374999996);
   EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.080000000000000002);
 }
 

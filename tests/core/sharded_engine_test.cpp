@@ -140,13 +140,13 @@ TEST(ShardedEngine, GoldenRoundFlipFingerprint) {
   auto cfg = sharded_cfg(2);
   cfg.permutation_rounds = 2;
   const auto r = run_experiment(cfg);
-  EXPECT_EQ(r.events_dispatched, 102340u);
+  EXPECT_EQ(r.events_dispatched, 63152u);
   EXPECT_EQ(r.goodput.count(), 32u);
-  EXPECT_DOUBLE_EQ(r.goodput.mean(), 476.00423761153473);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.018160320000000001);
-  EXPECT_EQ(r.shard.epochs, 456u);
-  EXPECT_EQ(r.shard.barriers, 456u);
-  EXPECT_EQ(r.shard.handoff_packets, 13209u);
+  EXPECT_DOUBLE_EQ(r.goodput.mean(), 471.71308315234728);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.01796);
+  EXPECT_EQ(r.shard.epochs, 450u);
+  EXPECT_EQ(r.shard.barriers, 450u);
+  EXPECT_EQ(r.shard.handoff_packets, 13216u);
 }
 
 // Round ends on the control strand. The round end must be timed from the
@@ -198,22 +198,22 @@ TEST(ShardedEngine, GoldenShardedFingerprint) {
   const auto r = run_experiment(sharded_cfg(2));
   EXPECT_EQ(r.shard.logical_shards, 4);
   EXPECT_DOUBLE_EQ(r.shard.lookahead_us, 40.0);
-  EXPECT_EQ(r.events_dispatched, 51666u);
+  EXPECT_EQ(r.events_dispatched, 31960u);
   EXPECT_EQ(r.flows.size(), 16u);
   EXPECT_EQ(r.goodput.count(), 16u);
-  EXPECT_DOUBLE_EQ(r.goodput.mean(), 483.20222212422357);
-  EXPECT_DOUBLE_EQ(r.goodput.percentile(50), 491.68590638081946);
-  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0083577600000000005);
-  EXPECT_EQ(r.shard.epochs, 209u);
-  EXPECT_EQ(r.shard.barriers, 209u);
-  EXPECT_EQ(r.shard.handoff_packets, 6562u);
-  EXPECT_EQ(r.rtt_by_category[1].count(), 2u);
-  EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.37936899999999996);
+  EXPECT_DOUBLE_EQ(r.goodput.mean(), 472.88426539033583);
+  EXPECT_DOUBLE_EQ(r.goodput.percentile(50), 454.65975186323726);
+  EXPECT_DOUBLE_EQ(r.sim_duration.sec(), 0.0084403199999999994);
+  EXPECT_EQ(r.shard.epochs, 212u);
+  EXPECT_EQ(r.shard.barriers, 212u);
+  EXPECT_EQ(r.shard.handoff_packets, 6573u);
+  EXPECT_EQ(r.rtt_by_category[1].count(), 4u);
+  EXPECT_DOUBLE_EQ(r.rtt_by_category[1].mean(), 0.43797049999999998);
   EXPECT_EQ(r.rtt_by_category[2].count(), 22u);
-  EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.62665386363636355);
-  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.37110900528371243);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.83676367830614906);
-  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.94640549620951064);
+  EXPECT_DOUBLE_EQ(r.rtt_by_category[2].mean(), 0.62134422727272731);
+  EXPECT_DOUBLE_EQ(r.utilization_by_layer[0].mean(), 0.36748962124658785);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[0].mean(), 0.84075307571276936);
+  EXPECT_DOUBLE_EQ(r.queue_occupancy_by_layer[1].mean(), 0.96765821675007579);
 }
 
 // --- traffic without a per-pod port: one logical shard ---------------------
@@ -349,8 +349,9 @@ TEST(ShardedEngine, ControlEventExactlyAtEpochEnd) {
 // control strand forces an epoch boundary at the fault instant, so the
 // link flips state with the fabric quiesced), RTO timers scheduled many
 // epochs ahead fire or are cancelled/rescheduled across epoch horizons,
-// and the in-flight mirror of the downed boundary link drops its payload
-// exactly like the serial engine's in-flight accounting does.
+// and the downed boundary link counts what it still had on the wire
+// (parked at the destination or in the channel) exactly like a local
+// link's in-flight accounting does.
 TEST(ShardedEngine, BoundaryLinkKillMidEpoch) {
   // Find a core (cross-shard) link id from a scratch build of the same tree.
   net::LinkId core_link = 0;
@@ -540,9 +541,7 @@ class HandoffWorld {
                                                        kDelay, net::make_queue(q, pool),
                                                        *sinks_.back(), pool));
           link_src_.push_back(src);
-          fabric.note_cross_link(src, dst, kDelay, id);
-          links_.back()->set_remote_handoff(&fabric.channel(src, dst), &fabric.sched(dst),
-                                            fabric.pool(dst));
+          fabric.add_boundary_link(src, dst, *links_.back());
         }
       }
     }
@@ -551,8 +550,9 @@ class HandoffWorld {
   }
 
   /// Shard `src`'s part of epoch `burst` ([burst, burst + 1) x kDelay): a
-  /// three-packet burst on each of its outbound links, run until every
-  /// packet is on the wire. Uids are (burst, link, packet) in order.
+  /// three-packet burst on each of its outbound links, run and swept
+  /// until every packet is on the wire. Uids are (burst, link, packet) in
+  /// order.
   void send_burst(int src, int burst) {
     for (std::size_t l = 0; l < links_.size(); ++l) {
       if (link_src_[l] != src) continue;
@@ -564,6 +564,7 @@ class HandoffWorld {
       }
     }
     fabric.sched(src).run_before(kDelay * (burst + 1));
+    fabric.settle_boundary(src, kDelay * (burst + 1));
   }
 
   /// Run every destination to completion; returns its arrivals.

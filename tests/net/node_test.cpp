@@ -6,6 +6,7 @@
 #include <map>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -184,6 +185,39 @@ TEST_F(SwitchFixture, UnregisterStopsDelivery) {
   h.receive(std::move(p));
   EXPECT_EQ(ep.count, 0);
   EXPECT_EQ(h.undeliverable(), 1u);
+}
+
+// The demultiplexing table grows past its first slots and erases by
+// backward shift: after registering 200 endpoints and unregistering every
+// third one (in an order unrelated to insertion), each key still finds its
+// own endpoint and every erased key is undeliverable.
+TEST_F(SwitchFixture, HostTableSurvivesGrowthAndErasure) {
+  Host& h = net.add_host();
+  constexpr int kEndpoints = 200;
+  std::vector<CountingEndpoint> eps(kEndpoints);
+  auto flow_of = [](int i) { return static_cast<FlowId>(1000 + i / 4); };
+  auto sub_of = [](int i) { return static_cast<std::uint16_t>((i / 2) % 2); };
+  auto type_of = [](int i) { return i % 2 == 0 ? PacketType::Data : PacketType::Ack; };
+  for (int i = 0; i < kEndpoints; ++i) {
+    h.register_endpoint(flow_of(i), sub_of(i), type_of(i), eps[static_cast<std::size_t>(i)]);
+  }
+  for (int i = kEndpoints - 1; i >= 0; i -= 3) h.unregister_endpoint(flow_of(i), sub_of(i), type_of(i));
+  h.unregister_endpoint(99, 0, PacketType::Data);  // never registered: a no-op
+  for (int i = 0; i < kEndpoints; ++i) {
+    Packet p;
+    p.flow = flow_of(i);
+    p.subflow = sub_of(i);
+    p.type = type_of(i);
+    h.receive(std::move(p));
+  }
+  int erased = 0;
+  for (int i = 0; i < kEndpoints; ++i) {
+    const bool gone = (kEndpoints - 1 - i) % 3 == 0;
+    erased += gone ? 1 : 0;
+    EXPECT_EQ(eps[static_cast<std::size_t>(i)].count, gone ? 0 : 1) << i;
+  }
+  EXPECT_EQ(h.undeliverable(), static_cast<std::uint64_t>(erased));
+  EXPECT_EQ(h.delivered(), static_cast<std::uint64_t>(kEndpoints - erased));
 }
 
 /// Terminal sink for the dense-route tests.

@@ -219,14 +219,17 @@ TEST(Ring, LinkInFlightFifoCheckpointRoundTrip) {
 
   // Eight back-to-back packets, one leaving the queue every 12 us (1500 B
   // at 1 Gbps): after 40 us four are on the wire and four still queued.
+  // Nothing has started #2..#4 yet (#1 arrives at 62 us); the snapshot
+  // keeps them queued and the views count them on the wire.
   sim::Scheduler sched;
   Capture sink{sched};
   FifoPool pool;
   Link link{sched, 0, 1'000'000'000, prop, make_queue(q, &pool), sink, &pool};
   for (std::uint64_t i = 1; i <= 8; ++i) link.send(packet(i));
-  sched.run_before(sim::Time::microseconds(40));
+  sched.run_until(sim::Time::microseconds(40));
   ASSERT_EQ(link.live_in_flight(), 4u);
-  ASSERT_EQ(link.queue().len_packets(), 4u);
+  ASSERT_EQ(link.queued(), 4u);
+  ASSERT_EQ(link.queue().len_packets(), 7u);
   EXPECT_EQ(pool.high_water(), 8u) << "queue and in-flight entries share nodes";
 
   core::ckpt::Io s;
@@ -241,7 +244,7 @@ TEST(Ring, LinkInFlightFifoCheckpointRoundTrip) {
   restored.checkpoint(l);
   ASSERT_TRUE(l.done());
   EXPECT_EQ(restored.live_in_flight(), 4u);
-  EXPECT_EQ(pool2.high_water(), 8u) << "four in flight plus four queued";
+  EXPECT_EQ(pool2.high_water(), 8u) << "one in flight plus seven queued";
   core::ckpt::Io again;
   restored.checkpoint(again);
   EXPECT_EQ(again.data(), s.data());

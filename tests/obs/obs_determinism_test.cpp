@@ -74,6 +74,63 @@ TEST(ObsDeterminism, TracingDisabledVsEnabledIsByteIdentical) {
   EXPECT_EQ(a, b) << "tracing perturbed the simulation trajectory";
 }
 
+/// `json` without the lines that count an observer's own work: dispatched
+/// events (the invariant checker's ticks are control events) and the
+/// checker's checks and violations. Trailing commas go too, since which
+/// line of an object is last depends on the dropped ones.
+std::string without_observer_counts(const std::string& json) {
+  std::istringstream in{json};
+  std::string out;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"events\"") != std::string::npos ||
+        line.find("\"invariant_") != std::string::npos) {
+      continue;
+    }
+    if (!line.empty() && line.back() == ',') line.pop_back();
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+// Links start transmissions lazily, and only the simulation's own events
+// start them. The invariant checker, the metrics and the CSV trace read
+// the links' settled view, so on a permutation whose queues build (k
+// shards, boundary links included) they leave every result in place.
+TEST(ObsDeterminism, ObserversLeaveAQueuedRunUnchanged) {
+  TempFile plain{"queued_plain.json"};
+  TempFile observed_summary{"queued_observed.json"};
+  TempFile trace_csv{"queued_trace.csv"};
+  TempFile metrics{"queued_metrics.json"};
+
+  auto cfg = small_cfg();
+  cfg.shards = 2;
+  const auto baseline = run_experiment(cfg);
+  export_summary_json(cfg, baseline, plain.path);
+  double occupancy = 0.0;
+  for (const auto& layer : baseline.queue_occupancy_by_layer) occupancy += layer.mean();
+  ASSERT_GT(occupancy, 1.0) << "queues never built";
+
+  cfg.check_invariants = true;
+  cfg.obs.trace_csv = trace_csv.path;
+  cfg.obs.metrics_json = metrics.path;
+  const auto observed = run_experiment(cfg);
+  EXPECT_GT(observed.invariant_checks, 0u);
+  EXPECT_TRUE(observed.invariant_violations.empty());
+  cfg.check_invariants = false;
+  cfg.obs = ObsConfig{};
+  export_summary_json(cfg, observed, observed_summary.path);
+
+  const std::string a = slurp(plain.path);
+  ASSERT_FALSE(a.empty());
+  EXPECT_EQ(without_observer_counts(a), without_observer_counts(slurp(observed_summary.path)));
+  // The queue-occupancy integrals are results too (not in the summary).
+  for (int l = 0; l < 3; ++l) {
+    EXPECT_EQ(baseline.queue_occupancy_by_layer[l].mean(),
+              observed.queue_occupancy_by_layer[l].mean());
+  }
+}
+
 TEST(ObsDeterminism, TracedRunEmitsValidPerfettoJsonAndMetrics) {
   TempFile trace{"golden_trace.json"};
   TempFile metrics{"golden_metrics.json"};
