@@ -9,105 +9,13 @@
 //  (c,d) constant-factor halving with K chosen per Eq. 1 stays fair and
 //        still achieves (near-)full utilization.
 //
+// Prints configs/scenarios/fig1.wl, run on core::run_experiment.
+//
 // Usage: bench_fig1_convergence [--interval=2] [--bin=0.5] [--series]
-
-#include <array>
-#include <memory>
 
 #include "common.hpp"
 
 using namespace xmp;
-
-namespace {
-
-struct Result {
-  double jain = 0.0;
-  double utilization = 0.0;
-  std::vector<bench::RateSeries> rates;  ///< per flow, over the whole run
-};
-
-Result run_case(bool dctcp, int mark_threshold, double interval_s, double bin_s) {
-  sim::Scheduler sched;
-  net::Network network{sched};
-
-  topo::PinnedPaths::Config tc;
-  tc.bottlenecks = {{1'000'000'000, sim::Time::microseconds(72)}};
-  tc.bottleneck_queue.kind = net::QueueConfig::Kind::EcnThreshold;
-  tc.bottleneck_queue.capacity_packets = 100;
-  tc.bottleneck_queue.mark_threshold = static_cast<std::size_t>(mark_threshold);
-  tc.access_delay = sim::Time::microseconds(10);
-  tc.inner_delay = sim::Time::microseconds(10);
-  topo::PinnedPaths testbed{network, tc};
-
-  // Four long-running flows on the same bottleneck.
-  std::vector<std::unique_ptr<transport::Flow>> flows;
-  for (int i = 0; i < 4; ++i) {
-    auto pair = testbed.add_pair({0});
-    transport::Flow::Config fc;
-    fc.id = static_cast<net::FlowId>(i + 1);
-    fc.size_bytes = 1'000'000'000'000LL;  // effectively unbounded
-    fc.cc.kind = dctcp ? transport::CcConfig::Kind::Dctcp : transport::CcConfig::Kind::Bos;
-    fc.cc.bos.beta = 2;  // "halving cwnd"
-    fc.path_tag = 0;
-    fc.path_tag_explicit = true;
-    flows.push_back(std::make_unique<transport::Flow>(sched, *pair.src, *pair.dst, fc));
-  }
-
-  // Start flows 1..4 at 0, T, 2T, 3T; stop 4, 3, 2 at 4T, 5T, 6T. The
-  // stop is modelled by closing the flow's access link (the paper stops
-  // the sending application).
-  const auto T = sim::Time::seconds(interval_s);
-  for (int i = 0; i < 4; ++i) {
-    sched.schedule_at(T * i, [&flows, i] { flows[static_cast<std::size_t>(i)]->start(); });
-  }
-  // Access uplink of each source host: PinnedPaths creates hosts in
-  // (src, dst) order per pair, so sources sit at even indices.
-  std::vector<net::Link*> src_uplinks;
-  for (std::size_t h = 0; h < network.host_count(); h += 2) {
-    src_uplinks.push_back(network.host(h).uplink());
-  }
-  sched.schedule_at(T * 4, [&] { src_uplinks[3]->set_down(true); });
-  sched.schedule_at(T * 5, [&] { src_uplinks[2]->set_down(true); });
-  sched.schedule_at(T * 6, [&] { src_uplinks[1]->set_down(true); });
-
-  // Rate probes.
-  std::vector<std::unique_ptr<stats::RateProbe>> probes;
-  for (auto& f : flows) {
-    probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s), f->sender()));
-  }
-  for (auto& p : probes) p->start();
-
-  // Utilization + fairness measured in the all-four-active window [3T, 4T].
-  stats::UtilizationWindow util{sched};
-  std::array<std::int64_t, 4> delivered_at_3t{};
-  sched.schedule_at(T * 3, [&] {
-    util.open({&testbed.bottleneck(0)});
-    for (int i = 0; i < 4; ++i) {
-      delivered_at_3t[static_cast<std::size_t>(i)] =
-          flows[static_cast<std::size_t>(i)]->sender().delivered_segments();
-    }
-  });
-  Result res;
-  sched.schedule_at(T * 4, [&] {
-    res.utilization = util.close().at(0);
-    std::vector<double> shares;
-    for (int i = 0; i < 4; ++i) {
-      shares.push_back(static_cast<double>(
-          flows[static_cast<std::size_t>(i)]->sender().delivered_segments() -
-          delivered_at_3t[static_cast<std::size_t>(i)]));
-    }
-    res.jain = stats::jain_index(shares);
-  });
-
-  sched.run_until(T * 7);
-
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    res.rates.push_back(bench::series_of("Flow" + std::to_string(i + 1), *probes[i]));
-  }
-  return res;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const cli::Args args{argc, argv};
@@ -121,24 +29,37 @@ int main(int argc, char** argv) {
                       "Figure 1 (fairness/convergence of DCTCP vs constant-factor halving)");
   std::printf("interval between flow churn events: %.1fs (paper: 5s)\n\n", interval);
 
-  struct Case {
+  const auto T = sim::Time::seconds(interval);
+  const auto B = sim::Time::seconds(bin);
+  const auto spec = bench::scenario("fig1.wl", T, bench::sample_grid({B, T}));
+  const struct {
     const char* name;
     bool dctcp;
     int k;
-  };
-  const Case cases[] = {
+  } cases[] = {
       {"(a) DCTCP,        K=10", true, 10},
       {"(b) DCTCP,        K=20", true, 20},
       {"(c) Halving cwnd, K=10", false, 10},
       {"(d) Halving cwnd, K=20", false, 20},
   };
+  std::vector<core::ExperimentConfig> grid;
+  for (const auto& c : cases) {
+    grid.push_back(bench::testbed_run(spec, 2, c.k, T * 7));  // beta 2: "halving cwnd"
+    grid.back().scheme.kind =
+        c.dctcp ? workload::SchemeSpec::Kind::Dctcp : workload::SchemeSpec::Kind::Bos;
+  }
+  const auto results = bench::run_grid(grid, 0, [&](std::size_t i) { return cases[i].name; });
 
-  std::vector<Result> results;
-  for (const auto& c : cases) results.push_back(run_case(c.dctcp, c.k, interval, bin));
-
+  // Utilization + fairness in the all-four-active window [3T, 4T]. Series
+  // columns: flow f's segments, then the bottleneck's busy ns.
   std::printf("%-26s %18s %18s\n", "case", "Jain(4 flows)", "bottleneck util");
   for (std::size_t i = 0; i < results.size(); ++i) {
-    std::printf("%-26s %18.3f %18.3f\n", cases[i].name, results[i].jain, results[i].utilization);
+    const auto& from = bench::row_at(results[i].series, T * 3);
+    const auto& to = bench::row_at(results[i].series, T * 4);
+    std::vector<double> shares;
+    for (std::size_t f = 0; f < 4; ++f) shares.push_back(static_cast<double>(to[f] - from[f]));
+    const double util = sim::Time::nanoseconds(to[4] - from[4]).sec() / (T * 4 - T * 3).sec();
+    std::printf("%-26s %18.3f %18.3f\n", cases[i].name, stats::jain_index(shares), util);
   }
   std::printf("\npaper shape: halving stays fair (Jain ~1) at both K; DCTCP may\n"
               "converge unfairly after churn; utilization stays high for K=10,20\n"
@@ -147,9 +68,14 @@ int main(int argc, char** argv) {
   // The figure itself: per-flow normalized rate over time. The numeric
   // table version is behind --series.
   for (std::size_t i = 0; i < results.size(); ++i) {
+    std::vector<bench::RateSeries> rates;
+    for (std::size_t f = 0; f < 4; ++f) {
+      rates.push_back(
+          bench::rate_series("Flow" + std::to_string(f + 1), results[i].series, f, B));
+    }
     std::printf("\n--- %s ---\n", cases[i].name);
-    if (series) bench::print_rate_series(results[i].rates, 1e9);
-    bench::print_rate_chart(results[i].rates, 1e9);
+    if (series) bench::print_rate_series(rates, 1e9);
+    bench::print_rate_chart(rates, 1e9);
   }
   return 0;
 }

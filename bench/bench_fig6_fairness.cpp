@@ -7,153 +7,13 @@
 // of subflow count: with beta=4 all four flows share fairly; beta=6
 // degrades fairness (paper Fig. 6b).
 //
+// Prints configs/scenarios/fig6.wl, run on core::run_experiment.
+//
 // Usage: bench_fig6_fairness [--unit=2] [--bin=0.5] [--series]
-
-#include <memory>
 
 #include "common.hpp"
 
 using namespace xmp;
-
-namespace {
-
-constexpr std::int64_t kBottleneck = 300'000'000;
-constexpr std::int64_t kUnbounded = 1'000'000'000'000LL;
-
-struct CaseResult {
-  double share[4] = {0, 0, 0, 0};  // normalized per-flow rate, steady window
-  double jain = 0.0;
-  std::vector<bench::RateSeries> rates;  ///< per subflow, only when probed
-};
-
-/// `probe`: also record every subflow's rate series (the probes only read,
-/// so the shares and Jain index do not depend on it).
-CaseResult run_case(int beta, double unit_s, double bin_s, bool probe) {
-  sim::Scheduler sched;
-  net::Network network{sched};
-
-  topo::PinnedPaths::Config tc;
-  tc.bottlenecks = {{kBottleneck, sim::Time::microseconds(500)}};
-  tc.bottleneck_queue.kind = net::QueueConfig::Kind::EcnThreshold;
-  tc.bottleneck_queue.capacity_packets = 100;
-  tc.bottleneck_queue.mark_threshold = 15;
-  tc.access_delay = sim::Time::microseconds(100);
-  tc.inner_delay = sim::Time::microseconds(100);
-  topo::PinnedPaths testbed{network, tc};
-
-  const auto U = sim::Time::seconds(unit_s);
-
-  // Flow 1: 3 subflows at 0, 1U, 3U (paper: 0, 5, 15 s).
-  auto p1 = testbed.add_pair({0, 0, 0});
-  mptcp::MptcpConnection::Config c1;
-  c1.id = 1;
-  c1.size_bytes = kUnbounded;
-  c1.n_subflows = 3;
-  c1.coupling = mptcp::Coupling::Xmp;
-  c1.bos.beta = beta;
-  c1.subflow_start_offsets = {sim::Time::zero(), U, U * 3};
-  c1.path_tag_fn = [](int i) { return static_cast<std::uint16_t>(i); };
-  mptcp::MptcpConnection flow1{sched, *p1.src, *p1.dst, c1};
-
-  // Flow 2: 2 subflows, both at 4U (paper: 20 s).
-  auto p2 = testbed.add_pair({0, 0});
-  mptcp::MptcpConnection::Config c2 = c1;
-  c2.id = 2;
-  c2.n_subflows = 2;
-  c2.subflow_start_offsets.clear();
-  mptcp::MptcpConnection flow2{sched, *p2.src, *p2.dst, c2};
-
-  // Flows 3 and 4: single subflow, start 0 and 2U, stop at 5U.
-  auto p3 = testbed.add_pair({0});
-  mptcp::MptcpConnection::Config c3 = c1;
-  c3.id = 3;
-  c3.n_subflows = 1;
-  c3.subflow_start_offsets.clear();
-  mptcp::MptcpConnection flow3{sched, *p3.src, *p3.dst, c3};
-  auto p4 = testbed.add_pair({0});
-  mptcp::MptcpConnection::Config c4 = c3;
-  c4.id = 4;
-  mptcp::MptcpConnection flow4{sched, *p4.src, *p4.dst, c4};
-
-  flow1.start();
-  flow3.start();
-  sched.schedule_at(U * 2, [&] { flow4.start(); });
-  sched.schedule_at(U * 4, [&] { flow2.start(); });
-  // Stop flows 3 and 4 at 5U (paper: 25 s) by closing their access links.
-  sched.schedule_at(U * 5, [&] {
-    network.host(4).uplink()->set_down(true);
-    network.host(6).uplink()->set_down(true);
-  });
-
-  // Measurement window: [4.2U, 5U) — all four flows active.
-  std::int64_t base[4] = {0, 0, 0, 0};
-  auto delivered = [&](int f) -> std::int64_t {
-    switch (f) {
-      case 0: {
-        std::int64_t s = 0;
-        for (int i = 0; i < 3; ++i) s += flow1.subflow_sender(i).delivered_segments();
-        return s;
-      }
-      case 1: {
-        std::int64_t s = 0;
-        for (int i = 0; i < 2; ++i) s += flow2.subflow_sender(i).delivered_segments();
-        return s;
-      }
-      case 2:
-        return flow3.subflow_sender(0).delivered_segments();
-      default:
-        return flow4.subflow_sender(0).delivered_segments();
-    }
-  };
-  const sim::Time wstart = U * 42 / 10;
-  const sim::Time wend = U * 5;
-  sched.schedule_at(wstart, [&] {
-    for (int f = 0; f < 4; ++f) base[f] = delivered(f);
-  });
-
-  CaseResult res;
-  sched.schedule_at(wend, [&] {
-    const double span = (wend - wstart).sec();
-    std::vector<double> shares;
-    for (int f = 0; f < 4; ++f) {
-      res.share[f] =
-          static_cast<double>(delivered(f) - base[f]) * net::kMssBytes * 8 / span / kBottleneck;
-      shares.push_back(res.share[f]);
-    }
-    res.jain = stats::jain_index(shares);
-  });
-
-  std::vector<std::unique_ptr<stats::RateProbe>> probes;
-  std::vector<std::string> names;
-  if (probe) {
-    for (int i = 0; i < 3; ++i) {
-      probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s),
-                                         flow1.subflow_sender(i)));
-      names.push_back("Flow1-" + std::to_string(i + 1));
-    }
-    for (int i = 0; i < 2; ++i) {
-      probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s),
-                                         flow2.subflow_sender(i)));
-      names.push_back("Flow2-" + std::to_string(i + 1));
-    }
-    probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s),
-                                       flow3.subflow_sender(0)));
-    names.push_back("Flow3");
-    probes.push_back(bench::rate_probe(sched, sim::Time::seconds(bin_s),
-                                       flow4.subflow_sender(0)));
-    names.push_back("Flow4");
-    for (auto& p : probes) p->start();
-  }
-
-  sched.run_until(U * 6);
-
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    res.rates.push_back(bench::series_of(names[i], *probes[i]));
-  }
-  return res;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const cli::Args args{argc, argv};
@@ -168,21 +28,50 @@ int main(int argc, char** argv) {
   std::printf("time unit: %.1fs (paper: 5s); 300 Mbps bottleneck, K=15, RTT~1.8ms\n\n", unit);
   std::printf("%-8s %10s %10s %10s %10s %10s\n", "case", "Flow1(3sf)", "Flow2(2sf)", "Flow3",
               "Flow4", "Jain");
+
+  // Measurement window: [4.2U, 5U) — all four flows active.
+  const auto U = sim::Time::seconds(unit);
+  const auto B = sim::Time::seconds(bin);
+  const sim::Time wstart = U * 42 / 10;
+  const sim::Time wend = U * 5;
+  const auto spec = bench::scenario("fig6.wl", U,
+                                    series ? bench::sample_grid({B, wstart, wend})
+                                           : bench::sample_grid({wstart, wend}));
+  const auto bottleneck = static_cast<double>(spec->testbed.bottlenecks[0].rate_bps);
   const int betas[] = {4, 6};
-  std::vector<CaseResult> results;
-  for (int beta : betas) results.push_back(run_case(beta, unit, bin, series));
+  std::vector<core::ExperimentConfig> grid;
+  for (const int beta : betas) grid.push_back(bench::testbed_run(spec, beta, 15, U * 6));
+  const auto results =
+      bench::run_grid(grid, 0, [&](std::size_t i) { return "beta=" + std::to_string(betas[i]); });
+
+  // Series columns: Flow 1's subflows 0-2, Flow 2's 3-4, Flow 3 5, Flow 4 6.
+  const std::size_t first[5] = {0, 3, 5, 6, 7};
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const CaseResult& r = results[i];
-    std::printf("beta=%-3d %10.3f %10.3f %10.3f %10.3f %10.3f\n", betas[i], r.share[0],
-                r.share[1], r.share[2], r.share[3], r.jain);
+    const auto& from = bench::row_at(results[i].series, wstart);
+    const auto& to = bench::row_at(results[i].series, wend);
+    const double span = (wend - wstart).sec();
+    std::vector<double> share;
+    for (int f = 0; f < 4; ++f) {
+      std::int64_t delivered = 0;
+      for (std::size_t c = first[f]; c < first[f + 1]; ++c) delivered += to[c] - from[c];
+      share.push_back(static_cast<double>(delivered) * net::kMssBytes * 8 / span / bottleneck);
+    }
+    std::printf("beta=%-3d %10.3f %10.3f %10.3f %10.3f %10.3f\n", betas[i], share[0], share[1],
+                share[2], share[3], stats::jain_index(share));
   }
   std::printf("\npaper shape: with beta=4 all flows get ~1/4 of the link regardless of\n"
               "subflow count; fairness declines with beta=6 (Fig. 6b).\n");
 
   if (series) {
+    const char* names[7] = {"Flow1-1", "Flow1-2", "Flow1-3", "Flow2-1", "Flow2-2", "Flow3",
+                            "Flow4"};
     for (std::size_t i = 0; i < results.size(); ++i) {
+      std::vector<bench::RateSeries> rates;
+      for (std::size_t c = 0; c < 7; ++c) {
+        rates.push_back(bench::rate_series(names[c], results[i].series, c, B));
+      }
       std::printf("\n--- beta=%d per-subflow rate series ---\n", betas[i]);
-      bench::print_rate_series(results[i].rates, kBottleneck);
+      bench::print_rate_series(rates, bottleneck);
     }
   }
   return 0;

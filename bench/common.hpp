@@ -6,8 +6,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <initializer_list>
+#include <memory>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <utility>
@@ -49,35 +53,94 @@ inline std::vector<core::ExperimentResults> run_grid(
   return results;
 }
 
-/// One probed rate series, kept after the world that probed it is gone.
+/// configs/scenarios/<file> with its time unit and sample cadence set (a
+/// testbed figure, DESIGN.md §13). A file that does not parse, or a cadence
+/// under 1 ms (time flags with no coarser common grid), ends the bench with
+/// a diagnostic and exit 2.
+inline std::shared_ptr<const workload::WorkloadSpec> scenario(const char* file, sim::Time unit,
+                                                               sim::Time sample) {
+  auto spec = std::make_shared<workload::WorkloadSpec>();
+  std::string err;
+  if (!workload::WorkloadSpec::parse_file(std::string{XMP_SCENARIO_DIR} + "/" + file, *spec,
+                                          &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    std::exit(2);
+  }
+  if (sample < sim::Time::milliseconds(1)) {
+    std::fprintf(stderr, "the time flags share no sample grid of 1 ms or more\n");
+    std::exit(2);
+  }
+  spec->unit = unit;
+  spec->sample = sample;
+  return spec;
+}
+
+/// One run of a testbed scenario until `horizon`, with the paper's
+/// bottleneck queue (100 packets) marking at `mark_k` and β = `beta`.
+inline core::ExperimentConfig testbed_run(std::shared_ptr<const workload::WorkloadSpec> spec,
+                                          int beta, int mark_k, sim::Time horizon) {
+  core::ExperimentConfig cfg;
+  cfg.pattern = core::Pattern::Workload;
+  cfg.workload = std::move(spec);
+  cfg.scheme.beta = beta;
+  cfg.queue_capacity = 100;
+  cfg.mark_threshold = static_cast<std::size_t>(mark_k);
+  cfg.duration = horizon;
+  return cfg;
+}
+
+/// The coarsest sample cadence whose grid holds every one of `times`.
+inline sim::Time sample_grid(std::initializer_list<sim::Time> times) {
+  std::int64_t g = 0;
+  for (const sim::Time t : times) g = std::gcd(g, t.ns());
+  return sim::Time::nanoseconds(g);
+}
+
+/// The series row sampled at `t`, which the scenario's cadence must hold.
+inline const std::vector<std::int64_t>& row_at(const core::ExperimentResults::Series& s,
+                                               sim::Time t) {
+  const auto it = std::lower_bound(s.t_ns.begin(), s.t_ns.end(), t.ns());
+  if (it == s.t_ns.end() || *it != t.ns()) {
+    std::fprintf(stderr, "series has no sample at %.9fs\n", t.sec());
+    std::exit(1);
+  }
+  return s.rows[static_cast<std::size_t>(it - s.t_ns.begin())];
+}
+
+/// One rate series, in segments per second per `bin`.
 struct RateSeries {
   std::string name;
   std::vector<double> rates;     ///< per interval, in segments per second
   std::vector<sim::Time> times;  ///< end of each interval
 };
 
-inline RateSeries series_of(std::string name, const stats::RateProbe& p) {
-  return RateSeries{std::move(name), p.rates(), p.timestamps()};
+/// Counter `col` of `s` differentiated over every `bin` (a multiple of the
+/// sample cadence), with stats::RateProbe's arithmetic.
+inline RateSeries rate_series(std::string name, const core::ExperimentResults::Series& s,
+                              std::size_t col, sim::Time bin) {
+  RateSeries r{std::move(name), {}, {}};
+  double last = 0.0;
+  for (std::size_t i = 1; i < s.rows.size(); ++i) {
+    if (s.t_ns[i] % bin.ns() != 0) continue;
+    const auto now = static_cast<double>(s.rows[i][col]);
+    r.rates.push_back((now - last) / bin.sec());
+    r.times.push_back(sim::Time::nanoseconds(s.t_ns[i]));
+    last = now;
+  }
+  return r;
 }
 
 /// Print one normalized-rate time series table: one row per sample time,
-/// one column per series.
+/// one column per series (all of one run, so of one length).
 inline void print_rate_series(const std::vector<RateSeries>& series, double normalize_to_bps) {
   std::printf("%8s", "t(s)");
   for (const auto& s : series) std::printf(" %10s", s.name.c_str());
   std::printf("\n");
-  std::size_t rows = 0;
-  for (const auto& s : series) rows = std::max(rows, s.rates.size());
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (series[0].times.size() <= i) break;
+  for (std::size_t i = 0; i < series[0].times.size(); ++i) {
     std::printf("%8.1f", series[0].times[i].sec());
     for (const auto& s : series) {
-      if (i < s.rates.size()) {
-        const double bps = s.rates[i] * net::kMssBytes * 8;
-        std::printf(" %10.3f", bps / normalize_to_bps);
-      } else {
-        std::printf(" %10s", "-");
-      }
+      const double bps = s.rates[i] * net::kMssBytes * 8;
+      std::printf(" %10.3f", bps / normalize_to_bps);
     }
     std::printf("\n");
   }
@@ -97,13 +160,6 @@ inline void print_rate_chart(const std::vector<RateSeries>& series, double norma
   stats::AsciiChart::Options opts;
   opts.y_label = "normalized rate";
   std::fputs(stats::AsciiChart::render(chart, opts).c_str(), stdout);
-}
-
-/// Build a RateProbe over a sender's delivered segments.
-inline std::unique_ptr<stats::RateProbe> rate_probe(sim::Scheduler& sched, sim::Time interval,
-                                                    const transport::TcpSender& s) {
-  return std::make_unique<stats::RateProbe>(
-      sched, interval, [&s] { return static_cast<double>(s.delivered_segments()); });
 }
 
 }  // namespace xmp::bench

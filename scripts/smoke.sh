@@ -4,9 +4,10 @@
 #
 #   1. verify rows: `xmpsim verify` runs a scenario on every worker count
 #      its logical shards allow, checkpointed and killed + restored, and
-#      byte-compares the results of every leg (DESIGN.md §15); then content
-#      asserts on kept legs' summary.json, and on the flip row's manifest:
-#      the kill leg resumed from a snapshot;
+#      byte-compares the results of every leg (DESIGN.md §15), a testbed's
+#      series.csv included; then content asserts on kept legs'
+#      summary.json, and on the flip row's manifest: the kill leg resumed
+#      from a snapshot;
 #   2. checks verify cannot do: the routing policy x fault matrix, the
 #      checkpoint count across worker counts, SIGTERM -> exit 143 + restore under
 #      --invariants, trace validation, campaign kill/resume for a seed and
@@ -86,6 +87,8 @@ verify_rows=(
   "coexist   | shards1        | summary['avg_goodput_b_mbps'] > 0 | --pattern=random --scheme=xmp --subflows=2 --coexist=dctcp --k=4 --duration=0.05 --seed=11"
   "rehome    | shards1        | routing['path_rehomes'] > 0 | $rehome"
   "incast    |                |                       | --pattern=incast --scheme=xmp --k=4 --duration=0.05 --seed=11"
+  "fig4      | shards1        | summary['flows'] == 3; utilization['bottleneck1'] > 0.5 | --workload=configs/scenarios/fig4.wl --duration=0.3 --checkpoint-every=0.05"
+  "fig7      | shards1        | summary['flows'] == 2; drops['admin_down'] > 0 | --workload=configs/scenarios/fig7.wl --faults=down,link=4,at=0.55 --duration=0.6 --checkpoint-every=0.05"
 )
 for row in "${verify_rows[@]}"; do
   IFS='|' read -r name legs checks flags <<< "$row"
@@ -280,6 +283,7 @@ reject_rows=(
   "--fct-csv=x.csv has no effect on this run               | run --pattern=permutation --fct-csv=x.csv --duration=0.01"
   "unknown flag --bogus=1                                  | run $perm --bogus=1 --duration=0.01"
   "--rounds=4 has no effect on this run                    | run --pattern=random --scheme=xmp --k=4 --rounds=4 --duration=0.01"
+  "--k=4 has no effect on this run                         | run --workload=configs/scenarios/fig4.wl --k=4 --duration=0.01"
   "restore failed: .*CRC mismatch                          | run ${cadence[*]} --checkpoint-dir=$tmp --restore=$bad"
   "restore failed: .*config fingerprint mismatch           | run $hybrid --checkpoint-dir=$tmp --restore=$snap"
   "verify drives --shards itself                           | verify $perm --duration=0.05 --shards=4"

@@ -34,7 +34,8 @@
 // transmission due before the boundary: all of them are handed off at
 // this barrier. A one-shard fabric has no cross-shard links; its epochs
 // take the core-link delay, the k-shard value, so snapshots and stop
-// requests are served at the same barriers. Each shard's inbound packets
+// requests are served at the same barriers. A pinned testbed has no
+// k-shard value: its epochs take kTestbedEpoch. Each shard's inbound packets
 // are drained in a fixed (src, FIFO) order per destination and its clock
 // advanced to the boundary: by the workers in a drain phase at the
 // barrier, or, when nothing needs a quiesced fabric before the next epoch,
@@ -48,6 +49,15 @@
 // the loop never reads the workload.
 
 namespace xmp::core {
+
+namespace {
+
+/// The epoch of a pinned testbed, which runs on one logical shard. Its
+/// results do not depend on it (control events bound every epoch); it only
+/// spaces the barriers where snapshots and stop requests are served.
+constexpr sim::Time kTestbedEpoch = sim::Time::milliseconds(1);
+
+}  // namespace
 
 const char* pattern_name(Pattern p) {
   switch (p) {
@@ -102,6 +112,10 @@ double ExperimentResults::job_completion_over_ms(double threshold_ms) const {
   return static_cast<double>(over) / static_cast<double>(total);
 }
 
+bool is_testbed(const ExperimentConfig& cfg) {
+  return cfg.pattern == Pattern::Workload && cfg.workload && cfg.workload->pinned;
+}
+
 int logical_shards(const ExperimentConfig& cfg) {
   return cfg.pattern == Pattern::Permutation && !cfg.hybrid.enabled ? cfg.fat_tree_k : 1;
 }
@@ -121,8 +135,9 @@ ExperimentResults run_experiment(const ExperimentConfig& cfg) {
   const int n_shards = fabric.n_shards();
 
   const sim::Time horizon = cfg.duration;
-  const sim::Time lookahead =
-      fabric.has_cross_links() ? fabric.lookahead() : w.tree.config().core_delay;
+  const sim::Time lookahead = fabric.has_cross_links() ? fabric.lookahead()
+                              : w.tree                   ? w.tree->config().core_delay
+                                                         : kTestbedEpoch;
 
   bool done = false;
   sim::Time final_time = horizon;

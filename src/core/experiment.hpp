@@ -87,8 +87,9 @@ struct HybridConfig {
   sim::Time tick = sim::Time::microseconds(200);  ///< fluid step, ≈ one RTT
 };
 
-/// Declarative configuration of one Fat-Tree evaluation run (the setting of
-/// the paper's Tables 1–3 and Figures 8–11).
+/// Declarative configuration of one evaluation run: on a Fat-Tree (the
+/// setting of the paper's Tables 1–3 and Figures 8–11), or on the pinned
+/// testbed of a `topology pinned` workload file (Figures 1, 4, 6 and 7).
 struct ExperimentConfig {
   workload::SchemeSpec scheme;
   /// When set, the sending hosts are split evenly between `scheme` and
@@ -179,6 +180,20 @@ struct ExperimentResults {
 
   /// Per-link utilization in [0,1] over the run, per layer.
   std::array<stats::Distribution, 3> utilization_by_layer;  ///< index = Layer
+  /// A testbed's utilization in [0,1] over the run, per bottleneck.
+  std::vector<double> utilization_by_bottleneck;
+
+  /// A testbed's `sample` series (DESIGN.md §13): one row per sample time
+  /// from t = 0, of cumulative integer counters — delivered segments of
+  /// each flow line's subflows (file order), then busy ns of each
+  /// bottleneck. Printers derive rates from two rows. Empty without
+  /// `sample`.
+  struct Series {
+    std::vector<std::string> columns;  ///< one per counter
+    std::vector<std::int64_t> t_ns;
+    std::vector<std::vector<std::int64_t>> rows;  ///< parallel to t_ns
+  };
+  Series series;
 
   /// Time-weighted mean queue occupancy (packets) per link, per layer —
   /// the buffer-occupancy claim behind the paper's Fig. 10.
@@ -322,11 +337,15 @@ struct ExperimentResults {
   [[nodiscard]] double job_completion_over_ms(double threshold_ms) const;
 };
 
-/// One self-contained Fat-Tree evaluation run. Builds the topology, the
+/// One self-contained evaluation run. Builds the topology, the
 /// workload and the scheme from the config (src/core/world.hpp), runs the
 /// conservative-sync epoch loop over logical_shards(cfg) shards on
 /// worker_count(cfg) threads, and collects the paper's metrics.
 [[nodiscard]] ExperimentResults run_experiment(const ExperimentConfig& cfg);
+
+/// True when the run's workload file is a pinned testbed
+/// (`topology pinned`) rather than Fat-Tree traffic.
+[[nodiscard]] bool is_testbed(const ExperimentConfig& cfg);
 
 /// Logical shards of a run: one per pod for a non-hybrid Permutation,
 /// whose workload is ported to per-pod shards; one for every other traffic

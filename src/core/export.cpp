@@ -34,7 +34,9 @@ bool export_flows_csv(const ExperimentResults& results, const std::string& path)
         .field(rec.dst_host)
         .field(rec.bytes)
         .field(rec.large ? 1 : 0)
-        .field(topo::FatTree::category_name(results.flow_category[i]))
+        .field(i < results.flow_category.size()
+                   ? topo::FatTree::category_name(results.flow_category[i])
+                   : "pinned")
         .field(results.flow_scheme[i])
         .field(rec.start.sec())
         .field(rec.completed ? rec.finish.sec() : -1.0)
@@ -55,6 +57,20 @@ bool export_fct_csv(const ExperimentResults& results, const std::string& path) {
         .field(r.completed ? static_cast<double>(r.finish_ns) / 1e9 : -1.0)
         .field(r.completed ? 1 : 0)
         .field(r.slowdown);
+    csv.end_row();
+  }
+  return csv.close();
+}
+
+bool export_series_csv(const ExperimentResults& results, const std::string& path) {
+  const ExperimentResults::Series& s = results.series;
+  std::vector<std::string> header{"t_ns"};
+  header.insert(header.end(), s.columns.begin(), s.columns.end());
+  trace::CsvWriter csv{path};
+  csv.header(header);
+  for (std::size_t r = 0; r < s.rows.size(); ++r) {
+    csv.field(s.t_ns[r]);
+    for (const std::int64_t v : s.rows[r]) csv.field(v);
     csv.end_row();
   }
   return csv.close();
@@ -107,7 +123,11 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
   json.kv("scheme", cfg.scheme.name());
   if (cfg.scheme_b) json.kv("scheme_b", cfg.scheme_b->name());
   json.kv("pattern", pattern_name(cfg.pattern));
-  json.kv("fat_tree_k", static_cast<std::int64_t>(cfg.fat_tree_k));
+  if (is_testbed(cfg)) {
+    json.kv("topology", "pinned");
+  } else {
+    json.kv("fat_tree_k", static_cast<std::int64_t>(cfg.fat_tree_k));
+  }
   json.kv("queue_capacity", static_cast<std::uint64_t>(cfg.queue_capacity));
   json.kv("mark_threshold", static_cast<std::uint64_t>(cfg.mark_threshold));
   json.kv("duration_s", cfg.duration.sec());
@@ -232,6 +252,17 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
   json.key("goodput_mbps");
   json.begin_object();
   write_distribution(json, "all", results.goodput);
+  if (is_testbed(cfg)) {
+    json.end_object();
+    json.key("utilization");
+    json.begin_object();
+    for (std::size_t j = 0; j < results.utilization_by_bottleneck.size(); ++j) {
+      json.kv("bottleneck" + std::to_string(j), results.utilization_by_bottleneck[j]);
+    }
+    json.end_object();
+    json.end_object();
+    return json.close();
+  }
   for (int c = 0; c < 3; ++c) {
     write_distribution(json, topo::FatTree::category_name(static_cast<topo::FatTree::Category>(c)),
                        results.goodput_by_category[c]);

@@ -23,6 +23,10 @@ bool export_summary_json(const ExperimentConfig& cfg, const ExperimentResults& r
 /// completed = 0 and slowdown = 0.
 bool export_fct_csv(const ExperimentResults& results, const std::string& path);
 
+/// Write a testbed's `sample` series: t_ns, then one column per counter
+/// (ExperimentResults::Series), one row per sample time.
+bool export_series_csv(const ExperimentResults& results, const std::string& path);
+
 /// Write one row per link that saw traffic, with per-cause drop counters:
 /// link,offered,delivered,drops_queue,drops_admin_down,drops_fault,drops_corrupt,drops_unroutable
 /// followed by one row per switch that dropped packets for lack of a usable

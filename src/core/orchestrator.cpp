@@ -349,7 +349,8 @@ int run_sweep_job(std::size_t index, const ExperimentConfig& cfg, const std::str
     for (const std::string& flag : res.unwritten) {
       std::fprintf(stderr, "job %zu: could not write %s\n", index, flag.c_str());
     }
-    if (!export_summary_json(cfg, res, job_dir + "/summary.json") || !res.unwritten.empty()) {
+    if (!export_summary_json(cfg, res, job_dir + "/summary.json") || !res.unwritten.empty() ||
+        (!res.series.rows.empty() && !export_series_csv(res, job_dir + "/series.csv"))) {
       return 5;
     }
     return res.invariant_violations.empty() ? 0 : 3;

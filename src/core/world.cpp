@@ -19,6 +19,22 @@ topo::FatTree::Config fat_tree_config(const ExperimentConfig& cfg) {
   return tc;
 }
 
+/// A pinned testbed's fabric: the file's bottlenecks and hops, the run's
+/// bottleneck queue, and one host pair per flow line in file order.
+std::unique_ptr<topo::PinnedPaths> make_testbed(net::Network& netw, const ExperimentConfig& cfg) {
+  if (!is_testbed(cfg)) return nullptr;
+  const workload::WorkloadSpec& spec = *cfg.workload;
+  topo::PinnedPaths::Config tc = spec.testbed;
+  tc.bottleneck_queue.kind = net::QueueConfig::Kind::EcnThreshold;
+  tc.bottleneck_queue.capacity_packets = cfg.queue_capacity;
+  tc.bottleneck_queue.mark_threshold = cfg.mark_threshold;
+  auto tb = std::make_unique<topo::PinnedPaths>(netw, tc);
+  std::vector<const workload::ExplicitFlow*> lines(spec.flows.size());
+  for (const workload::ExplicitFlow& f : spec.flows) lines[static_cast<std::size_t>(f.src / 2)] = &f;
+  for (const workload::ExplicitFlow* f : lines) tb->add_pair(f->paths);
+  return tb;
+}
+
 std::unique_ptr<obs::TimelineTracer> make_tracer(const ExperimentConfig& cfg) {
   if (!cfg.obs.tracing()) return nullptr;
   obs::TimelineTracer::Config oc;
@@ -94,7 +110,11 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
       sim_metrics{registry ? std::make_unique<obs::SimMetrics>(*registry) : nullptr},
       scope{tracer.get(), sim_metrics.get()},
       netw{control},
-      tree{attach(netw, fab), fat_tree_config(cfg_in)},
+      tree{is_testbed(cfg_in) ? nullptr
+                              : std::make_unique<topo::FatTree>(attach(netw, fab),
+                                                                fat_tree_config(cfg_in))},
+      testbed{make_testbed(attach(netw, fab), cfg_in)},
+      hosts{tree ? static_cast<topo::HostPool&>(*tree) : *testbed},
       routes{control, netw, cfg_in.routing},
       rng{cfg_in.seed},
       flows_a{control, cfg_in.scheme},
@@ -104,12 +124,15 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
     for (int s = 0; s < fabric.n_shards(); ++s) {
       shard_tracers.push_back(make_tracer(cfg));
     }
-    for (int l = 0; l < 3; ++l) {
+    for (int l = 0; l < 3 && tree; ++l) {
       const auto layer = static_cast<topo::FatTree::Layer>(l);
-      for (const net::Link* link : tree.links(layer)) {
+      for (const net::Link* link : tree->links(layer)) {
         tracer->name_link(link->id(), std::string{topo::FatTree::layer_name(layer)} +
                                           " link " + std::to_string(link->id()));
       }
+    }
+    for (int j = 0; testbed && j < testbed->n_bottlenecks(); ++j) {
+      tracer->name_link(testbed->bottleneck(j).id(), "bottleneck " + std::to_string(j));
     }
   }
 
@@ -119,7 +142,7 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
   routes.install_all();
 
   const auto host_sched = [this](int host) -> sim::Scheduler& {
-    return fabric.sched(netw.shard_of(tree.host(host)));
+    return fabric.sched(netw.shard_of(hosts.host(host)));
   };
   flows_a.set_schedulers(host_sched);
   if (cfg.scheme_b) {
@@ -129,13 +152,16 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
     flows_b->set_schedulers(host_sched);
   }
 
+  faults::FaultPlan plan = cfg.fault_plan;
+  if (testbed) build_testbed(plan);
+
   // --- fault injection (no-op when the plan is empty). arm() is deferred:
   // on a fresh start it runs in start(); on a restore the checkpoint
   // re-arms the pending plan events instead. ---
-  if (!cfg.fault_plan.empty()) {
+  if (!plan.empty()) {
     faults::FaultController::Config fcc;
     fcc.seed = cfg.fault_seed;
-    fault_ctl = std::make_unique<faults::FaultController>(sched, netw, cfg.fault_plan, fcc);
+    fault_ctl = std::make_unique<faults::FaultController>(sched, netw, std::move(plan), fcc);
   }
 
   if (cfg.check_invariants) {
@@ -165,8 +191,11 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
   }
 
   std::size_t off = 0;
-  for (int l = 0; l < 3; ++l) {
-    const auto& ls = tree.links(static_cast<topo::FatTree::Layer>(l));
+  for (int j = 0; testbed && j < testbed->n_bottlenecks(); ++j) {
+    all_links.push_back(&testbed->bottleneck(j));
+  }
+  for (int l = 0; l < 3 && tree; ++l) {
+    const auto& ls = tree->links(static_cast<topo::FatTree::Layer>(l));
     all_links.insert(all_links.end(), ls.begin(), ls.end());
     layer_ranges[l] = {off, off + ls.size()};
     off += ls.size();
@@ -177,6 +206,54 @@ World::World(const ExperimentConfig& cfg_in, sim::Scheduler& control, net::Shard
 
 World::~World() = default;
 
+void World::build_testbed(faults::FaultPlan& plan) {
+  const workload::WorkloadSpec& spec = *cfg.workload;
+  std::map<int, workload::FlowShape> shapes;
+  for (const workload::ExplicitFlow& f : spec.flows) {
+    workload::FlowShape& shape = shapes[f.src];
+    shape.scheme = cfg.scheme;
+    if (f.scheme) shape.scheme.kind = *f.scheme;
+    shape.scheme.subflows = f.subflows;
+    for (const double x : f.offsets) shape.offsets.push_back(spec.at(x));
+    // A stop downs the source's uplink only, as if the sender went quiet:
+    // what is in flight beyond the uplink still arrives.
+    if (f.stop >= 0.0) plan.link_down(hosts.host(f.src).uplink()->id(), spec.at(f.stop));
+  }
+  if (spec.sample > sim::Time::zero()) {
+    // Source hosts ascend with the file's flow lines.
+    for (const auto& [src, shape] : shapes) {
+      series_col_.push_back(res.series.columns.size());
+      const int n = shape.scheme.multipath() ? shape.scheme.subflows : 1;
+      for (int j = 0; j < n; ++j) {
+        res.series.columns.push_back("flow" + std::to_string(src / 2) + ".sf" + std::to_string(j));
+      }
+    }
+    for (int j = 0; j < testbed->n_bottlenecks(); ++j) {
+      res.series.columns.push_back("bneck" + std::to_string(j) + ".busy_ns");
+    }
+  }
+  flows_a.set_shapes(std::move(shapes));
+}
+
+// A control-strand event: it lands on a barrier, with every shard's clock
+// at the sample time, so each counter reads the same in every leg.
+void World::sample_series() {
+  ExperimentResults::Series& s = res.series;
+  std::vector<std::int64_t> row(s.columns.size(), 0);
+  flows_a.for_each_large_subflow(
+      [&](const workload::FlowRecord& rec, int sf, const transport::TcpSender& snd) {
+        row[series_col_[static_cast<std::size_t>(rec.src_host / 2)] + static_cast<std::size_t>(sf)] =
+            snd.delivered_segments();
+      });
+  const std::size_t busy = s.columns.size() - static_cast<std::size_t>(testbed->n_bottlenecks());
+  for (int j = 0; j < testbed->n_bottlenecks(); ++j) {
+    row[busy + static_cast<std::size_t>(j)] = testbed->bottleneck(j).busy_time().ns();
+  }
+  s.t_ns.push_back(sched.now().ns());
+  s.rows.push_back(std::move(row));
+  sample_timer_ = sched.schedule_in(cfg.workload->sample, [this] { sample_series(); });
+}
+
 // The gauge samples into the category distributions directly; the probe
 // machinery just provides the periodic tick.
 double World::sample_rtts() {
@@ -185,7 +262,7 @@ double World::sample_rtts() {
     fm->for_each_active_large_sender(
         [this](const workload::FlowRecord& rec, const transport::TcpSender& s) {
           if (!s.has_rtt_sample()) return;
-          const auto cat = tree.category(rec.src_host, rec.dst_host);
+          const auto cat = tree->category(rec.src_host, rec.dst_host);
           res.rtt_by_category[static_cast<int>(cat)].add(s.srtt().ms());
         });
   }
@@ -196,10 +273,13 @@ double World::sample_rtts() {
 // rng.split() draws happen here, identically); start() is deferred so a
 // restore can rebuild their state instead.
 void World::build_workload() {
-  // Permutation round ends are control events. Every other generator has
-  // no per-pod port yet and runs on shard 0, the only shard its run has.
+  // Permutation round ends are control events, and so are a testbed's flow
+  // starts, which then come before any packet event at their instant. Every
+  // other generator has no per-pod port yet and runs on shard 0, the only
+  // shard its run has.
   assert(cfg.pattern == Pattern::Permutation || fabric.n_shards() == 1);
-  sim::Scheduler& gen = cfg.pattern == Pattern::Permutation ? sched : fabric.sched(0);
+  sim::Scheduler& gen =
+      cfg.pattern == Pattern::Permutation || testbed ? sched : fabric.sched(0);
   workload::RandomTraffic::Config rand_cfg;
   rand_cfg.min_bytes = cfg.rand_min_bytes;
   rand_cfg.max_bytes = cfg.rand_max_bytes;
@@ -209,8 +289,8 @@ void World::build_workload() {
       pc.min_bytes = cfg.perm_min_bytes;
       pc.max_bytes = cfg.perm_max_bytes;
       pc.rounds = cfg.permutation_rounds;
-      pc.round_gap = tree.config().core_delay;
-      perm = std::make_unique<workload::PermutationTraffic>(gen, tree, flows_a, rng.split(), pc);
+      pc.round_gap = tree->config().core_delay;
+      perm = std::make_unique<workload::PermutationTraffic>(gen, *tree, flows_a, rng.split(), pc);
       break;
     }
     case Pattern::Random: {
@@ -218,20 +298,21 @@ void World::build_workload() {
       if (flows_b) {
         // Coexistence: even hosts use scheme A, odd hosts scheme B.
         workload::RandomTraffic::Config rc_b = rc;
-        for (int h = 0; h < tree.n_hosts(); ++h) {
+        for (int h = 0; h < tree->n_hosts(); ++h) {
           (h % 2 == 0 ? rc.senders : rc_b.senders).push_back(h);
         }
-        rand_b = std::make_unique<workload::RandomTraffic>(gen, tree, *flows_b, rng.split(), rc_b);
+        rand_b =
+            std::make_unique<workload::RandomTraffic>(gen, *tree, *flows_b, rng.split(), rc_b);
       }
-      rand_a = std::make_unique<workload::RandomTraffic>(gen, tree, flows_a, rng.split(), rc);
+      rand_a = std::make_unique<workload::RandomTraffic>(gen, *tree, flows_a, rng.split(), rc);
       break;
     }
     case Pattern::Incast: {
       incast =
-          std::make_unique<workload::IncastTraffic>(gen, tree, flows_a, rng.split(), cfg.incast);
+          std::make_unique<workload::IncastTraffic>(gen, *tree, flows_a, rng.split(), cfg.incast);
       workload::RandomTraffic::Config rc = rand_cfg;
       rc.exclude_same_rack = true;  // paper footnote 8
-      incast_bg = std::make_unique<workload::RandomTraffic>(gen, tree, flows_a, rng.split(), rc);
+      incast_bg = std::make_unique<workload::RandomTraffic>(gen, *tree, flows_a, rng.split(), rc);
       break;
     }
     case Pattern::Workload: {
@@ -239,12 +320,13 @@ void World::build_workload() {
       workload::EmpiricalTraffic::Config ec;
       ec.cdf = spec.has_cdf ? &spec.cdf : nullptr;
       ec.load = cfg.offered_load > 0.0 ? cfg.offered_load : spec.default_load;
-      ec.line_rate_bps = tree.config().link_rate_bps;
+      if (tree) ec.line_rate_bps = tree->config().link_rate_bps;
       ec.nodes = spec.nodes;
       ec.span = spec.span;
       ec.mice_threshold = spec.mice_threshold;
       ec.trace = &spec.flows;
-      emp = std::make_unique<workload::EmpiricalTraffic>(gen, tree, flows_a, rng.split(), ec);
+      ec.unit = spec.unit;
+      emp = std::make_unique<workload::EmpiricalTraffic>(gen, hosts, flows_a, rng.split(), ec);
       break;
     }
   }
@@ -257,7 +339,7 @@ void World::build_hybrid() {
   hc.promote_bytes = cfg.hybrid.promote_bytes;
   hybrid = std::make_unique<model::hybrid::Engine>(sched, hc);
 
-  const auto n_hosts = static_cast<std::uint64_t>(tree.n_hosts());
+  const auto n_hosts = static_cast<std::uint64_t>(tree->n_hosts());
   const int half = cfg.fat_tree_k / 2;
   // Endpoint placement is derived by hashing (seed, index) rather than by
   // consuming the workload rng stream, so the fluid population never
@@ -273,7 +355,7 @@ void World::build_hybrid() {
   // the fabric shares the same ECN threshold K.
   const double mark_k = static_cast<double>(cfg.mark_threshold);
   auto intern_path = [&](int src, int dst, int agg_choice, int core_choice, double& base_rtt_s) {
-    const auto links = tree.path_links(src, dst, agg_choice, core_choice);
+    const auto links = tree->path_links(src, dst, agg_choice, core_choice);
     std::vector<int> ids;
     ids.reserve(links.size());
     base_rtt_s = 0.0;
@@ -312,7 +394,7 @@ void World::build_hybrid() {
     workload::CallbackTag t;
     t.kind = workload::CallbackTag::kHybridPromoted;
     t.a = info.aggregate;
-    flows_a.start_large_flow(tree.host(info.src_host), tree.host(info.dst_host), info.src_host,
+    flows_a.start_large_flow(tree->host(info.src_host), tree->host(info.dst_host), info.src_host,
                              info.dst_host, info.remaining_bytes, nullptr, t,
                              info.cwnd_segments);
   });
@@ -326,7 +408,7 @@ void World::build_hybrid() {
     workload::CallbackTag t;
     t.kind = workload::CallbackTag::kHybridFg;
     t.a = slot;
-    flows_a.start_large_flow(tree.host(src), tree.host(dst), src, dst, cfg.hybrid.fg_bytes,
+    flows_a.start_large_flow(tree->host(src), tree->host(dst), src, dst, cfg.hybrid.fg_bytes,
                              [this, slot] { start_hybrid_fg(slot); }, t);
   };
 }
@@ -344,8 +426,9 @@ void World::start() {
     for (int slot = 0; slot < cfg.hybrid.fg_flows; ++slot) start_hybrid_fg(slot);
     hybrid->start();
   }
-  rtt_tick.start();
+  if (tree) rtt_tick.start();  // RTTs by Fat-Tree locality category
   util.open(all_links);
+  if (testbed && cfg.workload->sample > sim::Time::zero()) sample_series();
 }
 
 std::function<void()> World::bind(const workload::CallbackTag& tag,
@@ -377,7 +460,7 @@ std::function<void()> World::bind(const workload::CallbackTag& tag,
 }
 
 // Sections in order: SCHD, SHRD, LNKS, SWCH, HOST, RTEM, FLTC, FLWA, WKLD,
-// HYBR, PROB, INVC, SHST, OBSV.
+// SMPL (a sampled testbed only), HYBR, PROB, INVC, SHST, OBSV.
 bool World::checkpoint(ckpt::Io& io, sim::Time at) {
   const int n_shards = fabric.n_shards();
   io.tag("SCHD");
@@ -412,12 +495,12 @@ bool World::checkpoint(ckpt::Io& io, sim::Time at) {
   // The fingerprint covers scheme_b, so flows_b and rand_b exist on both
   // sides or on neither.
   io.tag("FLWA");
-  const auto host = [this](int h) -> net::Host& { return tree.host(h); };
-  flows_a.checkpoint(io, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
+  const auto host = [this](int h) -> net::Host& { return hosts.host(h); };
+  flows_a.checkpoint(io, hosts.n_hosts(), host, [this](const workload::CallbackTag& tag) {
     return bind(tag, incast_bg ? incast_bg.get() : rand_a.get());
   });
   if (flows_b) {
-    flows_b->checkpoint(io, tree.n_hosts(), host, [this](const workload::CallbackTag& tag) {
+    flows_b->checkpoint(io, hosts.n_hosts(), host, [this](const workload::CallbackTag& tag) {
       return bind(tag, rand_b.get());
     });
   }
@@ -428,6 +511,19 @@ bool World::checkpoint(ckpt::Io& io, sim::Time at) {
   if (incast) incast->checkpoint(io);
   if (incast_bg) incast_bg->checkpoint(io);
   if (emp) emp->checkpoint(io);
+  // The fingerprint covers the workload's `sample`, so a snapshot carries
+  // the series exactly when its restoring world samples.
+  if (!res.series.columns.empty()) {
+    io.tag("SMPL");
+    const std::size_t width = res.series.columns.size();
+    io.seq(res.series.t_ns, [&](std::int64_t& t) { io.i64(t); });
+    io.seq(res.series.rows, [&](std::vector<std::int64_t>& row) {
+      row.resize(width);
+      for (std::int64_t& v : row) io.i64(v);
+    });
+    if (res.series.rows.size() != res.series.t_ns.size()) io.fail();
+    io.opt_event(sched, sample_timer_, [this] { sample_series(); });
+  }
   // The config fingerprint covers cfg.hybrid, so a non-hybrid snapshot
   // never reaches a hybrid world (and vice versa); the flag only keeps the
   // payload self-describing.
@@ -559,7 +655,8 @@ void World::collect(sim::Time end_time, std::uint64_t events) {
   // close() returns an empty vector when no sim time elapsed (e.g. a run
   // interrupted at t=0): no window, no samples.
   const auto utils = util.close();
-  for (int l = 0; l < 3; ++l) {
+  if (testbed) res.utilization_by_bottleneck = utils;
+  for (int l = 0; l < 3 && tree; ++l) {
     for (std::size_t i = layer_ranges[l].first; i < layer_ranges[l].second; ++i) {
       if (!utils.empty()) res.utilization_by_layer[l].add(utils[i]);
       res.queue_occupancy_by_layer[l].add(all_links[i]->mean_occupancy(sched.now()));
@@ -568,15 +665,15 @@ void World::collect(sim::Time end_time, std::uint64_t events) {
 
   auto add_goodput = [this](const workload::FlowRecord& rec, int scheme_index, double mbps) {
     (scheme_index == 0 ? res.goodput : res.goodput_b).add(mbps);
-    if (scheme_index == 0) {
-      res.goodput_by_category[static_cast<int>(tree.category(rec.src_host, rec.dst_host))].add(
+    if (scheme_index == 0 && tree) {
+      res.goodput_by_category[static_cast<int>(tree->category(rec.src_host, rec.dst_host))].add(
           mbps);
     }
   };
   auto collect_flows = [&](const workload::FlowManager& fm, int scheme_index) {
     for (const auto& rec : fm.records()) {
       res.flows.push_back(rec);
-      res.flow_category.push_back(tree.category(rec.src_host, rec.dst_host));
+      if (tree) res.flow_category.push_back(tree->category(rec.src_host, rec.dst_host));
       res.flow_scheme.push_back(scheme_index);
       if (rec.large && rec.completed) add_goodput(rec, scheme_index, rec.goodput_bps() / 1e6);
     }
@@ -597,14 +694,14 @@ void World::collect(sim::Time end_time, std::uint64_t events) {
   collect_partials(flows_a, 0);
   if (flows_b) collect_partials(*flows_b, 1);
 
-  if (emp) {
+  if (emp && tree) {
     // FCT slowdown vs the unloaded fabric: one-way propagation by locality
     // category plus serialization at line rate. Aborted and still-in-flight
     // flows are censored (counted, never averaged in).
-    const topo::FatTree::Config& tc = tree.config();
+    const topo::FatTree::Config& tc = tree->config();
     const double rate_bps = static_cast<double>(tc.link_rate_bps);
     auto ideal_sec = [&](const workload::FlowRecord& rec) {
-      const auto cat = tree.category(rec.src_host, rec.dst_host);
+      const auto cat = tree->category(rec.src_host, rec.dst_host);
       double prop = 2.0 * tc.rack_delay.sec();
       if (cat != topo::FatTree::Category::InnerRack) prop += 2.0 * tc.agg_delay.sec();
       if (cat == topo::FatTree::Category::InterPod) prop += 2.0 * tc.core_delay.sec();

@@ -1,9 +1,9 @@
 #pragma once
 
-// The world of one experiment run (DESIGN.md §11, §12): observers, fabric,
-// routing, workload and probes, plus what the epoch loop does around its
-// run — fresh start, checkpoint save/restore, result collection and
-// export. A component the run does not use (the generators of other
+// The world of one experiment run (DESIGN.md §11, §12): observers, fabric
+// (a Fat-Tree or a pinned testbed), routing, workload and probes, plus what
+// the epoch loop does around its run — fresh start, checkpoint
+// save/restore, result collection and export. A component the run does not use (the generators of other
 // patterns, the hybrid engine, the invariant checker) is null. Internal to
 // xmp_core.
 
@@ -30,6 +30,7 @@
 #include "sim/scheduler.hpp"
 #include "stats/probes.hpp"
 #include "topo/fattree.hpp"
+#include "topo/pinned.hpp"
 #include "workload/empirical.hpp"
 #include "workload/flow_manager.hpp"
 #include "workload/incast.hpp"
@@ -50,7 +51,8 @@ class World {
   World& operator=(const World&) = delete;
 
   /// Fresh start, in the legacy scheduling order: faults, invariant
-  /// checker, workload, hybrid foreground and fluid tick, probes.
+  /// checker, workload, hybrid foreground and fluid tick, probes, the
+  /// testbed series.
   void start();
 
   /// The checkpoint payload (DESIGN.md §12).
@@ -95,7 +97,9 @@ class World {
 
   // --- world state, in construction order ---
   net::Network netw;
-  topo::FatTree tree;
+  std::unique_ptr<topo::FatTree> tree;         ///< null on a pinned testbed
+  std::unique_ptr<topo::PinnedPaths> testbed;  ///< a `topology pinned` file's
+  topo::HostPool& hosts;                       ///< whichever of the two is built
   route::RouteManager routes;
   sim::Rng rng;
   workload::FlowManager flows_a;
@@ -113,7 +117,8 @@ class World {
   ExperimentResults res;
   stats::GaugeProbe rtt_tick;
   stats::UtilizationWindow util;
-  std::vector<net::Link*> all_links;  ///< every link, grouped by layer
+  /// Every Fat-Tree link, grouped by layer; a testbed's bottlenecks.
+  std::vector<net::Link*> all_links;
   std::array<std::pair<std::size_t, std::size_t>, 3> layer_ranges;
   /// The epoch accounting (res.shard's counters and the next epoch's trace
   /// id) is checkpointed as SHST, so a resumed run's summary matches an
@@ -123,6 +128,10 @@ class World {
  private:
   void build_workload();
   void build_hybrid();
+  /// A testbed's flow shapes, stops (added to `plan`) and series columns.
+  void build_testbed(faults::FaultPlan& plan);
+  /// Record one row of res.series and arm the next sample.
+  void sample_series();
   double sample_rtts();
   /// A saved flow-completion callback, resolved against this world; a
   /// kRandom tag binds to `random`, the generator of the tag's manager.
@@ -130,6 +139,8 @@ class World {
                                            workload::RandomTraffic* random);
   void publish_ckpt_totals();
 
+  std::vector<std::size_t> series_col_;  ///< first series column of each flow line
+  sim::EventId sample_timer_ = sim::kInvalidEventId;
   std::uint64_t fingerprint_ = 0;
   std::uint64_t ckpt_seq_ = 0;      ///< last sequence number used
   std::uint64_t ckpt_written_ = 0;  ///< lineage-cumulative snapshot count

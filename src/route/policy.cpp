@@ -82,7 +82,7 @@ std::size_t SwitchTable::member_for_link(const net::Link* link) const {
 
 std::size_t SwitchTable::select_up_port(const net::Packet& p) {
   if (alive_.empty()) return kNoPort;
-  std::size_t m;
+  std::size_t m = 0;  // every PolicyKind below sets it
   switch (cfg_.kind) {
     case PolicyKind::Pinned:
       m = pick_pinned(p);

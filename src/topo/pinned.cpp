@@ -35,6 +35,8 @@ PinnedPaths::Pair PinnedPaths::add_pair(const std::vector<int>& paths) {
 
   net::Host& src = net_.add_host();
   net::Host& dst = net_.add_host();
+  hosts_.push_back(&src);
+  hosts_.push_back(&dst);
   net::Switch& ingress = net_.add_switch();
   net::Switch& egress = net_.add_switch();
   ingress.set_up_port_policy(net::Switch::UpPortPolicy::TagModulo);

@@ -164,7 +164,8 @@ void EmpiricalTraffic::start() {
         });
   }
   if (cfg_.trace != nullptr && !cfg_.trace->empty()) {
-    trace_timer_ = sched_.schedule_at((*cfg_.trace)[0].start, [this] { on_trace_due(); });
+    trace_timer_ = sched_.schedule_at(in_units((*cfg_.trace)[0].start, cfg_.unit),
+                                      [this] { on_trace_due(); });
   }
 }
 
@@ -201,13 +202,14 @@ void EmpiricalTraffic::on_trace_due() {
   if (stopped_) return;
   const auto& tr = *cfg_.trace;
   const sim::Time now = sched_.now();
-  while (trace_next_ < tr.size() && tr[trace_next_].start <= now) {
+  while (trace_next_ < tr.size() && in_units(tr[trace_next_].start, cfg_.unit) <= now) {
     const ExplicitFlow& f = tr[trace_next_++];
     ++trace_issued_;
     issue(f.src, f.dst, f.bytes);
   }
   if (trace_next_ < tr.size()) {
-    trace_timer_ = sched_.schedule_at(tr[trace_next_].start, [this] { on_trace_due(); });
+    trace_timer_ =
+        sched_.schedule_at(in_units(tr[trace_next_].start, cfg_.unit), [this] { on_trace_due(); });
   }
 }
 

@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,12 +65,25 @@ enum class WorkloadSpan : std::uint8_t {
   InterRack,  ///< destination in a different rack than the source
 };
 
-/// One explicit `flow SRC DST BYTES START_S` entry of a workload file.
+/// `x` units of `unit` as simulated time; a one-second unit gives
+/// Time::seconds(x).
+[[nodiscard]] inline sim::Time in_units(double x, sim::Time unit) {
+  return sim::Time::seconds(x * unit.sec());
+}
+
+/// One explicit `flow` line of a workload file. Times are in units of the
+/// file's `unit` directive (seconds by default).
 struct ExplicitFlow {
   int src = 0;
   int dst = 0;
   std::int64_t bytes = 0;
-  sim::Time start = sim::Time::zero();
+  double start = 0.0;
+  // --- a `topology pinned` line's own transport (DESIGN.md §13) ---
+  std::optional<SchemeSpec::Kind> scheme;  ///< unset: the run's scheme
+  int subflows = 1;
+  std::vector<int> paths{0};    ///< bottleneck of subflow i is paths[i % size]
+  std::vector<double> offsets;  ///< one start offset per subflow; empty = all at start
+  double stop = -1.0;           ///< source uplink goes down here; negative = never
 };
 
 /// Open-loop empirical traffic generator (DESIGN.md §13): a global Poisson
@@ -97,6 +111,7 @@ class EmpiricalTraffic {
     /// Explicit flows, sorted by (start, file order). Pointer into the
     /// owning WorkloadSpec; must outlive the generator.
     const std::vector<ExplicitFlow>* trace = nullptr;
+    sim::Time unit = sim::Time::seconds(1.0);  ///< of the explicit flows' starts
   };
 
   EmpiricalTraffic(sim::Scheduler& sched, topo::HostPool& topo, FlowManager& flows,

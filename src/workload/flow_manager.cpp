@@ -64,26 +64,41 @@ void FlowManager::finish_record(std::size_t idx, std::function<void()>& on_done)
   if (on_done) on_done();
 }
 
+const FlowShape* FlowManager::shape_of(int src_idx) const {
+  const auto it = shapes_.find(src_idx);
+  return it == shapes_.end() ? nullptr : &it->second;
+}
+
 transport::Flow::Config FlowManager::single_config(net::FlowId id, std::int64_t bytes,
-                                                   bool large) const {
+                                                   bool large, int src_idx) const {
   transport::Flow::Config fc;
   fc.id = id;
   fc.size_bytes = bytes;
-  fc.cc.kind = large && spec_.kind == SchemeSpec::Kind::Dctcp ? transport::CcConfig::Kind::Dctcp
-                                                              : transport::CcConfig::Kind::Reno;
+  const SchemeSpec& s = scheme_of(src_idx);
+  if (large && s.kind == SchemeSpec::Kind::Dctcp) {
+    fc.cc.kind = transport::CcConfig::Kind::Dctcp;
+  } else if (large && s.kind == SchemeSpec::Kind::Bos) {
+    fc.cc.kind = transport::CcConfig::Kind::Bos;
+    fc.cc.bos.beta = s.beta;
+  }
+  if (large && shape_of(src_idx) != nullptr) {
+    fc.path_tag = 0;
+    fc.path_tag_explicit = true;
+  }
   return fc;
 }
 
-mptcp::MptcpConnection::Config FlowManager::multi_config(net::FlowId id,
-                                                         std::int64_t bytes) const {
+mptcp::MptcpConnection::Config FlowManager::multi_config(net::FlowId id, std::int64_t bytes,
+                                                         int src_idx) const {
+  const SchemeSpec& s = scheme_of(src_idx);
   mptcp::MptcpConnection::Config mc;
   mc.id = id;
   mc.size_bytes = bytes;
-  mc.n_subflows = spec_.subflows;
-  mc.bos.beta = spec_.beta;
-  mc.dead_after_rtos = spec_.dead_after_rtos;
-  mc.max_rehomes = spec_.max_rehomes;
-  switch (spec_.kind) {
+  mc.n_subflows = s.subflows;
+  mc.bos.beta = s.beta;
+  mc.dead_after_rtos = s.dead_after_rtos;
+  mc.max_rehomes = s.max_rehomes;
+  switch (s.kind) {
     case SchemeSpec::Kind::Xmp:
       mc.coupling = mptcp::Coupling::Xmp;
       break;
@@ -96,6 +111,10 @@ mptcp::MptcpConnection::Config FlowManager::multi_config(net::FlowId id,
     default:
       assert(false && "unexpected multipath scheme");
   }
+  if (const FlowShape* shape = shape_of(src_idx); shape != nullptr) {
+    mc.subflow_start_offsets = shape->offsets;
+    mc.path_tag_fn = [](int i) { return static_cast<std::uint16_t>(i); };
+  }
   return mc;
 }
 
@@ -107,8 +126,8 @@ void FlowManager::start_large_flow(net::Host& src, net::Host& dst, int src_idx, 
   const net::FlowId id = records_[rec].id;
   active_large_.fetch_add(1, std::memory_order_relaxed);
 
-  if (!spec_.multipath()) {
-    auto fc = single_config(id, bytes, /*large=*/true);
+  if (!scheme_of(src_idx).multipath()) {
+    auto fc = single_config(id, bytes, /*large=*/true, src_idx);
     if (initial_cwnd > 0.0) {
       fc.tune_sender = [initial_cwnd](transport::SenderConfig& sc) {
         sc.initial_cwnd = initial_cwnd;
@@ -123,7 +142,7 @@ void FlowManager::start_large_flow(net::Host& src, net::Host& dst, int src_idx, 
     return;
   }
 
-  auto mc = multi_config(id, bytes);
+  auto mc = multi_config(id, bytes, src_idx);
   if (initial_cwnd > 0.0) {
     mc.tune_sender = [initial_cwnd](transport::SenderConfig& sc) {
       sc.initial_cwnd = initial_cwnd;
@@ -164,7 +183,7 @@ void FlowManager::start_small_flow(net::Host& src, net::Host& dst, int src_idx, 
   // Small flows always use plain TCP.
   auto flow = std::make_unique<transport::Flow>(
       sched_for(src_idx), sched_for(dst_idx), src, dst,
-      single_config(records_[rec].id, bytes, /*large=*/false));
+      single_config(records_[rec].id, bytes, /*large=*/false, src_idx));
   flow->set_on_complete(
       [this, rec, done = std::move(on_done)]() mutable { finish_record(rec, done); });
   flow->start();
@@ -215,10 +234,10 @@ void FlowManager::checkpoint(core::ckpt::Io& io, int n_hosts,
         return io.fail();
       }
       std::function<void()> done = bind && t.kind != CallbackTag::kNone ? bind(t) : nullptr;
-      if (r.large && spec_.multipath()) {
+      if (r.large && scheme_of(r.src_host).multipath()) {
         auto conn = std::make_unique<mptcp::MptcpConnection>(
             sched_for(r.src_host), sched_for(r.dst_host), host(r.src_host), host(r.dst_host),
-            multi_config(r.id, r.bytes));
+            multi_config(r.id, r.bytes, r.src_host));
         const std::size_t slot = multis_.size();
         conn->set_on_complete([this, slot] { finish_multi(slot, /*aborted=*/false); });
         conn->set_on_abort([this, slot] { finish_multi(slot, /*aborted=*/true); });
@@ -226,7 +245,7 @@ void FlowManager::checkpoint(core::ckpt::Io& io, int n_hosts,
       } else {
         auto flow = std::make_unique<transport::Flow>(
             sched_for(r.src_host), sched_for(r.dst_host), host(r.src_host), host(r.dst_host),
-            single_config(r.id, r.bytes, r.large));
+            single_config(r.id, r.bytes, r.large, r.src_host));
         flow->set_on_complete([this, i, d = std::move(done)]() mutable { finish_record(i, d); });
         if (r.large) {
           singles_.push_back(LargeSingle{i, std::move(flow)});
@@ -235,7 +254,7 @@ void FlowManager::checkpoint(core::ckpt::Io& io, int n_hosts,
         }
       }
     }
-    if (r.large && spec_.multipath()) {
+    if (r.large && scheme_of(r.src_host).multipath()) {
       multis_[mi++].conn->checkpoint(io);
     } else if (r.large) {
       singles_[si++].flow->checkpoint(io);
@@ -252,6 +271,16 @@ void FlowManager::for_each_partial_large(
   }
   for (const auto& m : multis_) {
     if (!records_[m.record].completed) fn(records_[m.record], m.conn->delivered_bytes());
+  }
+}
+
+void FlowManager::for_each_large_subflow(
+    const std::function<void(const FlowRecord&, int, const transport::TcpSender&)>& fn) const {
+  for (const auto& s : singles_) fn(records_[s.record], 0, s.flow->sender());
+  for (const auto& m : multis_) {
+    for (int i = 0; i < m.conn->n_subflows(); ++i) {
+      fn(records_[m.record], i, m.conn->subflow_sender(i));
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -50,6 +51,14 @@ struct CallbackTag {
   std::int64_t c = 0;
 };
 
+/// A large flow's own transport in place of its manager's SchemeSpec: a
+/// pinned testbed's `flow` line (DESIGN.md §13). Subflow i takes path tag
+/// i, so it crosses the i-th path of its host pair.
+struct FlowShape {
+  SchemeSpec scheme;
+  std::vector<sim::Time> offsets;  ///< per-subflow start offsets; empty = all at start
+};
+
 /// Creates, owns and tracks every transfer of an experiment.
 ///
 /// Large flows follow the configured SchemeSpec (single-path Flow for
@@ -70,6 +79,10 @@ class FlowManager {
   void set_schedulers(std::function<sim::Scheduler&(int host_idx)> fn) {
     sched_lookup_ = std::move(fn);
   }
+
+  /// Large flows from source host `h` take `shapes[h]` instead of the
+  /// manager's SchemeSpec; a restore looks them up the same way.
+  void set_shapes(std::map<int, FlowShape> shapes) { shapes_ = std::move(shapes); }
 
   /// Start a large flow now. `on_done` (optional) fires at completion,
   /// after the record is finalized; `tag` records how to re-create it after
@@ -120,6 +133,11 @@ class FlowManager {
   void for_each_active_large_sender(
       const std::function<void(const FlowRecord&, const transport::TcpSender&)>& fn) const;
 
+  /// Visit every subflow sender of every large flow, finished or not, with
+  /// the subflow's index (testbed series sampling).
+  void for_each_large_subflow(
+      const std::function<void(const FlowRecord&, int, const transport::TcpSender&)>& fn) const;
+
   /// Visit every *unfinished* large flow with the bytes it has delivered so
   /// far — used to include partial goodput at the end of a fixed-horizon
   /// run instead of silently censoring slow flows.
@@ -128,13 +146,20 @@ class FlowManager {
 
  private:
   std::size_t new_record(int src_idx, int dst_idx, std::int64_t bytes, bool large);
+  /// The shape of large flows from `src_idx`, or null for the manager's
+  /// SchemeSpec.
+  [[nodiscard]] const FlowShape* shape_of(int src_idx) const;
+  [[nodiscard]] const SchemeSpec& scheme_of(int src_idx) const {
+    const FlowShape* shape = shape_of(src_idx);
+    return shape != nullptr ? shape->scheme : spec_;
+  }
   /// Flow/connection configs derived from the scheme — shared between the
   /// start_* paths and checkpoint reconstruction so both build identical
   /// objects.
   [[nodiscard]] transport::Flow::Config single_config(net::FlowId id, std::int64_t bytes,
-                                                      bool large) const;
-  [[nodiscard]] mptcp::MptcpConnection::Config multi_config(net::FlowId id,
-                                                            std::int64_t bytes) const;
+                                                      bool large, int src_idx) const;
+  [[nodiscard]] mptcp::MptcpConnection::Config multi_config(net::FlowId id, std::int64_t bytes,
+                                                            int src_idx) const;
   void finish_record(std::size_t idx, std::function<void()>& on_done);
   void finish_multi(std::size_t slot, bool aborted);
   /// Local simulated time: the scheduler currently dispatching (sharded
@@ -148,6 +173,7 @@ class FlowManager {
   SchemeSpec spec_;
   net::FlowId next_id_;
   std::function<sim::Scheduler&(int)> sched_lookup_;
+  std::map<int, FlowShape> shapes_;  ///< by source host
   // Concurrent finishes on different shards touch disjoint records_ rows but
   // share these tallies; with several shards new_record/push_back only run
   // on the control strand (at start or at a barrier), and a one-shard run

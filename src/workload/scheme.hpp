@@ -6,13 +6,14 @@ namespace xmp::workload {
 
 /// Transport scheme used by *large* flows (small flows always use plain
 /// TCP in the paper). The trailing digit of the paper's scheme names
-/// ("XMP-2", "LIA-4") is `subflows`.
+/// ("XMP-2", "LIA-4") is `subflows`. Bos is single-path BOS, the testbed
+/// figures' constant-factor reduction (Fig. 1's halving at β = 2).
 struct SchemeSpec {
-  enum class Kind { Tcp, Dctcp, Xmp, Lia, Olia };
+  enum class Kind { Tcp, Dctcp, Xmp, Lia, Olia, Bos };
 
   Kind kind = Kind::Xmp;
-  int subflows = 2;  ///< ignored for Tcp/Dctcp
-  int beta = 4;      ///< XMP window-reduction factor 1/β
+  int subflows = 2;  ///< ignored for Tcp/Dctcp/Bos
+  int beta = 4;      ///< XMP and BOS window-reduction factor 1/β
   /// Declare a multipath subflow dead after this many consecutive RTOs
   /// (0 = never, the fault-free default — keeps fault-free runs
   /// bit-identical to builds without the fault subsystem).
@@ -38,6 +39,8 @@ struct SchemeSpec {
         return "LIA-" + std::to_string(subflows);
       case Kind::Olia:
         return "OLIA-" + std::to_string(subflows);
+      case Kind::Bos:
+        return "BOS";
     }
     return "?";
   }

@@ -107,7 +107,9 @@ TEST(WorkerPool, OwnShardsRunBeforeStolenOnes) {
       EXPECT_NE(seq[i] % 3, w) << "worker " << w << " ran its own shard " << seq[i]
                                << " after stealing";
       for (std::size_t j = own; j < i; ++j) {
-        if (seq[j] % 3 == seq[i] % 3) EXPECT_GT(seq[j], seq[i]) << "worker " << w;
+        if (seq[j] % 3 == seq[i] % 3) {
+          EXPECT_GT(seq[j], seq[i]) << "worker " << w;
+        }
       }
     }
   }

@@ -121,7 +121,7 @@ TEST(MetricsRegistry, AddressesStableAcrossGrowth) {
   Counter& first = reg.counter("first");
   first.inc();
   // Registering many more instruments must not move the first one.
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
+  for (int i = 0; i < 100; ++i) static_cast<void>(reg.counter("c" + std::to_string(i)));
   EXPECT_EQ(&first, &reg.counter("first"));
   EXPECT_EQ(first.get(), 1u);
 }

@@ -138,7 +138,7 @@ TEST(ObsDeterminism, TracedRunEmitsValidPerfettoJsonAndMetrics) {
   auto cfg = small_cfg();
   cfg.obs.trace_json = trace.path;
   cfg.obs.metrics_json = metrics.path;
-  run_experiment(cfg);
+  ASSERT_TRUE(run_experiment(cfg).unwritten.empty());
 
   // The Chrome trace must parse and expose per-subflow cwnd and δ-gain
   // counter tracks plus named flow/link processes — the contract Perfetto
@@ -183,7 +183,7 @@ TEST(ObsDeterminism, CategoryFilterRestrictsTraceContents) {
   auto cfg = small_cfg();
   cfg.obs.trace_json = trace.path;
   cfg.obs.categories = obs::cat::kCwnd;
-  run_experiment(cfg);
+  ASSERT_TRUE(run_experiment(cfg).unwritten.empty());
 
   const auto root = test::MiniJsonParser::parse(slurp(trace.path));
   for (const auto& ev : root.at("traceEvents").array) {
