@@ -78,6 +78,22 @@ TEST(PinnedPaths, BaseRttMatchesConfiguredDelays) {
   EXPECT_EQ(paths.base_rtt(0), sim::Time::microseconds(1600));
 }
 
+// A fault plan names a bottleneck by bottleneck_link_id before the testbed
+// exists (Fig. 7's `down,link=4`); pairs added later do not move it.
+TEST(PinnedPaths, BottleneckLinkIdNamesTheBuiltLink) {
+  sim::Scheduler sched;
+  net::Network net{sched};
+  PinnedPaths::Config tc = two_paths();
+  tc.bottlenecks.resize(5, tc.bottlenecks[0]);
+  PinnedPaths paths{net, tc};
+  paths.add_pair({0, 1});
+  paths.add_pair({4});
+  for (int j = 0; j < paths.n_bottlenecks(); ++j) {
+    EXPECT_EQ(paths.bottleneck(j).id(), bottleneck_link_id(j)) << "bottleneck " << j;
+  }
+  EXPECT_EQ(bottleneck_link_id(2), 4u);
+}
+
 TEST(PinnedPaths, SharedBottleneckCarriesBothPairs) {
   sim::Scheduler sched;
   net::Network net{sched};
